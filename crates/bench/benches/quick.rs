@@ -2,9 +2,7 @@
 //!
 //! A plain `harness = false` binary timed with `std::time::Instant`, so
 //! `cargo bench` works in the hermetic offline build. Each benchmark is
-//! calibrated to a target wall time and reports ns/op and throughput. The
-//! legacy criterion suites (`micro`, `ablations`) remain available behind
-//! the `bench-criterion` feature for environments that vendor criterion.
+//! calibrated to a target wall time and reports ns/op and throughput.
 
 use hemu_cache::{Hierarchy, HierarchyConfig};
 use hemu_heap::{CollectorKind, ManagedHeap};

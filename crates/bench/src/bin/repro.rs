@@ -60,23 +60,14 @@
 //! `--jobs N` runs each target's experiments on an N-worker pool (default:
 //! the machine's available parallelism; `--jobs 1` is the sequential
 //! path). Every exported artifact is byte-identical at any `--jobs` value.
-//! `--bench` skips the figure targets and instead times the access fast
-//! path and a fixed quick sweep, writing `BENCH_results.json`
-//! (`--bench-out` overrides the path); `--bench-baseline FILE` additionally
-//! fails the run when access-kernel throughput drops more than 20% below
-//! the baseline file. `--access-path scalar|batched` selects the machine's
-//! access implementation (default: batched; both produce byte-identical
-//! artifacts) and `--intra-threads N` sets the batch-resolution worker
-//! count inside each run (default: the machine's available parallelism;
-//! any value is byte-identical, and the value used is recorded in the
-//! bench results schema). `--submit deferred|scalar` selects the runtime
-//! layers' submission mode (default: deferred; byte-identical artifacts,
-//! scalar keeps the per-call reference behavior for verification).
+//! `--intra-threads N` sets the batch-resolution worker count inside each
+//! run (default: the machine's available parallelism; any value is
+//! byte-identical). Host-speed measurement lives in the separate
+//! `benchmark/` package.
 
-use hemu_bench::{experiments, perf, Harness, RunPolicy, Scale};
+use hemu_bench::{experiments, Harness, RunPolicy, Scale};
 use hemu_fault::{EnduranceConfig, FaultPlan};
-use hemu_types::{AccessPath, ByteSize, OsPagingConfig, OsPolicy, SubmitMode};
-use std::path::Path;
+use hemu_types::{ByteSize, OsPagingConfig, OsPolicy};
 use std::time::{Duration, Instant};
 
 /// Extracts a `--flag VALUE` pair from `args`, removing both elements.
@@ -120,38 +111,12 @@ fn main() {
     let os_dram_flag = take_value_flag(&mut args, "--os-dram");
     let resume = take_value_flag(&mut args, "--resume");
     let chaos_kill_after = take_value_flag(&mut args, "--chaos-kill-after");
-    let bench_out = take_value_flag(&mut args, "--bench-out");
-    let bench_baseline = take_value_flag(&mut args, "--bench-baseline");
-    let bench = take_bool_flag(&mut args, "--bench");
     let tenants_flag = take_value_flag(&mut args, "--tenants");
     let mix_flag = take_value_flag(&mut args, "--mix");
     let slice_flag = take_value_flag(&mut args, "--slice");
-    let access_path_flag = take_value_flag(&mut args, "--access-path");
     let intra_threads_flag = take_value_flag(&mut args, "--intra-threads");
-    let access_path = match access_path_flag.as_deref() {
-        None => AccessPath::default(),
-        Some(s) => match AccessPath::parse(s) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("--access-path: {e}");
-                std::process::exit(2);
-            }
-        },
-    };
-    let submit_flag = take_value_flag(&mut args, "--submit");
-    let submit_mode = match submit_flag.as_deref() {
-        None => SubmitMode::default(),
-        Some(s) => match SubmitMode::parse(s) {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("--submit: {e}");
-                std::process::exit(2);
-            }
-        },
-    };
     // Safe to default wide: shard resolution is deterministic at any
-    // worker count (crates/bench/tests/determinism.rs), and the count used
-    // is recorded in the bench schema for reproducibility.
+    // worker count (crates/bench/tests/determinism.rs).
     let intra_threads = match intra_threads_flag.as_deref() {
         None => std::thread::available_parallelism().map_or(1, |n| n.get()),
         Some(s) => match s.parse::<usize>() {
@@ -173,29 +138,6 @@ fn main() {
         },
     };
 
-    if bench {
-        let out = bench_out.unwrap_or_else(|| "BENCH_results.json".into());
-        match perf::run_bench(
-            jobs,
-            intra_threads,
-            submit_mode,
-            Path::new(&out),
-            bench_baseline.as_deref().map(Path::new),
-        ) {
-            Ok(outcome) => {
-                println!("{}", outcome.summary);
-                if let Some(msg) = outcome.regression {
-                    eprintln!("{msg}");
-                    std::process::exit(1);
-                }
-                return;
-            }
-            Err(e) => {
-                eprintln!("--bench failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
     let quick = match scale_flag.as_deref() {
         None => args.iter().any(|a| a == "--quick"),
         Some("quick") => true,
@@ -375,8 +317,6 @@ fn main() {
         }
     }
     h.set_jobs(jobs);
-    h.set_access_path(access_path);
-    h.set_submit_mode(submit_mode);
     h.set_intra_threads(intra_threads);
     h.set_os_tuning(os_tuning);
     // Resume must come after every plan-affecting flag above: the journal

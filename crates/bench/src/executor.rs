@@ -32,14 +32,13 @@ use hemu_core::{Experiment, RunArtifacts};
 use hemu_fault::{EnduranceConfig, FaultPlan};
 use hemu_obs::{Reporter, Tracer};
 use hemu_tenant::{ConsolidationRun, Mix};
-use hemu_types::{AccessPath, HemuError, OsPagingConfig, SubmitMode};
+use hemu_types::{HemuError, OsPagingConfig};
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Mutex;
 use std::thread;
-use std::time::Instant;
 
 /// Records retained per traced run; QPI batching keeps even long runs well
 /// under this.
@@ -83,10 +82,6 @@ pub struct JobSpec {
 pub struct StagedRun {
     /// Attempts consumed (1 unless transient faults forced retries).
     pub attempts: u32,
-    /// Host wall-clock seconds the job took, all attempts included.
-    /// Observability only (bench p50/p95); never exported into run
-    /// artifacts, which must stay byte-identical across machines.
-    pub wall_seconds: f64,
     /// The full artifact bundle (report, trace, profiler spans, wear
     /// heatmap), or the terminal error.
     pub outcome: Result<RunArtifacts, HemuError>,
@@ -109,15 +104,9 @@ pub struct ExecCtx {
     /// Whether to run the phase-and-provenance profiler (virtual-time
     /// spans, write attribution, wear heatmap).
     pub want_profile: bool,
-    /// Access-path implementation every experiment's machine uses.
-    pub access_path: AccessPath,
     /// Batch-resolution worker threads inside each run (results are
     /// identical at any value).
     pub intra_threads: usize,
-    /// How runtime layers hand traffic to the machine (deferred buffered
-    /// submission vs immediate per-call resolution; artifacts are
-    /// byte-identical either way).
-    pub submit_mode: SubmitMode,
     /// Serialized progress sink shared by all workers.
     pub reporter: Reporter,
 }
@@ -139,9 +128,7 @@ fn configure(ctx: &ExecCtx, job: &JobSpec, attempt: u32) -> Experiment {
     let mut e = Experiment::new(job.spec)
         .instances(job.instances)
         .profile(job.profile.machine())
-        .access_path(ctx.access_path)
-        .intra_threads(ctx.intra_threads)
-        .submit_mode(ctx.submit_mode);
+        .intra_threads(ctx.intra_threads);
     if ctx.want_profile {
         e = e.profiling();
     }
@@ -177,9 +164,7 @@ fn configure_consolidation(
     let mut r = ConsolidationRun::new(c.mix, c.tenants)
         .slice(c.slice)
         .profile(job.profile.machine())
-        .access_path(ctx.access_path)
-        .intra_threads(ctx.intra_threads)
-        .submit_mode(ctx.submit_mode);
+        .intra_threads(ctx.intra_threads);
     if ctx.want_profile {
         r = r.profiling();
     }
@@ -262,7 +247,6 @@ pub(crate) fn run_job_inner(job: &JobSpec, ctx: &ExecCtx, announce: bool) -> Sta
     } else {
         ctx.reporter.retried(&job.key);
     }
-    let t0 = Instant::now();
     let mut attempt = 1u32;
     loop {
         let guarded = match &job.consolidation {
@@ -282,7 +266,6 @@ pub(crate) fn run_job_inner(job: &JobSpec, ctx: &ExecCtx, announce: bool) -> Sta
                 ctx.reporter.finish(&job.key, &format!("done {}", job.key));
                 return StagedRun {
                     attempts: attempt,
-                    wall_seconds: t0.elapsed().as_secs_f64(),
                     outcome: Ok(ok),
                 };
             }
@@ -307,7 +290,6 @@ pub(crate) fn run_job_inner(job: &JobSpec, ctx: &ExecCtx, announce: bool) -> Sta
                 );
                 return StagedRun {
                     attempts: attempt,
-                    wall_seconds: t0.elapsed().as_secs_f64(),
                     outcome: Err(e),
                 };
             }
@@ -404,7 +386,6 @@ where
                     if let Ok(mut s) = slots[i].lock() {
                         *s = Some(StagedRun {
                             attempts: crash_count,
-                            wall_seconds: 0.0,
                             outcome: Err(err),
                         });
                     }
@@ -432,7 +413,6 @@ where
             }))
             .unwrap_or_else(|payload| StagedRun {
                 attempts: 1,
-                wall_seconds: 0.0,
                 outcome: Err(panic_error(payload.as_ref())),
             });
             if let Ok(mut s) = slot.lock() {
@@ -447,7 +427,6 @@ where
                 .unwrap_or_else(|poisoned| poisoned.into_inner())
                 .unwrap_or_else(|| StagedRun {
                     attempts: 1,
-                    wall_seconds: 0.0,
                     outcome: Err(HemuError::Panicked("worker dropped a staged run".into())),
                 })
         })
@@ -484,9 +463,7 @@ mod tests {
             os_tuning: OsPagingConfig::default(),
             want_trace: false,
             want_profile: false,
-            access_path: AccessPath::default(),
             intra_threads: 1,
-            submit_mode: SubmitMode::default(),
             reporter: Reporter::to_writer(Box::new(SharedBuf(Arc::clone(buf)))),
         }
     }
@@ -510,7 +487,6 @@ mod tests {
     fn stub_result(job: &JobSpec) -> StagedRun {
         StagedRun {
             attempts: 1,
-            wall_seconds: 0.0,
             outcome: Err(HemuError::InvalidConfig(format!("stub:{}", job.key))),
         }
     }

@@ -8,7 +8,7 @@ use hemu_machine::MachineProfile;
 use hemu_obs::journal::{read_journal, JournalReadError, JournalRecord, JournalWriter};
 use hemu_obs::json::{JsonObject, ToJson};
 use hemu_obs::{fnv1a64, hash_hex, to_json_lines, write_atomic_str, Csv, Reporter, Timeline};
-use hemu_types::{AccessPath, HemuError, OsPagingConfig, OsPolicy, Result, SubmitMode};
+use hemu_types::{HemuError, OsPagingConfig, OsPolicy, Result};
 use hemu_workloads::{spec, DatasetSize, Language, WorkloadSpec};
 use std::collections::{HashMap, HashSet};
 use std::fs;
@@ -155,12 +155,6 @@ pub struct RunRecord {
     pub attempts: u32,
     /// The final error rendered as text, for failed runs.
     pub error: Option<String>,
-    /// Host wall-clock seconds the run took (all attempts). Observability
-    /// only — deliberately excluded from `runs.json` and every other
-    /// exported artifact, which must stay byte-identical across hosts and
-    /// `--jobs`/intra-thread widths; the bench mode reads it for its
-    /// per-run p50/p95.
-    pub wall_seconds: f64,
 }
 
 /// Runs experiments, memoizing results by configuration so figures that
@@ -209,10 +203,6 @@ pub struct Harness {
     /// Worker-pool width for planned sweeps; 0 or 1 means fully inline
     /// sequential execution (the historical path).
     jobs: usize,
-    /// Access-path implementation for every run's machine.
-    access_path: AccessPath,
-    /// Submission mode for every run's machine (deferred vs scalar).
-    submit_mode: SubmitMode,
     /// Intra-run batch-resolution threads; 0 and 1 both mean sequential.
     intra_threads: usize,
     /// When true, [`Harness::run`] defers execution: unknown runs are
@@ -323,30 +313,6 @@ impl Harness {
     /// The configured worker-pool width (0/1 = sequential).
     pub fn jobs(&self) -> usize {
         self.jobs.max(1)
-    }
-
-    /// Selects the access-path implementation for every subsequent run.
-    pub fn set_access_path(&mut self, path: AccessPath) {
-        self.access_path = path;
-    }
-
-    /// Selects the submission mode for every subsequent run. Artifacts
-    /// are byte-identical in either mode; `scalar` keeps the reference
-    /// per-call behavior for verification, `deferred` is the fast
-    /// default. Excluded from the sweep's plan fingerprint, like the
-    /// other pure-wall-clock knobs, so a journal resumes in any mode.
-    pub fn set_submit_mode(&mut self, mode: SubmitMode) {
-        self.submit_mode = mode;
-    }
-
-    /// The submission mode runs execute with.
-    pub fn submit_mode(&self) -> SubmitMode {
-        self.submit_mode
-    }
-
-    /// The access path runs execute with.
-    pub fn access_path(&self) -> AccessPath {
-        self.access_path
     }
 
     /// Sets the intra-run batch-resolution thread count for every
@@ -689,9 +655,7 @@ impl Harness {
             os_tuning: self.os_tuning,
             want_trace: self.trace_out.is_some(),
             want_profile: self.profiling(),
-            access_path: self.access_path,
             intra_threads: self.intra_threads(),
-            submit_mode: self.submit_mode,
             reporter: self.reporter.clone(),
         }
     }
@@ -726,7 +690,6 @@ impl Harness {
                     status: RunStatus::Ok,
                     attempts: sr.attempts,
                     error: None,
-                    wall_seconds: sr.wall_seconds,
                 });
                 self.runs_executed += 1;
                 self.chaos_checkpoint();
@@ -744,7 +707,6 @@ impl Harness {
                     status,
                     attempts: sr.attempts,
                     error: Some(e.to_string()),
-                    wall_seconds: sr.wall_seconds,
                 });
                 self.failed.insert(key, e.clone());
                 self.runs_executed += 1;
@@ -770,7 +732,6 @@ impl Harness {
             status: RunStatus::Ok,
             attempts: rr.attempts,
             error: None,
-            wall_seconds: 0.0,
         });
         self.runs_restored += 1;
         self.chaos_checkpoint();
@@ -858,7 +819,7 @@ impl Harness {
     /// Fingerprint of everything that decides what a sweep's runs compute:
     /// the crate version plus every configuration knob that changes run
     /// *results*. Deliberately excludes pure execution-shape knobs
-    /// (`--jobs`, `--intra-threads`, the access path) and export toggles —
+    /// (`--jobs`, `--intra-threads`) and export toggles —
     /// artifacts are byte-identical across those, so a journal written at
     /// one setting resumes cleanly at another.
     fn plan_hash(&self) -> String {

@@ -2,8 +2,8 @@
 //!
 //! The [`experiments`] module contains one function per table/figure; the
 //! `repro` binary (`cargo run -p hemu-bench --bin repro --release -- all`)
-//! prints them, and the criterion benches under `benches/` cover the
-//! micro-level and ablation measurements. A [`Harness`] caches experiment
+//! prints them, and the `quick` bench under `benches/` times the hot paths.
+//! A [`Harness`] caches experiment
 //! results so that figures sharing configurations (e.g. Fig. 4's
 //! multiprogrammed PCM-Only runs and Table III's lifetime inputs) run each
 //! experiment once.
@@ -12,7 +12,6 @@ pub mod executor;
 pub mod experiments;
 pub mod fmt;
 pub mod harness;
-pub mod perf;
 
 pub use executor::{ConsolidationJob, ExecCtx, JobSpec, StagedRun};
 pub use harness::{Harness, Manager, Profile, RunPolicy, RunRecord, RunStatus, Scale};

@@ -33,9 +33,11 @@
 //! Because shards share no state, a batch can be resolved by any number of
 //! worker threads, each owning a disjoint range of shards, with no
 //! synchronization beyond the scope join — and the outcome of every queued
-//! access is *identical* at any thread count by construction. The merge
-//! back into global submission order is the caller's job (the machine
-//! walks its batch arrays and pops per-shard outcome cursors).
+//! access is *identical* at any thread count by construction. Outcomes are
+//! reported as order-insensitive aggregates (per-context hit counts, the
+//! memory-fill list, the write-backs), which is all a caller that does
+//! not observe per-line order needs; callers that do observe it issue
+//! lines one at a time through [`ShardedHierarchy::access_into`].
 
 use crate::cache::Cache;
 use crate::hierarchy::{Hierarchy, HierarchyConfig, HitLevel};
@@ -63,79 +65,29 @@ struct QueuedLine {
     meta: u32,
 }
 
-/// One shard: a private sub-hierarchy plus its batch queue and outcome
-/// buffers.
+/// One shard: a private sub-hierarchy plus its batch queue and aggregate
+/// outcome buffers.
 #[derive(Debug)]
 struct Shard {
     hier: Hierarchy,
     /// The shard's own low line bits, OR-ed back into shifted victims.
     low: u64,
     queue: Vec<QueuedLine>,
-    /// Per queued access: hit level (2 bits) | write-back count `<< 2`.
-    out: Vec<u8>,
     /// Unshifted write-backs of the whole queue, in access order.
     wbs: Vec<(LineAddr, u8)>,
-    /// Aggregate-mode per-context hit counts, `contexts * 3` wide,
-    /// indexed `ctx * 3 + level_code`.
+    /// Per-context hit counts, `contexts * 3` wide, indexed
+    /// `ctx * 3 + level_code`.
     counts: Vec<u64>,
-    /// Aggregate-mode memory fills `(ctx, unshifted line)`, in access
-    /// order.
+    /// Memory fills `(ctx, unshifted line)`, in access order.
     fills: Vec<(u32, u64)>,
-    /// Merge cursors: next outcome / next write-back to hand out.
-    cursor: usize,
-    wb_cursor: usize,
     scratch: Vec<(LineAddr, u8)>,
 }
 
 impl Shard {
-    /// Resolves the whole queue against this shard's sub-hierarchy.
+    /// Resolves the whole queue against this shard's sub-hierarchy in one
+    /// pass, accumulating per-context hit counts, the memory-fill list and
+    /// the write-backs.
     fn run_queue(&mut self, ns_bits: u32) {
-        let Shard {
-            hier,
-            queue,
-            out,
-            wbs,
-            scratch,
-            low,
-            ..
-        } = self;
-        out.clear();
-        wbs.clear();
-        for (i, q) in queue.iter().enumerate() {
-            // The queue is known upfront, so hide the host-memory latency
-            // of the tag/LRU probes by prefetching a fixed distance ahead.
-            if let Some(next) = queue.get(i + PREFETCH_AHEAD) {
-                hier.prefetch(
-                    (next.meta >> 16) as usize,
-                    LineAddr::new(next.line >> ns_bits),
-                );
-            }
-            let ctx = (q.meta >> 16) as usize;
-            let wtag = (q.meta >> 8) as u8;
-            let kind = if q.meta & 1 == 1 {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            };
-            let shifted = LineAddr::new(q.line >> ns_bits);
-            let (level, _fill) = hier.access_into(ctx, shifted, kind, wtag, scratch);
-            debug_assert!(scratch.len() <= 2, "at most an LLC and an L2 victim");
-            out.push(level_code(level) | (scratch.len() as u8) << 2);
-            wbs.extend(
-                scratch
-                    .iter()
-                    .map(|&(l, t)| (LineAddr::new(l.raw() << ns_bits | *low), t)),
-            );
-        }
-    }
-
-    /// [`Shard::run_queue`] for order-insensitive callers: resolves the
-    /// whole queue in one pass, accumulating per-context hit counts and a
-    /// memory-fill list instead of the per-access outcome codes, so the
-    /// merge never has to re-walk the queue. Every cache-state mutation is
-    /// identical to `run_queue` (same accesses, same order); only how the
-    /// outcomes are reported differs.
-    fn run_queue_aggregate(&mut self, ns_bits: u32) {
         let Shard {
             hier,
             queue,
@@ -144,13 +96,14 @@ impl Shard {
             fills,
             scratch,
             low,
-            ..
         } = self;
         wbs.clear();
         fills.clear();
         counts.clear();
         counts.resize(hier.contexts() * 3, 0);
         for (i, q) in queue.iter().enumerate() {
+            // The queue is known upfront, so hide the host-memory latency
+            // of the tag/LRU probes by prefetching a fixed distance ahead.
             if let Some(next) = queue.get(i + PREFETCH_AHEAD) {
                 hier.prefetch(
                     (next.meta >> 16) as usize,
@@ -202,7 +155,7 @@ const fn code_level(code: u8) -> HitLevel {
 /// queue per shard. Drop-in semantic replacement for [`Hierarchy`] (see
 /// the module docs for the equivalence argument), plus the batch API:
 /// [`ShardedHierarchy::begin_batch`] / [`ShardedHierarchy::enqueue`] /
-/// [`ShardedHierarchy::resolve`] / [`ShardedHierarchy::next_outcome`].
+/// [`ShardedHierarchy::resolve_aggregate`], then the `drain_*` methods.
 #[derive(Debug)]
 pub struct ShardedHierarchy {
     ns_bits: u32,
@@ -243,12 +196,9 @@ impl ShardedHierarchy {
                     hier: Hierarchy::new(sub),
                     low: s as u64,
                     queue: Vec::new(),
-                    out: Vec::new(),
                     wbs: Vec::new(),
                     counts: Vec::new(),
                     fills: Vec::new(),
-                    cursor: 0,
-                    wb_cursor: 0,
                     scratch: Vec::with_capacity(4),
                 })
                 .collect(),
@@ -281,9 +231,9 @@ impl ShardedHierarchy {
         }
     }
 
-    /// Issues one line access immediately (no batching) — the scalar-shaped
-    /// entry point with [`Hierarchy::access_into`]'s exact contract, used
-    /// for small accesses where pipeline setup isn't worth it.
+    /// Issues one line access immediately (no batching), with
+    /// [`Hierarchy::access_into`]'s exact contract: the entry point for
+    /// callers that observe per-line order.
     ///
     /// # Panics
     ///
@@ -307,16 +257,13 @@ impl ShardedHierarchy {
         (level, fill.map(|_| line))
     }
 
-    /// Starts a new batch: clears every shard's queue and outcome cursors.
+    /// Starts a new batch: clears every shard's queue and outcomes.
     pub fn begin_batch(&mut self) {
         for s in &mut self.shards {
             s.queue.clear();
-            s.out.clear();
             s.wbs.clear();
             s.counts.clear();
             s.fills.clear();
-            s.cursor = 0;
-            s.wb_cursor = 0;
         }
         self.queued = 0;
     }
@@ -340,12 +287,15 @@ impl ShardedHierarchy {
         self.queued
     }
 
-    /// Resolves every queued access against its shard. With `threads > 1`
-    /// (and a queue large enough to amortize spawning) shards are split
-    /// across a scoped worker pool; each shard is still processed
-    /// sequentially in enqueue order, so the outcome of every access is
-    /// identical at any thread count.
-    pub fn resolve(&mut self, threads: usize) {
+    /// Resolves every queued access against its shard, accumulating the
+    /// batch's aggregate outcomes. With `threads > 1` (and a queue large
+    /// enough to amortize spawning) shards are split across a scoped
+    /// worker pool; each shard is still processed sequentially in enqueue
+    /// order, so the outcome of every access is identical at any thread
+    /// count. Consume with [`ShardedHierarchy::drain_counts`] /
+    /// [`ShardedHierarchy::drain_fills`] /
+    /// [`ShardedHierarchy::drain_writebacks`].
+    pub fn resolve_aggregate(&mut self, threads: usize) {
         let ns_bits = self.ns_bits;
         let threads = threads.clamp(1, self.shards.len());
         if threads == 1 || self.queued < PARALLEL_MIN_LINES {
@@ -366,37 +316,6 @@ impl ShardedHierarchy {
         });
     }
 
-    /// [`ShardedHierarchy::resolve`] for order-insensitive callers: each
-    /// shard resolves its queue in a single pass that directly accumulates
-    /// per-context hit counts, the memory-fill list, and the write-backs,
-    /// so the merge reads aggregates instead of re-walking every queued
-    /// access. Cache state after this call is bit-identical to `resolve`'s.
-    /// Consume with [`ShardedHierarchy::drain_counts`] /
-    /// [`ShardedHierarchy::drain_fills`] /
-    /// [`ShardedHierarchy::drain_writebacks`]; not mixable with
-    /// [`ShardedHierarchy::next_outcome`] or
-    /// [`ShardedHierarchy::drain_lines`] within one batch.
-    pub fn resolve_aggregate(&mut self, threads: usize) {
-        let ns_bits = self.ns_bits;
-        let threads = threads.clamp(1, self.shards.len());
-        if threads == 1 || self.queued < PARALLEL_MIN_LINES {
-            for s in &mut self.shards {
-                s.run_queue_aggregate(ns_bits);
-            }
-            return;
-        }
-        let per = self.shards.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for chunk in self.shards.chunks_mut(per) {
-                scope.spawn(move || {
-                    for s in chunk {
-                        s.run_queue_aggregate(ns_bits);
-                    }
-                });
-            }
-        });
-    }
-
     /// Consumes the per-context hit-level counts of an aggregate-resolved
     /// batch: `visit(ctx, level, n)` once per (context, level) pair with a
     /// non-zero count, shard-major. The companion of
@@ -408,13 +327,11 @@ impl ShardedHierarchy {
                     visit(i / 3, code_level((i % 3) as u8), n);
                 }
             }
-            s.cursor = s.queue.len();
         }
     }
 
     /// Consumes the memory fills of an aggregate-resolved batch:
-    /// `visit(ctx, line)` per fill, shard-major in per-shard access order —
-    /// the same order [`ShardedHierarchy::drain_lines`] would surface them.
+    /// `visit(ctx, line)` per fill, shard-major in per-shard access order.
     pub fn drain_fills<F: FnMut(usize, LineAddr)>(&mut self, mut visit: F) {
         for s in &mut self.shards {
             for &(ctx, line) in &s.fills {
@@ -423,69 +340,13 @@ impl ShardedHierarchy {
         }
     }
 
-    /// Pops the outcome of the next queued access to `line`'s shard.
-    ///
-    /// Must be called exactly once per enqueued access, in an order that is
-    /// per-shard FIFO; calling in global enqueue order satisfies that. The
-    /// returned fill is the accessed line itself on a memory-level miss
-    /// (the hierarchy's invariant), and the slice holds this access's
-    /// write-backs with their provenance tags.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shard's queue outcomes are exhausted (i.e. the call
-    /// sequence does not match the enqueue sequence).
-    #[inline]
-    pub fn next_outcome(
-        &mut self,
-        line: LineAddr,
-    ) -> (HitLevel, Option<LineAddr>, &[(LineAddr, u8)]) {
-        let shard = &mut self.shards[(line.raw() & self.shard_mask) as usize];
-        let code = shard.out[shard.cursor];
-        debug_assert_eq!(shard.queue[shard.cursor].line, line.raw());
-        shard.cursor += 1;
-        let n = (code >> 2) as usize;
-        let wbs = &shard.wbs[shard.wb_cursor..shard.wb_cursor + n];
-        shard.wb_cursor += n;
-        let level = code_level(code);
-        let fill = (level == HitLevel::Memory).then_some(line);
-        (level, fill, wbs)
-    }
-
-    /// Consumes every resolved outcome of the current batch shard-major:
-    /// `visit` sees each queued access's context, original (unshifted)
-    /// line, and hit level, in per-shard enqueue order. This is the
-    /// aggregate half of the merge for callers whose per-line bookkeeping
-    /// is order-insensitive (pure counter sums): walking shard-major keeps
-    /// each shard's queue and outcome arrays streaming instead of hopping
-    /// between shards per line, and skips [`ShardedHierarchy::next_outcome`]'s
-    /// cursor machinery entirely. Pair with
-    /// [`ShardedHierarchy::drain_writebacks`]; not mixable with
-    /// `next_outcome` within one batch.
-    pub fn drain_lines<F: FnMut(usize, LineAddr, HitLevel)>(&mut self, mut visit: F) {
-        for s in &mut self.shards {
-            debug_assert_eq!(s.cursor, 0, "drain_lines after next_outcome");
-            for (q, &code) in s.queue.iter().zip(s.out.iter()) {
-                visit(
-                    (q.meta >> 16) as usize,
-                    LineAddr::new(q.line),
-                    code_level(code),
-                );
-            }
-            s.cursor = s.queue.len();
-        }
-    }
-
     /// Consumes every write-back of the current batch shard-major, with its
-    /// provenance tag; the order-insensitive companion of
-    /// [`ShardedHierarchy::drain_lines`].
+    /// provenance tag.
     pub fn drain_writebacks<F: FnMut(LineAddr, u8)>(&mut self, mut visit: F) {
         for s in &mut self.shards {
-            debug_assert_eq!(s.wb_cursor, 0, "drain_writebacks after next_outcome");
             for &(wb, tag) in &s.wbs {
                 visit(wb, tag);
             }
-            s.wb_cursor = s.wbs.len();
         }
     }
 
@@ -597,7 +458,7 @@ mod tests {
     }
 
     #[test]
-    fn scalar_path_matches_monolithic_hierarchy() {
+    fn per_line_access_matches_monolithic_hierarchy() {
         let mut mono = Hierarchy::new(config());
         let mut sharded = ShardedHierarchy::new(config(), 2);
         let mut wb_a = Vec::new();
@@ -622,96 +483,14 @@ mod tests {
         assert_eq!(*mono.llc().stats(), sharded.llc_stats());
     }
 
+    /// Aggregate resolution (inline and across workers, whose threshold
+    /// the 9000-line batches exceed) reports exactly the sums of the
+    /// per-line outcomes of the same stream, and leaves the same caches.
     #[test]
-    fn batch_outcomes_match_scalar_path_at_any_thread_count() {
-        for threads in [1, 3] {
-            let mut scalar = ShardedHierarchy::new(config(), 2);
-            let mut batch = ShardedHierarchy::new(config(), 2);
-            let mut stream = Vec::new();
-            let mut state = 99u64;
-            for i in 0..4000u64 {
-                state = state
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1_442_695_040_888_963_407);
-                let kind = if state & 1 == 1 {
-                    AccessKind::Write
-                } else {
-                    AccessKind::Read
-                };
-                stream.push(((i % 2) as usize, LineAddr::new((state >> 20) % 256), kind));
-            }
-            let mut wb = Vec::new();
-            for chunk in stream.chunks(257) {
-                batch.begin_batch();
-                for &(ctx, line, kind) in chunk {
-                    batch.enqueue(ctx, line, kind, 0);
-                }
-                batch.resolve(threads);
-                for &(ctx, line, kind) in chunk {
-                    let (lv_s, fill_s) = scalar.access_into(ctx, line, kind, 0, &mut wb);
-                    let (lv_b, fill_b, wbs_b) = batch.next_outcome(line);
-                    assert_eq!((lv_s, fill_s), (lv_b, fill_b));
-                    assert_eq!(wb.as_slice(), wbs_b);
-                }
-            }
-            assert_eq!(scalar.llc_stats(), batch.llc_stats());
-        }
-    }
-
-    #[test]
-    fn drain_matches_next_outcome_aggregates() {
-        let mut cursor = ShardedHierarchy::new(config(), 2);
-        let mut drain = ShardedHierarchy::new(config(), 2);
-        let mut stream = Vec::new();
-        let mut state = 5u64;
-        for i in 0..4000u64 {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            let kind = if state & 1 == 1 {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            };
-            stream.push(((i % 2) as usize, LineAddr::new((state >> 20) % 256), kind));
-        }
-        // Aggregates: per-(ctx, level) counts and per-line write-back sums.
-        let mut levels_a = [[0u64; 3]; 2];
-        let mut levels_b = [[0u64; 3]; 2];
-        let mut wbs_a = std::collections::BTreeMap::new();
-        let mut wbs_b = std::collections::BTreeMap::new();
-        for chunk in stream.chunks(513) {
-            for s in [&mut cursor, &mut drain] {
-                s.begin_batch();
-                for &(ctx, line, kind) in chunk {
-                    s.enqueue(ctx, line, kind, 3);
-                }
-                s.resolve(1);
-            }
-            for &(ctx, line, _) in chunk {
-                let (lv, _, wbs) = cursor.next_outcome(line);
-                levels_a[ctx][level_code(lv) as usize] += 1;
-                for &(wb, tag) in wbs {
-                    *wbs_a.entry((wb.raw(), tag)).or_insert(0u64) += 1;
-                }
-            }
-            drain.drain_lines(|ctx, _, lv| levels_b[ctx][level_code(lv) as usize] += 1);
-            drain.drain_writebacks(|wb, tag| {
-                *wbs_b.entry((wb.raw(), tag)).or_insert(0u64) += 1;
-            });
-        }
-        assert_eq!(levels_a, levels_b);
-        assert_eq!(wbs_a, wbs_b);
-        assert_eq!(cursor.llc_stats(), drain.llc_stats());
-    }
-
-    #[test]
-    fn aggregate_resolve_matches_cursor_merge() {
-        let mut cursor = ShardedHierarchy::new(config(), 2);
-        let mut agg = ShardedHierarchy::new(config(), 2);
+    fn aggregate_outcomes_sum_the_per_line_outcomes() {
         let mut stream = Vec::new();
         let mut state = 11u64;
-        for i in 0..4000u64 {
+        for i in 0..27_000u64 {
             state = state
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1_442_695_040_888_963_407);
@@ -722,44 +501,38 @@ mod tests {
             };
             stream.push(((i % 2) as usize, LineAddr::new((state >> 20) % 256), kind));
         }
-        let mut levels_a = [[0u64; 3]; 2];
-        let mut levels_b = [[0u64; 3]; 2];
-        let mut fills_a = std::collections::BTreeMap::new();
-        let mut fills_b = std::collections::BTreeMap::new();
-        let mut wbs_a = std::collections::BTreeMap::new();
-        let mut wbs_b = std::collections::BTreeMap::new();
-        for chunk in stream.chunks(513) {
-            for s in [&mut cursor, &mut agg] {
-                s.begin_batch();
+        for threads in [1, 3] {
+            let mut per_line = ShardedHierarchy::new(config(), 2);
+            let mut agg = ShardedHierarchy::new(config(), 2);
+            type Sums = std::collections::BTreeMap<(usize, u64, u8), u64>;
+            let (mut levels_a, mut levels_b) = ([[0u64; 3]; 2], [[0u64; 3]; 2]);
+            let (mut fills_a, mut fills_b) = (Sums::new(), Sums::new());
+            let (mut wbs_a, mut wbs_b) = (Sums::new(), Sums::new());
+            let mut wb = Vec::new();
+            for chunk in stream.chunks(9000) {
+                agg.begin_batch();
                 for &(ctx, line, kind) in chunk {
-                    s.enqueue(ctx, line, kind, 3);
+                    let (lv, fill) = per_line.access_into(ctx, line, kind, 3, &mut wb);
+                    levels_a[ctx][level_code(lv) as usize] += 1;
+                    if let Some(f) = fill {
+                        *fills_a.entry((ctx, f.raw(), 0)).or_insert(0) += 1;
+                    }
+                    for &(l, tag) in &wb {
+                        *wbs_a.entry((0, l.raw(), tag)).or_insert(0) += 1;
+                    }
+                    agg.enqueue(ctx, line, kind, 3);
                 }
+                agg.resolve_aggregate(threads);
+                agg.drain_counts(|ctx, lv, n| levels_b[ctx][level_code(lv) as usize] += n);
+                agg.drain_fills(|ctx, f| *fills_b.entry((ctx, f.raw(), 0)).or_insert(0) += 1);
+                agg.drain_writebacks(|l, tag| *wbs_b.entry((0, l.raw(), tag)).or_insert(0) += 1);
             }
-            cursor.resolve(1);
-            agg.resolve_aggregate(1);
-            for &(ctx, line, _) in chunk {
-                let (lv, fill, wbs) = cursor.next_outcome(line);
-                levels_a[ctx][level_code(lv) as usize] += 1;
-                if let Some(f) = fill {
-                    *fills_a.entry((ctx, f.raw())).or_insert(0u64) += 1;
-                }
-                for &(wb, tag) in wbs {
-                    *wbs_a.entry((wb.raw(), tag)).or_insert(0u64) += 1;
-                }
-            }
-            agg.drain_counts(|ctx, lv, n| levels_b[ctx][level_code(lv) as usize] += n);
-            agg.drain_fills(|ctx, f| {
-                *fills_b.entry((ctx, f.raw())).or_insert(0u64) += 1;
-            });
-            agg.drain_writebacks(|wb, tag| {
-                *wbs_b.entry((wb.raw(), tag)).or_insert(0u64) += 1;
-            });
+            assert_eq!(levels_a, levels_b, "threads {threads}");
+            assert_eq!(fills_a, fills_b, "threads {threads}");
+            assert_eq!(wbs_a, wbs_b, "threads {threads}");
+            assert_eq!(per_line.llc_stats(), agg.llc_stats());
+            assert_eq!(per_line.l2_stats(0), agg.l2_stats(0));
         }
-        assert_eq!(levels_a, levels_b);
-        assert_eq!(fills_a, fills_b);
-        assert_eq!(wbs_a, wbs_b);
-        assert_eq!(cursor.llc_stats(), agg.llc_stats());
-        assert_eq!(cursor.l2_stats(0), agg.l2_stats(0));
     }
 
     #[test]

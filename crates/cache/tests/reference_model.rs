@@ -7,11 +7,16 @@
 //! same hits, same victims, same victim dirtiness, same final statistics.
 //! Packing changed the representation, never the replacement policy.
 //!
+//! The same file holds the hierarchy-level oracles: the set-sharded
+//! hierarchy against the monolithic one, line by line, and its aggregate
+//! batch resolution against the per-line outcomes summed.
+//!
 //! Dependency-free (seeded LCG, no proptest) so it runs in the hermetic
 //! tier-1 build.
 
 use hemu_cache::{Cache, CacheConfig, Hierarchy, HierarchyConfig, HitLevel, ShardedHierarchy};
 use hemu_types::{AccessKind, ByteSize, LineAddr, CACHE_LINE};
+use std::collections::BTreeMap;
 
 /// Naive set-associative LRU model: per way, `Option<(tag, dirty, tick)>`.
 struct NaiveCache {
@@ -142,220 +147,237 @@ fn packed_matches_naive_direct_mapped() {
     compare(99, 16, 1, 64, 20_000);
 }
 
-/// Drives the monolithic scalar hierarchy (the executable specification)
-/// and the sharded batch pipeline with the same seeded random stream and
-/// checks, access by access, that every observable is bit-identical: hit
-/// level, fill, write-back lines with their provenance tags, and — at the
-/// end — aggregate statistics plus the valid/dirty state of every line the
-/// stream could have touched. Run at 1 and 4 resolution threads, so the
-/// property also covers the deterministic-parallelism claim.
-fn compare_scalar_vs_batch(seed: u64, shard_bits: u32, threads: usize) {
-    // Small enough that streams thrash both levels, large enough that
-    // back-invalidation and dirty-merge paths fire. L2: 32 sets x 2 ways;
-    // LLC: 64 sets x 4 ways; 3 contexts exercise cross-context aliasing.
-    let config = HierarchyConfig {
-        contexts: 3,
-        l2_size: ByteSize::new(32 * 2 * 64),
-        l2_assoc: 2,
-        llc_size: ByteSize::new(64 * 4 * 64),
-        llc_assoc: 4,
-    };
-    const LINE_RANGE: u64 = 1024;
-    let mut scalar = Hierarchy::new(config);
-    let mut batch = ShardedHierarchy::new(config, shard_bits);
-    scalar.enable_tags();
-    batch.enable_tags();
+/// Small enough that streams thrash both levels, large enough that
+/// back-invalidation and dirty-merge paths fire, and with 64 L2 sets so
+/// every shard count up to 2^6 is exact. L2: 64 sets x 2 ways; LLC: 128
+/// sets x 4 ways; 3 contexts exercise cross-context aliasing.
+const CONFIG: HierarchyConfig = HierarchyConfig {
+    contexts: 3,
+    l2_size: ByteSize::new(64 * 2 * 64),
+    l2_assoc: 2,
+    llc_size: ByteSize::new(128 * 4 * 64),
+    llc_assoc: 4,
+};
+const LINE_RANGE: u64 = 2048;
 
+/// A seeded stream of `(ctx, line, kind, provenance tag)` accesses.
+fn stream(seed: u64, len: u64) -> Vec<(usize, LineAddr, AccessKind, u8)> {
     let mut state = seed;
-    let mut stream: Vec<(usize, LineAddr, AccessKind, u8)> = Vec::new();
-    for i in 0..30_000u64 {
-        state = state
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        let line = LineAddr::new((state >> 24) % LINE_RANGE);
-        let kind = if state & 1 == 1 {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
-        let tag = (state >> 8) as u8;
-        stream.push(((i % 3) as usize, line, kind, tag));
-    }
+    (0..len)
+        .map(|i| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let kind = if state & 1 == 1 {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            let line = LineAddr::new((state >> 24) % LINE_RANGE);
+            ((i % 3) as usize, line, kind, (state >> 8) as u8)
+        })
+        .collect()
+}
 
-    let mut wb = Vec::new();
-    for (batch_no, chunk) in stream.chunks(1023).enumerate() {
-        batch.begin_batch();
-        for &(ctx, line, kind, tag) in chunk {
-            batch.enqueue(ctx, line, kind, tag);
-        }
-        batch.resolve(threads);
-        for (i, &(ctx, line, kind, tag)) in chunk.iter().enumerate() {
-            let (lv_s, fill_s) = scalar.access_into(ctx, line, kind, tag, &mut wb);
-            let (lv_b, fill_b, wbs_b) = batch.next_outcome(line);
-            assert_eq!(
-                (lv_s, fill_s),
-                (lv_b, fill_b),
-                "batch {batch_no} op {i}: hit level / fill diverged"
-            );
-            assert_eq!(
-                wb.as_slice(),
-                wbs_b,
-                "batch {batch_no} op {i}: write-backs diverged"
-            );
-            assert_eq!(
-                fill_s.is_some(),
-                lv_s == HitLevel::Memory,
-                "fills come exactly from memory-level misses"
-            );
-        }
-    }
-
-    // Final state: statistics and the residency/dirtiness of every
-    // reachable line must agree between the two engines.
-    assert_eq!(*scalar.llc().stats(), batch.llc_stats(), "LLC stats");
-    for ctx in 0..3 {
-        assert_eq!(
-            *scalar.l2(ctx).stats(),
-            batch.l2_stats(ctx),
-            "L2 stats of ctx {ctx}"
-        );
-    }
+/// Statistics plus the valid/dirty state of every line a stream can
+/// touch, as one comparable vector. `llc` and `l2` return a line's
+/// residency and dirty bit (`None` when not resident).
+fn final_state(
+    stats: [hemu_cache::CacheStats; 4],
+    llc: impl Fn(LineAddr) -> (bool, Option<bool>),
+    l2: impl Fn(usize, LineAddr) -> (bool, Option<bool>),
+) -> Vec<u64> {
+    let mut state: Vec<u64> = stats
+        .iter()
+        .flat_map(|s| [s.hits, s.misses, s.evictions, s.writebacks])
+        .collect();
+    // The dirty tri-state folds into 2 bits so the whole line is one word.
+    let bits = |(resident, dirty): (bool, Option<bool>)| {
+        resident as u64 | dirty.map_or(0u64, |b| 1 + b as u64) << 1
+    };
     for raw in 0..LINE_RANGE {
         let line = LineAddr::new(raw);
-        assert_eq!(
-            scalar.llc().contains(line),
-            batch.llc_contains(line),
-            "LLC residency of line {raw}"
-        );
-        assert_eq!(
-            scalar.llc().is_dirty(line),
-            batch.llc_is_dirty(line),
-            "LLC dirty bit of line {raw}"
-        );
+        let mut word = bits(llc(line));
         for ctx in 0..3 {
-            assert_eq!(
-                scalar.l2(ctx).contains(line),
-                batch.l2_contains(ctx, line),
-                "L2 residency of line {raw} in ctx {ctx}"
-            );
-            assert_eq!(
-                scalar.l2(ctx).is_dirty(line),
-                batch.l2_is_dirty(ctx, line),
-                "L2 dirty bit of line {raw} in ctx {ctx}"
-            );
+            word |= bits(l2(ctx, line)) << (3 + 3 * ctx);
         }
+        state.push(word);
+    }
+    state
+}
+
+fn hierarchy_state(h: &Hierarchy) -> Vec<u64> {
+    final_state(
+        [
+            *h.llc().stats(),
+            *h.l2(0).stats(),
+            *h.l2(1).stats(),
+            *h.l2(2).stats(),
+        ],
+        |l| (h.llc().contains(l), h.llc().is_dirty(l)),
+        |c, l| (h.l2(c).contains(l), h.l2(c).is_dirty(l)),
+    )
+}
+
+fn sharded_state(h: &ShardedHierarchy) -> Vec<u64> {
+    final_state(
+        [h.llc_stats(), h.l2_stats(0), h.l2_stats(1), h.l2_stats(2)],
+        |l| (h.llc_contains(l), h.llc_is_dirty(l)),
+        |c, l| (h.l2_contains(c, l), h.l2_is_dirty(c, l)),
+    )
+}
+
+/// Shard exactness per line: the monolithic hierarchy (the executable
+/// specification) and the sharded one's per-line entry point see the same
+/// seeded stream, and every observable is bit-identical access by access —
+/// hit level, fill, write-back lines with their provenance tags — and at
+/// the end, statistics plus the valid/dirty state of every line.
+fn compare_per_line(seed: u64, shard_bits: u32) {
+    let mut mono = Hierarchy::new(CONFIG);
+    let mut sharded = ShardedHierarchy::new(CONFIG, shard_bits);
+    assert_eq!(sharded.shard_count(), 1 << shard_bits);
+    mono.enable_tags();
+    sharded.enable_tags();
+    let (mut wb_m, mut wb_s) = (Vec::new(), Vec::new());
+    for (i, &(ctx, line, kind, tag)) in stream(seed, 30_000).iter().enumerate() {
+        let m = mono.access_into(ctx, line, kind, tag, &mut wb_m);
+        let s = sharded.access_into(ctx, line, kind, tag, &mut wb_s);
+        assert_eq!(m, s, "op {i}: hit level / fill diverged");
+        assert_eq!(wb_m, wb_s, "op {i}: write-backs diverged");
+        assert_eq!(
+            m.1.is_some(),
+            m.0 == HitLevel::Memory,
+            "fills come exactly from memory-level misses"
+        );
+    }
+    assert_eq!(hierarchy_state(&mono), sharded_state(&sharded));
+}
+
+#[test]
+fn sharded_matches_monolithic_per_line_single_shard() {
+    // One shard degenerates to the monolithic layout internally.
+    compare_per_line(77, 0);
+}
+
+#[test]
+fn sharded_matches_monolithic_per_line_8_shards() {
+    compare_per_line(0xDEAD_BEEF, 3);
+}
+
+#[test]
+fn sharded_matches_monolithic_per_line_64_shards() {
+    // One L2 set and two LLC sets per shard.
+    compare_per_line(0xDEAD_BEEF, 6);
+}
+
+/// Order-insensitive totals of a resolved stream: per-context hit-level
+/// counts and the multisets of fills `(ctx, line)` and write-backs
+/// `(line, tag)`.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Sums {
+    levels: [[u64; 3]; 3],
+    fills: BTreeMap<(usize, u64), u64>,
+    wbs: BTreeMap<(u64, u8), u64>,
+}
+
+impl Sums {
+    fn level(&mut self, ctx: usize, level: HitLevel, n: u64) {
+        let code = match level {
+            HitLevel::L2 => 0,
+            HitLevel::Llc => 1,
+            HitLevel::Memory => 2,
+        };
+        self.levels[ctx][code] += n;
+    }
+
+    fn drain(&mut self, h: &mut ShardedHierarchy) {
+        h.drain_counts(|ctx, level, n| self.level(ctx, level, n));
+        h.drain_fills(|ctx, line| *self.fills.entry((ctx, line.raw())).or_insert(0) += 1);
+        h.drain_writebacks(|line, tag| *self.wbs.entry((line.raw(), tag)).or_insert(0) += 1);
     }
 }
 
-#[test]
-fn batch_pipeline_matches_scalar_sequential() {
-    compare_scalar_vs_batch(0xDEAD_BEEF, 3, 1);
-}
-
-#[test]
-fn batch_pipeline_matches_scalar_parallel() {
-    compare_scalar_vs_batch(0xDEAD_BEEF, 3, 4);
-}
-
-#[test]
-fn batch_pipeline_matches_scalar_single_shard() {
-    // One shard degenerates to the monolithic layout internally; the
-    // pipeline mechanics (queueing, outcome cursors) must still be exact.
-    compare_scalar_vs_batch(77, 0, 2);
-}
-
-/// Runs `stream` through a fresh sharded pipeline, split into batches by
-/// the cycle of `chunks`, and returns every per-access outcome plus the
-/// final aggregate observables. Used by the flush-boundary invariance
-/// property below.
-fn run_partitioned(
+/// Resolves `stream` through a fresh sharded hierarchy with
+/// `shard_bits`, cut into batches by the cycle of `chunks`, each resolved
+/// aggregate with `threads` workers; returns the drained sums and the
+/// final state.
+fn run_aggregate(
     stream: &[(usize, LineAddr, AccessKind, u8)],
+    shard_bits: u32,
     chunks: &[usize],
-) -> (Vec<(HitLevel, bool, usize)>, Vec<u64>) {
-    let config = HierarchyConfig {
-        contexts: 3,
-        l2_size: ByteSize::new(32 * 2 * 64),
-        l2_assoc: 2,
-        llc_size: ByteSize::new(64 * 4 * 64),
-        llc_assoc: 4,
-    };
-    let mut h = ShardedHierarchy::new(config, 3);
+    threads: usize,
+) -> (Sums, Vec<u64>) {
+    let mut h = ShardedHierarchy::new(CONFIG, shard_bits);
     h.enable_tags();
-    let mut outcomes = Vec::with_capacity(stream.len());
-    let mut pos = 0usize;
-    let mut which = 0usize;
-    while pos < stream.len() {
-        let take = chunks[which % chunks.len()].min(stream.len() - pos);
-        which += 1;
-        let chunk = &stream[pos..pos + take];
-        pos += take;
+    let mut sums = Sums::default();
+    let mut rest = stream;
+    for &take in chunks.iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (chunk, tail) = rest.split_at(take.min(rest.len()));
+        rest = tail;
         h.begin_batch();
         for &(ctx, line, kind, tag) in chunk {
             h.enqueue(ctx, line, kind, tag);
         }
-        h.resolve(2);
-        for &(_, line, _, _) in chunk {
-            let (lv, fill, wbs) = h.next_outcome(line);
-            outcomes.push((lv, fill.is_some(), wbs.len()));
+        h.resolve_aggregate(threads);
+        sums.drain(&mut h);
+    }
+    (sums, sharded_state(&h))
+}
+
+/// Aggregate exactness: the drained sums of batches resolved with
+/// `threads` workers equal the per-line outcomes of the monolithic
+/// hierarchy on the same stream, summed, and the caches end identical.
+/// Batches of 10 000 lines pass the threshold above which the resolver
+/// actually spawns workers.
+fn compare_aggregate(seed: u64, shard_bits: u32, threads: usize) {
+    let stream = stream(seed, 30_000);
+    let mut mono = Hierarchy::new(CONFIG);
+    mono.enable_tags();
+    let mut want = Sums::default();
+    let mut wb = Vec::new();
+    for &(ctx, line, kind, tag) in &stream {
+        let (level, fill) = mono.access_into(ctx, line, kind, tag, &mut wb);
+        want.level(ctx, level, 1);
+        if let Some(f) = fill {
+            *want.fills.entry((ctx, f.raw())).or_insert(0) += 1;
+        }
+        for &(l, t) in &wb {
+            *want.wbs.entry((l.raw(), t)).or_insert(0) += 1;
         }
     }
-    let mut state = Vec::new();
-    let stats = h.llc_stats();
-    state.extend([stats.hits, stats.misses, stats.evictions, stats.writebacks]);
-    for ctx in 0..3 {
-        let s = h.l2_stats(ctx);
-        state.extend([s.hits, s.misses, s.evictions, s.writebacks]);
-    }
-    for raw in 0..1024u64 {
-        let line = LineAddr::new(raw);
-        // Dirty queries return Option<bool> (None = not resident); fold
-        // the tri-state into 2 bits so the whole line is one word.
-        let dirty = |d: Option<bool>| d.map_or(0u64, |b| 1 + b as u64);
-        let mut bits = (h.llc_contains(line) as u64) | dirty(h.llc_is_dirty(line)) << 1;
-        for ctx in 0..3 {
-            bits |= (h.l2_contains(ctx, line) as u64) << (3 + 3 * ctx);
-            bits |= dirty(h.l2_is_dirty(ctx, line)) << (4 + 3 * ctx);
-        }
-        state.push(bits);
-    }
-    (outcomes, state)
+    let (got, state) = run_aggregate(&stream, shard_bits, &[10_000], threads);
+    assert_eq!(want, got, "aggregate sums diverged at {threads} threads");
+    assert_eq!(hierarchy_state(&mono), state, "final state diverged");
+}
+
+#[test]
+fn aggregate_matches_per_line_sums_sequential() {
+    compare_aggregate(0xDEAD_BEEF, 3, 1);
+}
+
+#[test]
+fn aggregate_matches_per_line_sums_parallel() {
+    compare_aggregate(0xDEAD_BEEF, 3, 4);
 }
 
 /// Flush-boundary invariance: where a stream is cut into batches is
-/// invisible — per-access outcomes (hit level, fill, write-back count),
-/// aggregate statistics, and the final valid/dirty state of every line
-/// are identical whether the stream arrives as one giant batch, as
-/// single-access batches, or cut at arbitrary seeded boundaries. This is
-/// the cache-layer half of the deferred-submission guarantee: the
-/// machine's submission buffer may flush at any semantic boundary without
-/// perturbing a single observable.
+/// invisible — drained sums, aggregate statistics, and the final
+/// valid/dirty state of every line are identical whether the stream
+/// arrives as one giant batch, as single-access batches, or cut at
+/// arbitrary seeded boundaries. This is the cache-layer half of the
+/// buffered-submission guarantee: the machine's submission buffer may
+/// flush at any semantic boundary without perturbing a single observable.
 #[test]
 fn batch_boundaries_are_invisible() {
-    let mut state = 0xFEED_F00Du64;
-    let mut stream: Vec<(usize, LineAddr, AccessKind, u8)> = Vec::new();
-    for i in 0..30_000u64 {
-        state = state
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        let line = LineAddr::new((state >> 24) % 1024);
-        let kind = if state & 1 == 1 {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
-        stream.push(((i % 3) as usize, line, kind, (state >> 8) as u8));
-    }
-
-    let whole = run_partitioned(&stream, &[stream.len()]);
-    let singles = run_partitioned(&stream, &[1]);
-    assert_eq!(whole.0, singles.0, "outcomes diverged at batch size 1");
-    assert_eq!(whole.1, singles.1, "final state diverged at batch size 1");
+    let stream = stream(0xFEED_F00D, 30_000);
+    let whole = run_aggregate(&stream, 3, &[stream.len()], 2);
+    let singles = run_aggregate(&stream, 3, &[1], 2);
+    assert_eq!(whole, singles, "diverged at batch size 1");
     // Irregular seeded boundaries, including primes around the shard
     // queue/prefetch depths.
-    let ragged = run_partitioned(&stream, &[1, 13, 4096, 257, 2, 8191, 31]);
-    assert_eq!(whole.0, ragged.0, "outcomes diverged at ragged boundaries");
-    assert_eq!(
-        whole.1, ragged.1,
-        "final state diverged at ragged boundaries"
-    );
+    let ragged = run_aggregate(&stream, 3, &[1, 13, 4096, 257, 2, 8191, 31], 2);
+    assert_eq!(whole, ragged, "diverged at ragged boundaries");
 }

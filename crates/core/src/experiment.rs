@@ -10,8 +10,8 @@ use hemu_malloc::{NativeHeap, NativeStats};
 use hemu_obs::{SpanRecord, TraceRecord, Tracer};
 use hemu_os::OsPageManager;
 use hemu_types::{
-    AccessPath, ByteSize, HemuError, OsPagingConfig, Result, SocketId, SpaceTag, SubmitMode,
-    WriteCause, CACHE_LINE, PAGE_SIZE,
+    ByteSize, HemuError, OsPagingConfig, Result, SocketId, SpaceTag, WriteCause, CACHE_LINE,
+    PAGE_SIZE,
 };
 use hemu_workloads::{Language, Memory, StepResult, Workload, WorkloadSpec};
 
@@ -58,9 +58,7 @@ pub struct Experiment {
     faults: Option<FaultPlan>,
     endurance: Option<EnduranceConfig>,
     os: Option<OsPagingConfig>,
-    access_path: AccessPath,
     intra_threads: usize,
-    submit_mode: SubmitMode,
 }
 
 impl Experiment {
@@ -82,18 +80,8 @@ impl Experiment {
             faults: None,
             endurance: None,
             os: None,
-            access_path: AccessPath::default(),
             intra_threads: 1,
-            submit_mode: SubmitMode::default(),
         }
-    }
-
-    /// Selects the machine's access-path implementation (scalar reference
-    /// loop vs the batched set-sharded pipeline). Both produce identical
-    /// reports; the default is [`AccessPath::Batched`].
-    pub fn access_path(mut self, path: AccessPath) -> Self {
-        self.access_path = path;
-        self
     }
 
     /// Sets the worker-thread count for intra-run batch resolution
@@ -101,16 +89,6 @@ impl Experiment {
     /// byte-identical at any value.
     pub fn intra_threads(mut self, threads: usize) -> Self {
         self.intra_threads = threads.max(1);
-        self
-    }
-
-    /// Selects how runtime layers hand traffic to the machine: buffered
-    /// deferred submission (the fast default) or immediate per-call
-    /// resolution. Both produce byte-identical reports and artifacts; the
-    /// scalar mode is the executable specification deferral is verified
-    /// against.
-    pub fn submit_mode(mut self, mode: SubmitMode) -> Self {
-        self.submit_mode = mode;
         self
     }
 
@@ -287,9 +265,7 @@ impl Experiment {
         }
 
         let mut machine = Machine::new(self.profile);
-        machine.set_access_path(self.access_path);
         machine.set_intra_threads(self.intra_threads);
-        machine.set_submit_mode(self.submit_mode);
         // The OS page manager installs before anything touches memory, so
         // even heap metadata is placed (and sampled) under its policy.
         let mut os_mgr = self.os.map(|cfg| OsPageManager::install(&mut machine, cfg));
@@ -531,10 +507,10 @@ fn run_iteration(
                 ));
             }
         }
-        // A scheduler round edge is a safe point: deferred submissions
+        // A scheduler round edge is a safe point: buffered submissions
         // flush before anything samples clocks or counters, so the
         // monitor and the OS migrator observe exactly the state the
-        // scalar submission path would show them.
+        // per-line walk would show them.
         machine.sync_submissions()?;
         if let Some(mon) = monitor.as_deref_mut() {
             mon.poll(machine);

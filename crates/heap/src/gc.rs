@@ -228,7 +228,7 @@ pub(crate) fn minor_gc(
     } else {
         GcKind::Minor
     };
-    // A GC pause is a safe point: deferred mutator traffic flushes here so
+    // A GC pause is a safe point: buffered mutator traffic flushes here so
     // the pause clock (and everything the collector reads) is exact.
     machine.sync_submissions()?;
     let pause_t0 = pause_begin(heap, machine, kind, reason);

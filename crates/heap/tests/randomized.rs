@@ -1,9 +1,8 @@
 //! Seeded randomized tests for the managed heap.
 //!
-//! These port the highest-value properties from `properties.rs` (which
-//! needs the vendored `proptest` crate and is gated behind the `proptest`
-//! feature) to the in-tree deterministic PRNG, so they run on every plain
-//! `cargo test` with zero external dependencies. Each case is generated
+//! These check the heap's core properties with the in-tree deterministic
+//! PRNG, so they run on every plain `cargo test` with zero external
+//! dependencies. Each case is generated
 //! from a fixed seed and replays an arbitrary mutator history: allocate,
 //! link, drop roots, mutate, force full collections.
 
@@ -35,8 +34,8 @@ enum Op {
     FullGc,
 }
 
-/// Draws one op with the same weighting as the proptest strategy
-/// (5 alloc : 3 link : 2 drop-root : 2 mutate : 1 full-gc).
+/// Draws one op, weighted 5 alloc : 3 link : 2 drop-root : 2 mutate :
+/// 1 full-gc.
 fn draw_op(rng: &mut DeterministicRng) -> Op {
     match rng.below(13) {
         0..=4 => Op::Alloc {

@@ -1,27 +1,21 @@
 //! The [`Machine`]: the single object the runtime layers talk to.
 
 use crate::profile::MachineProfile;
-use hemu_cache::{CacheStats, Hierarchy, HitLevel, ShardedHierarchy, DEFAULT_SHARD_BITS};
+use hemu_cache::{CacheStats, HitLevel, ShardedHierarchy, DEFAULT_SHARD_BITS};
 use hemu_fault::{EnduranceConfig, FaultInjector, FaultPlan};
 use hemu_numa::{AddressSpace, NumaMemory};
 use hemu_obs::json::{JsonObject, ToJson};
 use hemu_obs::{Counter, Metrics, Obs, SpanRecorder, TraceEvent, Tracer};
 use hemu_types::{
-    AccessKind, AccessPath, Addr, ByteSize, Cycles, HemuError, LineAddr, MemoryAccess, PageNum,
-    Result, SocketId, SpaceTag, SubmitMode, VirtualClock, WriteCause, WriteTag, CACHE_LINE,
-    PAGE_SIZE,
+    AccessKind, Addr, ByteSize, Cycles, HemuError, LineAddr, MemoryAccess, PageNum, Result,
+    SocketId, SpaceTag, VirtualClock, WriteCause, WriteTag, CACHE_LINE, PAGE_SIZE,
 };
 
 /// Remote fills are coalesced into one aggregate [`TraceEvent::QpiTransfer`]
 /// per this many lines, so tracing stays cheap on the access fast path.
 const QPI_TRACE_BATCH: u64 = 1024;
 
-/// A single [`Machine::access`] spanning at least this many lines is routed
-/// through the batch pipeline instead of the scalar loop; smaller accesses
-/// don't amortize the per-batch queue reset.
-const PIPELINE_MIN_LINES: u64 = 256;
-
-/// Deferred submissions ([`Machine::submit`]) auto-flush once the buffer
+/// Buffered submissions ([`Machine::submit`]) auto-flush once the buffer
 /// holds roughly this many lines, so a flush batch is large enough for the
 /// aggregate shard-major merge to pay off even between semantic sync
 /// points.
@@ -31,78 +25,6 @@ const SUBMIT_FLUSH_LINES: u64 = 8192;
 /// keyed by process and virtual page). Covers 16 MiB of working set per
 /// way-less set; misses fall through to the page table.
 const TLB_SLOTS: usize = 4096;
-
-/// The cache-resolution engine behind the access hot path: either the
-/// monolithic reference [`Hierarchy`] (per-line dispatch) or the set-sharded
-/// batch pipeline. Both produce bit-identical outcomes (see
-/// `crates/cache/tests/reference_model.rs`); the choice only affects
-/// wall-clock throughput.
-#[derive(Debug)]
-enum AccessEngine {
-    Scalar(Hierarchy),
-    Batched(ShardedHierarchy),
-}
-
-impl AccessEngine {
-    fn build(path: AccessPath, config: hemu_cache::HierarchyConfig) -> Self {
-        match path {
-            AccessPath::Scalar => AccessEngine::Scalar(Hierarchy::new(config)),
-            AccessPath::Batched => {
-                AccessEngine::Batched(ShardedHierarchy::new(config, DEFAULT_SHARD_BITS))
-            }
-        }
-    }
-
-    fn path(&self) -> AccessPath {
-        match self {
-            AccessEngine::Scalar(_) => AccessPath::Scalar,
-            AccessEngine::Batched(_) => AccessPath::Batched,
-        }
-    }
-
-    #[inline]
-    fn access_into(
-        &mut self,
-        ctx: usize,
-        line: LineAddr,
-        kind: AccessKind,
-        wtag: u8,
-        writebacks: &mut Vec<(LineAddr, u8)>,
-    ) -> (HitLevel, Option<LineAddr>) {
-        match self {
-            AccessEngine::Scalar(h) => h.access_into(ctx, line, kind, wtag, writebacks),
-            AccessEngine::Batched(s) => s.access_into(ctx, line, kind, wtag, writebacks),
-        }
-    }
-
-    fn enable_tags(&mut self) {
-        match self {
-            AccessEngine::Scalar(h) => h.enable_tags(),
-            AccessEngine::Batched(s) => s.enable_tags(),
-        }
-    }
-
-    fn reset_stats(&mut self) {
-        match self {
-            AccessEngine::Scalar(h) => h.reset_stats(),
-            AccessEngine::Batched(s) => s.reset_stats(),
-        }
-    }
-
-    fn flush<F: FnMut(LineAddr, u8)>(&mut self, sink: F) {
-        match self {
-            AccessEngine::Scalar(h) => h.flush(sink),
-            AccessEngine::Batched(s) => s.flush(sink),
-        }
-    }
-
-    fn llc_stats(&self) -> CacheStats {
-        match self {
-            AccessEngine::Scalar(h) => *h.llc().stats(),
-            AccessEngine::Batched(s) => s.llc_stats(),
-        }
-    }
-}
 
 /// Index of a hardware context (logical core) on the local socket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -166,6 +88,64 @@ impl ProvenanceCounters {
     }
 }
 
+/// Machine-level translation mini-TLB: direct-mapped (proc, vpage) → first
+/// physical line of the frame, probed in front of the page-table walk by
+/// both access routes, so `tlb.*` counts do not depend on the route.
+#[derive(Debug)]
+struct MiniTlb {
+    keys: Vec<u64>,
+    frames: Vec<u64>,
+    hits: Counter,
+    misses: Counter,
+    flushes: Counter,
+}
+
+impl MiniTlb {
+    fn new(m: &Metrics) -> Self {
+        MiniTlb {
+            keys: vec![0; TLB_SLOTS],
+            frames: vec![0; TLB_SLOTS],
+            hits: m.counter("tlb.hits"),
+            misses: m.counter("tlb.misses"),
+            flushes: m.counter("tlb.flushes"),
+        }
+    }
+
+    /// The first physical line of the frame backing virtual address `v`
+    /// of process `proc`, walking (and demand-faulting) `space` on a miss.
+    #[inline]
+    fn frame_line0(
+        &mut self,
+        proc: usize,
+        v: u64,
+        space: &mut AddressSpace,
+        mem: &mut NumaMemory,
+    ) -> Result<u64> {
+        debug_assert!(proc < 0xffff, "proc index exceeds the mini-TLB key");
+        let vpage = v / PAGE_SIZE as u64;
+        let slot = (vpage as usize ^ (proc << 4)) & (TLB_SLOTS - 1);
+        let key = (vpage << 16) | (proc as u64 + 1);
+        if self.keys[slot] == key {
+            self.hits.incr();
+            return Ok(self.frames[slot]);
+        }
+        self.misses.incr();
+        let f0 = space.frame_of(Addr::new(v), mem)?.phys_base().line().raw();
+        self.keys[slot] = key;
+        self.frames[slot] = f0;
+        Ok(f0)
+    }
+
+    /// Invalidates every slot. Called whenever an existing mapping can
+    /// change — unmap, OS page migration, wear remapping — all rare; the
+    /// page table stays the source of truth and the next access per page
+    /// re-fills its slot.
+    fn flush(&mut self) {
+        self.keys.iter_mut().for_each(|k| *k = 0);
+        self.flushes.incr();
+    }
+}
+
 /// Aggregate machine statistics for a measured interval.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MachineStats {
@@ -181,14 +161,28 @@ pub struct MachineStats {
 ///
 /// Owns the memory system, the cache hierarchy, one address space per
 /// process, and one virtual clock per hardware context. All mutator and
-/// collector work flows through [`Machine::access`] and
-/// [`Machine::compute`], so memory traffic and virtual time are accounted
-/// in exactly one place.
+/// collector work flows through [`Machine::submit`], [`Machine::access`]
+/// and [`Machine::compute`], so memory traffic and virtual time are
+/// accounted in exactly one place.
+///
+/// Line accesses take one of two routes, picked from the machine's own
+/// state rather than configured:
+///
+/// * the **buffered pipeline** whenever nothing observes per-line order:
+///   traffic is buffered, translated in submission order
+///   (`stage_access`), resolved shard by shard, and merged as
+///   order-insensitive sums (`merge_aggregate`);
+/// * the **per-line walk** (`walk_lines`) while a tracer, provenance
+///   counters, a fault injector or endurance modeling is active: every
+///   line is resolved and accounted before the next one is issued.
+///
+/// Both routes leave bit-identical clocks, counters and cache contents at
+/// every sync point.
 #[derive(Debug)]
 pub struct Machine {
     profile: MachineProfile,
     mem: NumaMemory,
-    engine: AccessEngine,
+    caches: ShardedHierarchy,
     spaces: Vec<AddressSpace>,
     clocks: Vec<VirtualClock>,
     stats: MachineStats,
@@ -211,26 +205,15 @@ pub struct Machine {
     /// Worker threads for batch resolution (1 = fully sequential). Results
     /// are identical at any value; see [`Machine::set_intra_threads`].
     intra_threads: usize,
-    /// Struct-of-arrays batch staging: the physical line of every staged
-    /// access in submission order, with its issuing context alongside.
-    /// Reused across batches; empty outside a batch.
-    batch_lines: Vec<u64>,
-    batch_ctx: Vec<u8>,
-    /// Whether the current batch may merge aggregate (shard-major, one
-    /// clock advance per context): true when no per-line-order observer is
-    /// active. Decided once per batch in [`Machine::stage_begin`].
-    batch_fast: bool,
     /// Per-context cycle totals accumulated by the aggregate merge.
     batch_cycles: Vec<Cycles>,
-    /// The configured submission mode ([`Machine::set_submit_mode`]).
-    submit_mode: SubmitMode,
-    /// Whether [`Machine::submit`] actually defers right now: requires
-    /// `Deferred` mode, the batched engine, and no order-sensitive
-    /// observer (tracer, provenance, fault injector, endurance) — the same
-    /// gate as the aggregate merge. Recomputed whenever any of those
-    /// toggles flips.
-    defer_active: bool,
-    /// Deferred-submission buffer, struct-of-arrays: start address, byte
+    /// Whether something observes per-line order, which routes all traffic
+    /// through the per-line walk: a trace ring (QPI batch events carry
+    /// timestamps), provenance counters, a fault injector (QPI stalls are
+    /// stateful), or endurance modeling (frame retirement rewrites page
+    /// tables between accesses). Recomputed whenever any of them toggles.
+    per_line: bool,
+    /// Submission buffer, struct-of-arrays: start address, byte
     /// size, and packed metadata (ctx | proc<<8 | write-tag<<16 |
     /// is-write<<24) per entry, in submission order.
     sub_addr: Vec<u64>,
@@ -238,16 +221,7 @@ pub struct Machine {
     sub_meta: Vec<u32>,
     /// Estimated line count of the buffered entries (auto-flush trigger).
     sub_lines: u64,
-    /// Machine-level translation mini-TLB: direct-mapped (proc, vpage) →
-    /// first physical line of the frame, probed identically by the scalar
-    /// loop and the batch stager in front of the page-table walk, so
-    /// `tlb.*` counts are the same on every path. Flushed whenever an
-    /// existing mapping can change (unmap, migration, wear remap).
-    tlb_keys: Vec<u64>,
-    tlb_frames: Vec<u64>,
-    tlb_hits: Counter,
-    tlb_misses: Counter,
-    tlb_flushes: Counter,
+    tlb: MiniTlb,
 }
 
 impl Machine {
@@ -255,12 +229,10 @@ impl Machine {
     pub fn new(profile: MachineProfile) -> Self {
         let obs = Obs::new();
         let qpi_lines = obs.metrics.counter("qpi.lines");
-        let tlb_hits = obs.metrics.counter("tlb.hits");
-        let tlb_misses = obs.metrics.counter("tlb.misses");
-        let tlb_flushes = obs.metrics.counter("tlb.flushes");
+        let tlb = MiniTlb::new(&obs.metrics);
         Machine {
             mem: NumaMemory::new(profile.numa),
-            engine: AccessEngine::build(AccessPath::default(), profile.hierarchy_config()),
+            caches: ShardedHierarchy::new(profile.hierarchy_config(), DEFAULT_SHARD_BITS),
             spaces: Vec::new(),
             clocks: (0..profile.contexts)
                 .map(|_| VirtualClock::new(profile.freq_hz))
@@ -274,47 +246,15 @@ impl Machine {
             write_tag: WriteTag::OTHER.raw(),
             prov: None,
             intra_threads: 1,
-            batch_lines: Vec::new(),
-            batch_ctx: Vec::new(),
-            batch_fast: false,
             batch_cycles: Vec::new(),
-            submit_mode: SubmitMode::Scalar,
-            defer_active: false,
+            per_line: false,
             sub_addr: Vec::new(),
             sub_size: Vec::new(),
             sub_meta: Vec::new(),
             sub_lines: 0,
-            tlb_keys: vec![0; TLB_SLOTS],
-            tlb_frames: vec![0; TLB_SLOTS],
-            tlb_hits,
-            tlb_misses,
-            tlb_flushes,
+            tlb,
             profile,
         }
-    }
-
-    /// Selects the access-path implementation. Rebuilds the cache engine
-    /// from the profile, so this must be called before any access is issued
-    /// (the experiment driver does it right after construction); calling it
-    /// with the current path is a no-op.
-    pub fn set_access_path(&mut self, path: AccessPath) {
-        if path == self.engine.path() {
-            return;
-        }
-        debug_assert!(
-            self.sub_addr.is_empty(),
-            "sync_submissions before switching the access path"
-        );
-        self.engine = AccessEngine::build(path, self.profile.hierarchy_config());
-        if self.prov.is_some() {
-            self.engine.enable_tags();
-        }
-        self.recompute_defer();
-    }
-
-    /// The active access-path implementation.
-    pub fn access_path(&self) -> AccessPath {
-        self.engine.path()
     }
 
     /// Sets the worker-thread count for batch resolution (clamped to at
@@ -323,11 +263,6 @@ impl Machine {
     /// at any value.
     pub fn set_intra_threads(&mut self, threads: usize) {
         self.intra_threads = threads.max(1);
-    }
-
-    /// The configured batch-resolution worker count.
-    pub fn intra_threads(&self) -> usize {
-        self.intra_threads
     }
 
     /// Turns on the phase-and-provenance profiler: cache provenance tags,
@@ -343,10 +278,10 @@ impl Machine {
             self.sub_addr.is_empty(),
             "sync_submissions before enabling profiling"
         );
-        self.engine.enable_tags();
+        self.caches.enable_tags();
         self.prov = Some(ProvenanceCounters::new(&self.obs.metrics));
         self.obs.spans = SpanRecorder::bounded(PROFILE_SPAN_CAPACITY);
-        self.recompute_defer();
+        self.recompute_route();
     }
 
     /// Whether [`Machine::enable_profiling`] has been called. Runtime
@@ -389,7 +324,7 @@ impl Machine {
             "sync_submissions before replacing the tracer"
         );
         self.obs.tracer = tracer;
-        self.recompute_defer();
+        self.recompute_route();
     }
 
     /// Publishes derived machine-level metrics — cache hit rates and
@@ -398,7 +333,7 @@ impl Machine {
     pub fn publish_metrics(&self) {
         let m = &self.obs.metrics;
         m.gauge("llc.hit_rate")
-            .set(self.engine.llc_stats().hit_ratio());
+            .set(self.caches.llc_stats().hit_ratio());
         for (name, socket) in [("dram", SocketId::DRAM), ("pcm", SocketId::PCM)] {
             let c = self.mem.counters(socket);
             m.gauge(&format!("mem.{name}.written_bytes"))
@@ -412,7 +347,7 @@ impl Machine {
             .set(self.stats.local_fills as f64);
         m.gauge("machine.remote_fills")
             .set(self.stats.remote_fills as f64);
-        let (th, tm) = (self.tlb_hits.get(), self.tlb_misses.get());
+        let (th, tm) = (self.tlb.hits.get(), self.tlb.misses.get());
         if th + tm > 0 {
             m.gauge("tlb.hit_rate").set(th as f64 / (th + tm) as f64);
         }
@@ -488,9 +423,9 @@ impl Machine {
     /// invariants.
     pub fn unmap(&mut self, proc: ProcId, start: Addr, len: ByteSize) -> Result<()> {
         // Buffered accesses may target the range being unmapped; resolve
-        // them while the mapping still exists, as the scalar path would.
+        // them while the mapping they were issued under still exists.
         self.sync_submissions()?;
-        self.tlb_flush();
+        self.tlb.flush();
         let Machine { spaces, mem, .. } = self;
         spaces[proc.0].unmap(start, len, mem)
     }
@@ -512,8 +447,9 @@ impl Machine {
     /// consulted once per *page* the stream crosses (the in-page line
     /// addresses follow arithmetically), each line is sent through the
     /// hierarchy, and any fills and write-backs are recorded at the owning
-    /// memory controllers. Write-back lines land in a scratch buffer reused
-    /// across accesses, so the hot path performs no allocation.
+    /// memory controllers. Buffered submissions are resolved first, so
+    /// mixing `submit` and `access` keeps submission order intact, and the
+    /// access is fully accounted when this returns.
     ///
     /// # Errors
     ///
@@ -523,49 +459,32 @@ impl Machine {
     ///
     /// Panics if `ctx` or `proc` is out of range.
     pub fn access(&mut self, ctx: CtxId, proc: ProcId, access: MemoryAccess) -> Result<()> {
-        // An immediate access must observe all deferred traffic first, so
-        // mixing `submit` and `access` keeps submission order intact.
-        if !self.sub_addr.is_empty() {
-            self.flush_submissions()?;
+        self.sync_submissions()?;
+        if access.size == 0 {
+            return Ok(());
         }
-        if access.size > 0 {
-            let total_lines = (access.addr.offset(access.size as u64 - 1).line().raw()
-                - access.addr.line().raw())
-                / CACHE_LINE as u64
-                + 1;
-            if total_lines >= PIPELINE_MIN_LINES && matches!(self.engine, AccessEngine::Batched(_))
-            {
-                // Large access: run the batch pipeline over its own lines.
-                // Per-line bookkeeping order (cost, fill, write-backs) is
-                // identical to the scalar loop, so every counter, clock,
-                // and trace event comes out the same.
-                self.stage_begin();
-                self.stage_access(ctx, proc, access)?;
-                self.resolve_and_merge();
-            } else {
-                self.access_scalar(ctx, proc, access)?;
+        if self.per_line {
+            self.walk_lines(ctx, proc, access)?;
+            // PCM writes above may have spent a line's endurance budget;
+            // retire and remap outside the walk's destructured borrow.
+            if self.mem.has_pending_retirements() {
+                self.process_retirements(Some(ctx))?;
             }
-        }
-        // PCM writes above may have spent a line's endurance budget; retire
-        // and remap outside the destructured borrow. The check is one
-        // `Option` test when endurance modeling is off.
-        if self.mem.has_pending_retirements() {
-            self.process_retirements(Some(ctx))?;
+        } else {
+            self.caches.begin_batch();
+            self.stage_access(ctx, proc, access)?;
+            self.merge_aggregate();
         }
         Ok(())
     }
 
-    /// Issues a whole batch of accesses through the struct-of-arrays
-    /// pipeline: every access is translated against the page tables in
-    /// submission order, the resulting lines are queued per cache-set
-    /// shard, all shards resolve (in parallel when
-    /// [`Machine::set_intra_threads`] allows), and the outcomes are merged
-    /// back in submission order so clocks, counters, traces, and
-    /// provenance are bit-identical to issuing each access individually.
-    ///
-    /// With the scalar engine, or when PCM endurance modeling is on (frame
-    /// retirement must be able to rewrite page tables *between* accesses),
-    /// this degrades to a per-access loop with identical results.
+    /// Issues a whole batch of accesses: every access is translated against
+    /// the page tables in submission order, the resulting lines are queued
+    /// per cache-set shard, all shards resolve (in parallel when
+    /// [`Machine::set_intra_threads`] allows), and the outcomes merge as
+    /// order-insensitive sums, so clocks, counters and caches end
+    /// bit-identical to issuing each access individually. While per-line
+    /// order is observed this is a per-access loop instead.
     ///
     /// # Errors
     ///
@@ -577,91 +496,60 @@ impl Machine {
     ///
     /// Panics if a context or process index is out of range.
     pub fn access_batch(&mut self, batch: &[(CtxId, ProcId, MemoryAccess)]) -> Result<()> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        if !self.sub_addr.is_empty() {
-            self.flush_submissions()?;
-        }
-        if !matches!(self.engine, AccessEngine::Batched(_)) || self.mem.endurance_enabled() {
+        if self.per_line {
             for &(ctx, proc, access) in batch {
                 self.access(ctx, proc, access)?;
             }
             return Ok(());
         }
-        self.stage_begin();
+        if batch.is_empty() {
+            return Ok(());
+        }
+        self.sync_submissions()?;
+        self.caches.begin_batch();
         for &(ctx, proc, access) in batch {
             self.stage_access(ctx, proc, access)?;
         }
-        self.resolve_and_merge();
+        self.merge_aggregate();
         Ok(())
     }
 
-    /// Selects the submission mode for [`Machine::submit`]. The machine
-    /// starts in `Scalar` (submit == access, the reference behavior); the
-    /// experiment driver switches production runs to `Deferred`. Call
-    /// before issuing traffic, or after a [`Machine::sync_submissions`].
-    pub fn set_submit_mode(&mut self, mode: SubmitMode) {
-        debug_assert!(
-            self.sub_addr.is_empty(),
-            "sync_submissions before switching the submit mode"
-        );
-        self.submit_mode = mode;
-        self.recompute_defer();
+    /// Re-evaluates the route (the `per_line` field) after an observer of
+    /// per-line order is installed or removed.
+    fn recompute_route(&mut self) {
+        self.per_line = self.prov.is_some()
+            || self.obs.tracer.enabled()
+            || self.mem.fault_injector().is_some()
+            || self.mem.endurance_enabled();
     }
 
-    /// The configured submission mode.
-    pub fn submit_mode(&self) -> SubmitMode {
-        self.submit_mode
-    }
-
-    /// Whether [`Machine::submit`] is currently buffering (deferred mode,
-    /// batched engine, and no order-sensitive observer active).
-    pub fn submit_deferred(&self) -> bool {
-        self.defer_active
-    }
-
-    /// Re-evaluates whether submissions may defer. Deferral needs the batch
-    /// pipeline, and flushes ride the aggregate shard-major merge, so the
-    /// gate is exactly [`Machine::stage_begin`]'s `batch_fast` condition:
-    /// any observer of per-line order (tracer, provenance counters, fault
-    /// injector, endurance modeling) forces submissions back to the
-    /// immediate path.
-    fn recompute_defer(&mut self) {
-        self.defer_active = self.submit_mode == SubmitMode::Deferred
-            && matches!(self.engine, AccessEngine::Batched(_))
-            && self.prov.is_none()
-            && !self.obs.tracer.enabled()
-            && self.mem.fault_injector().is_none()
-            && !self.mem.endurance_enabled();
-    }
-
-    /// Submits a memory access: the deferred counterpart of
+    /// Submits a memory access: the buffered counterpart of
     /// [`Machine::access`], used by the runtime layers (heap allocator,
     /// write barrier, GC tracer/evacuator, native malloc) for their
     /// word-sized traffic.
     ///
-    /// While deferral is active the access is appended to the submission
+    /// On the buffered pipeline the access is appended to the submission
     /// buffer — capturing the current write tag — and resolved later, in
     /// submission order, when the buffer reaches [`SUBMIT_FLUSH_LINES`] or
     /// a semantic boundary calls [`Machine::sync_submissions`] (emulated
     /// reads return no data, so deferring a read never changes what the
-    /// caller observes). Otherwise this is exactly `access`. Both paths
-    /// leave bit-identical machine state at every sync point.
+    /// caller observes). While per-line order is observed this is exactly
+    /// `access`. Both routes leave bit-identical machine state at every
+    /// sync point.
     ///
     /// # Errors
     ///
-    /// Returns an error if physical memory is exhausted; with deferral
-    /// active the error surfaces at the flush that performs the
+    /// Returns an error if physical memory is exhausted; for a buffered
+    /// access the error surfaces at the flush that performs the
     /// translation, and the machine must then be discarded.
     ///
     /// # Panics
     ///
-    /// Panics if `ctx` or `proc` is out of range (for deferred
+    /// Panics if `ctx` or `proc` is out of range (for buffered
     /// submissions, at flush time).
     #[inline]
     pub fn submit(&mut self, ctx: CtxId, proc: ProcId, access: MemoryAccess) -> Result<()> {
-        if !self.defer_active || ctx.0 >= 256 || proc.0 >= 256 {
+        if self.per_line || ctx.0 >= 256 || proc.0 >= 256 {
             return self.access(ctx, proc, access);
         }
         if access.size == 0 {
@@ -682,9 +570,9 @@ impl Machine {
     }
 
     /// Flushes any buffered submissions, bringing clocks, caches, and
-    /// counters to exactly the state the scalar submission path would be
-    /// in. Call at semantic boundaries: before reading machine state
-    /// (clocks, controller counters, stats), at GC pause edges, and before
+    /// counters to exactly the state immediate resolution would leave. Call
+    /// at semantic boundaries: before reading machine state (clocks,
+    /// controller counters, stats), at GC pause edges, and before
     /// structural operations. A no-op when nothing is buffered.
     ///
     /// # Errors
@@ -701,12 +589,10 @@ impl Machine {
 
     /// Drains the submission buffer through the batch pipeline: one
     /// `stage_access` per entry in submission order (restoring each
-    /// entry's captured write tag), then a single resolve-and-merge.
-    /// Deferral is only active when `stage_begin`'s fast gate holds, so
-    /// the merge is always the aggregate shard-major drain.
+    /// entry's captured write tag), then a single aggregate merge.
     fn flush_submissions(&mut self) -> Result<()> {
         let saved_tag = self.write_tag;
-        self.stage_begin();
+        self.caches.begin_batch();
         let n = self.sub_addr.len();
         let mut failed = None;
         for i in 0..n {
@@ -741,26 +627,19 @@ impl Machine {
             // only good for error reporting now, like a failed batch.
             return Err(e);
         }
-        self.resolve_and_merge();
+        self.merge_aggregate();
         Ok(())
     }
 
-    /// Invalidates the whole translation mini-TLB. Called whenever an
-    /// existing mapping can change — unmap, OS page migration, wear
-    /// remapping — all rare; the page table stays the source of truth and
-    /// the next access per page re-fills its slot.
-    fn tlb_flush(&mut self) {
-        self.tlb_keys.iter_mut().for_each(|k| *k = 0);
-        self.tlb_flushes.incr();
-    }
-
-    /// The original per-line loop; the executable specification the batch
-    /// pipeline is verified against, and the path small accesses take.
-    fn access_scalar(&mut self, ctx: CtxId, proc: ProcId, access: MemoryAccess) -> Result<()> {
+    /// The per-line walk: resolves and accounts each line of `access`
+    /// before issuing the next, so observers of per-line order (trace
+    /// timestamps, provenance tags, injected QPI stalls, wear retirement)
+    /// see every line in submission order.
+    fn walk_lines(&mut self, ctx: CtxId, proc: ProcId, access: MemoryAccess) -> Result<()> {
         let Machine {
             profile,
             mem,
-            engine,
+            caches,
             spaces,
             clocks,
             stats,
@@ -770,17 +649,13 @@ impl Machine {
             wb_scratch,
             write_tag,
             prov,
-            tlb_keys,
-            tlb_frames,
-            tlb_hits,
-            tlb_misses,
+            tlb,
             ..
         } = self;
         let space = &mut spaces[proc.0];
         let clock = &mut clocks[ctx.0];
         let lat = &profile.latency;
         let kind = access.kind;
-        debug_assert!(proc.0 < 0xffff, "proc index exceeds the mini-TLB key");
 
         const PAGE: u64 = PAGE_SIZE as u64;
         const LINE: u64 = CACHE_LINE as u64;
@@ -794,26 +669,14 @@ impl Machine {
             // mini-TLB short-circuits the walk for recently used pages.
             let page_end = (v / PAGE + 1) * PAGE;
             let chunk_last = last.min(page_end - LINE);
-            let vpage = v / PAGE;
-            let slot = (vpage as usize ^ (proc.0 << 4)) & (TLB_SLOTS - 1);
-            let key = (vpage << 16) | (proc.0 as u64 + 1);
-            let frame_line0 = if tlb_keys[slot] == key {
-                tlb_hits.incr();
-                tlb_frames[slot]
-            } else {
-                tlb_misses.incr();
-                let f0 = space.frame_of(Addr::new(v), mem)?.phys_base().line().raw();
-                tlb_keys[slot] = key;
-                tlb_frames[slot] = f0;
-                f0
-            };
+            let frame_line0 = tlb.frame_line0(proc.0, v, space, mem)?;
             let chunk_line0 = frame_line0 + (v % PAGE) / LINE;
             let nlines = (chunk_last - v) / LINE + 1;
             stats.line_accesses += nlines;
 
             for i in 0..nlines {
                 let line = LineAddr::new(chunk_line0 + i);
-                let (level, fill) = engine.access_into(ctx.0, line, kind, *write_tag, wb_scratch);
+                let (level, fill) = caches.access_into(ctx.0, line, kind, *write_tag, wb_scratch);
 
                 // Timing: the requesting core stalls for the fill path.
                 let cost = match level {
@@ -867,58 +730,24 @@ impl Machine {
         Ok(())
     }
 
-    /// Opens a fresh pipeline batch: shard queues and the SoA staging
-    /// arrays are cleared (capacity is retained across batches).
-    fn stage_begin(&mut self) {
-        let AccessEngine::Batched(sh) = &mut self.engine else {
-            unreachable!("the batch pipeline requires the batched engine")
-        };
-        sh.begin_batch();
-        self.batch_lines.clear();
-        self.batch_ctx.clear();
-        // The merge may aggregate (shard-major drain, one clock advance per
-        // context) only while nothing observes per-line order: no trace
-        // ring (QPI batch events carry timestamps), no provenance counters,
-        // no fault injector (QPI stalls are stateful), and no endurance
-        // modeling (frame retirement order must follow submission order).
-        // Every remaining merge effect is then an order-insensitive
-        // counter sum.
-        self.batch_fast = self.prov.is_none()
-            && !self.obs.tracer.enabled()
-            && self.mem.fault_injector().is_none()
-            && !self.mem.endurance_enabled();
-    }
-
-    /// Translates one access and queues its lines: page walks happen here,
-    /// in submission order (so demand faults and injected allocation
-    /// failures fire exactly as in the scalar path), and each physical line
-    /// is pushed both to its cache-set shard and to the flat submission-
-    /// order arrays the merge walks later.
+    /// Translates one access and queues its lines on their cache-set
+    /// shards. Page walks happen here, in submission order, so demand
+    /// faults and allocation failures fire exactly as on the per-line walk.
     fn stage_access(&mut self, ctx: CtxId, proc: ProcId, access: MemoryAccess) -> Result<()> {
         if access.size == 0 {
             return Ok(());
         }
         let Machine {
             mem,
-            engine,
+            caches,
             spaces,
             stats,
-            batch_lines,
-            batch_ctx,
             write_tag,
-            batch_fast,
-            tlb_keys,
-            tlb_frames,
-            tlb_hits,
-            tlb_misses,
+            tlb,
             ..
         } = self;
-        let AccessEngine::Batched(sh) = engine else {
-            unreachable!("the batch pipeline requires the batched engine")
-        };
         let space = &mut spaces[proc.0];
         let kind = access.kind;
-        debug_assert!(proc.0 < 0xffff, "proc index exceeds the mini-TLB key");
 
         const PAGE: u64 = PAGE_SIZE as u64;
         const LINE: u64 = CACHE_LINE as u64;
@@ -929,161 +758,77 @@ impl Machine {
         while v <= last {
             let page_end = (v / PAGE + 1) * PAGE;
             let chunk_last = last.min(page_end - LINE);
-            // Identical mini-TLB probe to the scalar loop, so `tlb.*`
-            // counts do not depend on the access path or submit mode.
-            let vpage = v / PAGE;
-            let slot = (vpage as usize ^ (proc.0 << 4)) & (TLB_SLOTS - 1);
-            let key = (vpage << 16) | (proc.0 as u64 + 1);
-            let frame_line0 = if tlb_keys[slot] == key {
-                tlb_hits.incr();
-                tlb_frames[slot]
-            } else {
-                tlb_misses.incr();
-                let f0 = space.frame_of(Addr::new(v), mem)?.phys_base().line().raw();
-                tlb_keys[slot] = key;
-                tlb_frames[slot] = f0;
-                f0
-            };
+            let frame_line0 = tlb.frame_line0(proc.0, v, space, mem)?;
             let chunk_line0 = frame_line0 + (v % PAGE) / LINE;
             let nlines = (chunk_last - v) / LINE + 1;
             stats.line_accesses += nlines;
-            if *batch_fast {
-                // The aggregate merge drains outcomes shard-major; the flat
-                // submission-order arrays would never be read.
-                for i in 0..nlines {
-                    sh.enqueue(ctx.0, LineAddr::new(chunk_line0 + i), kind, *write_tag);
-                }
-            } else {
-                for i in 0..nlines {
-                    let raw = chunk_line0 + i;
-                    sh.enqueue(ctx.0, LineAddr::new(raw), kind, *write_tag);
-                    batch_lines.push(raw);
-                    batch_ctx.push(ctx.0 as u8);
-                }
+            for i in 0..nlines {
+                caches.enqueue(ctx.0, LineAddr::new(chunk_line0 + i), kind, *write_tag);
             }
             v = page_end;
         }
         Ok(())
     }
 
-    /// Resolves every shard queue, then merges outcomes back in global
-    /// submission order, replaying the scalar path's per-line bookkeeping
-    /// exactly: stall cost and clock advance, QPI accounting and aggregate
-    /// trace events, fill reads, then write-back writes with provenance.
-    fn resolve_and_merge(&mut self) {
+    /// Resolves every shard queue and merges the outcomes as sums. With no
+    /// tracer, provenance, injector or endurance (the buffered pipeline's
+    /// precondition) every per-line merge effect is an order-insensitive
+    /// counter sum, so shards resolve straight into per-context hit counts
+    /// plus a memory-fill list, and each context's clock advances once by
+    /// its accumulated total — bit-identical end state to the per-line
+    /// walk.
+    fn merge_aggregate(&mut self) {
         let Machine {
             profile,
             mem,
-            engine,
+            caches,
             clocks,
             stats,
-            obs,
             qpi_lines,
             qpi_pending,
-            batch_lines,
-            batch_ctx,
-            prov,
             intra_threads,
-            batch_fast,
             batch_cycles,
+            per_line,
             ..
         } = self;
-        let AccessEngine::Batched(sh) = engine else {
-            unreachable!("the batch pipeline requires the batched engine")
-        };
+        debug_assert!(!*per_line, "the aggregate merge cannot serve an observer");
         let lat = &profile.latency;
-        if *batch_fast {
-            // Aggregate merge. With no tracer, provenance, injector, or
-            // endurance (checked in `stage_begin`), every per-line merge
-            // effect is an order-insensitive counter sum, so shards resolve
-            // straight into per-context hit counts plus a memory-fill list
-            // (one pass over each queue instead of resolve-then-re-walk)
-            // and each context's clock advances once by its accumulated
-            // total — bit-identical end state to the submission-order walk
-            // below.
-            sh.resolve_aggregate(*intra_threads);
-            batch_cycles.clear();
-            batch_cycles.resize(clocks.len(), Cycles::ZERO);
-            let remote_cost = lat.local_fill + profile.qpi.transfer_cost(1);
-            sh.drain_fills(|ctx, line| {
-                mem.record_line_access(line, AccessKind::Read);
-                batch_cycles[ctx] += if mem.socket_of_line(line) == SocketId::DRAM {
-                    stats.local_fills += 1;
-                    lat.local_fill
-                } else {
-                    stats.remote_fills += 1;
-                    qpi_lines.incr();
-                    // Keep the aggregate-trace countdown in the same state
-                    // the scalar path would leave it (the tracer itself is
-                    // off).
-                    *qpi_pending += 1;
-                    if *qpi_pending >= QPI_TRACE_BATCH {
-                        *qpi_pending = 0;
-                    }
-                    remote_cost
-                };
-            });
-            sh.drain_counts(|ctx, level, n| {
-                // Memory-level lines were already costed per fill above.
-                let per = match level {
-                    HitLevel::L2 => lat.l2_hit,
-                    HitLevel::Llc => lat.llc_hit,
-                    HitLevel::Memory => Cycles::ZERO,
-                };
-                batch_cycles[ctx] += Cycles::new(per.raw() * n);
-            });
-            sh.drain_writebacks(|wb, _| {
-                mem.record_line_access(wb, AccessKind::Write);
-            });
-            for (clock, total) in clocks.iter_mut().zip(batch_cycles.iter()) {
-                clock.advance(*total);
-            }
-            return;
-        }
-        sh.resolve(*intra_threads);
-        for (&raw, &ctx) in batch_lines.iter().zip(batch_ctx.iter()) {
-            let line = LineAddr::new(raw);
-            let clock = &mut clocks[ctx as usize];
-            let (level, fill, wbs) = sh.next_outcome(line);
-            let cost = match level {
+        caches.resolve_aggregate(*intra_threads);
+        batch_cycles.clear();
+        batch_cycles.resize(clocks.len(), Cycles::ZERO);
+        let remote_cost = lat.local_fill + profile.qpi.transfer_cost(1);
+        caches.drain_fills(|ctx, line| {
+            mem.record_line_access(line, AccessKind::Read);
+            batch_cycles[ctx] += if mem.socket_of_line(line) == SocketId::DRAM {
+                stats.local_fills += 1;
+                lat.local_fill
+            } else {
+                stats.remote_fills += 1;
+                qpi_lines.incr();
+                // Keep the aggregate-trace countdown in the same state the
+                // per-line walk would leave it (the tracer itself is off).
+                *qpi_pending += 1;
+                if *qpi_pending >= QPI_TRACE_BATCH {
+                    *qpi_pending = 0;
+                }
+                remote_cost
+            };
+        });
+        caches.drain_counts(|ctx, level, n| {
+            // Memory-level lines were already costed per fill above.
+            let per = match level {
                 HitLevel::L2 => lat.l2_hit,
                 HitLevel::Llc => lat.llc_hit,
-                HitLevel::Memory => {
-                    let socket = mem.socket_of_line(line);
-                    if socket == SocketId::DRAM {
-                        stats.local_fills += 1;
-                        lat.local_fill
-                    } else {
-                        stats.remote_fills += 1;
-                        qpi_lines.incr();
-                        *qpi_pending += 1;
-                        if *qpi_pending >= QPI_TRACE_BATCH {
-                            obs.tracer.record(
-                                clock.now(),
-                                TraceEvent::QpiTransfer {
-                                    lines: *qpi_pending,
-                                },
-                            );
-                            *qpi_pending = 0;
-                        }
-                        let stall = mem.qpi_stall_cycles(1);
-                        lat.local_fill + profile.qpi.transfer_cost(1) + Cycles::new(stall)
-                    }
-                }
+                HitLevel::Memory => Cycles::ZERO,
             };
-            clock.advance(cost);
-            if let Some(fill) = fill {
-                mem.record_line_access(fill, AccessKind::Read);
-            }
-            for &(wb, tag) in wbs {
-                mem.record_line_access(wb, AccessKind::Write);
-                if let Some(pc) = prov {
-                    pc.record(mem.socket_of_line(wb), tag);
-                }
-            }
+            batch_cycles[ctx] += Cycles::new(per.raw() * n);
+        });
+        caches.drain_writebacks(|wb, _| {
+            mem.record_line_access(wb, AccessKind::Write);
+        });
+        for (clock, total) in clocks.iter_mut().zip(batch_cycles.iter()) {
+            clock.advance(*total);
         }
-        batch_lines.clear();
-        batch_ctx.clear();
     }
 
     /// Drains the retirement queue: every worn-out frame gets a healthy
@@ -1126,7 +871,7 @@ impl Machine {
                     self.mem.free_frame(new)?;
                     continue;
                 }
-                self.tlb_flush();
+                self.tlb.flush();
                 self.pages_remapped += remapped;
                 self.mem.heat_on_remap(old, new);
                 // Ownership moves before the copy, so the replacement
@@ -1193,7 +938,7 @@ impl Machine {
             self.mem.free_frame(new)?;
             return Ok(None);
         }
-        self.tlb_flush();
+        self.tlb.flush();
         // Ownership moves before the copy, so the migration's write pass
         // over the new frame charges to the owning tenant.
         self.mem.tenancy_on_remap(old, new);
@@ -1249,8 +994,8 @@ impl Machine {
     /// tenants (consolidated runs). Off by default; single-tenant runs pay
     /// nothing. Tenancy never observes per-line *order* — its counts are
     /// order-insensitive sums over frame ownership — so unlike tracing,
-    /// provenance, fault injection, and endurance it does not disable the
-    /// aggregate batch merge or deferred submission.
+    /// provenance, fault injection, and endurance it does not move traffic
+    /// off the buffered pipeline.
     pub fn enable_tenancy(&mut self, tenants: usize) {
         self.mem.enable_tenancy(tenants);
     }
@@ -1344,9 +1089,9 @@ impl Machine {
         self.sync_submissions()?;
         {
             let Machine {
-                mem, engine, prov, ..
+                mem, caches, prov, ..
             } = self;
-            engine.flush(|line, tag| {
+            caches.flush(|line, tag| {
                 mem.record_line_access(line, AccessKind::Write);
                 if let Some(pc) = prov {
                     pc.record(mem.socket_of_line(line), tag);
@@ -1399,7 +1144,7 @@ impl Machine {
             "sync_submissions before enabling endurance"
         );
         self.mem.enable_endurance(cfg);
-        self.recompute_defer();
+        self.recompute_route();
     }
 
     /// Installs a deterministic fault injector executing `plan`.
@@ -1409,7 +1154,7 @@ impl Machine {
             "sync_submissions before installing faults"
         );
         self.mem.set_fault_injector(FaultInjector::new(plan));
-        self.recompute_defer();
+        self.recompute_route();
     }
 
     /// The installed fault injector, if any (for inspection).
@@ -1432,10 +1177,9 @@ impl Machine {
         self.pages_remapped
     }
 
-    /// Aggregate shared-LLC statistics of the active engine (for
-    /// inspection; identical under either access path).
+    /// Aggregate shared-LLC statistics (for inspection).
     pub fn llc_stats(&self) -> CacheStats {
-        self.engine.llc_stats()
+        self.caches.llc_stats()
     }
 
     /// Resets measurement state — controller counters, cache stats, machine
@@ -1449,7 +1193,7 @@ impl Machine {
             "sync_submissions before resetting measurement state"
         );
         self.mem.reset_counters();
-        self.engine.reset_stats();
+        self.caches.reset_stats();
         self.stats = MachineStats::default();
         self.qpi_pending = 0;
         self.obs.metrics.reset();
@@ -1768,8 +1512,8 @@ mod tests {
     }
 
     /// Drives an identical interleaved stream of small reads, writes, and
-    /// computes through `submit` on a machine in the given mode.
-    fn drive_submissions(m: &mut Machine, p: ProcId) {
+    /// computes through `submit`, or through `access` when `immediate`.
+    fn drive_submissions(m: &mut Machine, p: ProcId, immediate: bool) {
         let mut x = 0x2545_f491_4f6c_dd1du64;
         for i in 0..40_000u64 {
             x = x
@@ -1782,7 +1526,11 @@ mod tests {
             } else {
                 MemoryAccess::read(addr, 8)
             };
-            m.submit(ctx, p, acc).unwrap();
+            if immediate {
+                m.access(ctx, p, acc).unwrap();
+            } else {
+                m.submit(ctx, p, acc).unwrap();
+            }
             if i % 64 == 0 {
                 m.compute(ctx, Cycles::new(100));
             }
@@ -1795,16 +1543,20 @@ mod tests {
         m.sync_submissions().unwrap();
     }
 
-    /// The tentpole invariant at machine level: a deferred submission
-    /// stream leaves bit-identical clocks, stats, controller counters,
-    /// cache state, and TLB counts to the scalar submission path.
+    /// The routing invariant at machine level: buffered submission, one
+    /// pipeline batch per access, and the per-line walk (forced by an
+    /// enabled tracer) leave bit-identical clocks, stats, controller
+    /// counters, cache state, and TLB counts.
     #[test]
-    fn deferred_submission_matches_scalar_submission() {
-        let mut run = |mode: SubmitMode| {
+    fn every_route_leaves_identical_state() {
+        let run = |immediate: bool, traced: bool| {
             let mut m = machine();
-            m.set_submit_mode(mode);
+            if traced {
+                m.set_tracer(Tracer::bounded(16));
+                assert!(m.per_line);
+            }
             let p = m.add_process(SocketId::PCM);
-            drive_submissions(&mut m, p);
+            drive_submissions(&mut m, p, immediate);
             m.flush_caches().unwrap();
             (
                 (0..3).map(|c| m.clock(CtxId(c)).now()).collect::<Vec<_>>(),
@@ -1817,36 +1569,37 @@ mod tests {
                 m.obs().metrics.counter_value("tlb.misses"),
             )
         };
-        let deferred = run(SubmitMode::Deferred);
-        let scalar = run(SubmitMode::Scalar);
-        assert_eq!(deferred, scalar);
-        assert!(deferred.6 > 0, "the stream re-uses pages: TLB hits exist");
+        let buffered = run(false, false);
+        assert_eq!(buffered, run(true, false), "submit vs access");
+        assert_eq!(buffered, run(false, true), "pipeline vs per-line walk");
+        assert!(buffered.6 > 0, "the stream re-uses pages: TLB hits exist");
     }
 
-    /// Deferral auto-disables while an order-sensitive observer is active
-    /// and re-enables when it goes away.
+    /// Every observer of per-line order selects the per-line walk, and
+    /// removing the tracer selects the pipeline again.
     #[test]
-    fn deferral_gates_on_order_observers() {
+    fn order_observers_select_the_per_line_walk() {
+        assert!(!machine().per_line);
         let mut m = machine();
-        m.set_submit_mode(SubmitMode::Deferred);
-        assert!(m.submit_deferred());
         m.enable_profiling();
-        assert!(!m.submit_deferred(), "provenance observes per-line order");
-        let mut m2 = machine();
-        m2.set_submit_mode(SubmitMode::Deferred);
-        m2.set_access_path(AccessPath::Scalar);
-        assert!(!m2.submit_deferred(), "deferral needs the batch pipeline");
-        let mut m3 = machine();
-        m3.set_submit_mode(SubmitMode::Deferred);
-        m3.enable_endurance(EnduranceConfig::default());
-        assert!(!m3.submit_deferred(), "endurance observes ordering");
-        // Scalar-mode submit is exactly access.
-        let mut m4 = machine();
-        assert_eq!(m4.submit_mode(), SubmitMode::Scalar);
-        let p = m4.add_process(SocketId::DRAM);
-        m4.submit(CtxId(0), p, MemoryAccess::read(Addr::new(0), 64))
+        assert!(m.per_line, "provenance observes per-line order");
+        let mut m = machine();
+        m.enable_endurance(EnduranceConfig::default());
+        assert!(m.per_line, "endurance observes ordering");
+        let mut m = machine();
+        m.install_faults(FaultPlan::smoke());
+        assert!(m.per_line, "QPI stalls are stateful");
+        let mut m = machine();
+        m.set_tracer(Tracer::bounded(16));
+        assert!(m.per_line, "trace events carry timestamps");
+        m.set_tracer(Tracer::disabled());
+        assert!(!m.per_line);
+        // On the per-line walk, submit is exactly access.
+        m.set_tracer(Tracer::bounded(16));
+        let p = m.add_process(SocketId::DRAM);
+        m.submit(CtxId(0), p, MemoryAccess::read(Addr::new(0), 64))
             .unwrap();
-        assert_eq!(m4.stats().line_accesses, 1, "resolved immediately");
+        assert_eq!(m.stats().line_accesses, 1, "resolved immediately");
     }
 
     /// The buffer flushes on its own once it holds enough lines, without
@@ -1854,7 +1607,6 @@ mod tests {
     #[test]
     fn submissions_auto_flush_at_the_line_threshold() {
         let mut m = machine();
-        m.set_submit_mode(SubmitMode::Deferred);
         let p = m.add_process(SocketId::DRAM);
         for i in 0..SUBMIT_FLUSH_LINES {
             m.submit(CtxId(0), p, MemoryAccess::write(Addr::new(i * 64), 8))

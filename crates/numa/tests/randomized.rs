@@ -1,9 +1,8 @@
 //! Seeded randomized tests for the NUMA memory substrate.
 //!
-//! These port the highest-value properties from `properties.rs` (which
-//! needs the vendored `proptest` crate and is gated behind the `proptest`
-//! feature) to the in-tree deterministic PRNG, so they run on every plain
-//! `cargo test` with zero external dependencies. Failures print the seed of
+//! These check the substrate's core properties with the in-tree
+//! deterministic PRNG, so they run on every plain `cargo test` with zero
+//! external dependencies. Failures print the seed of
 //! the offending case; rerunning is fully reproducible.
 
 use hemu_numa::{AddressSpace, NumaConfig, NumaMemory};

@@ -62,7 +62,7 @@ fn sync_parent_dir(path: &Path) {
 /// the new complete file — never a torn mixture.
 ///
 /// All export artifacts of the workspace (`runs.json`, per-run JSON,
-/// `samples.csv`, traces, timelines, heatmaps, `BENCH_results.json`) go
+/// `samples.csv`, traces, timelines, heatmaps) go
 /// through this helper; nothing writes a final artifact path directly.
 ///
 /// # Errors

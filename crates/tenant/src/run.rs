@@ -12,8 +12,8 @@ use hemu_malloc::NativeHeap;
 use hemu_obs::Tracer;
 use hemu_os::OsPageManager;
 use hemu_types::{
-    AccessPath, ByteSize, HemuError, OsPagingConfig, Result, SocketId, SpaceTag, SubmitMode,
-    WriteCause, CACHE_LINE, PAGE_SIZE,
+    ByteSize, HemuError, OsPagingConfig, Result, SocketId, SpaceTag, WriteCause, CACHE_LINE,
+    PAGE_SIZE,
 };
 use hemu_workloads::{Language, Memory, StepResult, Workload};
 
@@ -43,9 +43,7 @@ pub struct ConsolidationRun {
     faults: Option<FaultPlan>,
     endurance: Option<EnduranceConfig>,
     os: Option<OsPagingConfig>,
-    access_path: AccessPath,
     intra_threads: usize,
-    submit_mode: SubmitMode,
 }
 
 impl ConsolidationRun {
@@ -67,9 +65,7 @@ impl ConsolidationRun {
             faults: None,
             endurance: None,
             os: None,
-            access_path: AccessPath::default(),
             intra_threads: 1,
-            submit_mode: SubmitMode::default(),
         }
     }
 
@@ -84,7 +80,7 @@ impl ConsolidationRun {
     }
 
     /// Sets the scheduler slice length in workload steps (clamped to at
-    /// least 1). Slice boundaries are semantic flush points: deferred
+    /// least 1). Slice boundaries are semantic flush points: buffered
     /// submissions drain before the next tenant runs.
     pub fn slice(mut self, steps: u64) -> Self {
         self.slice = steps.max(1);
@@ -160,21 +156,9 @@ impl ConsolidationRun {
         self
     }
 
-    /// Selects the machine's access-path implementation.
-    pub fn access_path(mut self, path: AccessPath) -> Self {
-        self.access_path = path;
-        self
-    }
-
     /// Sets the worker-thread count for intra-run batch resolution.
     pub fn intra_threads(mut self, threads: usize) -> Self {
         self.intra_threads = threads.max(1);
-        self
-    }
-
-    /// Selects deferred vs immediate submission.
-    pub fn submit_mode(mut self, mode: SubmitMode) -> Self {
-        self.submit_mode = mode;
         self
     }
 
@@ -227,9 +211,7 @@ impl ConsolidationRun {
         }
 
         let mut machine = Machine::new(self.profile);
-        machine.set_access_path(self.access_path);
         machine.set_intra_threads(self.intra_threads);
-        machine.set_submit_mode(self.submit_mode);
         let mut os_mgr = self.os.map(|cfg| OsPageManager::install(&mut machine, cfg));
         // Tenancy goes in before any allocation so even the first heap
         // metadata fault is owned by its tenant.
@@ -482,9 +464,9 @@ impl ConsolidationRun {
 
 /// The slice scheduler: each live tenant runs up to `slice` consecutive
 /// workload steps, then yields. A slice boundary is a semantic flush
-/// point — deferred submissions drain before the next tenant's slice — so
-/// virtual time and counter state at every boundary are identical under
-/// scalar and deferred submission. A full round over all tenants is a
+/// point — buffered submissions drain before the next tenant's slice — so
+/// virtual time and counter state at every boundary are identical on the
+/// buffered pipeline and the per-line walk. A full round over all tenants is a
 /// monitor/OS poll edge, exactly like the single-tenant round-robin.
 fn run_slices(
     machine: &mut Machine,

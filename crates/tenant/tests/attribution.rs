@@ -4,8 +4,9 @@
 
 use hemu_core::RunReport;
 use hemu_obs::ToJson;
+use hemu_obs::Tracer;
 use hemu_tenant::{ConsolidationRun, Mix};
-use hemu_types::{AccessPath, SubmitMode, CACHE_LINE};
+use hemu_types::CACHE_LINE;
 
 fn assert_complete(report: &RunReport) {
     let c = report
@@ -47,22 +48,23 @@ fn per_tenant_writes_sum_to_global_counters() {
     assert!(report.pcm_writes.bytes() > 0);
 }
 
+/// Attribution is exact on both access routes: the untraced run takes the
+/// buffered pipeline, the traced one the per-line walk, and the two
+/// reports are byte-identical.
 #[test]
-fn attribution_is_complete_under_oversubscription_and_deferred_submission() {
+fn attribution_is_complete_under_oversubscription_on_both_routes() {
     let profile = hemu_machine::MachineProfile::emulation().with_contexts(2);
-    for (path, mode) in [
-        (AccessPath::Scalar, SubmitMode::Scalar),
-        (AccessPath::Batched, SubmitMode::Deferred),
-    ] {
-        let report = ConsolidationRun::new(Mix::Dacapo, 5)
-            .profile(profile)
-            .without_warmup()
-            .access_path(path)
-            .submit_mode(mode)
-            .run()
-            .expect("oversubscribed run");
-        assert_complete(&report);
-    }
+    let run = ConsolidationRun::new(Mix::Dacapo, 5)
+        .profile(profile)
+        .without_warmup();
+    let pipeline = run.run().expect("oversubscribed run");
+    let walked = run
+        .run_traced(Tracer::bounded(1 << 10))
+        .expect("oversubscribed traced run")
+        .report;
+    assert_complete(&pipeline);
+    assert_complete(&walked);
+    assert_eq!(pipeline.to_json(), walked.to_json());
 }
 
 #[test]

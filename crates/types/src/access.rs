@@ -1,108 +1,7 @@
 //! Memory access records: what a core issues to the memory hierarchy.
 
 use crate::addr::Addr;
-use crate::error::{HemuError, Result};
 use std::fmt;
-
-/// Which implementation of the machine's access hot path to run.
-///
-/// Both paths are proven bit-identical by the cache crate's reference-model
-/// suite; the choice only affects wall-clock throughput. `Scalar` is kept
-/// as the executable specification the batch pipeline is verified against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum AccessPath {
-    /// Per-line dispatch through the monolithic cache hierarchy — the
-    /// reference implementation.
-    Scalar,
-    /// Struct-of-arrays batch pipeline over the set-sharded hierarchy
-    /// (translate a whole batch, group lines by shard, resolve per shard,
-    /// merge in submission order).
-    #[default]
-    Batched,
-}
-
-impl AccessPath {
-    /// Stable lower-case name used in flags and bench results.
-    pub const fn name(self) -> &'static str {
-        match self {
-            AccessPath::Scalar => "scalar",
-            AccessPath::Batched => "batched",
-        }
-    }
-
-    /// Parses a `--access-path` flag value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HemuError::InvalidConfig`] for anything but `scalar` or
-    /// `batched`.
-    pub fn parse(s: &str) -> Result<AccessPath> {
-        match s.trim() {
-            "scalar" => Ok(AccessPath::Scalar),
-            "batched" => Ok(AccessPath::Batched),
-            other => Err(HemuError::InvalidConfig(format!(
-                "unknown access path `{other}` (expected scalar or batched)"
-            ))),
-        }
-    }
-}
-
-impl fmt::Display for AccessPath {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// How the runtime layers hand their memory traffic to the machine.
-///
-/// Under `Deferred`, word-sized operations append to the machine's
-/// submission buffer and flush through the batch pipeline at semantic
-/// boundaries; under `Scalar`, every `Machine::submit` resolves
-/// immediately, exactly like a direct `Machine::access` call. Both modes
-/// produce byte-identical run artifacts (the deferred flush is only taken
-/// when no order-sensitive observer is active); the choice only affects
-/// wall-clock throughput, `Scalar` being kept as the executable
-/// specification deferral is verified against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SubmitMode {
-    /// Buffer submissions and flush them in batches (the fast default).
-    #[default]
-    Deferred,
-    /// Resolve every submission immediately (the reference behavior).
-    Scalar,
-}
-
-impl SubmitMode {
-    /// Stable lower-case name used in flags and bench results.
-    pub const fn name(self) -> &'static str {
-        match self {
-            SubmitMode::Deferred => "deferred",
-            SubmitMode::Scalar => "scalar",
-        }
-    }
-
-    /// Parses a `--submit` flag value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HemuError::InvalidConfig`] for anything but `deferred` or
-    /// `scalar`.
-    pub fn parse(s: &str) -> Result<SubmitMode> {
-        match s.trim() {
-            "deferred" => Ok(SubmitMode::Deferred),
-            "scalar" => Ok(SubmitMode::Scalar),
-            other => Err(HemuError::InvalidConfig(format!(
-                "unknown submit mode `{other}` (expected deferred or scalar)"
-            ))),
-        }
-    }
-}
-
-impl fmt::Display for SubmitMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// Whether an access reads or writes memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

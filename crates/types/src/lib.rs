@@ -28,7 +28,7 @@ pub mod provenance;
 pub mod rng;
 pub mod size;
 
-pub use access::{AccessKind, AccessPath, MemoryAccess, SubmitMode};
+pub use access::{AccessKind, MemoryAccess};
 pub use addr::{Addr, LineAddr, PageNum, PhysAddr, SocketId};
 pub use clock::{Cycles, VirtualClock};
 pub use error::{HemuError, Result};
