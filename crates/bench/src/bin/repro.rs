@@ -60,10 +60,7 @@
 //! `--jobs N` runs each target's experiments on an N-worker pool (default:
 //! the machine's available parallelism; `--jobs 1` is the sequential
 //! path). Every exported artifact is byte-identical at any `--jobs` value.
-//! `--intra-threads N` sets the batch-resolution worker count inside each
-//! run (default: the machine's available parallelism; any value is
-//! byte-identical). Host-speed measurement lives in the separate
-//! `benchmark/` package.
+//! Host-speed measurement lives in the separate `benchmark/` package.
 
 use hemu_bench::{experiments, Harness, RunPolicy, Scale};
 use hemu_fault::{EnduranceConfig, FaultPlan};
@@ -114,19 +111,6 @@ fn main() {
     let tenants_flag = take_value_flag(&mut args, "--tenants");
     let mix_flag = take_value_flag(&mut args, "--mix");
     let slice_flag = take_value_flag(&mut args, "--slice");
-    let intra_threads_flag = take_value_flag(&mut args, "--intra-threads");
-    // Safe to default wide: shard resolution is deterministic at any
-    // worker count (crates/bench/tests/determinism.rs).
-    let intra_threads = match intra_threads_flag.as_deref() {
-        None => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        Some(s) => match s.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("--intra-threads: expected a positive integer, got `{s}`");
-                std::process::exit(2);
-            }
-        },
-    };
     let jobs = match jobs_flag.as_deref() {
         None => std::thread::available_parallelism().map_or(1, |n| n.get()),
         Some(s) => match s.parse::<usize>() {
@@ -317,7 +301,6 @@ fn main() {
         }
     }
     h.set_jobs(jobs);
-    h.set_intra_threads(intra_threads);
     h.set_os_tuning(os_tuning);
     // Resume must come after every plan-affecting flag above: the journal
     // header's plan hash covers scale, faults, endurance, policy and OS

@@ -104,9 +104,6 @@ pub struct ExecCtx {
     /// Whether to run the phase-and-provenance profiler (virtual-time
     /// spans, write attribution, wear heatmap).
     pub want_profile: bool,
-    /// Batch-resolution worker threads inside each run (results are
-    /// identical at any value).
-    pub intra_threads: usize,
     /// Serialized progress sink shared by all workers.
     pub reporter: Reporter,
 }
@@ -127,8 +124,7 @@ fn panic_error(payload: &(dyn std::any::Any + Send)) -> HemuError {
 fn configure(ctx: &ExecCtx, job: &JobSpec, attempt: u32) -> Experiment {
     let mut e = Experiment::new(job.spec)
         .instances(job.instances)
-        .profile(job.profile.machine())
-        .intra_threads(ctx.intra_threads);
+        .profile(job.profile.machine());
     if ctx.want_profile {
         e = e.profiling();
     }
@@ -163,8 +159,7 @@ fn configure_consolidation(
 ) -> ConsolidationRun {
     let mut r = ConsolidationRun::new(c.mix, c.tenants)
         .slice(c.slice)
-        .profile(job.profile.machine())
-        .intra_threads(ctx.intra_threads);
+        .profile(job.profile.machine());
     if ctx.want_profile {
         r = r.profiling();
     }
@@ -463,7 +458,6 @@ mod tests {
             os_tuning: OsPagingConfig::default(),
             want_trace: false,
             want_profile: false,
-            intra_threads: 1,
             reporter: Reporter::to_writer(Box::new(SharedBuf(Arc::clone(buf)))),
         }
     }

@@ -203,8 +203,6 @@ pub struct Harness {
     /// Worker-pool width for planned sweeps; 0 or 1 means fully inline
     /// sequential execution (the historical path).
     jobs: usize,
-    /// Intra-run batch-resolution threads; 0 and 1 both mean sequential.
-    intra_threads: usize,
     /// When true, [`Harness::run`] defers execution: unknown runs are
     /// enqueued as pending jobs and answered with [`HemuError::Deferred`].
     planning: bool,
@@ -313,18 +311,6 @@ impl Harness {
     /// The configured worker-pool width (0/1 = sequential).
     pub fn jobs(&self) -> usize {
         self.jobs.max(1)
-    }
-
-    /// Sets the intra-run batch-resolution thread count for every
-    /// subsequent run. Artifacts are byte-identical at any value; only
-    /// wall-clock time changes.
-    pub fn set_intra_threads(&mut self, threads: usize) {
-        self.intra_threads = threads;
-    }
-
-    /// The configured intra-run thread count (0/1 = sequential).
-    pub fn intra_threads(&self) -> usize {
-        self.intra_threads.max(1)
     }
 
     /// Replaces the progress sink (stderr by default).
@@ -655,7 +641,6 @@ impl Harness {
             os_tuning: self.os_tuning,
             want_trace: self.trace_out.is_some(),
             want_profile: self.profiling(),
-            intra_threads: self.intra_threads(),
             reporter: self.reporter.clone(),
         }
     }
@@ -819,7 +804,7 @@ impl Harness {
     /// Fingerprint of everything that decides what a sweep's runs compute:
     /// the crate version plus every configuration knob that changes run
     /// *results*. Deliberately excludes pure execution-shape knobs
-    /// (`--jobs`, `--intra-threads`) and export toggles —
+    /// (`--jobs`) and export toggles —
     /// artifacts are byte-identical across those, so a journal written at
     /// one setting resumes cleanly at another.
     fn plan_hash(&self) -> String {
@@ -847,7 +832,7 @@ impl Harness {
     /// the sweep demands them; everything else (failed, missing, torn, or
     /// unverifiable records) is re-executed. Because runs are
     /// deterministic, the resumed sweep's artifacts are byte-identical to
-    /// an uninterrupted run's at any `--jobs`/`--intra-threads`.
+    /// an uninterrupted run's at any `--jobs`.
     ///
     /// Call after all other configuration (scale, faults, endurance,
     /// policy, OS tuning): the journal header is validated against a

@@ -1,16 +1,10 @@
 //! The parallel executor's determinism guarantee: every exported artifact
 //! — `runs.json`, `samples.csv`, per-run JSON reports, and the rendered
 //! figure text — is byte-identical at any `--jobs` width, including
-//! against the fully sequential `--jobs 1` path, and at any *intra-run*
-//! batch-resolution thread count (the sharded cache pipeline inside each
-//! machine). Holds with and without an active fault plan, and for sweeps
-//! whose later runs are conditional on earlier results (the
-//! planning-wave case).
-//!
-//! Untraced runs take the machine's buffered pipeline; a run with an
-//! event trace takes the per-line walk. The matrices therefore run
-//! untraced, so they exercise the pipeline, and one oracle test checks
-//! that tracing a sweep changes none of its other artifacts.
+//! against the fully sequential `--jobs 1` path. Holds with and without an
+//! active fault plan, and for sweeps whose later runs are conditional on
+//! earlier results (the planning-wave case). One oracle test checks that
+//! tracing a sweep changes none of its other artifacts.
 
 use hemu_bench::{Harness, Profile, RunPolicy, Scale};
 use hemu_fault::FaultPlan;
@@ -123,16 +117,14 @@ fn tenant_sweep(h: &mut Harness) -> Result<String> {
 #[derive(Clone, Default)]
 struct Knobs {
     jobs: usize,
-    intra: usize,
     faults: Option<FaultPlan>,
-    /// Capture an event trace, which puts every run on the per-line walk.
+    /// Capture an event trace.
     traced: bool,
 }
 
-fn knobs(jobs: usize, intra: usize) -> Knobs {
+fn knobs(jobs: usize) -> Knobs {
     Knobs {
         jobs,
-        intra,
         ..Knobs::default()
     }
 }
@@ -143,7 +135,6 @@ fn knobs(jobs: usize, intra: usize) -> Knobs {
 fn artifacts(dir: &Path, k: Knobs, sweep: fn(&mut Harness) -> Result<String>) -> Artifacts {
     let mut h = Harness::new(Scale::Quick);
     h.set_jobs(k.jobs);
-    h.set_intra_threads(k.intra);
     h.set_reporter(Reporter::to_writer(Box::new(std::io::sink())));
     h.set_json_dir(dir).expect("create json dir");
     if k.traced {
@@ -200,18 +191,13 @@ fn frame_faults(only: &str) -> FaultPlan {
     }
 }
 
-/// The matrix: artifacts are byte-identical across batch-resolution
-/// thread counts {1, 4} crossed with `--jobs` {1, 4}. Shard partitioning
-/// fixes every outcome regardless of how many workers resolve the shards,
-/// and the aggregate merge is a sum, so neither axis can move a byte.
+/// Artifacts are byte-identical at `--jobs` 1 and 4: every run owns its
+/// machine, and results commit in demand order.
 #[test]
-fn jobs_intra_matrix_is_byte_identical() {
-    let base = artifacts(&tmp_dir("det-base"), knobs(1, 1), sweep);
-    for (jobs, intra) in [(1, 4), (4, 1), (4, 4)] {
-        let name = format!("det-j{jobs}-t{intra}");
-        let got = artifacts(&tmp_dir(&name), knobs(jobs, intra), sweep);
-        assert_identical(&base, &got);
-    }
+fn jobs_matrix_is_byte_identical() {
+    let base = artifacts(&tmp_dir("det-base"), knobs(1), sweep);
+    let par = artifacts(&tmp_dir("det-par"), knobs(4), sweep);
+    assert_identical(&base, &par);
     assert!(
         base.1["runs.json"].matches("\"key\":").count() >= 7,
         "the sweep includes the dependent multiprogrammed run"
@@ -219,23 +205,19 @@ fn jobs_intra_matrix_is_byte_identical() {
 }
 
 /// The same matrix with a fault plan: attempt counts, failed runs, and
-/// partial tables must not depend on either parallelism axis.
+/// partial tables must not depend on the worker count.
 #[test]
-fn faulted_jobs_intra_matrix_is_byte_identical() {
-    let faulted = |jobs, intra| Knobs {
+fn faulted_jobs_matrix_is_byte_identical() {
+    let faulted = |jobs| Knobs {
         faults: Some(frame_faults("avrora")),
-        ..knobs(jobs, intra)
+        ..knobs(jobs)
     };
-    let base = artifacts(&tmp_dir("det-fault-base"), faulted(1, 1), sweep);
-    for (jobs, intra) in [(1, 4), (4, 1), (4, 4)] {
-        let name = format!("det-fault-j{jobs}-t{intra}");
-        let got = artifacts(&tmp_dir(&name), faulted(jobs, intra), sweep);
-        assert_identical(&base, &got);
-    }
+    let base = artifacts(&tmp_dir("det-fault-base"), faulted(1), sweep);
+    let par = artifacts(&tmp_dir("det-fault-par"), faulted(4), sweep);
+    assert_identical(&base, &par);
 }
 
-/// The route oracle: the same sweeps traced (every run on the per-line
-/// walk) and untraced (every run on the buffered pipeline) produce
+/// Tracing is an observer: the same sweeps traced and untraced produce
 /// byte-identical text, `runs.json`, `samples.csv` and per-run JSON; the
 /// traced sweep only adds its `trace.jsonl`.
 #[test]
@@ -245,14 +227,10 @@ fn tracing_a_sweep_changes_no_other_artifact() {
         ("os", os_sweep),
         ("tenant", tenant_sweep),
     ] {
-        let plain = artifacts(
-            &tmp_dir(&format!("det-untraced-{name}")),
-            knobs(4, 1),
-            sweep,
-        );
+        let plain = artifacts(&tmp_dir(&format!("det-untraced-{name}")), knobs(4), sweep);
         let traced_knobs = Knobs {
             traced: true,
-            ..knobs(4, 1)
+            ..knobs(4)
         };
         let mut traced = artifacts(&tmp_dir(&format!("det-traced-{name}")), traced_knobs, sweep);
         let trace = traced
@@ -268,8 +246,8 @@ fn tracing_a_sweep_changes_no_other_artifact() {
 /// byte-identical artifacts at `--jobs 1` and `--jobs 4`.
 #[test]
 fn os_policy_sweep_is_byte_identical_to_sequential() {
-    let seq = artifacts(&tmp_dir("det-os-seq"), knobs(1, 1), os_sweep);
-    let par = artifacts(&tmp_dir("det-os-par"), knobs(4, 4), os_sweep);
+    let seq = artifacts(&tmp_dir("det-os-seq"), knobs(1), os_sweep);
+    let par = artifacts(&tmp_dir("det-os-par"), knobs(4), os_sweep);
     assert_identical(&seq, &par);
     assert!(
         seq.0.contains("OS-hot-cold") && seq.0.contains("epochs="),
@@ -331,18 +309,14 @@ fn profiled_sweep_artifacts_are_byte_identical() {
     assert!(seq.1["runs.json"].contains("\"provenance\":{\"pcm\":{\"by_cause\":{\"mutator\":"));
 }
 
-/// Consolidated sweeps are byte-identical across `--jobs` {1, 4} ×
-/// `--intra-threads` {1, 4}: the slice scheduler runs in virtual time, so
-/// neither executor width nor shard-resolution width can reorder tenant
-/// turns or write attribution.
+/// Consolidated sweeps are byte-identical at `--jobs` 1 and 4: the slice
+/// scheduler runs in virtual time, so the executor width cannot reorder
+/// tenant turns or write attribution.
 #[test]
-fn tenant_sweep_is_byte_identical_across_jobs_and_intra() {
-    let base = artifacts(&tmp_dir("det-ten-base"), knobs(1, 1), tenant_sweep);
-    for (jobs, intra) in [(1, 4), (4, 1), (4, 4)] {
-        let name = format!("det-ten-j{jobs}-t{intra}");
-        let got = artifacts(&tmp_dir(&name), knobs(jobs, intra), tenant_sweep);
-        assert_identical(&base, &got);
-    }
+fn tenant_sweep_is_byte_identical_across_jobs() {
+    let base = artifacts(&tmp_dir("det-ten-base"), knobs(1), tenant_sweep);
+    let par = artifacts(&tmp_dir("det-ten-par"), knobs(4), tenant_sweep);
+    assert_identical(&base, &par);
     assert!(
         base.0.contains("dacapo@2") && base.0.contains("dacapo@3"),
         "both densities rendered: {}",
@@ -360,23 +334,23 @@ fn tenant_sweep_is_byte_identical_across_jobs_and_intra() {
 
 /// The same guarantee with a fault plan scoped to the density-2 run:
 /// deterministic injected failures, retries, and the surviving density-3
-/// run must not depend on either parallelism axis.
+/// run must not depend on the worker count.
 #[test]
 fn faulted_tenant_sweep_is_byte_identical() {
-    let faulted = |jobs, intra| Knobs {
+    let faulted = |jobs| Knobs {
         faults: Some(frame_faults("dacapo@2")),
-        ..knobs(jobs, intra)
+        ..knobs(jobs)
     };
-    let base = artifacts(&tmp_dir("det-ften-base"), faulted(1, 1), tenant_sweep);
-    let par = artifacts(&tmp_dir("det-ften-par"), faulted(4, 4), tenant_sweep);
+    let base = artifacts(&tmp_dir("det-ften-base"), faulted(1), tenant_sweep);
+    let par = artifacts(&tmp_dir("det-ften-par"), faulted(4), tenant_sweep);
     assert_identical(&base, &par);
 }
 
 /// Widths beyond the job count (and odd widths) change nothing either.
 #[test]
 fn oversized_pool_is_byte_identical() {
-    let seq = artifacts(&tmp_dir("det-seq2"), knobs(1, 1), sweep);
-    let wide = artifacts(&tmp_dir("det-wide"), knobs(32, 1), sweep);
+    let seq = artifacts(&tmp_dir("det-seq2"), knobs(1), sweep);
+    let wide = artifacts(&tmp_dir("det-wide"), knobs(32), sweep);
     assert_identical(&seq, &wide);
 }
 

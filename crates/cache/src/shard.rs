@@ -1,4 +1,11 @@
-//! The set-sharded hierarchy: the batch pipeline's resolution engine.
+//! The set-sharded hierarchy: a batch resolution engine over the same
+//! cache model as [`Hierarchy`].
+//!
+//! The machine does not use it: every access walks one monolithic
+//! [`Hierarchy`]. It stays public, and tested against the monolithic
+//! hierarchy, only because the host-speed benchmark's cache probe
+//! (`benchmark/src/kernel.rs`) replays its line stream through it; it goes
+//! when that probe does.
 //!
 //! # Why sharding by low line bits is exact
 //!
@@ -20,24 +27,17 @@
 //! is bit-identical to the monolithic hierarchy. The reference-model suite
 //! (`crates/cache/tests/reference_model.rs`) locks this in.
 //!
-//! # Why this is fast
+//! # Batches
 //!
-//! The monolithic hierarchy's tag/LRU arrays are several MiB; a random
-//! access stream misses the *simulator's own* caches on nearly every probe.
-//! One shard's arrays are `1/NS`-th that size (~100 KiB at the default
-//! `NS = 64` for the paper's geometry) — draining a whole batch queue
-//! against one shard keeps its metadata resident in the host's L2.
-//!
-//! # Deterministic intra-run parallelism
-//!
-//! Because shards share no state, a batch can be resolved by any number of
-//! worker threads, each owning a disjoint range of shards, with no
-//! synchronization beyond the scope join — and the outcome of every queued
-//! access is *identical* at any thread count by construction. Outcomes are
-//! reported as order-insensitive aggregates (per-context hit counts, the
-//! memory-fill list, the write-backs), which is all a caller that does
-//! not observe per-line order needs; callers that do observe it issue
-//! lines one at a time through [`ShardedHierarchy::access_into`].
+//! One shard's tag/LRU arrays are `1/NS`-th of the monolithic ones (~100
+//! KiB at the default `NS = 64` for the paper's geometry), so draining a
+//! batch queue shard by shard keeps each shard's metadata resident in the
+//! host's cache. Because shards share no state, a batch can also be
+//! resolved by any number of worker threads with the same outcome.
+//! Outcomes are reported as order-insensitive aggregates (per-context hit
+//! counts, the memory-fill list, the write-backs); callers that observe
+//! per-line order issue lines one at a time through
+//! [`ShardedHierarchy::access_into`].
 
 use crate::cache::Cache;
 use crate::hierarchy::{Hierarchy, HierarchyConfig, HitLevel};

@@ -58,7 +58,6 @@ pub struct Experiment {
     faults: Option<FaultPlan>,
     endurance: Option<EnduranceConfig>,
     os: Option<OsPagingConfig>,
-    intra_threads: usize,
 }
 
 impl Experiment {
@@ -80,16 +79,7 @@ impl Experiment {
             faults: None,
             endurance: None,
             os: None,
-            intra_threads: 1,
         }
-    }
-
-    /// Sets the worker-thread count for intra-run batch resolution
-    /// (clamped to at least 1). Purely a wall-clock knob: artifacts are
-    /// byte-identical at any value.
-    pub fn intra_threads(mut self, threads: usize) -> Self {
-        self.intra_threads = threads.max(1);
-        self
     }
 
     /// Enables per-line PCM wear tracking; the report then carries a
@@ -265,7 +255,6 @@ impl Experiment {
         }
 
         let mut machine = Machine::new(self.profile);
-        machine.set_intra_threads(self.intra_threads);
         // The OS page manager installs before anything touches memory, so
         // even heap metadata is placed (and sampled) under its policy.
         let mut os_mgr = self.os.map(|cfg| OsPageManager::install(&mut machine, cfg));
@@ -328,7 +317,6 @@ impl Experiment {
         // Snapshot per-instance stats, then measure the steady iteration.
         // The tracer goes in only now, so the trace covers exactly the
         // measured iteration (metrics are reset at the same point).
-        machine.sync_submissions()?;
         machine.set_tracer(tracer);
         machine.start_measured_iteration();
         let gc_before: Vec<Option<GcStats>> = instances
@@ -507,11 +495,6 @@ fn run_iteration(
                 ));
             }
         }
-        // A scheduler round edge is a safe point: buffered submissions
-        // flush before anything samples clocks or counters, so the
-        // monitor and the OS migrator observe exactly the state the
-        // per-line walk would show them.
-        machine.sync_submissions()?;
         if let Some(mon) = monitor.as_deref_mut() {
             mon.poll(machine);
         }

@@ -157,12 +157,12 @@ fn evacuate(heap: &mut ManagedHeap, machine: &mut Machine, id: ObjectId, dest: D
     } else {
         WriteCause::MatureCopy
     };
-    machine.submit(ctx, proc, MemoryAccess::read(old_addr, size))?;
+    machine.access(ctx, proc, MemoryAccess::read(old_addr, size))?;
     machine.set_write_tag(WriteTag::new(copy_cause, dest.space().tag()));
-    machine.submit(ctx, proc, MemoryAccess::write(new_addr, size))?;
+    machine.access(ctx, proc, MemoryAccess::write(new_addr, size))?;
     // Forwarding pointer in the old header, read by other tracers.
     machine.set_write_tag(WriteTag::new(WriteCause::Metadata, old_space.tag()));
-    machine.submit(ctx, proc, MemoryAccess::write(old_addr, WORD as u32))?;
+    machine.access(ctx, proc, MemoryAccess::write(old_addr, WORD as u32))?;
     // Per-object copy work: size check, forwarding CAS, table update.
     machine.compute(ctx, Cycles::new(60 + size as u64 / 4));
     // Evacuating an observed object additionally consults and resets the
@@ -195,7 +195,7 @@ fn scan(heap: &mut ManagedHeap, machine: &mut Machine, id: ObjectId) -> Result<V
         let info = heap.table.get(id);
         (info.addr, info.size, info.ref_count, info.refs.clone())
     };
-    machine.submit(
+    machine.access(
         heap.ctx,
         heap.proc,
         MemoryAccess::read(addr, scan_bytes(size, ref_count)),
@@ -228,9 +228,6 @@ pub(crate) fn minor_gc(
     } else {
         GcKind::Minor
     };
-    // A GC pause is a safe point: buffered mutator traffic flushes here so
-    // the pause clock (and everything the collector reads) is exact.
-    machine.sync_submissions()?;
     let pause_t0 = pause_begin(heap, machine, kind, reason);
     let spans = machine.spans();
     spans.begin(
@@ -352,9 +349,6 @@ pub(crate) fn minor_gc(
         heap.remset_old.clear();
         rebuild_remsets(heap);
     }
-    // Collector traffic flushes before the pause closes, so the recorded
-    // pause covers it in full.
-    machine.sync_submissions()?;
     spans.end(machine.clock(heap.ctx).now());
     pause_end(heap, machine, kind, pause_t0);
     spans.end(machine.clock(heap.ctx).now());
@@ -371,7 +365,6 @@ pub(crate) fn full_gc(
 ) -> Result<()> {
     heap.stats.full_gcs += 1;
     heap.minor_since_full = 0;
-    machine.sync_submissions()?;
     let pause_t0 = pause_begin(heap, machine, GcKind::Full, reason);
     let spans = machine.spans();
     spans.begin("full", "gc", pause_t0);
@@ -423,11 +416,11 @@ pub(crate) fn full_gc(
             | SpaceKind::LargePcm => {
                 let slot = meta.expect("mature object without a metadata slot");
                 machine.set_write_tag(WriteTag::new(WriteCause::Metadata, SpaceTag::Meta));
-                machine.submit(heap.ctx, heap.proc, MemoryAccess::write(slot, 1))?;
+                machine.access(heap.ctx, heap.proc, MemoryAccess::write(slot, 1))?;
             }
             _ => {
                 machine.set_write_tag(WriteTag::new(WriteCause::Metadata, space.tag()));
-                machine.submit(heap.ctx, heap.proc, MemoryAccess::write(addr, WORD as u32))?;
+                machine.access(heap.ctx, heap.proc, MemoryAccess::write(addr, WORD as u32))?;
             }
         }
     }
@@ -547,7 +540,6 @@ pub(crate) fn full_gc(
     if heap.config.has_observer() {
         rebuild_remsets(heap);
     }
-    machine.sync_submissions()?;
     spans.end(machine.clock(heap.ctx).now());
     pause_end(heap, machine, GcKind::Full, pause_t0);
     spans.end(machine.clock(heap.ctx).now());

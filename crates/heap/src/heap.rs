@@ -254,7 +254,7 @@ impl ManagedHeap {
         // Java semantics: fresh storage is zero-initialised. This is one of
         // the three extra write sources of managed workloads (§VI.A).
         machine.set_write_tag(WriteTag::new(WriteCause::Mutator, space.tag()));
-        machine.submit(self.ctx, self.proc, MemoryAccess::write(addr, size))?;
+        machine.access(self.ctx, self.proc, MemoryAccess::write(addr, size))?;
 
         self.stats.allocated_bytes += size as u64;
         self.stats.allocated_objects += 1;
@@ -350,7 +350,7 @@ impl ManagedHeap {
         let addr = self.boot_cursor;
         self.boot_cursor = self.boot_cursor.offset(size as u64);
         machine.set_write_tag(WriteTag::new(WriteCause::Mutator, SpaceTag::Other));
-        machine.submit(self.ctx, self.proc, MemoryAccess::write(addr, size))?;
+        machine.access(self.ctx, self.proc, MemoryAccess::write(addr, size))?;
         self.stats.allocated_bytes += size as u64;
         self.stats.allocated_objects += 1;
         Ok(self
@@ -404,7 +404,7 @@ impl ManagedHeap {
         };
         // The store itself.
         machine.set_write_tag(WriteTag::new(WriteCause::Mutator, src_tag));
-        machine.submit(
+        machine.access(
             self.ctx,
             self.proc,
             MemoryAccess::write(slot_addr, WORD as u32),
@@ -438,7 +438,7 @@ impl ManagedHeap {
                     );
                     self.remset_cursor += 1;
                     machine.set_write_tag(WriteTag::new(WriteCause::Metadata, SpaceTag::Meta));
-                    machine.submit(self.ctx, self.proc, MemoryAccess::write(buf, WORD as u32))?;
+                    machine.access(self.ctx, self.proc, MemoryAccess::write(buf, WORD as u32))?;
                 }
             }
         }
@@ -475,7 +475,7 @@ impl ManagedHeap {
             );
             (info.ref_slot_addr(slot), info.refs[slot])
         };
-        machine.submit(self.ctx, self.proc, MemoryAccess::read(addr, WORD as u32))?;
+        machine.access(self.ctx, self.proc, MemoryAccess::read(addr, WORD as u32))?;
         Ok(value)
     }
 
@@ -502,7 +502,7 @@ impl ManagedHeap {
             (info.data_addr().offset(offset as u64), info.space.tag())
         };
         machine.set_write_tag(WriteTag::new(WriteCause::Mutator, tag));
-        machine.submit(self.ctx, self.proc, MemoryAccess::write(addr, len))?;
+        machine.access(self.ctx, self.proc, MemoryAccess::write(addr, len))?;
         self.monitor_write(machine, obj)
     }
 
@@ -528,7 +528,7 @@ impl ManagedHeap {
             assert!(offset + len <= info.data_size(), "data read out of range");
             info.data_addr().offset(offset as u64)
         };
-        machine.submit(self.ctx, self.proc, MemoryAccess::read(addr, len))
+        machine.access(self.ctx, self.proc, MemoryAccess::read(addr, len))
     }
 
     /// KG-W write monitoring: the first store to an object under
@@ -548,7 +548,7 @@ impl ManagedHeap {
                 self.table.get_mut(obj).written = true;
                 self.stats.monitor_marks += 1;
                 machine.set_write_tag(WriteTag::new(WriteCause::Metadata, SpaceTag::Observer));
-                machine.submit(self.ctx, self.proc, MemoryAccess::write(addr, WORD as u32))?;
+                machine.access(self.ctx, self.proc, MemoryAccess::write(addr, WORD as u32))?;
                 // The first-write slow path of the monitoring barrier.
                 machine.compute(self.ctx, hemu_types::Cycles::new(120));
             }

@@ -1,7 +1,7 @@
 //! The [`Machine`]: the single object the runtime layers talk to.
 
 use crate::profile::MachineProfile;
-use hemu_cache::{CacheStats, HitLevel, ShardedHierarchy, DEFAULT_SHARD_BITS};
+use hemu_cache::{CacheStats, Hierarchy, HitLevel};
 use hemu_fault::{EnduranceConfig, FaultInjector, FaultPlan};
 use hemu_numa::{AddressSpace, NumaMemory};
 use hemu_obs::json::{JsonObject, ToJson};
@@ -14,12 +14,6 @@ use hemu_types::{
 /// Remote fills are coalesced into one aggregate [`TraceEvent::QpiTransfer`]
 /// per this many lines, so tracing stays cheap on the access fast path.
 const QPI_TRACE_BATCH: u64 = 1024;
-
-/// Buffered submissions ([`Machine::submit`]) auto-flush once the buffer
-/// holds roughly this many lines, so a flush batch is large enough for the
-/// aggregate shard-major merge to pay off even between semantic sync
-/// points.
-const SUBMIT_FLUSH_LINES: u64 = 8192;
 
 /// Slots in the machine-level translation mini-TLB (direct-mapped,
 /// keyed by process and virtual page). Covers 16 MiB of working set per
@@ -89,8 +83,8 @@ impl ProvenanceCounters {
 }
 
 /// Machine-level translation mini-TLB: direct-mapped (proc, vpage) → first
-/// physical line of the frame, probed in front of the page-table walk by
-/// both access routes, so `tlb.*` counts do not depend on the route.
+/// physical line of the frame, probed in front of the page-table walk on
+/// every access.
 #[derive(Debug)]
 struct MiniTlb {
     keys: Vec<u64>,
@@ -161,28 +155,19 @@ pub struct MachineStats {
 ///
 /// Owns the memory system, the cache hierarchy, one address space per
 /// process, and one virtual clock per hardware context. All mutator and
-/// collector work flows through [`Machine::submit`], [`Machine::access`]
-/// and [`Machine::compute`], so memory traffic and virtual time are
-/// accounted in exactly one place.
+/// collector work flows through [`Machine::access`] and
+/// [`Machine::compute`], so memory traffic and virtual time are accounted
+/// in exactly one place.
 ///
-/// Line accesses take one of two routes, picked from the machine's own
-/// state rather than configured:
-///
-/// * the **buffered pipeline** whenever nothing observes per-line order:
-///   traffic is buffered, translated in submission order
-///   (`stage_access`), resolved shard by shard, and merged as
-///   order-insensitive sums (`merge_aggregate`);
-/// * the **per-line walk** (`walk_lines`) while a tracer, provenance
-///   counters, a fault injector or endurance modeling is active: every
-///   line is resolved and accounted before the next one is issued.
-///
-/// Both routes leave bit-identical clocks, counters and cache contents at
-/// every sync point.
+/// Every access is resolved when it is issued: its lines walk the cache
+/// hierarchy one at a time, and each line's fill, write-backs and cost are
+/// accounted before the next line is issued. Machine state is therefore
+/// current whenever a caller reads it.
 #[derive(Debug)]
 pub struct Machine {
     profile: MachineProfile,
     mem: NumaMemory,
-    caches: ShardedHierarchy,
+    caches: Hierarchy,
     spaces: Vec<AddressSpace>,
     clocks: Vec<VirtualClock>,
     stats: MachineStats,
@@ -202,25 +187,6 @@ pub struct Machine {
     /// Per-cause / per-space write attribution, present only while
     /// profiling ([`Machine::enable_profiling`]).
     prov: Option<ProvenanceCounters>,
-    /// Worker threads for batch resolution (1 = fully sequential). Results
-    /// are identical at any value; see [`Machine::set_intra_threads`].
-    intra_threads: usize,
-    /// Per-context cycle totals accumulated by the aggregate merge.
-    batch_cycles: Vec<Cycles>,
-    /// Whether something observes per-line order, which routes all traffic
-    /// through the per-line walk: a trace ring (QPI batch events carry
-    /// timestamps), provenance counters, a fault injector (QPI stalls are
-    /// stateful), or endurance modeling (frame retirement rewrites page
-    /// tables between accesses). Recomputed whenever any of them toggles.
-    per_line: bool,
-    /// Submission buffer, struct-of-arrays: start address, byte
-    /// size, and packed metadata (ctx | proc<<8 | write-tag<<16 |
-    /// is-write<<24) per entry, in submission order.
-    sub_addr: Vec<u64>,
-    sub_size: Vec<u32>,
-    sub_meta: Vec<u32>,
-    /// Estimated line count of the buffered entries (auto-flush trigger).
-    sub_lines: u64,
     tlb: MiniTlb,
 }
 
@@ -232,7 +198,7 @@ impl Machine {
         let tlb = MiniTlb::new(&obs.metrics);
         Machine {
             mem: NumaMemory::new(profile.numa),
-            caches: ShardedHierarchy::new(profile.hierarchy_config(), DEFAULT_SHARD_BITS),
+            caches: Hierarchy::new(profile.hierarchy_config()),
             spaces: Vec::new(),
             clocks: (0..profile.contexts)
                 .map(|_| VirtualClock::new(profile.freq_hz))
@@ -245,24 +211,9 @@ impl Machine {
             wb_scratch: Vec::with_capacity(4),
             write_tag: WriteTag::OTHER.raw(),
             prov: None,
-            intra_threads: 1,
-            batch_cycles: Vec::new(),
-            per_line: false,
-            sub_addr: Vec::new(),
-            sub_size: Vec::new(),
-            sub_meta: Vec::new(),
-            sub_lines: 0,
             tlb,
             profile,
         }
-    }
-
-    /// Sets the worker-thread count for batch resolution (clamped to at
-    /// least 1). Purely a wall-clock knob: the set-sharded pipeline produces
-    /// bit-identical outcomes — and therefore byte-identical run artifacts —
-    /// at any value.
-    pub fn set_intra_threads(&mut self, threads: usize) {
-        self.intra_threads = threads.max(1);
     }
 
     /// Turns on the phase-and-provenance profiler: cache provenance tags,
@@ -274,14 +225,9 @@ impl Machine {
         if self.prov.is_some() {
             return;
         }
-        debug_assert!(
-            self.sub_addr.is_empty(),
-            "sync_submissions before enabling profiling"
-        );
         self.caches.enable_tags();
         self.prov = Some(ProvenanceCounters::new(&self.obs.metrics));
         self.obs.spans = SpanRecorder::bounded(PROFILE_SPAN_CAPACITY);
-        self.recompute_route();
     }
 
     /// Whether [`Machine::enable_profiling`] has been called. Runtime
@@ -315,16 +261,9 @@ impl Machine {
     }
 
     /// Installs an event tracer (replacing the current one, which is
-    /// disabled by default). Metrics handles are unaffected. Callers must
-    /// [`Machine::sync_submissions`] first when switching mid-run, so an
-    /// enabled tracer never observes traffic submitted before it existed.
+    /// disabled by default). Metrics handles are unaffected.
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        debug_assert!(
-            self.sub_addr.is_empty(),
-            "sync_submissions before replacing the tracer"
-        );
         self.obs.tracer = tracer;
-        self.recompute_route();
     }
 
     /// Publishes derived machine-level metrics — cache hit rates and
@@ -333,7 +272,7 @@ impl Machine {
     pub fn publish_metrics(&self) {
         let m = &self.obs.metrics;
         m.gauge("llc.hit_rate")
-            .set(self.caches.llc_stats().hit_ratio());
+            .set(self.caches.llc().stats().hit_ratio());
         for (name, socket) in [("dram", SocketId::DRAM), ("pcm", SocketId::PCM)] {
             let c = self.mem.counters(socket);
             m.gauge(&format!("mem.{name}.written_bytes"))
@@ -422,9 +361,6 @@ impl Machine {
     /// Returns an error if a mapped frame violates physical-memory
     /// invariants.
     pub fn unmap(&mut self, proc: ProcId, start: Addr, len: ByteSize) -> Result<()> {
-        // Buffered accesses may target the range being unmapped; resolve
-        // them while the mapping they were issued under still exists.
-        self.sync_submissions()?;
         self.tlb.flush();
         let Machine { spaces, mem, .. } = self;
         spaces[proc.0].unmap(start, len, mem)
@@ -447,9 +383,7 @@ impl Machine {
     /// consulted once per *page* the stream crosses (the in-page line
     /// addresses follow arithmetically), each line is sent through the
     /// hierarchy, and any fills and write-backs are recorded at the owning
-    /// memory controllers. Buffered submissions are resolved first, so
-    /// mixing `submit` and `access` keeps submission order intact, and the
-    /// access is fully accounted when this returns.
+    /// memory controllers. The access is fully accounted when this returns.
     ///
     /// # Errors
     ///
@@ -459,182 +393,40 @@ impl Machine {
     ///
     /// Panics if `ctx` or `proc` is out of range.
     pub fn access(&mut self, ctx: CtxId, proc: ProcId, access: MemoryAccess) -> Result<()> {
-        self.sync_submissions()?;
         if access.size == 0 {
             return Ok(());
         }
-        if self.per_line {
-            self.walk_lines(ctx, proc, access)?;
-            // PCM writes above may have spent a line's endurance budget;
-            // retire and remap outside the walk's destructured borrow.
-            if self.mem.has_pending_retirements() {
-                self.process_retirements(Some(ctx))?;
-            }
-        } else {
-            self.caches.begin_batch();
-            self.stage_access(ctx, proc, access)?;
-            self.merge_aggregate();
+        self.walk_lines(ctx, proc, access)?;
+        // PCM writes above may have spent a line's endurance budget;
+        // retire and remap outside the walk's destructured borrow.
+        if self.mem.has_pending_retirements() {
+            self.process_retirements(Some(ctx))?;
         }
         Ok(())
     }
 
-    /// Issues a whole batch of accesses: every access is translated against
-    /// the page tables in submission order, the resulting lines are queued
-    /// per cache-set shard, all shards resolve (in parallel when
-    /// [`Machine::set_intra_threads`] allows), and the outcomes merge as
-    /// order-insensitive sums, so clocks, counters and caches end
-    /// bit-identical to issuing each access individually. While per-line
-    /// order is observed this is a per-access loop instead.
+    /// Issues a batch of accesses in order, exactly as one
+    /// [`Machine::access`] call per entry.
     ///
     /// # Errors
     ///
-    /// Returns an error if physical memory is exhausted; the machine must
-    /// be discarded (a mid-batch failure leaves earlier accesses staged but
-    /// unresolved).
+    /// Returns an error if physical memory is exhausted; later entries are
+    /// not issued.
     ///
     /// # Panics
     ///
     /// Panics if a context or process index is out of range.
     pub fn access_batch(&mut self, batch: &[(CtxId, ProcId, MemoryAccess)]) -> Result<()> {
-        if self.per_line {
-            for &(ctx, proc, access) in batch {
-                self.access(ctx, proc, access)?;
-            }
-            return Ok(());
-        }
-        if batch.is_empty() {
-            return Ok(());
-        }
-        self.sync_submissions()?;
-        self.caches.begin_batch();
         for &(ctx, proc, access) in batch {
-            self.stage_access(ctx, proc, access)?;
-        }
-        self.merge_aggregate();
-        Ok(())
-    }
-
-    /// Re-evaluates the route (the `per_line` field) after an observer of
-    /// per-line order is installed or removed.
-    fn recompute_route(&mut self) {
-        self.per_line = self.prov.is_some()
-            || self.obs.tracer.enabled()
-            || self.mem.fault_injector().is_some()
-            || self.mem.endurance_enabled();
-    }
-
-    /// Submits a memory access: the buffered counterpart of
-    /// [`Machine::access`], used by the runtime layers (heap allocator,
-    /// write barrier, GC tracer/evacuator, native malloc) for their
-    /// word-sized traffic.
-    ///
-    /// On the buffered pipeline the access is appended to the submission
-    /// buffer — capturing the current write tag — and resolved later, in
-    /// submission order, when the buffer reaches [`SUBMIT_FLUSH_LINES`] or
-    /// a semantic boundary calls [`Machine::sync_submissions`] (emulated
-    /// reads return no data, so deferring a read never changes what the
-    /// caller observes). While per-line order is observed this is exactly
-    /// `access`. Both routes leave bit-identical machine state at every
-    /// sync point.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if physical memory is exhausted; for a buffered
-    /// access the error surfaces at the flush that performs the
-    /// translation, and the machine must then be discarded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ctx` or `proc` is out of range (for buffered
-    /// submissions, at flush time).
-    #[inline]
-    pub fn submit(&mut self, ctx: CtxId, proc: ProcId, access: MemoryAccess) -> Result<()> {
-        if self.per_line || ctx.0 >= 256 || proc.0 >= 256 {
-            return self.access(ctx, proc, access);
-        }
-        if access.size == 0 {
-            return Ok(());
-        }
-        self.sub_addr.push(access.addr.raw());
-        self.sub_size.push(access.size);
-        let meta = ctx.0 as u32
-            | (proc.0 as u32) << 8
-            | (self.write_tag as u32) << 16
-            | (access.kind.is_write() as u32) << 24;
-        self.sub_meta.push(meta);
-        self.sub_lines += access.size as u64 / CACHE_LINE as u64 + 1;
-        if self.sub_lines >= SUBMIT_FLUSH_LINES {
-            self.flush_submissions()?;
+            self.access(ctx, proc, access)?;
         }
         Ok(())
     }
 
-    /// Flushes any buffered submissions, bringing clocks, caches, and
-    /// counters to exactly the state immediate resolution would leave. Call
-    /// at semantic boundaries: before reading machine state (clocks,
-    /// controller counters, stats), at GC pause edges, and before
-    /// structural operations. A no-op when nothing is buffered.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if physical memory is exhausted while translating
-    /// a buffered access; the machine must then be discarded.
-    #[inline]
-    pub fn sync_submissions(&mut self) -> Result<()> {
-        if self.sub_addr.is_empty() {
-            return Ok(());
-        }
-        self.flush_submissions()
-    }
-
-    /// Drains the submission buffer through the batch pipeline: one
-    /// `stage_access` per entry in submission order (restoring each
-    /// entry's captured write tag), then a single aggregate merge.
-    fn flush_submissions(&mut self) -> Result<()> {
-        let saved_tag = self.write_tag;
-        self.caches.begin_batch();
-        let n = self.sub_addr.len();
-        let mut failed = None;
-        for i in 0..n {
-            let meta = self.sub_meta[i];
-            let kind = if meta >> 24 != 0 {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            };
-            self.write_tag = (meta >> 16) as u8;
-            let access = MemoryAccess {
-                addr: Addr::new(self.sub_addr[i]),
-                size: self.sub_size[i],
-                kind,
-            };
-            if let Err(e) = self.stage_access(
-                CtxId((meta & 0xff) as usize),
-                ProcId((meta >> 8 & 0xff) as usize),
-                access,
-            ) {
-                failed = Some(e);
-                break;
-            }
-        }
-        self.write_tag = saved_tag;
-        self.sub_addr.clear();
-        self.sub_size.clear();
-        self.sub_meta.clear();
-        self.sub_lines = 0;
-        if let Some(e) = failed {
-            // Earlier entries are staged but unresolved: the machine is
-            // only good for error reporting now, like a failed batch.
-            return Err(e);
-        }
-        self.merge_aggregate();
-        Ok(())
-    }
-
-    /// The per-line walk: resolves and accounts each line of `access`
-    /// before issuing the next, so observers of per-line order (trace
-    /// timestamps, provenance tags, injected QPI stalls, wear retirement)
-    /// see every line in submission order.
+    /// Resolves and accounts each line of `access` before issuing the
+    /// next, so observers of per-line order (trace timestamps, provenance
+    /// tags, injected QPI stalls, wear retirement) see every line in issue
+    /// order.
     fn walk_lines(&mut self, ctx: CtxId, proc: ProcId, access: MemoryAccess) -> Result<()> {
         let Machine {
             profile,
@@ -730,107 +522,6 @@ impl Machine {
         Ok(())
     }
 
-    /// Translates one access and queues its lines on their cache-set
-    /// shards. Page walks happen here, in submission order, so demand
-    /// faults and allocation failures fire exactly as on the per-line walk.
-    fn stage_access(&mut self, ctx: CtxId, proc: ProcId, access: MemoryAccess) -> Result<()> {
-        if access.size == 0 {
-            return Ok(());
-        }
-        let Machine {
-            mem,
-            caches,
-            spaces,
-            stats,
-            write_tag,
-            tlb,
-            ..
-        } = self;
-        let space = &mut spaces[proc.0];
-        let kind = access.kind;
-
-        const PAGE: u64 = PAGE_SIZE as u64;
-        const LINE: u64 = CACHE_LINE as u64;
-        let first = access.addr.line().raw();
-        let last = access.addr.offset(access.size as u64 - 1).line().raw();
-
-        let mut v = first;
-        while v <= last {
-            let page_end = (v / PAGE + 1) * PAGE;
-            let chunk_last = last.min(page_end - LINE);
-            let frame_line0 = tlb.frame_line0(proc.0, v, space, mem)?;
-            let chunk_line0 = frame_line0 + (v % PAGE) / LINE;
-            let nlines = (chunk_last - v) / LINE + 1;
-            stats.line_accesses += nlines;
-            for i in 0..nlines {
-                caches.enqueue(ctx.0, LineAddr::new(chunk_line0 + i), kind, *write_tag);
-            }
-            v = page_end;
-        }
-        Ok(())
-    }
-
-    /// Resolves every shard queue and merges the outcomes as sums. With no
-    /// tracer, provenance, injector or endurance (the buffered pipeline's
-    /// precondition) every per-line merge effect is an order-insensitive
-    /// counter sum, so shards resolve straight into per-context hit counts
-    /// plus a memory-fill list, and each context's clock advances once by
-    /// its accumulated total — bit-identical end state to the per-line
-    /// walk.
-    fn merge_aggregate(&mut self) {
-        let Machine {
-            profile,
-            mem,
-            caches,
-            clocks,
-            stats,
-            qpi_lines,
-            qpi_pending,
-            intra_threads,
-            batch_cycles,
-            per_line,
-            ..
-        } = self;
-        debug_assert!(!*per_line, "the aggregate merge cannot serve an observer");
-        let lat = &profile.latency;
-        caches.resolve_aggregate(*intra_threads);
-        batch_cycles.clear();
-        batch_cycles.resize(clocks.len(), Cycles::ZERO);
-        let remote_cost = lat.local_fill + profile.qpi.transfer_cost(1);
-        caches.drain_fills(|ctx, line| {
-            mem.record_line_access(line, AccessKind::Read);
-            batch_cycles[ctx] += if mem.socket_of_line(line) == SocketId::DRAM {
-                stats.local_fills += 1;
-                lat.local_fill
-            } else {
-                stats.remote_fills += 1;
-                qpi_lines.incr();
-                // Keep the aggregate-trace countdown in the same state the
-                // per-line walk would leave it (the tracer itself is off).
-                *qpi_pending += 1;
-                if *qpi_pending >= QPI_TRACE_BATCH {
-                    *qpi_pending = 0;
-                }
-                remote_cost
-            };
-        });
-        caches.drain_counts(|ctx, level, n| {
-            // Memory-level lines were already costed per fill above.
-            let per = match level {
-                HitLevel::L2 => lat.l2_hit,
-                HitLevel::Llc => lat.llc_hit,
-                HitLevel::Memory => Cycles::ZERO,
-            };
-            batch_cycles[ctx] += Cycles::new(per.raw() * n);
-        });
-        caches.drain_writebacks(|wb, _| {
-            mem.record_line_access(wb, AccessKind::Write);
-        });
-        for (clock, total) in clocks.iter_mut().zip(batch_cycles.iter()) {
-            clock.advance(*total);
-        }
-    }
-
     /// Drains the retirement queue: every worn-out frame gets a healthy
     /// replacement on the same socket, page tables are rewritten so the
     /// application keeps its virtual addresses, and the page copy shows up
@@ -919,8 +610,6 @@ impl Machine {
     /// has no free frame (the caller may demote something first and
     /// retry), and propagates internal invariant violations.
     pub fn migrate_frame(&mut self, old: PageNum, to: SocketId) -> Result<Option<PageNum>> {
-        // Pending traffic must hit the page at its current frame.
-        self.sync_submissions()?;
         let from = self.mem.socket_of_frame(old);
         if from == to {
             return Ok(None);
@@ -992,10 +681,7 @@ impl Machine {
 
     /// Enables per-tenant write attribution for `tenants` co-scheduled
     /// tenants (consolidated runs). Off by default; single-tenant runs pay
-    /// nothing. Tenancy never observes per-line *order* — its counts are
-    /// order-insensitive sums over frame ownership — so unlike tracing,
-    /// provenance, fault injection, and endurance it does not move traffic
-    /// off the buffered pipeline.
+    /// nothing.
     pub fn enable_tenancy(&mut self, tenants: usize) {
         self.mem.enable_tenancy(tenants);
     }
@@ -1023,10 +709,6 @@ impl Machine {
 
     /// Closes the heat-sampling epoch (per-page deltas restart at zero).
     pub fn reset_page_heat_epoch(&mut self) {
-        debug_assert!(
-            self.sub_addr.is_empty(),
-            "sync_submissions before closing a heat epoch"
-        );
         self.mem.reset_page_heat_epoch();
     }
 
@@ -1068,10 +750,6 @@ impl Machine {
     /// Synchronizes all context clocks to the latest one (the barrier that
     /// multiprogrammed instances hit before the measured iteration).
     pub fn barrier(&mut self) {
-        debug_assert!(
-            self.sub_addr.is_empty(),
-            "sync_submissions before a clock barrier"
-        );
         let latest = self.elapsed();
         for c in &mut self.clocks {
             c.sync_to(latest);
@@ -1086,7 +764,6 @@ impl Machine {
     /// Returns [`HemuError::WornOut`] if the write-backs wear out a PCM
     /// line and no healthy frame is left to remap the page to.
     pub fn flush_caches(&mut self) -> Result<()> {
-        self.sync_submissions()?;
         {
             let Machine {
                 mem, caches, prov, ..
@@ -1139,22 +816,12 @@ impl Machine {
     /// Enables PCM endurance modeling: per-line write budgets, frame
     /// retirement, and transparent page remapping. Implies wear tracking.
     pub fn enable_endurance(&mut self, cfg: EnduranceConfig) {
-        debug_assert!(
-            self.sub_addr.is_empty(),
-            "sync_submissions before enabling endurance"
-        );
         self.mem.enable_endurance(cfg);
-        self.recompute_route();
     }
 
     /// Installs a deterministic fault injector executing `plan`.
     pub fn install_faults(&mut self, plan: FaultPlan) {
-        debug_assert!(
-            self.sub_addr.is_empty(),
-            "sync_submissions before installing faults"
-        );
         self.mem.set_fault_injector(FaultInjector::new(plan));
-        self.recompute_route();
     }
 
     /// The installed fault injector, if any (for inspection).
@@ -1179,7 +846,7 @@ impl Machine {
 
     /// Aggregate shared-LLC statistics (for inspection).
     pub fn llc_stats(&self) -> CacheStats {
-        self.caches.llc_stats()
+        *self.caches.llc().stats()
     }
 
     /// Resets measurement state — controller counters, cache stats, machine
@@ -1188,10 +855,6 @@ impl Machine {
     /// This is the replay-compilation measurement protocol: run the warm-up
     /// iteration, reset, then measure the steady-state iteration.
     pub fn start_measured_iteration(&mut self) {
-        debug_assert!(
-            self.sub_addr.is_empty(),
-            "sync_submissions before resetting measurement state"
-        );
         self.mem.reset_counters();
         self.caches.reset_stats();
         self.stats = MachineStats::default();
@@ -1511,111 +1174,67 @@ mod tests {
         );
     }
 
-    /// Drives an identical interleaved stream of small reads, writes, and
-    /// computes through `submit`, or through `access` when `immediate`.
-    fn drive_submissions(m: &mut Machine, p: ProcId, immediate: bool) {
+    /// The access route at machine level: a mixed stream of word-sized and
+    /// multi-line accesses from two contexts leaves the same fills,
+    /// write-backs and LLC statistics as the same physical-line stream
+    /// replayed on a bare hierarchy.
+    #[test]
+    fn access_matches_a_bare_hierarchy_on_the_same_line_stream() {
+        // A 640 KiB LLC, so an 8 MiB region evicts (and writes back) often.
+        let profile = MachineProfile::emulation().with_llc(ByteSize::from_kib(640));
+        let mut m = Machine::new(profile);
+        let p = m.add_process(SocketId::DRAM);
+        m.mbind(p, Addr::new(4 << 20), ByteSize::from_mib(8), SocketId::PCM);
+        let mut h = Hierarchy::new(profile.hierarchy_config());
+        let mut wbs = Vec::new();
+        // Per-socket line counts of the replay, indexed DRAM = 0, PCM = 1.
+        let (mut fills, mut writes) = ([0u64; 2], [0u64; 2]);
+        let idx = |s: SocketId| usize::from(s == SocketId::PCM);
         let mut x = 0x2545_f491_4f6c_dd1du64;
         for i in 0..40_000u64 {
             x = x
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1_442_695_040_888_963_407);
             let addr = Addr::new((x >> 16) % (8 << 20));
-            let ctx = CtxId((i % 3) as usize);
+            let size = if i % 16 == 0 { 9 * 64 + 17 } else { 8 };
             let acc = if x & 1 == 0 {
-                MemoryAccess::write(addr, 8)
+                MemoryAccess::write(addr, size)
             } else {
-                MemoryAccess::read(addr, 8)
+                MemoryAccess::read(addr, size)
             };
-            if immediate {
-                m.access(ctx, p, acc).unwrap();
-            } else {
-                m.submit(ctx, p, acc).unwrap();
+            let ctx = CtxId((i % 2) as usize);
+            m.access(ctx, p, acc).unwrap();
+            // Replay the access's lines, translated by the page table the
+            // access just populated.
+            let last = addr.offset(size as u64 - 1).line().raw();
+            for v in (addr.line().raw()..=last).step_by(CACHE_LINE) {
+                let space = m.address_space(p);
+                let line = space.translate_existing(Addr::new(v)).unwrap().line();
+                let (_, fill) = h.access_into(ctx.0, line, acc.kind, 0, &mut wbs);
+                if let Some(f) = fill {
+                    fills[idx(m.memory().socket_of_line(f))] += 1;
+                }
+                for &(wb, _) in &wbs {
+                    writes[idx(m.memory().socket_of_line(wb))] += 1;
+                }
             }
-            if i % 64 == 0 {
-                m.compute(ctx, Cycles::new(100));
-            }
-            if i % 9_000 == 0 {
-                // A direct access mid-stream must observe prior submits.
-                m.access(ctx, p, MemoryAccess::write(Addr::new(64), 256))
-                    .unwrap();
-            }
-        }
-        m.sync_submissions().unwrap();
-    }
-
-    /// The routing invariant at machine level: buffered submission, one
-    /// pipeline batch per access, and the per-line walk (forced by an
-    /// enabled tracer) leave bit-identical clocks, stats, controller
-    /// counters, cache state, and TLB counts.
-    #[test]
-    fn every_route_leaves_identical_state() {
-        let run = |immediate: bool, traced: bool| {
-            let mut m = machine();
-            if traced {
-                m.set_tracer(Tracer::bounded(16));
-                assert!(m.per_line);
-            }
-            let p = m.add_process(SocketId::PCM);
-            drive_submissions(&mut m, p, immediate);
-            m.flush_caches().unwrap();
-            (
-                (0..3).map(|c| m.clock(CtxId(c)).now()).collect::<Vec<_>>(),
-                *m.stats(),
-                m.pcm_writes(),
-                m.socket_reads(SocketId::PCM),
-                m.llc_stats(),
-                m.obs().metrics.counter_value("qpi.lines"),
-                m.obs().metrics.counter_value("tlb.hits"),
-                m.obs().metrics.counter_value("tlb.misses"),
-            )
-        };
-        let buffered = run(false, false);
-        assert_eq!(buffered, run(true, false), "submit vs access");
-        assert_eq!(buffered, run(false, true), "pipeline vs per-line walk");
-        assert!(buffered.6 > 0, "the stream re-uses pages: TLB hits exist");
-    }
-
-    /// Every observer of per-line order selects the per-line walk, and
-    /// removing the tracer selects the pipeline again.
-    #[test]
-    fn order_observers_select_the_per_line_walk() {
-        assert!(!machine().per_line);
-        let mut m = machine();
-        m.enable_profiling();
-        assert!(m.per_line, "provenance observes per-line order");
-        let mut m = machine();
-        m.enable_endurance(EnduranceConfig::default());
-        assert!(m.per_line, "endurance observes ordering");
-        let mut m = machine();
-        m.install_faults(FaultPlan::smoke());
-        assert!(m.per_line, "QPI stalls are stateful");
-        let mut m = machine();
-        m.set_tracer(Tracer::bounded(16));
-        assert!(m.per_line, "trace events carry timestamps");
-        m.set_tracer(Tracer::disabled());
-        assert!(!m.per_line);
-        // On the per-line walk, submit is exactly access.
-        m.set_tracer(Tracer::bounded(16));
-        let p = m.add_process(SocketId::DRAM);
-        m.submit(CtxId(0), p, MemoryAccess::read(Addr::new(0), 64))
-            .unwrap();
-        assert_eq!(m.stats().line_accesses, 1, "resolved immediately");
-    }
-
-    /// The buffer flushes on its own once it holds enough lines, without
-    /// waiting for a semantic sync point.
-    #[test]
-    fn submissions_auto_flush_at_the_line_threshold() {
-        let mut m = machine();
-        let p = m.add_process(SocketId::DRAM);
-        for i in 0..SUBMIT_FLUSH_LINES {
-            m.submit(CtxId(0), p, MemoryAccess::write(Addr::new(i * 64), 8))
-                .unwrap();
         }
         assert!(
-            m.stats().line_accesses > 0,
-            "the threshold flush resolved the buffer"
+            writes[0] > 0 && writes[1] > 0,
+            "both sockets see write-backs"
         );
+        assert_eq!(m.llc_stats(), *h.llc().stats());
+        m.flush_caches().unwrap();
+        h.flush(|wb, _| writes[idx(m.memory().socket_of_line(wb))] += 1);
+        let line = CACHE_LINE as u64;
+        assert_eq!(
+            (m.stats().local_fills, m.stats().remote_fills),
+            (fills[0], fills[1])
+        );
+        assert_eq!(m.socket_reads(SocketId::DRAM).bytes(), fills[0] * line);
+        assert_eq!(m.socket_reads(SocketId::PCM).bytes(), fills[1] * line);
+        assert_eq!(m.socket_writes(SocketId::DRAM).bytes(), writes[0] * line);
+        assert_eq!(m.socket_writes(SocketId::PCM).bytes(), writes[1] * line);
     }
 
     /// Page migration invalidates the mini-TLB, so later accesses observe

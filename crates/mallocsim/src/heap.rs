@@ -198,7 +198,7 @@ impl NativeHeap {
         };
 
         // malloc writes its boundary tag; the payload stays untouched.
-        machine.submit(
+        machine.access(
             self.ctx,
             self.proc,
             MemoryAccess::write(addr, MALLOC_HEADER),
@@ -280,7 +280,7 @@ impl NativeHeap {
         len: u32,
     ) -> Result<()> {
         let addr = self.payload(obj, offset, len);
-        machine.submit(self.ctx, self.proc, MemoryAccess::write(addr, len))
+        machine.access(self.ctx, self.proc, MemoryAccess::write(addr, len))
     }
 
     /// Reads `len` bytes at `offset` inside the object.
@@ -301,7 +301,7 @@ impl NativeHeap {
         len: u32,
     ) -> Result<()> {
         let addr = self.payload(obj, offset, len);
-        machine.submit(self.ctx, self.proc, MemoryAccess::read(addr, len))
+        machine.access(self.ctx, self.proc, MemoryAccess::read(addr, len))
     }
 }
 

@@ -16,9 +16,7 @@ use std::collections::HashMap;
 ///
 /// The map is only ever *looked up* (never iterated), so the hash-map
 /// ordering cannot leak into any exported artifact; counts are plain
-/// order-insensitive sums, which is why tenancy — unlike tracing,
-/// provenance, fault injection, and endurance — does not move the
-/// machine's traffic off its buffered pipeline.
+/// order-insensitive sums.
 #[derive(Debug, Clone)]
 pub struct TenancyTracker {
     /// Physical frame → owning tenant.

@@ -43,7 +43,6 @@ pub struct ConsolidationRun {
     faults: Option<FaultPlan>,
     endurance: Option<EnduranceConfig>,
     os: Option<OsPagingConfig>,
-    intra_threads: usize,
 }
 
 impl ConsolidationRun {
@@ -65,7 +64,6 @@ impl ConsolidationRun {
             faults: None,
             endurance: None,
             os: None,
-            intra_threads: 1,
         }
     }
 
@@ -80,8 +78,7 @@ impl ConsolidationRun {
     }
 
     /// Sets the scheduler slice length in workload steps (clamped to at
-    /// least 1). Slice boundaries are semantic flush points: buffered
-    /// submissions drain before the next tenant runs.
+    /// least 1).
     pub fn slice(mut self, steps: u64) -> Self {
         self.slice = steps.max(1);
         self
@@ -156,20 +153,13 @@ impl ConsolidationRun {
         self
     }
 
-    /// Sets the worker-thread count for intra-run batch resolution.
-    pub fn intra_threads(mut self, threads: usize) -> Self {
-        self.intra_threads = threads.max(1);
-        self
-    }
-
     /// Runs the consolidation to completion.
     ///
     /// # Errors
     ///
     /// Returns [`HemuError::InvalidConfig`] for inconsistent
-    /// configurations (zero tenants, more than 255 — tenant identity must
-    /// fit the packed submit metadata — or OS paging combined with a
-    /// write-rationing collector), and propagates heap or machine
+    /// configurations (zero tenants, more than 255, or OS paging combined
+    /// with a write-rationing collector), and propagates heap or machine
     /// exhaustion.
     pub fn run(&self) -> Result<RunReport> {
         self.run_traced(Tracer::disabled()).map(|a| a.report)
@@ -194,8 +184,8 @@ impl ConsolidationRun {
         if self.tenants == 0 {
             return Err(HemuError::InvalidConfig("need at least one tenant".into()));
         }
-        // Process and context ids ride in the packed submit metadata as
-        // single bytes; 255 tenants is far past any useful density anyway.
+        // 255 tenants is far past any useful density, and keeps the
+        // `--tenants` range and the attribution tables small.
         if self.tenants > 255 {
             return Err(HemuError::InvalidConfig(format!(
                 "{} tenants exceed the 255-tenant attribution limit",
@@ -211,7 +201,6 @@ impl ConsolidationRun {
         }
 
         let mut machine = Machine::new(self.profile);
-        machine.set_intra_threads(self.intra_threads);
         let mut os_mgr = self.os.map(|cfg| OsPageManager::install(&mut machine, cfg));
         // Tenancy goes in before any allocation so even the first heap
         // metadata fault is owned by its tenant.
@@ -290,7 +279,6 @@ impl ConsolidationRun {
             }
         }
 
-        machine.sync_submissions()?;
         machine.set_tracer(tracer);
         // Resets controller counters, clocks, metrics — and the tenancy
         // write counts, while frame ownership survives: the tenants keep
@@ -463,10 +451,7 @@ impl ConsolidationRun {
 }
 
 /// The slice scheduler: each live tenant runs up to `slice` consecutive
-/// workload steps, then yields. A slice boundary is a semantic flush
-/// point — buffered submissions drain before the next tenant's slice — so
-/// virtual time and counter state at every boundary are identical on the
-/// buffered pipeline and the per-line walk. A full round over all tenants is a
+/// workload steps, then yields. A full round over all tenants is a
 /// monitor/OS poll edge, exactly like the single-tenant round-robin.
 fn run_slices(
     machine: &mut Machine,
@@ -497,7 +482,6 @@ fn run_slices(
                     ));
                 }
             }
-            machine.sync_submissions()?;
         }
         if let Some(mon) = monitor.as_deref_mut() {
             mon.poll(machine);

@@ -53,26 +53,20 @@ grep -q '"name":"os_epoch"' "$smoke_dir/timeline.json"
 head -1 "$smoke_dir/heatmap.csv" | grep -q '^key,frame,writes,lines_touched,max_line_writes$'
 grep -q '"provenance":{"pcm":{"by_cause":{"mutator":' "$smoke_dir/prof/runs.json"
 
-echo "== parallel smoke: intra-threads {1,2,4} x --jobs {1,4} artifacts are byte-identical =="
-./target/release/repro fig3 --scale quick --jobs 1 --intra-threads 1 \
-  --json-out "$smoke_dir/j1-t1"
+echo "== parallel smoke: --jobs {1,4} artifacts are byte-identical =="
 for jobs in 1 4; do
-  for intra in 1 2 4; do
-    [ "$jobs$intra" = "11" ] && continue
-    ./target/release/repro fig3 --scale quick --jobs "$jobs" --intra-threads "$intra" \
-      --json-out "$smoke_dir/j$jobs-t$intra"
-    diff -r "$smoke_dir/j1-t1" "$smoke_dir/j$jobs-t$intra"
-  done
+  ./target/release/repro fig3 --scale quick --jobs "$jobs" --json-out "$smoke_dir/j$jobs"
 done
+diff -r "$smoke_dir/j1" "$smoke_dir/j4"
 
-echo "== route smoke: traced (per-line walk) and untraced (pipeline) artifacts are byte-identical =="
-./target/release/repro smoke --scale quick --jobs 4 --json-out "$smoke_dir/route-untraced"
+echo "== trace smoke: traced and untraced artifacts are byte-identical =="
+./target/release/repro smoke --scale quick --jobs 4 --json-out "$smoke_dir/untraced"
 for jobs in 1 4; do
   ./target/release/repro smoke --scale quick --jobs "$jobs" \
-    --json-out "$smoke_dir/route-traced-j$jobs" --trace-out "$smoke_dir/route-trace-j$jobs.jsonl"
-  diff -r "$smoke_dir/route-untraced" "$smoke_dir/route-traced-j$jobs"
+    --json-out "$smoke_dir/traced-j$jobs" --trace-out "$smoke_dir/trace-j$jobs.jsonl"
+  diff -r "$smoke_dir/untraced" "$smoke_dir/traced-j$jobs"
 done
-diff "$smoke_dir/route-trace-j1.jsonl" "$smoke_dir/route-trace-j4.jsonl"
+diff "$smoke_dir/trace-j1.jsonl" "$smoke_dir/trace-j4.jsonl"
 
 echo "== chaos smoke: killed sweep resumes byte-identical (jobs 1 and 4) =="
 ./target/release/repro smoke --scale quick --jobs 2 --json-out "$smoke_dir/chaos-ref"
