@@ -132,8 +132,8 @@ fn main() {
         }
     };
     let mix = match mix_flag.as_deref() {
-        None => hemu_tenant::Mix::Mixed,
-        Some(s) => match hemu_tenant::Mix::parse(s) {
+        None => hemu_workloads::Mix::Mixed,
+        Some(s) => match hemu_workloads::Mix::parse(s) {
             Some(m) => m,
             None => {
                 eprintln!("--mix: expected dacapo|pjbb|graphchi|mixed, got `{s}`");

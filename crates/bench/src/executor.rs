@@ -31,8 +31,8 @@ use crate::harness::{Manager, Profile, RunPolicy};
 use hemu_core::{Experiment, RunArtifacts};
 use hemu_fault::{EnduranceConfig, FaultPlan};
 use hemu_obs::{Reporter, Tracer};
-use hemu_tenant::{ConsolidationRun, Mix};
 use hemu_types::{HemuError, OsPagingConfig};
+use hemu_workloads::Roster;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
@@ -44,36 +44,51 @@ use std::thread;
 /// under this.
 pub(crate) const TRACE_CAPACITY: usize = 1 << 16;
 
-/// A multi-tenant payload attached to a [`JobSpec`]: when present, the job
-/// runs a [`ConsolidationRun`] of `tenants` workloads from `mix` instead of
-/// a single-workload [`Experiment`] (whose `spec` field is then ignored).
-#[derive(Debug, Clone, Copy)]
-pub struct ConsolidationJob {
-    /// Workload mix tenants are drawn from.
-    pub mix: Mix,
-    /// Consolidation density (tenant count).
-    pub tenants: usize,
-    /// Scheduler slice length in workload steps.
-    pub slice: u64,
-}
-
 /// One experiment run awaiting execution, fully described by value so a
 /// worker thread needs nothing from the harness.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
-    /// The memoization key (`workload|manager|instances|profile`, or
-    /// `mix@tenants|manager|sliceN|profile` for consolidated jobs).
+    /// The memoization key: `workload|manager|instances|profile` for
+    /// copies, `mix@tenants|manager|sliceN|profile` for mixes.
     pub key: String,
-    /// Workload to run (a roster placeholder for consolidated jobs).
-    pub spec: hemu_workloads::WorkloadSpec,
+    /// Who co-runs: copies of one workload, or tenants from a mix.
+    pub roster: Roster,
+    /// Co-running workload count (copies or tenants).
+    pub instances: usize,
+    /// Scheduler slice in workload steps.
+    pub slice: u64,
     /// Who places pages: a collector or an OS paging policy.
     pub manager: Manager,
-    /// Co-running instance count (the tenant count for consolidated jobs).
-    pub instances: usize,
     /// Machine profile.
     pub profile: Profile,
-    /// Multi-tenant payload; `None` runs a plain experiment.
-    pub consolidation: Option<ConsolidationJob>,
+}
+
+impl JobSpec {
+    /// Describes one run and renders its key, the one place both key
+    /// formats are spelled.
+    pub(crate) fn new(
+        roster: Roster,
+        instances: usize,
+        slice: u64,
+        manager: Manager,
+        profile: Profile,
+    ) -> Self {
+        let key = match roster {
+            Roster::Copies(spec) => format!("{spec}|{}|{instances}|{profile:?}", manager.name()),
+            Roster::Mix(mix) => format!(
+                "{mix}@{instances}|{}|slice{slice}|{profile:?}",
+                manager.name()
+            ),
+        };
+        JobSpec {
+            key,
+            roster,
+            instances,
+            slice,
+            manager,
+            profile,
+        }
+    }
 }
 
 /// The outcome of executing one job, parked in staging until the run is
@@ -122,9 +137,12 @@ fn panic_error(payload: &(dyn std::any::Any + Send)) -> HemuError {
 /// (when the key matches) the fault plan reseeded for this attempt so a
 /// retry does not deterministically re-fail.
 fn configure(ctx: &ExecCtx, job: &JobSpec, attempt: u32) -> Experiment {
-    let mut e = Experiment::new(job.spec)
-        .instances(job.instances)
-        .profile(job.profile.machine());
+    let mut e = match job.roster {
+        Roster::Copies(spec) => Experiment::new(spec).instances(job.instances),
+        Roster::Mix(mix) => Experiment::mix(mix, job.instances),
+    }
+    .slice(job.slice)
+    .profile(job.profile.machine());
     if ctx.want_profile {
         e = e.profiling();
     }
@@ -149,56 +167,22 @@ fn configure(ctx: &ExecCtx, job: &JobSpec, attempt: u32) -> Experiment {
     e
 }
 
-/// [`configure`] for consolidated jobs: the same knobs, applied to a
-/// [`ConsolidationRun`] instead of an [`Experiment`].
-fn configure_consolidation(
-    ctx: &ExecCtx,
-    job: &JobSpec,
-    c: &ConsolidationJob,
-    attempt: u32,
-) -> ConsolidationRun {
-    let mut r = ConsolidationRun::new(c.mix, c.tenants)
-        .slice(c.slice)
-        .profile(job.profile.machine());
-    if ctx.want_profile {
-        r = r.profiling();
-    }
-    match job.manager {
-        Manager::Gc(collector) => r = r.collector(collector),
-        Manager::Os(policy) => {
-            let mut cfg = ctx.os_tuning;
-            cfg.policy = policy;
-            r = r.os_paging(cfg);
-        }
-    }
-    if let Some(cfg) = ctx.endurance {
-        r = r.endurance(cfg);
-    }
-    if let Some(plan) = &ctx.fault_plan {
-        if plan.applies_to(&job.key) {
-            r = r.faults(plan.for_attempt(attempt));
-        }
-    }
-    r
-}
-
 /// Runs one attempt with panic isolation and, when the policy sets a
 /// deadline, a watchdog: the run executes on a helper thread and an
 /// expired deadline abandons it (the thread is detached; the Machine it
 /// owns is dropped when the attempt eventually unwinds or finishes).
-/// Generic over the run entry point so single-workload experiments and
-/// consolidated runs share the exact same guard machinery.
-fn run_guarded<F>(policy: &RunPolicy, want_trace: bool, run: F) -> Result<RunArtifacts, HemuError>
-where
-    F: FnOnce(Tracer) -> Result<RunArtifacts, HemuError> + Send + 'static,
-{
+fn run_guarded(
+    policy: &RunPolicy,
+    want_trace: bool,
+    experiment: Experiment,
+) -> Result<RunArtifacts, HemuError> {
     let body = move || {
         let tracer = if want_trace {
             Tracer::bounded(TRACE_CAPACITY)
         } else {
             Tracer::disabled()
         };
-        run(tracer)
+        experiment.run_traced(tracer)
     };
     match policy.deadline {
         None => panic::catch_unwind(AssertUnwindSafe(body))
@@ -244,19 +228,7 @@ pub(crate) fn run_job_inner(job: &JobSpec, ctx: &ExecCtx, announce: bool) -> Sta
     }
     let mut attempt = 1u32;
     loop {
-        let guarded = match &job.consolidation {
-            Some(c) => {
-                let run = configure_consolidation(ctx, job, c, attempt);
-                run_guarded(&ctx.policy, ctx.want_trace, move |t| run.run_traced(t))
-            }
-            None => {
-                let experiment = configure(ctx, job, attempt);
-                run_guarded(&ctx.policy, ctx.want_trace, move |t| {
-                    experiment.run_traced(t)
-                })
-            }
-        };
-        match guarded {
+        match run_guarded(&ctx.policy, ctx.want_trace, configure(ctx, job, attempt)) {
             Ok(ok) => {
                 ctx.reporter.finish(&job.key, &format!("done {}", job.key));
                 return StagedRun {
@@ -467,11 +439,13 @@ mod tests {
         keys.iter()
             .map(|k| JobSpec {
                 key: (*k).to_string(),
-                spec,
-                manager: Manager::Gc(hemu_heap::CollectorKind::PcmOnly),
-                instances: 1,
-                profile: Profile::Emulation,
-                consolidation: None,
+                ..JobSpec::new(
+                    Roster::Copies(spec),
+                    1,
+                    1,
+                    Manager::Gc(hemu_heap::CollectorKind::PcmOnly),
+                    Profile::Emulation,
+                )
             })
             .collect()
     }

@@ -12,11 +12,11 @@
 //! a sweep with one bad configuration still produces every other result.
 
 use crate::fmt::{ratio, table};
-use crate::harness::{Harness, Manager, Profile};
+use crate::harness::{workload, Harness, Manager, Profile};
 use hemu_core::lifetime::{LifetimeModel, ENDURANCE_PROTOTYPES};
 use hemu_heap::{plan, CollectorKind};
 use hemu_types::{ByteSize, OsPagingConfig, OsPolicy, Result};
-use hemu_workloads::{spec, DatasetSize, Suite, WorkloadSpec};
+use hemu_workloads::{spec, DatasetSize, Mix, Suite};
 
 /// Table I: space-to-socket mapping of KG-N, KG-W and KG-W−MDO, printed
 /// from the live plan objects.
@@ -142,7 +142,7 @@ pub fn fig3(h: &mut Harness) -> Result<String> {
     ]];
     for name in ["pr", "cc", "als"] {
         let cpp = h.run_cpp(name, DatasetSize::Default).ok();
-        let spec = WorkloadSpec::by_name(name).unwrap();
+        let spec = workload(name)?;
         let java = h.run1_opt(spec, CollectorKind::PcmOnly);
         let kgn = h.run1_opt(spec, CollectorKind::KgN);
         let kgw = h.run1_opt(spec, CollectorKind::KgW);
@@ -365,7 +365,7 @@ pub fn fig7(h: &mut Harness) -> Result<String> {
         head
     }];
     for name in ["pr", "cc", "als"] {
-        let spec = WorkloadSpec::by_name(name).unwrap();
+        let spec = workload(name)?;
         let base = h.run1_opt(spec, CollectorKind::PcmOnly);
         let mut cells = vec![name.to_uppercase()];
         for c in collectors {
@@ -500,7 +500,7 @@ pub fn ablations() -> Result<String> {
     use hemu_heap::chunks::ChunkPolicy;
     use hemu_machine::MachineProfile;
 
-    let spec = WorkloadSpec::by_name("lu.Fix").unwrap();
+    let spec = workload("lu.Fix")?;
     let mut out = String::from("Ablation studies\n");
 
     // (1) LLC size: the §V mechanism — a large LLC absorbs nursery writes,
@@ -610,9 +610,7 @@ pub fn ablations() -> Result<String> {
 /// Propagates experiment failures, and rejects unknown benchmark names.
 pub fn series(name: &str, collector: CollectorKind) -> Result<String> {
     use hemu_core::Experiment;
-    let spec = WorkloadSpec::by_name(name).ok_or_else(|| {
-        hemu_types::HemuError::InvalidConfig(format!("unknown benchmark `{name}`"))
-    })?;
+    let spec = workload(name)?;
     let r = Experiment::new(spec)
         .collector(collector)
         .monitor_interval(0.005)
@@ -648,10 +646,7 @@ pub fn series(name: &str, collector: CollectorKind) -> Result<String> {
 ///
 /// Propagates experiment failures.
 pub fn os_baseline(h: &mut Harness, policies: &[OsPolicy]) -> Result<String> {
-    let benches = [
-        WorkloadSpec::by_name("lusearch").unwrap(),
-        WorkloadSpec::by_name("avrora").unwrap(),
-    ];
+    let benches = [workload("lusearch")?, workload("avrora")?];
     let mut managers: Vec<Manager> = vec![CollectorKind::KgN.into(), CollectorKind::KgW.into()];
     managers.extend(policies.iter().copied().map(Manager::from));
 
@@ -750,10 +745,7 @@ pub fn write_breakdown(os_tuning: OsPagingConfig, policies: &[OsPolicy]) -> Resu
     use hemu_core::Experiment;
     use hemu_types::{SpaceTag, WriteCause};
 
-    let benches = [
-        WorkloadSpec::by_name("lusearch").expect("workload registry"),
-        WorkloadSpec::by_name("avrora").expect("workload registry"),
-    ];
+    let benches = [workload("lusearch")?, workload("avrora")?];
     let mut managers: Vec<Manager> = vec![
         CollectorKind::PcmOnly.into(),
         CollectorKind::KgN.into(),
@@ -868,11 +860,7 @@ pub fn smoke(h: &mut Harness) -> Result<String> {
         "KG-N reduction".to_string(),
     ]];
     for name in apps {
-        let spec = WorkloadSpec::by_name(name).ok_or_else(|| {
-            hemu_types::HemuError::InvalidConfig(format!(
-                "smoke workload `{name}` missing from registry"
-            ))
-        })?;
+        let spec = workload(name)?;
         let base = h.run_opt(spec, CollectorKind::PcmOnly, 1, Profile::Emulation);
         let kgn = h.run_opt(spec, CollectorKind::KgN, 1, Profile::Emulation);
         let cell = |r: &Option<hemu_core::RunReport>| {
@@ -902,12 +890,7 @@ pub fn smoke(h: &mut Harness) -> Result<String> {
 ///
 /// Propagates experiment failures only when *every* density fails; a
 /// partially failed sweep renders `FAIL` rows.
-pub fn consolidation(
-    h: &mut Harness,
-    mix: hemu_tenant::Mix,
-    slice: u64,
-    max_tenants: usize,
-) -> Result<String> {
+pub fn consolidation(h: &mut Harness, mix: Mix, slice: u64, max_tenants: usize) -> Result<String> {
     let mut densities = Vec::new();
     let mut n = 1usize;
     while n < max_tenants {

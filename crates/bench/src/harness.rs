@@ -9,7 +9,7 @@ use hemu_obs::journal::{read_journal, JournalReadError, JournalRecord, JournalWr
 use hemu_obs::json::{JsonObject, ToJson};
 use hemu_obs::{fnv1a64, hash_hex, to_json_lines, write_atomic_str, Csv, Reporter, Timeline};
 use hemu_types::{HemuError, OsPagingConfig, OsPolicy, Result};
-use hemu_workloads::{spec, DatasetSize, Language, WorkloadSpec};
+use hemu_workloads::{spec, DatasetSize, Language, Mix, Roster, WorkloadSpec};
 use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -146,8 +146,9 @@ impl RunStatus {
 /// One executed run (successful or not), in execution order.
 #[derive(Debug, Clone)]
 pub struct RunRecord {
-    /// The memoization key (`workload|manager|instances|profile`, where
-    /// the manager is a collector or OS-policy name).
+    /// The memoization key (`workload|manager|instances|profile`, or
+    /// `mix@tenants|manager|sliceN|profile` for mix runs; the manager is a
+    /// collector or OS-policy name).
     pub key: String,
     /// Terminal outcome.
     pub status: RunStatus,
@@ -240,6 +241,17 @@ pub struct Harness {
 struct RestoredRun {
     report: RunReport,
     attempts: u32,
+}
+
+/// Looks a benchmark up by name.
+///
+/// # Errors
+///
+/// Returns [`HemuError::InvalidConfig`] for a name the workload registry
+/// does not know.
+pub(crate) fn workload(name: &str) -> Result<WorkloadSpec> {
+    WorkloadSpec::by_name(name)
+        .ok_or_else(|| HemuError::InvalidConfig(format!("unknown benchmark `{name}`")))
 }
 
 fn io_err(context: &str, path: &Path, e: &std::io::Error) -> HemuError {
@@ -440,8 +452,38 @@ impl Harness {
         instances: usize,
         profile: Profile,
     ) -> Result<RunReport> {
-        let manager = manager.into();
-        let key = format!("{spec}|{}|{instances}|{profile:?}", manager.name());
+        let job = JobSpec::new(Roster::Copies(spec), instances, 1, manager.into(), profile);
+        self.demand(job)
+    }
+
+    /// Runs (or fetches) one multi-tenant consolidation: `tenants`
+    /// workloads from `mix`, slice-scheduled onto the profile's hardware
+    /// contexts. Rides the exact same memoization, planning, staging,
+    /// journaling, and export machinery as [`Harness::run`] — the run key
+    /// (`mix@tenants|manager|sliceN|profile`) doubles as the progress
+    /// label, so consolidated runs report as `mixed@16`-style entries.
+    ///
+    /// # Errors
+    ///
+    /// Returns the run's terminal error, exactly like [`Harness::run`].
+    pub fn run_consolidated(
+        &mut self,
+        mix: Mix,
+        tenants: usize,
+        slice: u64,
+        manager: impl Into<Manager>,
+        profile: Profile,
+    ) -> Result<RunReport> {
+        let job = JobSpec::new(Roster::Mix(mix), tenants, slice, manager.into(), profile);
+        self.demand(job)
+    }
+
+    /// The one demand path behind [`Harness::run`] and
+    /// [`Harness::run_consolidated`]: answer from the memo tables, enqueue
+    /// while planning, commit a restored or staged result, or execute
+    /// inline.
+    fn demand(&mut self, job: JobSpec) -> Result<RunReport> {
+        let key = job.key.clone();
         if let Some(r) = self.cache.get(&key) {
             return Ok(r.clone());
         }
@@ -462,14 +504,7 @@ impl Harness {
                 };
             }
             if self.pending_set.insert(key.clone()) {
-                self.pending.push(JobSpec {
-                    key: key.clone(),
-                    spec,
-                    manager,
-                    instances,
-                    profile,
-                    consolidation: None,
-                });
+                self.pending.push(job);
             }
             return Err(HemuError::Deferred { key });
         }
@@ -481,94 +516,7 @@ impl Harness {
         }
         // Inline execution: the sequential path (and the fallback should a
         // planned sweep demand a run no planning pass discovered).
-        let ctx = self.exec_ctx();
-        let job = JobSpec {
-            key: key.clone(),
-            spec,
-            manager,
-            instances,
-            profile,
-            consolidation: None,
-        };
-        let sr = executor::run_job(&job, &ctx);
-        self.commit(key, sr)
-    }
-
-    /// Runs (or fetches) one multi-tenant consolidation: `tenants`
-    /// workloads from `mix`, slice-scheduled onto the profile's hardware
-    /// contexts. Rides the exact same memoization, planning, staging,
-    /// journaling, and export machinery as [`Harness::run`] — the run key
-    /// (`mix@tenants|manager|sliceN|profile`) doubles as the progress
-    /// label, so consolidated runs report as `mixed@16`-style entries.
-    ///
-    /// # Errors
-    ///
-    /// Returns the run's terminal error, exactly like [`Harness::run`].
-    pub fn run_consolidated(
-        &mut self,
-        mix: hemu_tenant::Mix,
-        tenants: usize,
-        slice: u64,
-        manager: impl Into<Manager>,
-        profile: Profile,
-    ) -> Result<RunReport> {
-        let manager = manager.into();
-        let key = format!(
-            "{mix}@{tenants}|{}|slice{slice}|{profile:?}",
-            manager.name()
-        );
-        if let Some(r) = self.cache.get(&key) {
-            return Ok(r.clone());
-        }
-        if let Some(e) = self.failed.get(&key) {
-            return Err(e.clone());
-        }
-        // The spec field is a roster placeholder: consolidated jobs build
-        // their workloads from the mix, never from it.
-        let spec = WorkloadSpec::by_name(mix.roster()[0]).expect("mix rosters resolve");
-        let consolidation = Some(crate::executor::ConsolidationJob {
-            mix,
-            tenants,
-            slice,
-        });
-        if self.planning {
-            if let Some(rr) = self.restored.get(&key) {
-                return Ok(rr.report.clone());
-            }
-            if let Some(sr) = self.staged.get(&key) {
-                return match &sr.outcome {
-                    Ok(arts) => Ok(arts.report.clone()),
-                    Err(e) => Err(e.clone()),
-                };
-            }
-            if self.pending_set.insert(key.clone()) {
-                self.pending.push(JobSpec {
-                    key: key.clone(),
-                    spec,
-                    manager,
-                    instances: tenants,
-                    profile,
-                    consolidation,
-                });
-            }
-            return Err(HemuError::Deferred { key });
-        }
-        if let Some(rr) = self.restored.remove(&key) {
-            return self.commit_restored(key, rr);
-        }
-        if let Some(sr) = self.staged.remove(&key) {
-            return self.commit(key, sr);
-        }
-        let ctx = self.exec_ctx();
-        let job = JobSpec {
-            key: key.clone(),
-            spec,
-            manager,
-            instances: tenants,
-            profile,
-            consolidation,
-        };
-        let sr = executor::run_job(&job, &ctx);
+        let sr = executor::run_job(&job, &self.exec_ctx());
         self.commit(key, sr)
     }
 
@@ -576,7 +524,7 @@ impl Harness {
     /// `None` so density sweeps degrade to partial figures.
     pub fn run_consolidated_opt(
         &mut self,
-        mix: hemu_tenant::Mix,
+        mix: Mix,
         tenants: usize,
         slice: u64,
         manager: impl Into<Manager>,
@@ -1025,10 +973,9 @@ impl Harness {
     ///
     /// # Errors
     ///
-    /// Propagates experiment failures.
+    /// Propagates experiment failures, and rejects unknown benchmark names.
     pub fn run_cpp(&mut self, name: &str, dataset: DatasetSize) -> Result<RunReport> {
-        let spec = WorkloadSpec::by_name(name)
-            .expect("unknown GraphChi app")
+        let spec = workload(name)?
             .with_language(Language::Cpp)
             .with_dataset(dataset);
         self.run1(spec, CollectorKind::PcmOnly)

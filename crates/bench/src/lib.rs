@@ -13,5 +13,5 @@ pub mod experiments;
 pub mod fmt;
 pub mod harness;
 
-pub use executor::{ConsolidationJob, ExecCtx, JobSpec, StagedRun};
+pub use executor::{ExecCtx, JobSpec, StagedRun};
 pub use harness::{Harness, Manager, Profile, RunPolicy, RunRecord, RunStatus, Scale};

@@ -90,7 +90,7 @@ fn tenant_sweep(h: &mut Harness) -> Result<String> {
     let mut out = String::new();
     for tenants in [2usize, 3] {
         if let Some(r) = h.run_consolidated_opt(
-            hemu_tenant::Mix::Dacapo,
+            hemu_workloads::Mix::Dacapo,
             tenants,
             32,
             CollectorKind::PcmOnly,

@@ -1,11 +1,12 @@
-//! Experiment configuration and the multiprogrammed runner.
+//! Experiment configuration and the run driver: multiprogrammed copies
+//! and multi-tenant mixes share one slice scheduler.
 
 use crate::monitor::WriteRateMonitor;
-use crate::report::{PageWear, ProvenanceSummary, RunReport};
+use crate::report::{ConsolidationSummary, PageWear, ProvenanceSummary, RunReport, TenantShare};
 use hemu_fault::{EnduranceConfig, FaultPlan};
 use hemu_heap::chunks::ChunkPolicy;
 use hemu_heap::{CollectorKind, GcStats, ManagedHeap};
-use hemu_machine::{CtxId, Machine, MachineProfile};
+use hemu_machine::{CtxId, Machine, MachineProfile, ProcId};
 use hemu_malloc::{NativeHeap, NativeStats};
 use hemu_obs::{SpanRecord, TraceRecord, Tracer};
 use hemu_os::OsPageManager;
@@ -13,7 +14,9 @@ use hemu_types::{
     ByteSize, HemuError, OsPagingConfig, Result, SocketId, SpaceTag, WriteCause, CACHE_LINE,
     PAGE_SIZE,
 };
-use hemu_workloads::{Language, Memory, StepResult, Workload, WorkloadSpec};
+use hemu_workloads::{
+    Language, Memory, Mix, Roster, StepResult, TenantSpec, Workload, WorkloadSpec,
+};
 
 /// Everything one profiled run produces beyond the report: the event
 /// trace, the profiler's span records (virtual-time GC phases, OS epochs
@@ -37,16 +40,25 @@ pub struct RunArtifacts {
     pub elapsed: hemu_types::Cycles,
 }
 
-/// A configured experiment: workload × collector × instances × machine.
+/// A configured experiment: roster × collector × machine.
 ///
-/// Built with a fluent API and executed with [`Experiment::run`], which
-/// follows the paper's measurement methodology (replay compilation:
-/// warm-up iteration, barrier, measured iteration; §IV).
+/// The roster is either N copies of one workload sharing a seed (the
+/// paper's multiprogrammed runs, [`Experiment::new`] plus
+/// [`Experiment::instances`]) or N tenants drawn from a [`Mix`]
+/// ([`Experiment::mix`]). Built with a fluent API and executed with
+/// [`Experiment::run`], which follows the paper's measurement methodology
+/// (replay compilation: warm-up iteration, barrier, measured iteration;
+/// §IV).
+///
+/// Workload `i` runs on hardware context `i % contexts`, so rosters
+/// larger than the profile's context count share contexts the way
+/// consolidated VMs share cores.
 #[derive(Debug, Clone)]
 pub struct Experiment {
-    spec: WorkloadSpec,
-    collector: CollectorKind,
+    roster: Roster,
     instances: usize,
+    slice: u64,
+    collector: CollectorKind,
     profile: MachineProfile,
     seed: u64,
     chunk_policy: ChunkPolicy,
@@ -60,14 +72,30 @@ pub struct Experiment {
     os: Option<OsPagingConfig>,
 }
 
+/// The largest roster a run accepts: far past any useful density, and it
+/// keeps tenant ids (and the attribution tables) within a byte.
+const MAX_WORKLOADS: usize = 255;
+
 impl Experiment {
     /// Creates an experiment with the paper's defaults: one instance,
     /// PCM-Only collector, the emulation machine profile.
     pub fn new(spec: WorkloadSpec) -> Self {
+        Self::with_roster(Roster::Copies(spec), 1)
+    }
+
+    /// Creates a consolidation run: `tenants` workloads drawn round-robin
+    /// from `mix`, tenant `i` seeded with `seed + i`. Only mix runs attribute
+    /// writes per tenant and carry [`RunReport::consolidation`].
+    pub fn mix(mix: Mix, tenants: usize) -> Self {
+        Self::with_roster(Roster::Mix(mix), tenants)
+    }
+
+    fn with_roster(roster: Roster, instances: usize) -> Self {
         Experiment {
-            spec,
+            roster,
+            instances,
+            slice: 1,
             collector: CollectorKind::PcmOnly,
-            instances: 1,
             profile: MachineProfile::emulation(),
             seed: 42,
             chunk_policy: ChunkPolicy::TwoLists,
@@ -143,9 +171,18 @@ impl Experiment {
         self
     }
 
-    /// Sets the number of co-running instances (multiprogramming).
+    /// Sets the number of co-running workloads: copies of the spec, or
+    /// tenants drawn from the mix.
     pub fn instances(mut self, instances: usize) -> Self {
         self.instances = instances;
+        self
+    }
+
+    /// Sets the scheduler slice: how many consecutive workload steps each
+    /// running workload takes per turn (clamped to at least 1, the
+    /// default).
+    pub fn slice(mut self, steps: u64) -> Self {
+        self.slice = steps.max(1);
         self
     }
 
@@ -155,7 +192,7 @@ impl Experiment {
         self
     }
 
-    /// Sets the random seed.
+    /// Sets the random seed (the base seed of a mix's tenants).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -174,7 +211,8 @@ impl Experiment {
         self
     }
 
-    /// Sets the write-rate monitor's sampling interval in virtual seconds.
+    /// Sets the write-rate monitor's sampling interval in virtual seconds
+    /// (must be positive; checked at [`Experiment::run`]).
     pub fn monitor_interval(mut self, seconds: f64) -> Self {
         self.monitor_interval = seconds;
         self
@@ -185,10 +223,11 @@ impl Experiment {
     /// # Errors
     ///
     /// Returns [`HemuError::InvalidConfig`] for inconsistent
-    /// configurations (zero instances, more instances than hardware
-    /// contexts, or a C++ workload with a hybrid collector — the paper
-    /// evaluates the C++ implementations on the PCM-Only reference
-    /// system), and propagates heap or machine exhaustion.
+    /// configurations (a roster outside 1..=255 workloads, a C++ workload
+    /// with a hybrid collector — the paper evaluates the C++
+    /// implementations on the PCM-Only reference system — OS paging with a
+    /// write-rationing collector, or a monitor interval that is not
+    /// positive), and propagates heap or machine exhaustion.
     pub fn run(&self) -> Result<RunReport> {
         self.run_traced(Tracer::disabled()).map(|a| a.report)
     }
@@ -220,28 +259,17 @@ impl Experiment {
             .map(|a| (a.report, a.trace))
     }
 
-    /// Runs the experiment with an explicit tracer and returns the full
-    /// artifact bundle — the general form behind [`Experiment::run`],
-    /// [`Experiment::run_full`] and [`Experiment::run_with_trace`], for
-    /// callers (like the bench harness) that want both the event trace and
-    /// the profiler's artifacts from a single run.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Experiment::run`].
-    pub fn run_traced(&self, tracer: Tracer) -> Result<RunArtifacts> {
-        if self.instances == 0 {
-            return Err(HemuError::InvalidConfig(
-                "need at least one instance".into(),
-            ));
-        }
-        if self.instances > self.profile.contexts {
+    /// Checks the configuration and resolves the roster into its workloads.
+    fn validate(&self) -> Result<Vec<TenantSpec>> {
+        if !(1..=MAX_WORKLOADS).contains(&self.instances) {
             return Err(HemuError::InvalidConfig(format!(
-                "{} instances exceed the profile's {} hardware contexts",
-                self.instances, self.profile.contexts
+                "a run takes 1..={MAX_WORKLOADS} workloads, got {}",
+                self.instances
             )));
         }
-        if self.spec.language == Language::Cpp && self.collector != CollectorKind::PcmOnly {
+        let tenants = self.roster.tenant_specs(self.instances, self.seed)?;
+        let cpp = tenants.iter().any(|t| t.workload.language == Language::Cpp);
+        if cpp && self.collector != CollectorKind::PcmOnly {
             return Err(HemuError::InvalidConfig(
                 "C++ workloads run on the PCM-Only reference system".into(),
             ));
@@ -253,11 +281,42 @@ impl Experiment {
                     .into(),
             ));
         }
+        if self.monitor_interval.is_nan() || self.monitor_interval <= 0.0 {
+            return Err(HemuError::InvalidConfig(format!(
+                "the monitor interval must be a positive number of seconds, got {}",
+                self.monitor_interval
+            )));
+        }
+        Ok(tenants)
+    }
+
+    /// Runs the experiment with an explicit tracer and returns the full
+    /// artifact bundle — the general form behind [`Experiment::run`],
+    /// [`Experiment::run_full`] and [`Experiment::run_with_trace`], for
+    /// callers (like the bench harness) that want both the event trace and
+    /// the profiler's artifacts from a single run.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Experiment::run`].
+    pub fn run_traced(&self, tracer: Tracer) -> Result<RunArtifacts> {
+        let tenants = self.validate()?;
+        // Only mix runs attribute writes per tenant, so the reports and
+        // metrics of copy runs carry no tenant data.
+        let mix = match self.roster {
+            Roster::Mix(mix) => Some(mix),
+            Roster::Copies(_) => None,
+        };
 
         let mut machine = Machine::new(self.profile);
         // The OS page manager installs before anything touches memory, so
         // even heap metadata is placed (and sampled) under its policy.
         let mut os_mgr = self.os.map(|cfg| OsPageManager::install(&mut machine, cfg));
+        // Tenancy goes in before any allocation so even the first heap
+        // metadata fault is owned by its tenant.
+        if mix.is_some() {
+            machine.enable_tenancy(self.instances);
+        }
         if self.track_wear || self.profiling {
             machine.enable_wear_tracking();
         }
@@ -270,73 +329,90 @@ impl Experiment {
         if let Some(plan) = &self.faults {
             machine.install_faults(plan.clone());
         }
-        let mut instances: Vec<(Box<dyn Workload>, Memory)> = Vec::new();
-        for i in 0..self.instances {
-            let workload = self.spec.instantiate(self.seed);
-            let ctx = CtxId(i % machine.contexts());
-            let mem = match self.spec.language {
-                Language::Java => {
-                    let nursery = self.nursery_override.unwrap_or(workload.base_nursery());
-                    let cfg = self.collector.config(nursery, workload.heap_size());
-                    let proc = machine.add_process(cfg.young_socket());
-                    if let Some(os) = &os_mgr {
-                        os.attach_process(&mut machine, proc);
-                    }
-                    Memory::managed(ManagedHeap::with_chunk_policy(
-                        &mut machine,
-                        proc,
-                        ctx,
-                        cfg,
-                        self.chunk_policy,
-                    )?)
-                }
-                Language::Cpp => {
-                    let proc = machine.add_process(SocketId::PCM);
-                    if let Some(os) = &os_mgr {
-                        os.attach_process(&mut machine, proc);
-                    }
-                    Memory::native(NativeHeap::new(&mut machine, proc, ctx, SocketId::PCM))
-                }
+        let mut workloads: Vec<(Box<dyn Workload>, Memory)> = Vec::new();
+        let mut procs: Vec<ProcId> = Vec::new();
+        for t in &tenants {
+            let workload = t.workload.instantiate(t.seed);
+            let ctx = CtxId(t.id % machine.contexts());
+            let heap_cfg = (t.workload.language == Language::Java).then(|| {
+                let nursery = self.nursery_override.unwrap_or(workload.base_nursery());
+                self.collector.config(nursery, workload.heap_size())
+            });
+            let proc = machine.add_process(
+                heap_cfg
+                    .as_ref()
+                    .map_or(SocketId::PCM, |c| c.young_socket()),
+            );
+            if mix.is_some() {
+                machine.set_proc_tenant(proc, t.id as u16);
+            }
+            if let Some(os) = &os_mgr {
+                os.attach_process(&mut machine, proc);
+            }
+            let mem = match heap_cfg {
+                Some(cfg) => Memory::managed(ManagedHeap::with_chunk_policy(
+                    &mut machine,
+                    proc,
+                    ctx,
+                    cfg,
+                    self.chunk_policy,
+                )?),
+                None => Memory::native(NativeHeap::new(&mut machine, proc, ctx, SocketId::PCM)),
             };
-            instances.push((workload, mem));
+            procs.push(proc);
+            workloads.push((workload, mem));
         }
 
         // Warm-up iteration (replay compilation's compile iteration). The
         // OS manager is polled here too, so hot pages migrate toward their
         // steady-state placement before measurement starts.
         if self.warmup {
-            run_iteration(&mut machine, &mut instances, None, os_mgr.as_mut())?;
-            // All instances synchronize at a barrier and start the second
+            schedule(
+                &mut machine,
+                &mut workloads,
+                self.slice,
+                None,
+                os_mgr.as_mut(),
+            )?;
+            // All workloads synchronize at a barrier and start the second
             // iteration at the same time (§IV).
             machine.barrier();
-            for (w, _) in &mut instances {
+            for (w, _) in &mut workloads {
                 w.start_iteration();
             }
         }
 
-        // Snapshot per-instance stats, then measure the steady iteration.
+        // Snapshot per-workload stats, then measure the steady iteration.
         // The tracer goes in only now, so the trace covers exactly the
-        // measured iteration (metrics are reset at the same point).
+        // measured iteration. Metrics, clocks and controller counters are
+        // reset at the same point — and so are the tenancy write counts,
+        // while frame ownership survives: the tenants keep their memory,
+        // the measurement interval restarts.
         machine.set_tracer(tracer);
         machine.start_measured_iteration();
-        let gc_before: Vec<Option<GcStats>> = instances
+        let gc_before: Vec<Option<GcStats>> = workloads
             .iter()
             .map(|(_, m)| m.gc_stats().copied())
             .collect();
-        let native_before: Vec<Option<NativeStats>> = instances
+        let native_before: Vec<Option<NativeStats>> = workloads
             .iter()
             .map(|(_, m)| m.native_stats().copied())
             .collect();
-        let alloc_before: u64 = instances.iter().map(|(_, m)| m.allocated_bytes()).sum();
+        let alloc_before: Vec<u64> = workloads.iter().map(|(_, m)| m.allocated_bytes()).collect();
+        let faults_before: Vec<u64> = procs
+            .iter()
+            .map(|&p| machine.address_space(p).fault_count())
+            .collect();
 
         let mut monitor = WriteRateMonitor::new(self.monitor_interval);
         // The measured iteration is the root profiler span; clocks were
         // just reset, so it opens at virtual zero.
         let spans = machine.spans();
         spans.begin("iteration", "run", hemu_types::Cycles::ZERO);
-        run_iteration(
+        schedule(
             &mut machine,
-            &mut instances,
+            &mut workloads,
+            self.slice,
             Some(&mut monitor),
             os_mgr.as_mut(),
         )?;
@@ -350,17 +426,67 @@ impl Experiment {
         monitor.finish(&machine);
 
         // Aggregate.
-        let elapsed = machine.elapsed_seconds();
-        let pcm_writes = machine.socket_writes(SocketId::PCM);
-        let gc = aggregate_gc(&instances, &gc_before);
-        let native = aggregate_native(&instances, &native_before);
-        let allocated = instances
+        let gc_deltas: Vec<Option<GcStats>> = workloads
             .iter()
-            .map(|(_, m)| m.allocated_bytes())
-            .sum::<u64>()
-            - alloc_before;
+            .zip(&gc_before)
+            .map(|((_, m), before)| {
+                m.gc_stats()
+                    .map(|now| diff_gc(now, &before.unwrap_or_default()))
+            })
+            .collect();
+        let gc = gc_deltas
+            .iter()
+            .flatten()
+            .fold(None, |total: Option<GcStats>, d| {
+                Some(add_gc(&total.unwrap_or_default(), d))
+            });
+        let native = aggregate_native(&workloads, &native_before);
+        let allocated: Vec<u64> = workloads
+            .iter()
+            .zip(&alloc_before)
+            .map(|((_, m), before)| m.allocated_bytes() - before)
+            .collect();
+        let consolidation = mix.map(|mix| {
+            let per_tenant: Vec<TenantShare> = tenants
+                .iter()
+                .map(|t| {
+                    let i = t.id;
+                    let gc_delta = gc_deltas[i];
+                    let (pcm, dram) = machine
+                        .tenancy()
+                        .map_or((0, 0), |tr| (tr.pcm_lines(i), tr.dram_lines(i)));
+                    TenantShare {
+                        id: i,
+                        workload: format!("{}", t.workload),
+                        pcm_write_lines: pcm,
+                        dram_write_lines: dram,
+                        minor_gcs: gc_delta.as_ref().map_or(0, |g| g.minor_gcs),
+                        full_gcs: gc_delta.as_ref().map_or(0, |g| g.full_gcs),
+                        pause_cycles: gc_delta.as_ref().map_or(0, |g| g.pause_cycles),
+                        allocated_bytes: allocated[i],
+                        page_faults: machine.address_space(procs[i]).fault_count()
+                            - faults_before[i],
+                    }
+                })
+                .collect();
+            publish_tenant_gauges(&machine, &per_tenant);
+            let (unattributed_pcm_lines, unattributed_dram_lines) = machine
+                .tenancy()
+                .map_or((0, 0), |tr| (tr.unattributed_pcm(), tr.unattributed_dram()));
+            ConsolidationSummary {
+                mix: mix.name().to_string(),
+                tenants: self.instances,
+                contexts: machine.contexts(),
+                slice: self.slice,
+                unattributed_pcm_lines,
+                unattributed_dram_lines,
+                per_tenant,
+            }
+        });
 
         machine.publish_metrics();
+        let elapsed = machine.elapsed_seconds();
+        let pcm_writes = machine.socket_writes(SocketId::PCM);
         let trace = machine.obs().tracer.drain();
         let gc_pause_histogram = machine
             .obs()
@@ -386,12 +512,15 @@ impl Experiment {
         let heatmap = build_heatmap(&machine);
 
         let report = RunReport {
-            workload: format!("{}", self.spec),
+            workload: match self.roster {
+                Roster::Copies(spec) => format!("{spec}"),
+                Roster::Mix(mix) => format!("{mix}@{}", self.instances),
+            },
             // OS-managed runs are keyed by the placement policy: that is
             // the design point being swept, not the (neutral) collector.
             collector: if let Some(cfg) = self.os {
                 cfg.policy.name().into()
-            } else if self.spec.language == Language::Cpp {
+            } else if tenants.iter().all(|t| t.workload.language == Language::Cpp) {
                 "malloc".into()
             } else {
                 self.collector.name().into()
@@ -408,7 +537,7 @@ impl Experiment {
             } else {
                 0.0
             },
-            allocated: ByteSize::new(allocated),
+            allocated: ByteSize::new(allocated.iter().sum()),
             gc,
             native,
             machine: *machine.stats(),
@@ -429,7 +558,7 @@ impl Experiment {
             gc_pause_histogram,
             os_paging: os_mgr.as_ref().map(OsPageManager::stats),
             provenance,
-            consolidation: None,
+            consolidation,
         };
         Ok(RunArtifacts {
             report,
@@ -439,6 +568,26 @@ impl Experiment {
             freq_hz: self.profile.freq_hz as f64,
             elapsed: machine.elapsed(),
         })
+    }
+}
+
+/// Publishes the per-tenant GC/OS namespaces alongside the machine's
+/// `writes.tenant.*` gauges, so everything lands in the same metrics
+/// export.
+fn publish_tenant_gauges(machine: &Machine, per_tenant: &[TenantShare]) {
+    let m = &machine.obs().metrics;
+    for t in per_tenant {
+        let id = t.id;
+        m.gauge(&format!("gc.tenant.{id}.minor_gcs"))
+            .set(t.minor_gcs as f64);
+        m.gauge(&format!("gc.tenant.{id}.full_gcs"))
+            .set(t.full_gcs as f64);
+        m.gauge(&format!("gc.tenant.{id}.pause_cycles"))
+            .set(t.pause_cycles as f64);
+        m.gauge(&format!("gc.tenant.{id}.allocated_bytes"))
+            .set(t.allocated_bytes as f64);
+        m.gauge(&format!("os.tenant.{id}.page_faults"))
+            .set(t.page_faults as f64);
     }
 }
 
@@ -466,33 +615,41 @@ fn build_heatmap(machine: &Machine) -> Vec<PageWear> {
     pages.into_values().collect()
 }
 
-/// Round-robin scheduler: one quantum per running instance per round, so
-/// co-running instances interleave in the shared LLC. Instances that
-/// finish are not restarted (§IV).
-fn run_iteration(
+/// The slice scheduler: each running workload takes up to `slice`
+/// consecutive steps, then yields, so co-running workloads interleave in
+/// the shared LLC. A full round over all workloads is a monitor/OS poll
+/// edge. At slice 1 this is the paper's round-robin, one quantum per
+/// running instance per round. Workloads that finish are not restarted
+/// (§IV).
+fn schedule(
     machine: &mut Machine,
-    instances: &mut [(Box<dyn Workload>, Memory)],
+    workloads: &mut [(Box<dyn Workload>, Memory)],
+    slice: u64,
     mut monitor: Option<&mut WriteRateMonitor>,
     mut os: Option<&mut OsPageManager>,
 ) -> Result<()> {
-    let mut done = vec![false; instances.len()];
-    let mut remaining = instances.len();
-    // A generous runaway bound: no experiment needs this many quanta.
+    let mut done = vec![false; workloads.len()];
+    let mut remaining = workloads.len();
+    // A generous runaway bound on steps, shared by all workloads: no
+    // experiment needs this many.
     let mut fuel: u64 = 50_000_000;
     while remaining > 0 {
-        for (i, (w, mem)) in instances.iter_mut().enumerate() {
+        for (i, (w, mem)) in workloads.iter_mut().enumerate() {
             if done[i] {
                 continue;
             }
-            if w.step(machine, mem)? == StepResult::IterationDone {
-                done[i] = true;
-                remaining -= 1;
-            }
-            fuel -= 1;
-            if fuel == 0 {
-                return Err(HemuError::InvalidConfig(
-                    "workload did not terminate within the quantum budget".into(),
-                ));
+            for _ in 0..slice {
+                if fuel == 0 {
+                    return Err(HemuError::InvalidConfig(
+                        "workloads did not terminate within the quantum budget".into(),
+                    ));
+                }
+                fuel -= 1;
+                if w.step(machine, mem)? == StepResult::IterationDone {
+                    done[i] = true;
+                    remaining -= 1;
+                    break;
+                }
             }
         }
         if let Some(mon) = monitor.as_deref_mut() {
@@ -505,22 +662,6 @@ fn run_iteration(
         }
     }
     Ok(())
-}
-
-fn aggregate_gc(
-    instances: &[(Box<dyn Workload>, Memory)],
-    before: &[Option<GcStats>],
-) -> Option<GcStats> {
-    let mut any = false;
-    let mut total = GcStats::default();
-    for ((_, mem), earlier) in instances.iter().zip(before) {
-        if let Some(stats) = mem.gc_stats() {
-            any = true;
-            let delta = diff_gc(stats, earlier.as_ref().unwrap_or(&GcStats::default()));
-            total = add_gc(&total, &delta);
-        }
-    }
-    any.then_some(total)
 }
 
 fn diff_gc(now: &GcStats, then: &GcStats) -> GcStats {
@@ -589,24 +730,79 @@ fn aggregate_native(
 mod tests {
     use super::*;
 
-    #[test]
-    fn zero_instances_is_invalid() {
-        let e = Experiment::new(WorkloadSpec::by_name("avrora").unwrap()).instances(0);
-        assert!(matches!(e.run(), Err(HemuError::InvalidConfig(_))));
+    fn avrora() -> WorkloadSpec {
+        WorkloadSpec::by_name("avrora").expect("avrora registered")
+    }
+
+    fn invalid(e: &Experiment) -> bool {
+        matches!(e.run(), Err(HemuError::InvalidConfig(_)))
     }
 
     #[test]
-    fn too_many_instances_is_invalid() {
-        let e = Experiment::new(WorkloadSpec::by_name("avrora").unwrap()).instances(64);
-        assert!(matches!(e.run(), Err(HemuError::InvalidConfig(_))));
+    fn zero_instances_is_invalid() {
+        assert!(invalid(&Experiment::new(avrora()).instances(0)));
+    }
+
+    #[test]
+    fn zero_tenants_is_invalid() {
+        assert!(invalid(&Experiment::mix(Mix::Dacapo, 0)));
+    }
+
+    #[test]
+    fn more_than_255_instances_is_invalid() {
+        assert!(invalid(&Experiment::new(avrora()).instances(256)));
+    }
+
+    #[test]
+    fn tenant_ids_must_fit_a_byte() {
+        assert!(invalid(&Experiment::mix(Mix::Dacapo, 256)));
     }
 
     #[test]
     fn cpp_requires_pcm_only() {
         let spec = WorkloadSpec::by_name("pr")
-            .unwrap()
+            .expect("pr registered")
             .with_language(Language::Cpp);
-        let e = Experiment::new(spec).collector(CollectorKind::KgN);
-        assert!(matches!(e.run(), Err(HemuError::InvalidConfig(_))));
+        assert!(invalid(
+            &Experiment::new(spec).collector(CollectorKind::KgN)
+        ));
+    }
+
+    #[test]
+    fn os_paging_requires_pcm_only() {
+        let e = Experiment::mix(Mix::Dacapo, 2)
+            .collector(CollectorKind::KgN)
+            .os_paging(OsPagingConfig::default());
+        assert!(invalid(&e));
+    }
+
+    #[test]
+    fn monitor_interval_must_be_positive() {
+        for seconds in [0.0, -0.01, f64::NAN] {
+            let e = Experiment::new(avrora()).monitor_interval(seconds);
+            assert!(invalid(&e), "interval {seconds} must be rejected");
+        }
+    }
+
+    #[test]
+    fn oversubscription_is_allowed() {
+        // 6 tenants on a 4-context profile: tenant i runs on context
+        // i % 4. Warm-up off keeps the test cheap.
+        let report = Experiment::mix(Mix::Dacapo, 6)
+            .profile(MachineProfile::emulation().with_contexts(4))
+            .slice(64)
+            .without_warmup()
+            .run()
+            .expect("oversubscribed run completes");
+        let c = report.consolidation.expect("consolidation block");
+        assert_eq!(c.tenants, 6);
+        assert_eq!(c.contexts, 4);
+        assert_eq!(c.per_tenant.len(), 6);
+    }
+
+    #[test]
+    fn slice_is_clamped_to_one() {
+        assert_eq!(Experiment::mix(Mix::Pjbb, 1).slice(0).slice, 1);
+        assert_eq!(Experiment::new(avrora()).slice, 1);
     }
 }

@@ -60,8 +60,8 @@ pub struct RunReport {
     /// Write-provenance breakdown (present when the experiment enabled
     /// profiling).
     pub provenance: Option<ProvenanceSummary>,
-    /// Per-tenant write shares (present when the run co-scheduled
-    /// multiple tenants via `hemu-tenant`).
+    /// Per-tenant write shares (present for mix runs,
+    /// [`crate::Experiment::mix`]).
     pub consolidation: Option<ConsolidationSummary>,
 }
 

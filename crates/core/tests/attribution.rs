@@ -1,12 +1,12 @@
 //! Attribution completeness: per-tenant write counters must sum *exactly*
-//! to the global controller counters in every consolidation report —
-//! the tenant analog of the provenance-completeness invariant.
+//! to the global controller counters in every mix run's report — the
+//! tenant analog of the provenance-completeness invariant.
 
-use hemu_core::RunReport;
+use hemu_core::{Experiment, RunReport};
 use hemu_obs::ToJson;
 use hemu_obs::Tracer;
-use hemu_tenant::{ConsolidationRun, Mix};
 use hemu_types::CACHE_LINE;
+use hemu_workloads::Mix;
 
 fn assert_complete(report: &RunReport) {
     let c = report
@@ -40,7 +40,8 @@ fn assert_complete(report: &RunReport) {
 
 #[test]
 fn per_tenant_writes_sum_to_global_counters() {
-    let report = ConsolidationRun::new(Mix::Mixed, 3)
+    let report = Experiment::mix(Mix::Mixed, 3)
+        .slice(64)
         .run()
         .expect("3-tenant mixed run");
     assert_complete(&report);
@@ -53,8 +54,9 @@ fn per_tenant_writes_sum_to_global_counters() {
 #[test]
 fn attribution_is_complete_under_oversubscription_traced_or_not() {
     let profile = hemu_machine::MachineProfile::emulation().with_contexts(2);
-    let run = ConsolidationRun::new(Mix::Dacapo, 5)
+    let run = Experiment::mix(Mix::Dacapo, 5)
         .profile(profile)
+        .slice(64)
         .without_warmup();
     let plain = run.run().expect("oversubscribed run");
     let traced = run
@@ -69,7 +71,8 @@ fn attribution_is_complete_under_oversubscription_traced_or_not() {
 #[test]
 fn consolidated_reports_are_deterministic_and_restorable() {
     let run = || {
-        ConsolidationRun::new(Mix::Dacapo, 2)
+        Experiment::mix(Mix::Dacapo, 2)
+            .slice(64)
             .without_warmup()
             .run()
             .expect("2-tenant run")

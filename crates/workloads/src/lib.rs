@@ -27,10 +27,12 @@
 pub mod dacapo;
 pub mod graph;
 pub mod memapi;
+pub mod mix;
 pub mod pjbb;
 pub mod spec;
 
 pub use memapi::{Memory, Obj};
+pub use mix::{Mix, Roster, TenantSpec};
 pub use spec::{DatasetSize, Language, Suite, WorkloadSpec};
 
 use hemu_machine::Machine;

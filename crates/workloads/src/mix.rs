@@ -1,7 +1,39 @@
-//! Workload-mix rosters and per-tenant workload assignment.
+//! Run rosters: which workloads co-run in one experiment, and with what
+//! seeds.
 
+use crate::WorkloadSpec;
 use hemu_types::{HemuError, Result};
-use hemu_workloads::WorkloadSpec;
+
+/// Who co-runs in one experiment: N copies of one workload sharing a seed
+/// (the paper's multiprogrammed runs, Fig. 4), or N tenants drawn from a
+/// [`Mix`] with per-tenant seeds (consolidation).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Roster {
+    /// Identical instances of one workload, all with the run's seed.
+    Copies(WorkloadSpec),
+    /// Tenants drawn round-robin from a mix, tenant `i` with `seed + i`.
+    Mix(Mix),
+}
+
+impl Roster {
+    /// The `n` workloads of a run with base seed `seed`, in context order.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Mix::tenant_specs`].
+    pub fn tenant_specs(&self, n: usize, seed: u64) -> Result<Vec<TenantSpec>> {
+        match self {
+            Roster::Copies(workload) => Ok((0..n)
+                .map(|id| TenantSpec {
+                    id,
+                    workload: *workload,
+                    seed,
+                })
+                .collect()),
+            Roster::Mix(mix) => mix.tenant_specs(n, seed),
+        }
+    }
+}
 
 /// A named roster of workloads tenants are drawn from, round-robin: tenant
 /// `i` runs `roster[i % roster.len()]` with seed `base_seed + i`, so a
@@ -81,15 +113,18 @@ impl std::fmt::Display for Mix {
     }
 }
 
-/// One tenant's identity: which workload it runs and with what seed.
+/// One co-running workload's identity: which workload it runs and with
+/// what seed.
 #[derive(Debug, Clone)]
 pub struct TenantSpec {
-    /// Tenant id (0-based; also the attribution index).
+    /// Position in the roster (0-based; also the attribution index and,
+    /// modulo the context count, the hardware context).
     pub id: usize,
     /// The workload this tenant runs.
     pub workload: WorkloadSpec,
-    /// The tenant's private RNG seed (`base_seed + id`, so homogeneous
-    /// mixes still diverge per tenant).
+    /// The tenant's RNG seed: `base_seed + id` for mix tenants, so
+    /// homogeneous mixes still diverge per tenant; the shared base seed
+    /// for copies.
     pub seed: u64,
 }
 
@@ -118,6 +153,16 @@ mod tests {
         for (a, b) in small.iter().zip(&large) {
             assert_eq!(a.seed, b.seed);
             assert_eq!(format!("{}", a.workload), format!("{}", b.workload));
+        }
+    }
+
+    #[test]
+    fn copies_share_one_seed() {
+        let spec = WorkloadSpec::by_name("pjbb").expect("pjbb registered");
+        let specs = Roster::Copies(spec).tenant_specs(3, 7).expect("copies");
+        assert_eq!(specs.len(), 3);
+        for (i, s) in specs.iter().enumerate() {
+            assert_eq!((s.id, s.seed, s.workload), (i, 7, spec));
         }
     }
 

@@ -17,7 +17,7 @@ echo "== clippy: no unwrap() in library code =="
 cargo clippy --offline --lib \
   -p hemu-types -p hemu-obs -p hemu-fault -p hemu-numa -p hemu-cache \
   -p hemu-machine -p hemu-heap -p hemu-malloc -p hemu-workloads -p hemu-os \
-  -p hemu-core -p hemu-tenant \
+  -p hemu-core -p hemu-bench \
   -- -D clippy::unwrap_used
 
 echo "== fault smoke: sweep survives transient faults (expect exit 0) =="

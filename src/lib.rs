@@ -15,8 +15,8 @@
 //!
 //! | Layer | Crate | What it models |
 //! |---|---|---|
-//! | experiments | [`core`] (`hemu-core`) | experiment runner, multiprogramming, write-rate monitor, PCM lifetime model |
-//! | workloads | [`workloads`] (`hemu-workloads`) | 11 DaCapo models, Pjbb, GraphChi PR/CC/ALS in Java and C++ modes |
+//! | experiments | [`core`] (`hemu-core`) | the one run driver (multiprogrammed copies and multi-tenant mixes), write-rate monitor, PCM lifetime model |
+//! | workloads | [`workloads`] (`hemu-workloads`) | 11 DaCapo models, Pjbb, GraphChi PR/CC/ALS in Java and C++ modes; workload mixes |
 //! | managed runtime | [`heap`] (`hemu-heap`) | two-free-list heap layout, spaces, barriers, 8 collector configurations |
 //! | manual runtime | [`malloc`] (`hemu-malloc`) | C/C++ size-class allocator |
 //! | OS paging | [`os`] (`hemu-os`) | first-touch placement, hot/cold page migration |
