@@ -289,15 +289,22 @@ impl ChunkManager {
     /// its physical mapping (the paper's design): only the entry's status
     /// changes.
     ///
+    /// # Errors
+    ///
+    /// Returns [`hemu_types::HemuError::InvalidConfig`] if `addr` names no
+    /// chunk.
+    ///
     /// # Panics
     ///
-    /// Panics if `addr` does not name an in-use chunk.
-    pub fn release(&mut self, addr: Addr) {
+    /// Panics if the chunk is already free.
+    pub fn release(&mut self, addr: Addr) -> Result<()> {
         let idx = self
             .entries
             .iter()
             .position(|e| e.addr == addr)
-            .expect("release of unknown chunk");
+            .ok_or_else(|| {
+                hemu_types::HemuError::InvalidConfig(format!("release of unknown chunk at {addr}"))
+            })?;
         let entry = &mut self.entries[idx];
         assert!(!entry.free, "double release of chunk at {addr}");
         entry.free = true;
@@ -307,6 +314,7 @@ impl ChunkManager {
             (ChunkPolicy::TwoLists, Side::Dram) => self.free_hi.push(idx),
             (ChunkPolicy::Monolithic, _) => self.free_lo.push(idx),
         }
+        Ok(())
     }
 }
 
@@ -336,7 +344,7 @@ mod tests {
     fn two_lists_recycle_within_technology() {
         let (mut m, mut cm) = setup(ChunkPolicy::TwoLists);
         let pcm = cm.acquire(&mut m, Side::Pcm, "a").unwrap();
-        cm.release(pcm);
+        cm.release(pcm).unwrap();
         // A DRAM request must NOT get the freed PCM chunk.
         let dram = cm.acquire(&mut m, Side::Dram, "b").unwrap();
         assert_ne!(dram, pcm);
@@ -351,7 +359,7 @@ mod tests {
     fn monolithic_list_remaps_cross_technology_reuse() {
         let (mut m, mut cm) = setup(ChunkPolicy::Monolithic);
         let pcm = cm.acquire(&mut m, Side::Pcm, "a").unwrap();
-        cm.release(pcm);
+        cm.release(pcm).unwrap();
         // The pooled list hands the PCM-mapped chunk to a DRAM request,
         // forcing an unmap + re-bind.
         let dram = cm.acquire(&mut m, Side::Dram, "b").unwrap();
@@ -377,7 +385,7 @@ mod tests {
         assert_eq!(e.owner, Some("los-pcm"));
         assert!(!e.free);
         assert_eq!(e.size.bytes(), CHUNK_SIZE as u64);
-        cm.release(a);
+        cm.release(a).unwrap();
         let e = cm.entries().iter().find(|e| e.addr == a).unwrap();
         assert!(e.free);
         assert_eq!(e.owner, None);
@@ -388,8 +396,17 @@ mod tests {
     fn double_release_panics() {
         let (mut m, mut cm) = setup(ChunkPolicy::TwoLists);
         let a = cm.acquire(&mut m, Side::Pcm, "x").unwrap();
-        cm.release(a);
-        cm.release(a);
+        cm.release(a).unwrap();
+        cm.release(a).unwrap();
+    }
+
+    #[test]
+    fn release_of_unknown_chunk_is_an_error() {
+        let (mut m, mut cm) = setup(ChunkPolicy::TwoLists);
+        let a = cm.acquire(&mut m, Side::Pcm, "x").unwrap();
+        let err = cm.release(a.offset(CHUNK_SIZE as u64)).unwrap_err();
+        assert!(matches!(err, hemu_types::HemuError::InvalidConfig(_)));
+        assert!(!cm.entries()[0].free, "the known chunk stays in use");
     }
 
     #[test]
@@ -409,7 +426,7 @@ mod tests {
         let a = cm.acquire(&mut m, Side::Pcm, "x").unwrap();
         let _b = cm.acquire(&mut m, Side::Pcm, "y").unwrap();
         assert_eq!(cm.reserved().bytes(), 2 * CHUNK_SIZE as u64);
-        cm.release(a);
+        cm.release(a).unwrap();
         assert_eq!(cm.reserved().bytes(), CHUNK_SIZE as u64);
     }
 }

@@ -10,7 +10,9 @@ use crate::heap::ManagedHeap;
 use crate::object::{ObjectId, SpaceKind, HEADER_SIZE, LARGE_THRESHOLD};
 use hemu_machine::Machine;
 use hemu_obs::{GcKind, TraceEvent};
-use hemu_types::{Cycles, MemoryAccess, Result, SpaceTag, WriteCause, WriteTag, WORD};
+use hemu_types::{
+    ByteSize, Cycles, HemuError, MemoryAccess, Result, SpaceTag, WriteCause, WriteTag, WORD,
+};
 
 /// Stamps the start of a collection pause: emits a [`TraceEvent::GcStart`]
 /// and returns the pause's start time on the collecting context's clock.
@@ -59,21 +61,20 @@ fn pause_end(heap: &mut ManagedHeap, machine: &Machine, kind: GcKind, t0: Cycles
 /// stale reference would fault. Pure collector bookkeeping — the mutator's
 /// barrier already paid for these entries when the refs were stored.
 fn rebuild_remsets(heap: &mut ManagedHeap) {
-    let candidates: Vec<ObjectId> = heap.table.iter_live().collect();
-    for src in candidates {
-        let (space, logged, refs) = {
-            let i = heap.table.get(src);
-            (i.space, i.logged, i.refs.clone())
+    for idx in 0..heap.table.slot_count() {
+        let Some(src) = heap.table.live_at(idx) else {
+            continue;
         };
-        if space.is_young() || logged {
+        let table = &heap.table;
+        let info = table.get(src);
+        if info.space.is_young() || info.logged() {
             continue;
         }
-        let has_young_ref = refs
-            .into_iter()
-            .flatten()
-            .any(|t| heap.table.is_live(t) && heap.table.get(t).space.is_young());
-        if has_young_ref {
-            heap.table.get_mut(src).logged = true;
+        if table
+            .refs(src)
+            .any(|t| table.is_live(t) && table.get(t).space.is_young())
+        {
+            heap.table.get_mut(src).set_logged(true);
             heap.remset_old.push(src);
         }
     }
@@ -131,17 +132,22 @@ fn nursery_dest(heap: &ManagedHeap, size: u32) -> Dest {
 /// Copies one live object to `dest`: read at the old location, write at the
 /// new one, plus a forwarding-pointer store in the old header.
 fn evacuate(heap: &mut ManagedHeap, machine: &mut Machine, id: ObjectId, dest: Dest) -> Result<()> {
-    let (old_addr, size) = {
+    let (old_addr, size, old_space) = {
         let info = heap.table.get(id);
-        (info.addr, info.size)
+        (info.addr, info.size, info.space)
     };
     let new_addr = match dest {
         Dest::Observer => heap
             .observer
             .as_mut()
-            .expect("evacuating to a plan without an observer space")
+            .ok_or_else(|| {
+                HemuError::InvalidConfig("evacuating to a plan without an observer space".into())
+            })?
             .alloc(size)
-            .expect("observer space overflow: collection scheduling bug"),
+            .ok_or(HemuError::OutOfHeapMemory {
+                requested: ByteSize::new(size as u64),
+                space: "observer",
+            })?,
         Dest::MatureDram => heap.mature_dram.alloc(machine, &mut heap.chunks, size)?,
         Dest::MaturePcm => heap.mature_pcm.alloc(machine, &mut heap.chunks, size)?,
         Dest::LargeDram => heap.los_dram.alloc(machine, &mut heap.chunks, size)?,
@@ -149,7 +155,6 @@ fn evacuate(heap: &mut ManagedHeap, machine: &mut Machine, id: ObjectId, dest: D
     };
 
     let (ctx, proc) = (heap.ctx, heap.proc);
-    let old_space = heap.table.get(id).space;
     // Copies out of a young space are the nursery-evacuation write stream;
     // everything else (rescue, compaction) is a mature copy.
     let copy_cause = if old_space.is_young() {
@@ -167,7 +172,7 @@ fn evacuate(heap: &mut ManagedHeap, machine: &mut Machine, id: ObjectId, dest: D
     machine.compute(ctx, Cycles::new(60 + size as u64 / 4));
     // Evacuating an observed object additionally consults and resets the
     // write-monitoring state — the bookkeeping behind KG-W's overhead (§V).
-    if heap.table.get(id).space == SpaceKind::Observer {
+    if old_space == SpaceKind::Observer {
         machine.compute(ctx, Cycles::new(600));
     }
 
@@ -178,22 +183,28 @@ fn evacuate(heap: &mut ManagedHeap, machine: &mut Machine, id: ObjectId, dest: D
         info.space = space;
         // Entering the observer (re)starts write observation; leaving any
         // young space ends it.
-        info.written = false;
-        info.meta.is_none() && !space.is_young()
+        info.set_written(false);
+        info.meta().is_none() && !space.is_young()
     };
     if needs_meta {
         let slot = heap.meta_slot_for(machine, space)?;
-        heap.table.get_mut(id).meta = Some(slot);
+        heap.table.get_mut(id).set_meta(slot);
     }
     Ok(())
 }
 
 /// Scans an object's header and reference slots (collector read traffic)
-/// and returns its outgoing references.
-fn scan(heap: &mut ManagedHeap, machine: &mut Machine, id: ObjectId) -> Result<Vec<ObjectId>> {
-    let (addr, size, ref_count, refs) = {
+/// and passes each outgoing reference, read in place from the table, to
+/// `visit` in slot order.
+fn scan(
+    heap: &mut ManagedHeap,
+    machine: &mut Machine,
+    id: ObjectId,
+    mut visit: impl FnMut(&mut ManagedHeap, ObjectId),
+) -> Result<()> {
+    let (addr, size, ref_count) = {
         let info = heap.table.get(id);
-        (info.addr, info.size, info.ref_count, info.refs.clone())
+        (info.addr, info.size, info.ref_count())
     };
     machine.access(
         heap.ctx,
@@ -202,7 +213,12 @@ fn scan(heap: &mut ManagedHeap, machine: &mut Machine, id: ObjectId) -> Result<V
     )?;
     // Per-object trace work: type lookup and reference-map decoding.
     machine.compute(heap.ctx, Cycles::new(30 + 4 * ref_count as u64));
-    Ok(refs.into_iter().flatten().collect())
+    for i in 0..ref_count as usize {
+        if let Some(t) = heap.table.ref_at(id, i) {
+            visit(heap, t);
+        }
+    }
+    Ok(())
 }
 
 /// A minor collection: evacuates the nursery (and, when it is full, the
@@ -254,31 +270,38 @@ pub(crate) fn minor_gc(
                 gray: &mut Vec<ObjectId>,
                 survivors: &mut Vec<ObjectId>| {
         let info = heap.table.get_mut(id);
-        if in_evacuated(info.space) && !info.marked {
-            info.marked = true;
+        if in_evacuated(info.space) && !info.marked() {
+            info.set_marked(true);
             gray.push(id);
             survivors.push(id);
         }
     };
 
-    for root in heap.roots.clone().into_iter().flatten() {
-        mark(heap, root, &mut gray, &mut survivors);
+    for r in 0..heap.roots.len() {
+        if let Some(root) = heap.roots[r] {
+            mark(heap, root, &mut gray, &mut survivors);
+        }
     }
-    // Remembered sets: re-scan each remembered source object.
-    let mut remembered: Vec<ObjectId> = heap.remset_old.clone();
-    remembered.extend(heap.remset_obs.iter().copied());
-    for src in remembered {
+    // Remembered sets: re-scan each remembered source object, the old
+    // generation's set first.
+    let n_old = heap.remset_old.len();
+    for r in 0..n_old + heap.remset_obs.len() {
+        let src = if r < n_old {
+            heap.remset_old[r]
+        } else {
+            heap.remset_obs[r - n_old]
+        };
         if !heap.table.is_live(src) || in_evacuated(heap.table.get(src).space) {
             continue;
         }
-        for t in scan(heap, machine, src)? {
-            mark(heap, t, &mut gray, &mut survivors);
-        }
+        scan(heap, machine, src, |h, t| {
+            mark(h, t, &mut gray, &mut survivors)
+        })?;
     }
     while let Some(o) = gray.pop() {
-        for t in scan(heap, machine, o)? {
-            mark(heap, t, &mut gray, &mut survivors);
-        }
+        scan(heap, machine, o, |h, t| {
+            mark(h, t, &mut gray, &mut survivors)
+        })?;
     }
     spans.end(machine.clock(heap.ctx).now());
     spans.begin("evacuate", "gc", machine.clock(heap.ctx).now());
@@ -289,7 +312,7 @@ pub(crate) fn minor_gc(
             if heap.table.get(id).space == SpaceKind::Observer {
                 let (written, size) = {
                     let i = heap.table.get(id);
-                    (i.written, i.size)
+                    (i.written(), i.size)
                 };
                 let dest = observer_dest(written, size);
                 if written {
@@ -316,34 +339,34 @@ pub(crate) fn minor_gc(
     spans.end(machine.clock(heap.ctx).now());
     spans.begin("sweep", "gc", machine.clock(heap.ctx).now());
 
-    // --- Sweep the evacuated spaces ---
-    let dead: Vec<ObjectId> = heap
-        .table
-        .iter_live()
-        .filter(|&id| {
-            let i = heap.table.get(id);
-            in_evacuated(i.space) && !i.marked
-        })
-        .collect();
-    for d in dead {
-        heap.table.remove(d);
-    }
+    // --- Sweep the evacuated spaces: only young objects can die here ---
+    let mut dead: Vec<ObjectId> = Vec::new();
+    heap.young.retain(|&id| {
+        let i = heap.table.get(id);
+        if in_evacuated(i.space) && !i.marked() {
+            dead.push(id);
+            false
+        } else {
+            i.space.is_young()
+        }
+    });
+    heap.table.remove_in_slot_order(&dead);
     heap.nursery.reset();
     for &id in &survivors {
-        heap.table.get_mut(id).marked = false;
+        heap.table.get_mut(id).set_marked(false);
     }
 
     // --- Remembered set maintenance ---
-    for &src in &heap.remset_obs.clone() {
+    for &src in &heap.remset_obs {
         if heap.table.is_live(src) {
-            heap.table.get_mut(src).logged = false;
+            heap.table.get_mut(src).set_logged(false);
         }
     }
     heap.remset_obs.clear();
     if collect_observer {
-        for &src in &heap.remset_old.clone() {
+        for &src in &heap.remset_old {
             if heap.table.is_live(src) {
-                heap.table.get_mut(src).logged = false;
+                heap.table.get_mut(src).set_logged(false);
             }
         }
         heap.remset_old.clear();
@@ -379,24 +402,27 @@ pub(crate) fn full_gc(
                 gray: &mut Vec<ObjectId>,
                 live: &mut Vec<ObjectId>| {
         let info = heap.table.get_mut(id);
-        if !info.marked {
-            info.marked = true;
+        if !info.marked() {
+            info.set_marked(true);
             gray.push(id);
             live.push(id);
         }
     };
-    let boot_roots: Vec<ObjectId> = heap
-        .table
-        .iter_live()
-        .filter(|&id| heap.table.get(id).space == SpaceKind::Boot)
-        .collect();
-    for root in heap.roots.clone().into_iter().flatten().chain(boot_roots) {
-        mark(heap, root, &mut gray, &mut live);
+    // Roots first, then the boot image in slot order.
+    for r in 0..heap.roots.len() {
+        if let Some(root) = heap.roots[r] {
+            mark(heap, root, &mut gray, &mut live);
+        }
+    }
+    for idx in 0..heap.table.slot_count() {
+        if let Some(id) = heap.table.live_at(idx) {
+            if heap.table.get(id).space == SpaceKind::Boot {
+                mark(heap, id, &mut gray, &mut live);
+            }
+        }
     }
     while let Some(o) = gray.pop() {
-        for t in scan(heap, machine, o)? {
-            mark(heap, t, &mut gray, &mut live);
-        }
+        scan(heap, machine, o, |h, t| mark(h, t, &mut gray, &mut live))?;
     }
 
     // --- Mark-state writes ---
@@ -406,7 +432,7 @@ pub(crate) fn full_gc(
     for &id in &live {
         let (space, meta, addr) = {
             let i = heap.table.get(id);
-            (i.space, i.meta, i.addr)
+            (i.space, i.meta(), i.addr)
         };
         heap.stats.mark_writes += 1;
         match space {
@@ -414,7 +440,9 @@ pub(crate) fn full_gc(
             | SpaceKind::MaturePcm
             | SpaceKind::LargeDram
             | SpaceKind::LargePcm => {
-                let slot = meta.expect("mature object without a metadata slot");
+                let slot = meta.ok_or_else(|| {
+                    HemuError::InvalidConfig(format!("mature object {id} without a metadata slot"))
+                })?;
                 machine.set_write_tag(WriteTag::new(WriteCause::Metadata, SpaceTag::Meta));
                 machine.access(heap.ctx, heap.proc, MemoryAccess::write(slot, 1))?;
             }
@@ -428,20 +456,18 @@ pub(crate) fn full_gc(
     spans.end(machine.clock(heap.ctx).now());
     spans.begin("sweep", "gc", machine.clock(heap.ctx).now());
 
-    // --- Sweep: drop the dead ---
-    let dead: Vec<ObjectId> = heap
-        .table
-        .iter_live()
-        .filter(|&id| {
-            let i = heap.table.get(id);
-            !i.marked && i.space != SpaceKind::Boot
-        })
-        .collect();
-    for d in dead {
-        let (space, addr, size) = {
-            let i = heap.table.get(d);
-            (i.space, i.addr, i.size)
+    // --- Sweep: drop the dead, in ascending slot order ---
+    for idx in 0..heap.table.slot_count() {
+        let Some(d) = heap.table.live_at(idx) else {
+            continue;
         };
+        let (space, addr, size, marked) = {
+            let i = heap.table.get(d);
+            (i.space, i.addr, i.size, i.marked())
+        };
+        if marked || space == SpaceKind::Boot {
+            continue;
+        }
         match space {
             SpaceKind::LargeDram => heap.los_dram.free(addr, size),
             SpaceKind::LargePcm => heap.los_pcm.free(addr, size),
@@ -479,7 +505,7 @@ pub(crate) fn full_gc(
             .filter(|&id| {
                 heap.table.is_live(id) && {
                     let i = heap.table.get(id);
-                    i.space == SpaceKind::LargePcm && i.written
+                    i.space == SpaceKind::LargePcm && i.written()
                 }
             })
             .collect();
@@ -504,7 +530,7 @@ pub(crate) fn full_gc(
         if heap.table.get(id).space == SpaceKind::Observer {
             let (written, size) = {
                 let i = heap.table.get(id);
-                (i.written, i.size)
+                (i.written(), i.size)
             };
             if written {
                 heap.stats.promoted_dram_objects += 1;
@@ -526,13 +552,16 @@ pub(crate) fn full_gc(
         }
     }
     heap.nursery.reset();
+    let table = &heap.table;
+    heap.young
+        .retain(|&id| table.is_live(id) && table.get(id).space.is_young());
 
     // --- Clear marks, logged bits, remembered sets ---
     for &id in &live {
         if heap.table.is_live(id) {
             let i = heap.table.get_mut(id);
-            i.marked = false;
-            i.logged = false;
+            i.set_marked(false);
+            i.set_logged(false);
         }
     }
     heap.remset_old.clear();

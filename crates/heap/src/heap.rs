@@ -76,6 +76,9 @@ pub struct ManagedHeap {
     /// objects. Consumed by every minor collection.
     pub(crate) remset_obs: Vec<ObjectId>,
     pub(crate) remset_cursor: u64,
+    /// Objects in the nursery or the observer space, in no particular
+    /// order: the only objects a minor collection can free.
+    pub(crate) young: Vec<ObjectId>,
     pub(crate) roots: Vec<Option<ObjectId>>,
     free_root_slots: Vec<usize>,
     boot_cursor: Addr,
@@ -161,6 +164,7 @@ impl ManagedHeap {
             remset_old: Vec::new(),
             remset_obs: Vec::new(),
             remset_cursor: 0,
+            young: Vec::new(),
             roots: Vec::new(),
             free_root_slots: Vec::new(),
             boot_cursor: layout::BOOT_START,
@@ -261,9 +265,13 @@ impl ManagedHeap {
         let mut info = ObjectInfo::fresh(addr, size, ref_count, space);
         if space.is_large() {
             // Objects born in a mature/large space need their mark slot now.
-            info.meta = Some(self.meta_slot_for(machine, space)?);
+            info.set_meta(self.meta_slot_for(machine, space)?);
         }
-        Ok(self.table.insert(info))
+        let id = self.table.insert(info);
+        if space.is_young() {
+            self.young.push(id);
+        }
+        Ok(id)
     }
 
     fn alloc_raw(&mut self, machine: &mut Machine, size: u32) -> Result<(Addr, SpaceKind)> {
@@ -397,7 +405,7 @@ impl ManagedHeap {
         let (slot_addr, src_tag) = {
             let info = self.table.get(src);
             assert!(
-                slot < info.ref_count as usize,
+                slot < info.ref_count() as usize,
                 "ref slot {slot} out of range"
             );
             (info.ref_slot_addr(slot), info.space.tag())
@@ -417,7 +425,7 @@ impl ManagedHeap {
         if let Some(t) = target {
             let target_space = self.table.get(t).space;
             let src_space = self.table.get(src).space;
-            if target_space.is_young() && !self.table.get(src).logged {
+            if target_space.is_young() && !self.table.get(src).logged() {
                 let log = match src_space {
                     SpaceKind::Nursery => false,
                     SpaceKind::Observer => target_space == SpaceKind::Nursery,
@@ -425,7 +433,7 @@ impl ManagedHeap {
                 };
                 if log {
                     took_slow_path = true;
-                    self.table.get_mut(src).logged = true;
+                    self.table.get_mut(src).set_logged(true);
                     if src_space == SpaceKind::Observer {
                         self.remset_obs.push(src);
                     } else {
@@ -448,7 +456,7 @@ impl ManagedHeap {
             self.barrier_fast.incr();
         }
 
-        self.table.get_mut(src).refs[slot] = target;
+        self.table.set_ref(src, slot, target);
         Ok(())
     }
 
@@ -467,14 +475,8 @@ impl ManagedHeap {
         src: ObjectId,
         slot: usize,
     ) -> Result<Option<ObjectId>> {
-        let (addr, value) = {
-            let info = self.table.get(src);
-            assert!(
-                slot < info.ref_count as usize,
-                "ref slot {slot} out of range"
-            );
-            (info.ref_slot_addr(slot), info.refs[slot])
-        };
+        let value = self.table.ref_at(src, slot);
+        let addr = self.table.get(src).ref_slot_addr(slot);
         machine.access(self.ctx, self.proc, MemoryAccess::read(addr, WORD as u32))?;
         Ok(value)
     }
@@ -538,14 +540,14 @@ impl ManagedHeap {
     fn monitor_write(&mut self, machine: &mut Machine, obj: ObjectId) -> Result<()> {
         let (space, written, addr) = {
             let info = self.table.get(obj);
-            (info.space, info.written, info.addr)
+            (info.space, info.written(), info.addr)
         };
         if written {
             return Ok(());
         }
         match space {
             SpaceKind::Observer => {
-                self.table.get_mut(obj).written = true;
+                self.table.get_mut(obj).set_written(true);
                 self.stats.monitor_marks += 1;
                 machine.set_write_tag(WriteTag::new(WriteCause::Metadata, SpaceTag::Observer));
                 machine.access(self.ctx, self.proc, MemoryAccess::write(addr, WORD as u32))?;
@@ -555,7 +557,7 @@ impl ManagedHeap {
             SpaceKind::LargePcm if self.config.has_observer() => {
                 // Same barrier path tags written large objects; the flag
                 // rides in the header word the store already touched.
-                self.table.get_mut(obj).written = true;
+                self.table.get_mut(obj).set_written(true);
             }
             _ => {}
         }
@@ -601,7 +603,7 @@ impl ManagedHeap {
 
     /// Number of reference slots of a live object.
     pub fn ref_slots(&self, obj: ObjectId) -> usize {
-        self.table.get(obj).ref_count as usize
+        self.table.get(obj).ref_count() as usize
     }
 
     /// Returns `true` if `obj` still names a live object.

@@ -108,32 +108,43 @@ impl SpaceKind {
     }
 }
 
-/// Everything the runtime knows about one object.
-#[derive(Debug, Clone)]
+// Bits of `ObjectInfo::flags`.
+const WRITTEN: u8 = 1 << 0;
+const MARKED: u8 = 1 << 1;
+const LOGGED: u8 = 1 << 2;
+const ALIVE: u8 = 1 << 3;
+
+/// The metadata word of an object without a mark slot. Metadata slots are
+/// byte addresses inside a chunk, so the all-ones address never occurs.
+const NO_META: u64 = u64::MAX;
+
+/// Everything the runtime knows about one object except its reference
+/// fields: one 32-byte record per table slot.
+///
+/// Address, size and space sit together because the mutator paths and the
+/// collector read them together. The reference fields live in the table's
+/// shared arena ([`ObjectTable::ref_at`]), so a record owns no host
+/// allocation.
+#[derive(Debug, Clone, Copy)]
 pub struct ObjectInfo {
     /// Current virtual address of the header.
     pub addr: Addr,
+    /// Address of the object's one-byte GC mark slot in a metadata space,
+    /// or `NO_META` (assigned on promotion into a mature or large space).
+    meta: u64,
     /// Total size in bytes (header + reference slots + data payload).
     pub size: u32,
-    /// Number of reference slots.
-    pub ref_count: u16,
+    /// First arena cell of the reference fields.
+    refs_at: u32,
+    /// Slot generation: bumped on every free, so stale ids report dead.
+    generation: u32,
+    /// Number of reference slots; fixed for the record's lifetime, since
+    /// it sizes the object's arena range.
+    ref_count: u16,
     /// Space the object currently lives in.
     pub space: SpaceKind,
-    /// Reference fields (indices into the object table).
-    pub refs: Vec<Option<ObjectId>>,
-    /// Set when the mutator writes the object while it is being observed
-    /// (KG-W write monitoring), or while it lives in PCM large space.
-    pub written: bool,
-    /// Mark state for tracing collections.
-    pub marked: bool,
-    /// Set when the object is registered in a remembered set (write
-    /// barrier dedup).
-    pub logged: bool,
-    /// Address of the object's one-byte GC mark slot in a metadata space
-    /// (assigned on promotion into a mature or large space).
-    pub meta: Option<Addr>,
-    /// Slot generation for use-after-free detection in debug builds.
-    pub alive: bool,
+    /// `WRITTEN | MARKED | LOGGED | ALIVE`.
+    flags: u8,
 }
 
 impl ObjectInfo {
@@ -141,20 +152,81 @@ impl ObjectInfo {
     pub fn fresh(addr: Addr, size: u32, ref_count: usize, space: SpaceKind) -> Self {
         ObjectInfo {
             addr,
+            meta: NO_META,
             size,
+            refs_at: 0,
+            generation: 0,
             ref_count: ref_count as u16,
             space,
-            refs: vec![None; ref_count],
-            written: false,
-            marked: false,
-            logged: false,
-            meta: None,
-            alive: true,
+            flags: ALIVE,
         }
     }
-}
 
-impl ObjectInfo {
+    fn flag(&self, bit: u8) -> bool {
+        self.flags & bit != 0
+    }
+
+    fn set_flag(&mut self, bit: u8, on: bool) {
+        if on {
+            self.flags |= bit;
+        } else {
+            self.flags &= !bit;
+        }
+    }
+
+    /// Set when the mutator writes the object while it is being observed
+    /// (KG-W write monitoring), or while it lives in PCM large space.
+    pub fn written(&self) -> bool {
+        self.flag(WRITTEN)
+    }
+
+    /// Sets or clears the written bit.
+    pub fn set_written(&mut self, on: bool) {
+        self.set_flag(WRITTEN, on)
+    }
+
+    /// Mark state for tracing collections.
+    pub fn marked(&self) -> bool {
+        self.flag(MARKED)
+    }
+
+    /// Sets or clears the mark bit.
+    pub fn set_marked(&mut self, on: bool) {
+        self.set_flag(MARKED, on)
+    }
+
+    /// Set when the object is registered in a remembered set (write
+    /// barrier dedup).
+    pub fn logged(&self) -> bool {
+        self.flag(LOGGED)
+    }
+
+    /// Sets or clears the logged bit.
+    pub fn set_logged(&mut self, on: bool) {
+        self.set_flag(LOGGED, on)
+    }
+
+    /// Number of reference slots.
+    pub fn ref_count(&self) -> u16 {
+        self.ref_count
+    }
+
+    /// `false` once the slot has been freed.
+    pub fn alive(&self) -> bool {
+        self.flag(ALIVE)
+    }
+
+    /// Address of the object's GC mark slot, if it has one.
+    pub fn meta(&self) -> Option<Addr> {
+        (self.meta != NO_META).then_some(Addr::new(self.meta))
+    }
+
+    /// Assigns the object's GC mark slot.
+    pub fn set_meta(&mut self, slot: Addr) {
+        debug_assert_ne!(slot.raw(), NO_META);
+        self.meta = slot.raw();
+    }
+
     /// Address of reference slot `i` (slots follow the header).
     pub fn ref_slot_addr(&self, i: usize) -> Addr {
         self.addr
@@ -180,11 +252,63 @@ pub fn object_size(ref_count: usize, data_bytes: usize) -> u32 {
     ((raw + WORD - 1) / WORD * WORD) as u32
 }
 
-/// The table of all live objects, with generation-tagged slot recycling.
+/// An empty reference field in the arena. A raw id of all ones would need
+/// table slot `u32::MAX`, which the table never hands out.
+const NO_REF: u64 = u64::MAX;
+
+/// Every object's reference fields in one buffer: an object's fields are
+/// the `ref_count` cells starting at its `refs_at`. A freed range is kept
+/// on the free list for its length and handed to the next object with that
+/// many fields, so steady allocation reuses cells instead of growing the
+/// buffer.
+#[derive(Debug, Default)]
+struct RefArena {
+    cells: Vec<u64>,
+    /// `free[n]`: starts of free ranges of `n` cells.
+    free: Vec<Vec<u32>>,
+}
+
+impl RefArena {
+    /// Takes a range of `len` empty cells and returns its start.
+    fn alloc(&mut self, len: u16) -> u32 {
+        let n = len as usize;
+        if n == 0 {
+            return 0;
+        }
+        if let Some(start) = self.free.get_mut(n).and_then(Vec::pop) {
+            let s = start as usize;
+            self.cells[s..s + n].fill(NO_REF);
+            return start;
+        }
+        let start = self.cells.len();
+        assert!(start <= u32::MAX as usize, "reference arena full");
+        self.cells.resize(start + n, NO_REF);
+        start as u32
+    }
+
+    /// Returns the range of `len` cells at `start` for reuse.
+    fn release(&mut self, start: u32, len: u16) {
+        let n = len as usize;
+        if n == 0 {
+            return;
+        }
+        if self.free.len() <= n {
+            self.free.resize_with(n + 1, Vec::new);
+        }
+        self.free[n].push(start);
+    }
+}
+
+/// The table of all objects: one [`ObjectInfo`] record per slot, the
+/// shared reference arena, and generation-tagged slot recycling.
+///
+/// Freed slots are reused last-freed first. The collectors free dead
+/// objects in ascending slot order, so the ids handed out after a
+/// collection depend only on which slots died.
 #[derive(Debug, Default)]
 pub struct ObjectTable {
     slots: Vec<ObjectInfo>,
-    generations: Vec<u32>,
+    refs: RefArena,
     free: Vec<u32>,
     live_count: usize,
     live_bytes: u64,
@@ -196,17 +320,23 @@ impl ObjectTable {
         Self::default()
     }
 
-    /// Registers a new object and returns its id.
-    pub fn insert(&mut self, info: ObjectInfo) -> ObjectId {
-        debug_assert!(info.alive);
+    /// Registers a new object, with every reference field empty, and
+    /// returns its id.
+    pub fn insert(&mut self, mut info: ObjectInfo) -> ObjectId {
+        debug_assert!(info.alive());
         self.live_count += 1;
         self.live_bytes += info.size as u64;
+        info.refs_at = self.refs.alloc(info.ref_count);
         if let Some(idx) = self.free.pop() {
-            self.slots[idx as usize] = info;
-            ObjectId::new(idx, self.generations[idx as usize])
+            let slot = &mut self.slots[idx as usize];
+            info.generation = slot.generation;
+            *slot = info;
+            ObjectId::new(idx, info.generation)
         } else {
+            // Slot u32::MAX stays unused: its ids could alias `NO_REF`.
+            assert!(self.slots.len() < u32::MAX as usize, "object table full");
+            info.generation = 0;
             self.slots.push(info);
-            self.generations.push(0);
             ObjectId::new(self.slots.len() as u32 - 1, 0)
         }
     }
@@ -218,19 +348,44 @@ impl ObjectTable {
     /// Panics if the object is already dead.
     pub fn remove(&mut self, id: ObjectId) {
         let idx = id.index();
+        let slot = &mut self.slots[idx];
         assert_eq!(
-            self.generations[idx],
+            slot.generation,
             id.generation(),
             "remove of stale handle {id}"
         );
-        let slot = &mut self.slots[idx];
-        assert!(slot.alive, "double free of {id}");
-        slot.alive = false;
-        slot.refs = Vec::new();
+        assert!(slot.alive(), "double free of {id}");
+        slot.set_flag(ALIVE, false);
+        slot.generation = slot.generation.wrapping_add(1);
+        self.refs.release(slot.refs_at, slot.ref_count);
         self.live_count -= 1;
         self.live_bytes -= slot.size as u64;
-        self.generations[idx] = self.generations[idx].wrapping_add(1);
         self.free.push(idx as u32);
+    }
+
+    /// Removes every object in `ids`, freeing their slots in ascending slot
+    /// order whatever the order of `ids`. That is the order a walk over the
+    /// whole table frees them in, so the ids handed out next do not depend
+    /// on how the caller found the dead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id is dead or stale, or appears twice.
+    pub fn remove_in_slot_order(&mut self, ids: &[ObjectId]) {
+        let mut dead = vec![0u64; self.slots.len().div_ceil(64)];
+        for &id in ids {
+            assert!(self.is_live(id), "remove of dead or stale handle {id}");
+            let (word, bit) = (id.index() / 64, 1u64 << (id.index() % 64));
+            assert!(dead[word] & bit == 0, "double free of {id}");
+            dead[word] |= bit;
+        }
+        for (word, mut bits) in dead.into_iter().enumerate() {
+            while bits != 0 {
+                let idx = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.remove(ObjectId::new(idx as u32, self.slots[idx].generation));
+            }
+        }
     }
 
     /// Immutable access to an object.
@@ -256,11 +411,52 @@ impl ObjectTable {
         &mut self.slots[id.index()]
     }
 
+    /// Arena index of reference field `i` of a live object.
+    #[inline]
+    fn cell(&self, id: ObjectId, i: usize) -> usize {
+        let info = self.get(id);
+        assert!(i < info.ref_count as usize, "ref slot {i} out of range");
+        info.refs_at as usize + i
+    }
+
+    /// Reference field `i` of a live object.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range for the object.
+    #[inline]
+    pub fn ref_at(&self, id: ObjectId, i: usize) -> Option<ObjectId> {
+        let raw = self.refs.cells[self.cell(id, i)];
+        (raw != NO_REF).then_some(ObjectId(raw))
+    }
+
+    /// Stores `target` into reference field `i` of a live object.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range for the object.
+    #[inline]
+    pub fn set_ref(&mut self, id: ObjectId, i: usize, target: Option<ObjectId>) {
+        let c = self.cell(id, i);
+        self.refs.cells[c] = target.map_or(NO_REF, |t| t.0);
+    }
+
+    /// The non-empty reference fields of a live object, in slot order.
+    pub fn refs(&self, id: ObjectId) -> impl Iterator<Item = ObjectId> + '_ {
+        let info = self.get(id);
+        let start = info.refs_at as usize;
+        self.refs.cells[start..start + info.ref_count as usize]
+            .iter()
+            .filter(|&&raw| raw != NO_REF)
+            .map(|&raw| ObjectId(raw))
+    }
+
     /// Returns `true` if `id` currently names a live object (stale handles
     /// from a previous occupant of the slot report dead).
     pub fn is_live(&self, id: ObjectId) -> bool {
-        self.slots.get(id.index()).map(|s| s.alive).unwrap_or(false)
-            && self.generations[id.index()] == id.generation()
+        self.slots
+            .get(id.index())
+            .is_some_and(|s| s.alive() && s.generation == id.generation())
     }
 
     /// Number of live objects.
@@ -273,20 +469,27 @@ impl ObjectTable {
         ByteSize::new(self.live_bytes)
     }
 
-    /// Iterates over the ids of all live objects.
-    pub fn iter_live(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.alive)
-            .map(|(i, _)| ObjectId::new(i as u32, self.generations[i]))
+    /// Number of slots, live or free: the bound for [`ObjectTable::live_at`].
+    pub fn slot_count(&self) -> usize {
+        self.slots.len()
     }
 
-    /// Adjusts accounted size when an object is resized in place (only used
-    /// by tests; real objects never change size).
+    /// The id of the live object in slot `index`, if the slot is in use.
+    #[inline]
+    pub fn live_at(&self, index: usize) -> Option<ObjectId> {
+        let s = &self.slots[index];
+        s.alive().then(|| ObjectId::new(index as u32, s.generation))
+    }
+
+    /// Iterates over the ids of all live objects, in slot order.
+    pub fn iter_live(&self) -> impl Iterator<Item = ObjectId> + '_ {
+        (0..self.slots.len()).filter_map(|i| self.live_at(i))
+    }
+
+    /// Cells in the reference arena, free or in use.
     #[cfg(test)]
-    pub(crate) fn slots_len(&self) -> usize {
-        self.slots.len()
+    pub(crate) fn ref_cells(&self) -> usize {
+        self.refs.cells.len()
     }
 }
 
@@ -329,7 +532,7 @@ mod tests {
         assert_ne!(c, a, "but the generation tag differs");
         assert!(!t.is_live(a), "stale handle stays dead");
         assert!(t.is_live(c));
-        assert_eq!(t.slots_len(), 2);
+        assert_eq!(t.slot_count(), 2);
     }
 
     #[test]
@@ -360,6 +563,162 @@ mod tests {
         t.remove(a);
         let live: Vec<_> = t.iter_live().collect();
         assert_eq!(live, vec![b]);
+    }
+
+    #[test]
+    fn a_slot_costs_at_most_32_bytes() {
+        // The record carries the slot generation too, so it is the whole
+        // per-slot cost; reference fields are 8 bytes each in the arena.
+        assert!(std::mem::size_of::<ObjectInfo>() <= 32);
+    }
+
+    #[test]
+    fn flags_and_meta_round_trip() {
+        let mut o = obj(32, 1);
+        assert!(o.alive() && !o.written() && !o.marked() && !o.logged());
+        assert_eq!(o.meta(), None);
+        o.set_marked(true);
+        o.set_logged(true);
+        o.set_written(true);
+        o.set_marked(false);
+        assert!(o.alive() && o.written() && !o.marked() && o.logged());
+        o.set_meta(Addr::new(0));
+        assert_eq!(o.meta(), Some(Addr::new(0)));
+    }
+
+    #[test]
+    fn steady_same_size_churn_does_not_grow_the_arena() {
+        let mut t = ObjectTable::new();
+        let mut cells = None;
+        for round in 0..50 {
+            let ids: Vec<_> = (0..100).map(|i| t.insert(obj(64, i % 5))).collect();
+            for (i, &id) in ids.iter().enumerate() {
+                if let Some(r) = ids.get(i + 1).filter(|_| t.get(id).ref_count() > 0) {
+                    t.set_ref(id, 0, Some(*r));
+                }
+            }
+            for id in ids {
+                t.remove(id);
+            }
+            match cells {
+                None => cells = Some(t.ref_cells()),
+                Some(c) => assert_eq!(t.ref_cells(), c, "round {round}"),
+            }
+        }
+        assert_eq!(cells, Some(100 / 5 * (1 + 2 + 3 + 4)));
+    }
+
+    /// A reference model of the table: one record per slot owning a `Vec`
+    /// of fields, a generation column and a LIFO free list.
+    #[derive(Default)]
+    struct ModelTable {
+        slots: Vec<Option<Vec<Option<ObjectId>>>>,
+        generations: Vec<u32>,
+        free: Vec<u32>,
+    }
+
+    impl ModelTable {
+        fn insert(&mut self, refs: usize) -> ObjectId {
+            if let Some(idx) = self.free.pop() {
+                self.slots[idx as usize] = Some(vec![None; refs]);
+                ObjectId::new(idx, self.generations[idx as usize])
+            } else {
+                self.slots.push(Some(vec![None; refs]));
+                self.generations.push(0);
+                ObjectId::new(self.slots.len() as u32 - 1, 0)
+            }
+        }
+
+        fn remove(&mut self, id: ObjectId) {
+            self.slots[id.index()] = None;
+            self.generations[id.index()] += 1;
+            self.free.push(id.index() as u32);
+        }
+
+        fn is_live(&self, id: ObjectId) -> bool {
+            self.slots.get(id.index()).is_some_and(Option::is_some)
+                && self.generations[id.index()] == id.generation()
+        }
+
+        fn refs(&self, id: ObjectId) -> &[Option<ObjectId>] {
+            self.slots[id.index()].as_deref().unwrap_or(&[])
+        }
+
+        fn iter_live(&self) -> Vec<ObjectId> {
+            (0..self.slots.len())
+                .filter(|&i| self.slots[i].is_some())
+                .map(|i| ObjectId::new(i as u32, self.generations[i]))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn table_agrees_with_the_vec_per_object_model() {
+        let mut rng = hemu_types::DeterministicRng::seeded(0x0b7ec7);
+        let mut t = ObjectTable::new();
+        let mut m = ModelTable::default();
+        // Every id ever handed out, so stale handles get probed too.
+        let mut seen: Vec<ObjectId> = Vec::new();
+        for step in 0..20_000 {
+            let live = m.iter_live();
+            match rng.below(100) {
+                0..=44 => {
+                    let refs = if rng.chance(0.05) {
+                        rng.range(8, 300) as usize
+                    } else {
+                        rng.below(6) as usize
+                    };
+                    let size = object_size(refs, rng.below(64) as usize);
+                    let id = t.insert(obj(size, refs));
+                    assert_eq!(id, m.insert(refs), "step {step}: insert");
+                    seen.push(id);
+                }
+                45..=54 if !live.is_empty() => {
+                    let id = live[rng.below(live.len() as u64) as usize];
+                    t.remove(id);
+                    m.remove(id);
+                }
+                55 if !live.is_empty() => {
+                    // A collector sweep: the model frees a batch in
+                    // ascending slot order, the table gets it reversed.
+                    let mut batch: Vec<_> = live.into_iter().filter(|_| rng.chance(0.3)).collect();
+                    for &id in &batch {
+                        m.remove(id);
+                    }
+                    batch.reverse();
+                    t.remove_in_slot_order(&batch);
+                }
+                56..=84 if !live.is_empty() => {
+                    let id = live[rng.below(live.len() as u64) as usize];
+                    let n = m.refs(id).len();
+                    if n > 0 {
+                        let i = rng.below(n as u64) as usize;
+                        let target = (!seen.is_empty() && rng.chance(0.8))
+                            .then(|| seen[rng.below(seen.len() as u64) as usize]);
+                        t.set_ref(id, i, target);
+                        m.slots[id.index()].as_mut().unwrap()[i] = target;
+                    }
+                }
+                _ => {
+                    for &id in seen.iter().rev().take(64) {
+                        assert_eq!(t.is_live(id), m.is_live(id), "step {step}: {id}");
+                        if m.is_live(id) {
+                            let got: Vec<_> =
+                                (0..m.refs(id).len()).map(|i| t.ref_at(id, i)).collect();
+                            assert_eq!(got, m.refs(id), "step {step}: refs of {id}");
+                            let some: Vec<_> = m.refs(id).iter().flatten().copied().collect();
+                            assert_eq!(t.refs(id).collect::<Vec<_>>(), some);
+                        }
+                    }
+                }
+            }
+            if step % 500 == 0 {
+                assert_eq!(t.iter_live().collect::<Vec<_>>(), m.iter_live());
+                assert_eq!(t.live_count(), m.iter_live().len());
+                assert_eq!(t.slot_count(), m.slots.len());
+            }
+        }
+        assert!(t.live_count() > 50, "the run keeps a sizeable table");
     }
 
     #[test]

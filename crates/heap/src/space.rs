@@ -101,23 +101,23 @@ struct Block {
 }
 
 impl Block {
+    /// First line of the lowest run of `lines` free lines, if any.
+    ///
+    /// Starts from the free-line mask and ANDs it with itself shifted down,
+    /// doubling the checked run length each step, until bit `i` is set only
+    /// if lines `i .. i + lines` are all free: O(log lines) word operations
+    /// instead of a loop over 128 bits. Shifts bring in zeros from the top,
+    /// so no run reaches past the end of the block.
     fn free_run(&self, lines: u32) -> Option<u32> {
-        debug_assert!(lines as usize <= LINES_PER_BLOCK);
-        if self.used == 0 {
-            return Some(0);
+        debug_assert!((1..=LINES_PER_BLOCK as u32).contains(&lines));
+        let mut starts = !self.used;
+        let mut covered = 1;
+        while covered < lines {
+            let step = covered.min(lines - covered);
+            starts &= starts >> step;
+            covered += step;
         }
-        let mut run = 0u32;
-        for i in 0..LINES_PER_BLOCK as u32 {
-            if self.used >> i & 1 == 0 {
-                run += 1;
-                if run == lines {
-                    return Some(i + 1 - lines);
-                }
-            } else {
-                run = 0;
-            }
-        }
-        None
+        (starts != 0).then(|| starts.trailing_zeros())
     }
 
     fn mark_lines(&mut self, first: u32, lines: u32) {
@@ -472,6 +472,65 @@ mod tests {
         assert!(s.contains(Addr::new(0x10ff)));
         assert!(!s.contains(Addr::new(0x1100)));
         assert!(!s.contains(Addr::new(0xfff)));
+    }
+
+    /// First fit one bit per iteration: the reference `free_run` must match.
+    fn free_run_bit_loop(used: u128, lines: u32) -> Option<u32> {
+        if used == 0 {
+            return Some(0);
+        }
+        let mut run = 0u32;
+        for i in 0..LINES_PER_BLOCK as u32 {
+            if used >> i & 1 == 0 {
+                run += 1;
+                if run == lines {
+                    return Some(i + 1 - lines);
+                }
+            } else {
+                run = 0;
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn free_run_matches_the_bit_loop() {
+        let mut rng = hemu_types::DeterministicRng::seeded(0x1e1e);
+        let mut found = 0;
+        for case in 0..20_000 {
+            // Line maps from nearly empty to nearly full: AND-ing draws
+            // thins the used bits, OR-ing thickens them.
+            let draw = |rng: &mut hemu_types::DeterministicRng| {
+                (rng.next_u64() as u128) << 64 | rng.next_u64() as u128
+            };
+            let mut used = draw(&mut rng);
+            for _ in 0..case % 5 {
+                used &= draw(&mut rng);
+            }
+            if case % 7 == 0 {
+                used |= draw(&mut rng);
+            }
+            if case % 11 == 0 {
+                used = 0;
+            }
+            let lines = if case % 3 == 0 {
+                rng.range(1, 129) as u32
+            } else {
+                rng.range(1, 9) as u32
+            };
+            let block = Block {
+                base: Addr::new(0),
+                used,
+            };
+            let want = free_run_bit_loop(used, lines);
+            found += want.is_some() as u32;
+            assert_eq!(
+                block.free_run(lines),
+                want,
+                "used {used:#034x}, lines {lines}"
+            );
+        }
+        assert!(found > 5_000, "the cases exercise successful fits");
     }
 
     #[test]

@@ -72,23 +72,13 @@ impl MemoryCounters {
     }
 
     /// Returns a snapshot difference `self - earlier`, for interval sampling
-    /// by the write-rate monitor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `earlier` has larger counts than `self` (counters are
-    /// monotonic between resets).
-    pub fn since(&self, earlier: &MemoryCounters) -> MemoryCounters {
-        MemoryCounters {
-            read_lines: self
-                .read_lines
-                .checked_sub(earlier.read_lines)
-                .expect("counter snapshot out of order"),
-            write_lines: self
-                .write_lines
-                .checked_sub(earlier.write_lines)
-                .expect("counter snapshot out of order"),
-        }
+    /// by the write-rate monitor, or `None` if `earlier` has larger counts
+    /// than `self` (counters are monotonic between resets).
+    pub fn since(&self, earlier: &MemoryCounters) -> Option<MemoryCounters> {
+        Some(MemoryCounters {
+            read_lines: self.read_lines.checked_sub(earlier.read_lines)?,
+            write_lines: self.write_lines.checked_sub(earlier.write_lines)?,
+        })
     }
 }
 
@@ -248,7 +238,7 @@ mod tests {
         let snap = c;
         c.record(AccessKind::Write);
         c.record(AccessKind::Read);
-        let d = c.since(&snap);
+        let d = c.since(&snap).unwrap();
         assert_eq!(d.write_lines(), 1);
         assert_eq!(d.read_lines(), 1);
     }
@@ -262,12 +252,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of order")]
-    fn since_panics_on_reversed_snapshots() {
+    fn since_is_none_on_reversed_snapshots() {
         let mut c = MemoryCounters::new();
         c.record(AccessKind::Write);
         let later = c;
-        let _ = MemoryCounters::new().since(&later);
+        assert_eq!(MemoryCounters::new().since(&later), None);
     }
 
     #[test]

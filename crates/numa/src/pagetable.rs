@@ -214,12 +214,12 @@ impl AddressSpace {
                     // OS-managed: first touch on the primary socket, spill
                     // only on genuine exhaustion (injected transient faults
                     // must propagate, not silently change placement).
-                    Some((primary, spill)) => match mem.allocate_frame(primary) {
-                        Ok(f) => f,
-                        Err(HemuError::OutOfPhysicalMemory { .. }) if spill.is_some() => {
-                            mem.allocate_frame(spill.expect("checked by guard"))?
+                    Some((primary, spill)) => match (mem.allocate_frame(primary), spill) {
+                        (Ok(f), _) => f,
+                        (Err(HemuError::OutOfPhysicalMemory { .. }), Some(spill)) => {
+                            mem.allocate_frame(spill)?
                         }
-                        Err(e) => return Err(e),
+                        (Err(e), _) => return Err(e),
                     },
                     None => mem.allocate_frame(self.socket_of(addr))?,
                 };

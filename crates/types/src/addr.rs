@@ -65,15 +65,10 @@ impl Addr {
         Addr((self.0 + align - 1) & !(align - 1))
     }
 
-    /// Byte distance from `earlier` to `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `earlier > self`.
-    pub fn distance_from(self, earlier: Addr) -> u64 {
-        self.0
-            .checked_sub(earlier.0)
-            .expect("Addr::distance_from: earlier address is greater")
+    /// Byte distance from `earlier` to `self`, or `None` if `earlier` is
+    /// the greater address.
+    pub fn distance_from(self, earlier: Addr) -> Option<u64> {
+        self.0.checked_sub(earlier.0)
     }
 }
 
@@ -298,13 +293,12 @@ mod tests {
 
     #[test]
     fn distance_from_counts_bytes() {
-        assert_eq!(Addr::new(100).distance_from(Addr::new(40)), 60);
+        assert_eq!(Addr::new(100).distance_from(Addr::new(40)), Some(60));
     }
 
     #[test]
-    #[should_panic(expected = "earlier address is greater")]
-    fn distance_from_panics_when_reversed() {
-        let _ = Addr::new(40).distance_from(Addr::new(100));
+    fn distance_from_is_none_when_reversed() {
+        assert_eq!(Addr::new(40).distance_from(Addr::new(100)), None);
     }
 
     #[test]

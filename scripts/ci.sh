@@ -20,6 +20,9 @@ cargo clippy --offline --lib \
   -p hemu-core -p hemu-bench \
   -- -D clippy::unwrap_used
 
+echo "== clippy: no unwrap() or expect() in the heap or the crates it builds on =="
+cargo clippy --offline --lib -p hemu-heap -- -D clippy::unwrap_used -D clippy::expect_used
+
 echo "== fault smoke: sweep survives transient faults (expect exit 0) =="
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT

@@ -3,11 +3,13 @@
 //! cover a GC-managed run, OS epochs with page migration,
 //! multiprogramming, and a two-tenant mix run. The mix run's report must
 //! also attribute every controller write to a tenant and survive the
-//! strict restore round-trip.
+//! strict restore round-trip. Each report also hashes to a golden FNV-1a
+//! digest, so a change that reorders object ids or the heap's slot reuse
+//! shows up here and not only in the benchmark's `sim_digest`.
 
 use hemu::core::{restore_run_report, Experiment, RunReport};
 use hemu::heap::CollectorKind;
-use hemu::obs::ToJson;
+use hemu::obs::{fnv1a64, ToJson};
 use hemu::types::{ByteSize, OsPagingConfig, OsPolicy, CACHE_LINE};
 use hemu::workloads::{Mix, WorkloadSpec};
 
@@ -32,6 +34,15 @@ fn assert_attribution_complete(name: &str, report: &RunReport) {
     assert_eq!(c.unattributed_pcm_lines, 0, "{name}: orphan PCM writes");
     assert_eq!(c.unattributed_dram_lines, 0, "{name}: orphan DRAM writes");
 }
+
+/// FNV-1a of each input's exported report, in input order. Re-record
+/// only for a change that is meant to move simulated results.
+const GOLDEN_REPORT_DIGESTS: [u64; 4] = [
+    0x2869_77fb_935f_4293,
+    0xaed6_ffb2_e3cd_7918,
+    0x8886_d5d6_7662_b381,
+    0xd040_6642_fda7_cdf0,
+];
 
 #[test]
 fn traced_and_untraced_runs_export_identical_reports() {
@@ -59,12 +70,14 @@ fn traced_and_untraced_runs_export_identical_reports() {
         ),
     ];
     let mut mix_runs = 0;
+    let mut digests = Vec::new();
     for (name, exp) in inputs {
         let plain = exp.run().expect("untraced run");
         let (traced, trace) = exp.run_with_trace(1 << 12).expect("traced run");
         assert!(!trace.is_empty(), "{name}: the traced run recorded events");
         let json = plain.to_json();
         assert_eq!(json, traced.to_json(), "{name}");
+        digests.push(fnv1a64(json.as_bytes()));
         // Copy runs carry no tenant block; mix runs do.
         if plain.consolidation.is_some() {
             mix_runs += 1;
@@ -74,4 +87,10 @@ fn traced_and_untraced_runs_export_identical_reports() {
         }
     }
     assert_eq!(mix_runs, 1, "exactly the mix input attributes per tenant");
+    let hex = |d: &[u64]| d.iter().map(|x| format!("{x:#018x}")).collect::<Vec<_>>();
+    assert_eq!(
+        hex(&digests),
+        hex(&GOLDEN_REPORT_DIGESTS),
+        "report digests moved"
+    );
 }
