@@ -7,8 +7,11 @@
 //! ```
 //!
 //! Targets: `table1 table2 fig3 fig4 fig5 fig6 fig7 fig8 table3 os
-//! consolidate write_breakdown all` (plus `smoke`, a tiny 6-run sanity
-//! sweep used by the CI crash-safety smoke).
+//! consolidate ablations write_breakdown all`, plus `series:<name>` (one
+//! benchmark's write-rate time series) and `smoke` (a tiny 6-run sanity
+//! sweep used by the CI crash-safety smoke). Every target runs its
+//! experiments through one harness, so each takes `--jobs`, `--resume`,
+//! `--json-out` and the fault flags; `table1` runs none.
 //! `--quick` (or `--scale quick`) restricts DaCapo to the seven-benchmark
 //! §V subset.
 //! `--json-out <dir>` writes one `<run>.json` per executed experiment plus
@@ -325,11 +328,10 @@ fn main() {
 
     for target in targets {
         let started = Instant::now();
-        // Harness-backed targets render through `run_planned`, which
-        // prefetches their experiments on the worker pool when --jobs > 1
-        // (artifacts stay byte-identical; see docs/performance.md).
-        // Targets that never touch the harness run directly, since a
-        // planning pass over them would just repeat their work.
+        // Every target but the static `table1` renders through
+        // `run_planned`, which prefetches its experiments on the worker
+        // pool when --jobs > 1 (artifacts stay byte-identical; see
+        // docs/performance.md).
         let result = match target {
             "table1" => Ok(experiments::table1()),
             "smoke" => h.run_planned(experiments::smoke),
@@ -345,12 +347,12 @@ fn main() {
             "consolidate" => {
                 h.run_planned(|h| experiments::consolidation(h, mix, slice, max_tenants))
             }
-            "ablations" => experiments::ablations(),
-            "write_breakdown" => experiments::write_breakdown(h.os_tuning(), &os_policies),
-            s if s.starts_with("series:") => {
-                // e.g. `series:lusearch` or `series:pr`.
-                experiments::series(&s["series:".len()..], hemu_heap::CollectorKind::PcmOnly)
-            }
+            "ablations" => h.run_planned(experiments::ablations),
+            "write_breakdown" => h.run_planned(|h| experiments::write_breakdown(h, &os_policies)),
+            // e.g. `series:lusearch` or `series:pr`.
+            s if s.starts_with("series:") => h.run_planned(|h| {
+                experiments::series(h, &s["series:".len()..], hemu_heap::CollectorKind::PcmOnly)
+            }),
             other => {
                 eprintln!("unknown target `{other}`; see --help in the README");
                 std::process::exit(2);

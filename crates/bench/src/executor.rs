@@ -11,9 +11,10 @@
 //!    cached, failed, or staged is enqueued as a [`JobSpec`] and answered
 //!    with [`HemuError::Deferred`]; the figure's output is discarded.
 //! 2. An **execution wave** drains the queue on a pool of `--jobs`
-//!    workers. Each worker owns its jobs end to end — experiment
-//!    construction, retries, backoff sleeps — and parks only itself while
-//!    backing off. Results land in per-job staging slots.
+//!    workers. Each worker owns its jobs end to end — the sweep-wide
+//!    settings laid over the job's experiment, retries, backoff sleeps —
+//!    and parks only itself while backing off. Results land in per-job
+//!    staging slots.
 //! 3. Planning and execution repeat until a pass demands nothing new
 //!    (figures branch on earlier results, so dependent runs surface only
 //!    after their inputs exist).
@@ -27,12 +28,11 @@
 //! first demand, byte-identical to the historical sequential path — which
 //! in turn is byte-identical to any `--jobs N` by the argument above.
 
-use crate::harness::{Manager, Profile, RunPolicy};
+use crate::harness::RunPolicy;
 use hemu_core::{Experiment, RunArtifacts};
 use hemu_fault::{EnduranceConfig, FaultPlan};
 use hemu_obs::{Reporter, Tracer};
-use hemu_types::{HemuError, OsPagingConfig};
-use hemu_workloads::Roster;
+use hemu_types::HemuError;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
@@ -48,45 +48,21 @@ pub(crate) const TRACE_CAPACITY: usize = 1 << 16;
 /// worker thread needs nothing from the harness.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
-    /// The memoization key: `workload|manager|instances|profile` for
-    /// copies, `mix@tenants|manager|sliceN|profile` for mixes.
+    /// The memoization key, [`Experiment::key`]: for example
+    /// `lusearch|KG-N|1|Emulation`, `mixed@8|PCM-Only|slice64|Emulation`
+    /// or `lu.Fix|PCM-Only|1|Emulation|llc=4MiB`.
     pub key: String,
-    /// Who co-runs: copies of one workload, or tenants from a mix.
-    pub roster: Roster,
-    /// Co-running workload count (copies or tenants).
-    pub instances: usize,
-    /// Scheduler slice in workload steps.
-    pub slice: u64,
-    /// Who places pages: a collector or an OS paging policy.
-    pub manager: Manager,
-    /// Machine profile.
-    pub profile: Profile,
+    /// The configured run, before the sweep-wide settings the executor
+    /// overlays (fault plan, endurance, profiling, tracing).
+    pub experiment: Experiment,
 }
 
 impl JobSpec {
-    /// Describes one run and renders its key, the one place both key
-    /// formats are spelled.
-    pub(crate) fn new(
-        roster: Roster,
-        instances: usize,
-        slice: u64,
-        manager: Manager,
-        profile: Profile,
-    ) -> Self {
-        let key = match roster {
-            Roster::Copies(spec) => format!("{spec}|{}|{instances}|{profile:?}", manager.name()),
-            Roster::Mix(mix) => format!(
-                "{mix}@{instances}|{}|slice{slice}|{profile:?}",
-                manager.name()
-            ),
-        };
+    /// Describes one run under its key.
+    pub fn new(experiment: Experiment) -> Self {
         JobSpec {
-            key,
-            roster,
-            instances,
-            slice,
-            manager,
-            profile,
+            key: experiment.key(),
+            experiment,
         }
     }
 }
@@ -111,13 +87,10 @@ pub struct ExecCtx {
     pub endurance: Option<EnduranceConfig>,
     /// Deadline/retry policy.
     pub policy: RunPolicy,
-    /// Migrator tuning for OS-managed jobs (the job's policy overrides the
-    /// `policy` field).
-    pub os_tuning: OsPagingConfig,
     /// Whether to capture an event trace of the measured iteration.
     pub want_trace: bool,
-    /// Whether to run the phase-and-provenance profiler (virtual-time
-    /// spans, write attribution, wear heatmap).
+    /// Whether to run every job under the phase-and-provenance profiler
+    /// (virtual-time spans, write attribution, wear heatmap).
     pub want_profile: bool,
     /// Serialized progress sink shared by all workers.
     pub reporter: Reporter,
@@ -133,28 +106,14 @@ fn panic_error(payload: &(dyn std::any::Any + Send)) -> HemuError {
     HemuError::Panicked(msg)
 }
 
-/// Builds the experiment for one attempt, applying the endurance model and
-/// (when the key matches) the fault plan reseeded for this attempt so a
-/// retry does not deterministically re-fail.
+/// Builds the experiment for one attempt: the job's own configuration plus
+/// the sweep-wide profiling and endurance settings and (when the key
+/// matches) the fault plan reseeded for this attempt, so a retry does not
+/// deterministically re-fail.
 fn configure(ctx: &ExecCtx, job: &JobSpec, attempt: u32) -> Experiment {
-    let mut e = match job.roster {
-        Roster::Copies(spec) => Experiment::new(spec).instances(job.instances),
-        Roster::Mix(mix) => Experiment::mix(mix, job.instances),
-    }
-    .slice(job.slice)
-    .profile(job.profile.machine());
+    let mut e = job.experiment.clone();
     if ctx.want_profile {
         e = e.profiling();
-    }
-    match job.manager {
-        Manager::Gc(collector) => e = e.collector(collector),
-        Manager::Os(policy) => {
-            let mut cfg = ctx.os_tuning;
-            cfg.policy = policy;
-            // The default collector is PCM-Only, the only one an OS-managed
-            // run accepts.
-            e = e.os_paging(cfg);
-        }
     }
     if let Some(cfg) = ctx.endurance {
         e = e.endurance(cfg);
@@ -209,16 +168,13 @@ fn run_guarded(
 /// deadline (if set) bounds each attempt, and transient injected faults
 /// are retried with capped linear backoff. Backoff sleeps park only the
 /// calling worker; other workers keep draining the queue.
-pub fn run_job(job: &JobSpec, ctx: &ExecCtx) -> StagedRun {
-    run_job_inner(job, ctx, true)
-}
-
-/// [`run_job`] with explicit progress semantics: `announce = true` opens
-/// the job's display with a `running` line; `false` marks a supervised
-/// requeue with a `retried` line instead, so a job that crashed its worker
-/// never emits a duplicate `begin` and progress output stays parseable as
-/// one `running`/`retried*`/final-line sequence per key.
-pub(crate) fn run_job_inner(job: &JobSpec, ctx: &ExecCtx, announce: bool) -> StagedRun {
+///
+/// `announce = true` opens the job's display with a `running` line;
+/// `false` marks a supervised requeue with a `retried` line instead, so a
+/// job that crashed its worker never emits a duplicate `begin` and
+/// progress output stays parseable as one `running`/`retried*`/final-line
+/// sequence per key.
+pub fn run_job(job: &JobSpec, ctx: &ExecCtx, announce: bool) -> StagedRun {
     // begin/finish bracket the run so a failed or retried run always
     // finalizes its display line — `running ...` is never a key's last word.
     if announce {
@@ -270,7 +226,7 @@ pub(crate) fn run_job_inner(job: &JobSpec, ctx: &ExecCtx, announce: bool) -> Sta
 /// keyed by queue position, and commitment order is decided later by the
 /// demand sequence, so scheduling noise cannot reach any artifact.
 pub fn execute_wave(jobs: &[JobSpec], workers: usize, ctx: &ExecCtx) -> Vec<StagedRun> {
-    execute_wave_with(jobs, workers, ctx, run_job_inner)
+    execute_wave_with(jobs, workers, ctx, run_job)
 }
 
 /// [`execute_wave`] generic over the per-job runner, so the supervision
@@ -279,7 +235,7 @@ pub fn execute_wave(jobs: &[JobSpec], workers: usize, ctx: &ExecCtx) -> Vec<Stag
 ///
 /// # Worker supervision
 ///
-/// `run_job_inner` already catches experiment panics, so a panic that
+/// `run_job` already catches experiment panics, so a panic that
 /// *escapes* the runner means the worker machinery itself crashed mid-job.
 /// Rather than abort the sweep (or silently lose the job), the pool
 /// supervises itself:
@@ -427,7 +383,6 @@ mod tests {
             fault_plan: None,
             endurance: None,
             policy: RunPolicy::default(),
-            os_tuning: OsPagingConfig::default(),
             want_trace: false,
             want_profile: false,
             reporter: Reporter::to_writer(Box::new(SharedBuf(Arc::clone(buf)))),
@@ -439,13 +394,7 @@ mod tests {
         keys.iter()
             .map(|k| JobSpec {
                 key: (*k).to_string(),
-                ..JobSpec::new(
-                    Roster::Copies(spec),
-                    1,
-                    1,
-                    Manager::Gc(hemu_heap::CollectorKind::PcmOnly),
-                    Profile::Emulation,
-                )
+                experiment: Experiment::new(spec),
             })
             .collect()
     }

@@ -14,9 +14,12 @@
 use crate::fmt::{ratio, table};
 use crate::harness::{workload, Harness, Manager, Profile};
 use hemu_core::lifetime::{LifetimeModel, ENDURANCE_PROTOTYPES};
+use hemu_core::RunReport;
+use hemu_heap::chunks::ChunkPolicy;
 use hemu_heap::{plan, CollectorKind};
-use hemu_types::{ByteSize, OsPagingConfig, OsPolicy, Result};
-use hemu_workloads::{spec, DatasetSize, Mix, Suite};
+use hemu_machine::MachineProfile;
+use hemu_types::{ByteSize, OsPolicy, Result};
+use hemu_workloads::{spec, DatasetSize, Language, Mix, Suite};
 
 /// Table I: space-to-socket mapping of KG-N, KG-W and KG-W−MDO, printed
 /// from the live plan objects.
@@ -141,8 +144,8 @@ pub fn fig3(h: &mut Harness) -> Result<String> {
         "KG-W".to_string(),
     ]];
     for name in ["pr", "cc", "als"] {
-        let cpp = h.run_cpp(name, DatasetSize::Default).ok();
         let spec = workload(name)?;
+        let cpp = h.run1_opt(spec.with_language(Language::Cpp), CollectorKind::PcmOnly);
         let java = h.run1_opt(spec, CollectorKind::PcmOnly);
         let kgn = h.run1_opt(spec, CollectorKind::KgN);
         let kgw = h.run1_opt(spec, CollectorKind::KgW);
@@ -494,13 +497,15 @@ pub fn table3(h: &mut Harness) -> Result<String> {
 ///
 /// # Errors
 ///
-/// Propagates experiment failures.
-pub fn ablations() -> Result<String> {
-    use hemu_core::Experiment;
-    use hemu_heap::chunks::ChunkPolicy;
-    use hemu_machine::MachineProfile;
-
+/// Rejects an unknown benchmark name; individual run failures render as
+/// `FAIL` cells instead.
+pub fn ablations(h: &mut Harness) -> Result<String> {
     let spec = workload("lu.Fix")?;
+    let emu = Profile::Emulation;
+    let writes = |r: &Option<RunReport>| {
+        r.as_ref()
+            .map_or("FAIL".into(), |r| r.pcm_writes.to_string())
+    };
     let mut out = String::from("Ablation studies\n");
 
     // (1) LLC size: the §V mechanism — a large LLC absorbs nursery writes,
@@ -514,17 +519,20 @@ pub fn ablations() -> Result<String> {
         "KG-N reduction".to_string(),
     ]];
     for llc_mib in [4u64, 8, 20] {
-        let profile = MachineProfile::emulation().with_llc(ByteSize::from_mib(llc_mib));
-        let base = Experiment::new(spec).profile(profile).run()?;
-        let kgn = Experiment::new(spec)
-            .profile(profile)
-            .collector(CollectorKind::KgN)
-            .run()?;
+        let machine = MachineProfile::emulation().with_llc(ByteSize::from_mib(llc_mib));
+        let mut on_llc = |c| {
+            let e = h.experiment(spec, c, 1, emu).profile(machine);
+            h.run_experiment(e).ok()
+        };
+        let (base, kgn) = (on_llc(CollectorKind::PcmOnly), on_llc(CollectorKind::KgN));
         rows.push(vec![
             format!("{llc_mib} MiB"),
-            format!("{}", base.pcm_writes),
-            format!("{}", kgn.pcm_writes),
-            format!("{:.0}%", kgn.pcm_write_reduction_vs(&base)),
+            writes(&base),
+            writes(&kgn),
+            match (&base, &kgn) {
+                (Some(b), Some(k)) => format!("{:.0}%", k.pcm_write_reduction_vs(b)),
+                _ => "FAIL".into(),
+            },
         ]);
     }
     out.push_str(&table(&rows));
@@ -537,14 +545,14 @@ pub fn ablations() -> Result<String> {
         "Total writes".to_string(),
     ]];
     for nursery_mib in [2u64, 4, 12, 32] {
-        let r = Experiment::new(spec)
-            .collector(CollectorKind::KgN)
-            .nursery(ByteSize::from_mib(nursery_mib))
-            .run()?;
+        let e = h.experiment(spec, CollectorKind::KgN, 1, emu);
+        let r = h
+            .run_experiment(e.nursery(ByteSize::from_mib(nursery_mib)))
+            .ok();
         rows.push(vec![
             format!("{nursery_mib} MiB"),
-            format!("{}", r.pcm_writes),
-            format!("{}", r.total_writes()),
+            writes(&r),
+            r.map_or("FAIL".into(), |r| r.total_writes().to_string()),
         ]);
     }
     out.push_str(&table(&rows));
@@ -562,10 +570,10 @@ pub fn ablations() -> Result<String> {
     ]];
     let mut first: Option<(f64, f64)> = None;
     for n in [1usize, 2, 4] {
-        let r = Experiment::new(spec)
-            .collector(CollectorKind::KgN)
-            .instances(n)
-            .run()?;
+        let Some(r) = h.run_opt(spec, CollectorKind::KgN, n, emu) else {
+            rows.push(vec![format!("{n}"), "FAIL".into(), "FAIL".into()]);
+            continue;
+        };
         let (nur, mat) = (r.dram_writes.bytes() as f64, r.pcm_writes.bytes() as f64);
         let (n0, m0) = *first.get_or_insert((nur.max(1.0), mat.max(1.0)));
         rows.push(vec![
@@ -587,14 +595,12 @@ pub fn ablations() -> Result<String> {
         ("two lists", ChunkPolicy::TwoLists),
         ("monolithic", ChunkPolicy::Monolithic),
     ] {
-        let r = Experiment::new(spec)
-            .collector(CollectorKind::KgW)
-            .chunk_policy(policy)
-            .run()?;
+        let e = h.experiment(spec, CollectorKind::KgW, 1, emu);
+        let r = h.run_experiment(e.chunk_policy(policy)).ok();
         rows.push(vec![
             name.to_string(),
-            format!("{}", r.pcm_writes),
-            format!("{:.4}s", r.elapsed_seconds),
+            writes(&r),
+            r.map_or("FAIL".into(), |r| format!("{:.4}s", r.elapsed_seconds)),
         ]);
     }
     out.push_str(&table(&rows));
@@ -607,14 +613,15 @@ pub fn ablations() -> Result<String> {
 ///
 /// # Errors
 ///
-/// Propagates experiment failures, and rejects unknown benchmark names.
-pub fn series(name: &str, collector: CollectorKind) -> Result<String> {
-    use hemu_core::Experiment;
-    let spec = workload(name)?;
-    let r = Experiment::new(spec)
-        .collector(collector)
-        .monitor_interval(0.005)
-        .run()?;
+/// Rejects unknown benchmark names; a failed run renders as `FAIL`.
+pub fn series(h: &mut Harness, name: &str, collector: CollectorKind) -> Result<String> {
+    let e = h.experiment(workload(name)?, collector, 1, Profile::Emulation);
+    let Ok(r) = h.run_experiment(e.monitor_interval(0.005)) else {
+        return Ok(format!(
+            "Write-rate time series: {name} under {}: FAIL\n",
+            collector.name()
+        ));
+    };
     let mut rows = vec![vec![
         "t (s)".to_string(),
         "PCM MB/s".to_string(),
@@ -734,15 +741,14 @@ pub fn os_baseline(h: &mut Harness, policies: &[OsPolicy]) -> Result<String> {
 /// KG-W) moves to DRAM, and the stream OS-level paging cannot see early
 /// enough.
 ///
-/// Runs its (profiled) experiments directly rather than through the
-/// harness, so the shared run cache never mixes profiled and unprofiled
-/// reports.
+/// Every run is profiled on its own (its key carries `|profiling=on`), so
+/// the unprofiled runs of other figures stay unprofiled.
 ///
 /// # Errors
 ///
-/// Propagates experiment failures.
-pub fn write_breakdown(os_tuning: OsPagingConfig, policies: &[OsPolicy]) -> Result<String> {
-    use hemu_core::Experiment;
+/// Rejects unknown benchmark names; individual run failures render as
+/// `FAIL` rows instead.
+pub fn write_breakdown(h: &mut Harness, policies: &[OsPolicy]) -> Result<String> {
     use hemu_types::{SpaceTag, WriteCause};
 
     let benches = [workload("lusearch")?, workload("avrora")?];
@@ -771,17 +777,16 @@ pub fn write_breakdown(os_tuning: OsPagingConfig, policies: &[OsPolicy]) -> Resu
     let mut young_share: Vec<(&'static str, f64)> = Vec::new();
     for &b in &benches {
         for &m in &managers {
-            let mut e = Experiment::new(b).profiling();
-            match m {
-                Manager::Gc(c) => e = e.collector(c),
-                Manager::Os(p) => {
-                    let mut cfg = os_tuning;
-                    cfg.policy = p;
-                    e = e.os_paging(cfg);
-                }
-            }
-            let arts = e.run_full()?;
-            let Some(prov) = arts.report.provenance.as_ref() else {
+            let e = h.experiment(b, m, 1, Profile::Emulation).profiling();
+            let Ok(r) = h.run_experiment(e) else {
+                let mut cells = vec![b.to_string(), m.name().to_string()];
+                cells.resize(cause_rows[0].len(), "FAIL".into());
+                cause_rows.push(cells.clone());
+                cells.resize(space_rows[0].len(), "FAIL".into());
+                space_rows.push(cells);
+                continue;
+            };
+            let Some(prov) = r.provenance.as_ref() else {
                 continue;
             };
             let pct = |lines: u64| 100.0 * lines as f64 / prov.pcm_total().max(1) as f64;
@@ -789,7 +794,7 @@ pub fn write_breakdown(os_tuning: OsPagingConfig, policies: &[OsPolicy]) -> Resu
             let mut cells = vec![
                 b.to_string(),
                 m.name().to_string(),
-                format!("{}", arts.report.pcm_writes),
+                format!("{}", r.pcm_writes),
             ];
             cells.extend(
                 WriteCause::ALL
@@ -801,7 +806,7 @@ pub fn write_breakdown(os_tuning: OsPagingConfig, policies: &[OsPolicy]) -> Resu
             let mut cells = vec![
                 b.to_string(),
                 m.name().to_string(),
-                format!("{}", arts.report.pcm_writes),
+                format!("{}", r.pcm_writes),
             ];
             cells.extend(
                 SpaceTag::ALL
@@ -910,13 +915,15 @@ pub fn consolidation(h: &mut Harness, mix: Mix, slice: u64, max_tenants: usize) 
     let mut baseline: Option<f64> = None;
     let mut any_ok = false;
     for &tenants in &densities {
-        let report = h.run_consolidated_opt(
-            mix,
-            tenants,
-            slice,
-            CollectorKind::PcmOnly,
-            Profile::Emulation,
-        );
+        let report = h
+            .run_consolidated(
+                mix,
+                tenants,
+                slice,
+                CollectorKind::PcmOnly,
+                Profile::Emulation,
+            )
+            .ok();
         match report.as_ref().and_then(|r| r.consolidation.as_ref()) {
             Some(c) => {
                 any_ok = true;

@@ -1,7 +1,7 @@
 //! The caching, fault-tolerant experiment harness.
 
 use crate::executor::{self, ExecCtx, JobSpec, StagedRun};
-use hemu_core::{restore_run_report, PageWear, RunReport};
+use hemu_core::{restore_run_report, Experiment, PageWear, RunReport};
 use hemu_fault::{ChaosKill, EnduranceConfig, FaultPlan, CHAOS_EXIT_CODE};
 use hemu_heap::CollectorKind;
 use hemu_machine::MachineProfile;
@@ -9,7 +9,7 @@ use hemu_obs::journal::{read_journal, JournalReadError, JournalRecord, JournalWr
 use hemu_obs::json::{JsonObject, ToJson};
 use hemu_obs::{fnv1a64, hash_hex, to_json_lines, write_atomic_str, Csv, Reporter, Timeline};
 use hemu_types::{HemuError, OsPagingConfig, OsPolicy, Result};
-use hemu_workloads::{spec, DatasetSize, Language, Mix, Roster, WorkloadSpec};
+use hemu_workloads::{spec, Mix, WorkloadSpec};
 use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -146,9 +146,9 @@ impl RunStatus {
 /// One executed run (successful or not), in execution order.
 #[derive(Debug, Clone)]
 pub struct RunRecord {
-    /// The memoization key (`workload|manager|instances|profile`, or
-    /// `mix@tenants|manager|sliceN|profile` for mix runs; the manager is a
-    /// collector or OS-policy name).
+    /// The memoization key ([`Experiment::key`]): `workload|manager|instances|Profile`,
+    /// or `mix@tenants|manager|sliceN|Profile` for mix runs, plus one
+    /// `|name=value` segment per setting off its default (`|llc=4MiB`).
     pub key: String,
     /// Terminal outcome.
     pub status: RunStatus,
@@ -197,7 +197,7 @@ pub struct Harness {
     fault_plan: Option<FaultPlan>,
     /// Endurance model applied to every executed experiment.
     endurance: Option<EnduranceConfig>,
-    /// Migrator tuning (epoch length, budget, DRAM clamp) applied to every
+    /// Migrator tuning (epoch length, budget, DRAM clamp) given to every
     /// OS-managed run; the policy field is overwritten per run.
     os_tuning: OsPagingConfig,
     policy: RunPolicy,
@@ -280,11 +280,6 @@ impl Harness {
         }
     }
 
-    /// The configured scale.
-    pub fn scale(&self) -> Scale {
-        self.scale
-    }
-
     /// Installs a fault plan applied to every subsequent run whose key
     /// matches the plan's `only` filter. An inert plan clears it.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
@@ -318,11 +313,6 @@ impl Harness {
     /// select the fully inline sequential path.
     pub fn set_jobs(&mut self, jobs: usize) {
         self.jobs = jobs;
-    }
-
-    /// The configured worker-pool width (0/1 = sequential).
-    pub fn jobs(&self) -> usize {
-        self.jobs.max(1)
     }
 
     /// Replaces the progress sink (stderr by default).
@@ -434,6 +424,36 @@ impl Harness {
         v
     }
 
+    /// The experiment behind [`Harness::run`] (OS policies get this
+    /// harness's migrator tuning). Figures that sweep a further setting
+    /// adjust it and pass it to [`Harness::run_experiment`].
+    pub fn experiment(
+        &self,
+        spec: WorkloadSpec,
+        manager: impl Into<Manager>,
+        instances: usize,
+        profile: Profile,
+    ) -> Experiment {
+        self.place(
+            Experiment::new(spec).instances(instances),
+            manager.into(),
+            profile,
+        )
+    }
+
+    fn place(&self, e: Experiment, manager: Manager, profile: Profile) -> Experiment {
+        let e = e.profile(profile.machine());
+        match manager {
+            Manager::Gc(collector) => e.collector(collector),
+            // The default collector is PCM-Only, the only one an OS-managed
+            // run accepts.
+            Manager::Os(policy) => e.os_paging(OsPagingConfig {
+                policy,
+                ..self.os_tuning
+            }),
+        }
+    }
+
     /// Runs (or fetches) one experiment under the resilience policy:
     /// panics are caught, a deadline (if set) bounds each attempt, and
     /// transient injected faults are retried with linear backoff. A
@@ -452,16 +472,14 @@ impl Harness {
         instances: usize,
         profile: Profile,
     ) -> Result<RunReport> {
-        let job = JobSpec::new(Roster::Copies(spec), instances, 1, manager.into(), profile);
-        self.demand(job)
+        self.run_experiment(self.experiment(spec, manager, instances, profile))
     }
 
     /// Runs (or fetches) one multi-tenant consolidation: `tenants`
     /// workloads from `mix`, slice-scheduled onto the profile's hardware
-    /// contexts. Rides the exact same memoization, planning, staging,
-    /// journaling, and export machinery as [`Harness::run`] — the run key
-    /// (`mix@tenants|manager|sliceN|profile`) doubles as the progress
-    /// label, so consolidated runs report as `mixed@16`-style entries.
+    /// contexts. The run key (`mix@tenants|manager|sliceN|profile`)
+    /// doubles as the progress label, so consolidated runs report as
+    /// `mixed@16`-style entries.
     ///
     /// # Errors
     ///
@@ -474,15 +492,20 @@ impl Harness {
         manager: impl Into<Manager>,
         profile: Profile,
     ) -> Result<RunReport> {
-        let job = JobSpec::new(Roster::Mix(mix), tenants, slice, manager.into(), profile);
-        self.demand(job)
+        let e = Experiment::mix(mix, tenants).slice(slice);
+        self.run_experiment(self.place(e, manager.into(), profile))
     }
 
-    /// The one demand path behind [`Harness::run`] and
-    /// [`Harness::run_consolidated`]: answer from the memo tables, enqueue
-    /// while planning, commit a restored or staged result, or execute
-    /// inline.
-    fn demand(&mut self, job: JobSpec) -> Result<RunReport> {
+    /// The one demand path, keyed by [`Experiment::key`]: answer from the
+    /// memo tables, enqueue while planning, commit a restored or staged
+    /// result, or execute inline. The harness's fault plan, endurance
+    /// model, profiling and tracing apply on top of `experiment`.
+    ///
+    /// # Errors
+    ///
+    /// The run's terminal error, as for [`Harness::run`].
+    pub fn run_experiment(&mut self, experiment: Experiment) -> Result<RunReport> {
+        let job = JobSpec::new(experiment);
         let key = job.key.clone();
         if let Some(r) = self.cache.get(&key) {
             return Ok(r.clone());
@@ -516,22 +539,8 @@ impl Harness {
         }
         // Inline execution: the sequential path (and the fallback should a
         // planned sweep demand a run no planning pass discovered).
-        let sr = executor::run_job(&job, &self.exec_ctx());
+        let sr = executor::run_job(&job, &self.exec_ctx(), true);
         self.commit(key, sr)
-    }
-
-    /// Like [`Harness::run_consolidated`], but a terminal failure yields
-    /// `None` so density sweeps degrade to partial figures.
-    pub fn run_consolidated_opt(
-        &mut self,
-        mix: Mix,
-        tenants: usize,
-        slice: u64,
-        manager: impl Into<Manager>,
-        profile: Profile,
-    ) -> Option<RunReport> {
-        self.run_consolidated(mix, tenants, slice, manager, profile)
-            .ok()
     }
 
     /// Renders a figure with parallel prefetching when `--jobs N > 1`:
@@ -586,7 +595,6 @@ impl Harness {
             fault_plan: self.fault_plan.clone(),
             endurance: self.endurance,
             policy: self.policy,
-            os_tuning: self.os_tuning,
             want_trace: self.trace_out.is_some(),
             want_profile: self.profiling(),
             reporter: self.reporter.clone(),
@@ -938,15 +946,6 @@ impl Harness {
         write_atomic_str(&path, &csv.finish()).map_err(|e| io_err("writing", &path, &e))
     }
 
-    /// Convenience: single instance on the emulation profile.
-    ///
-    /// # Errors
-    ///
-    /// Propagates experiment failures.
-    pub fn run1(&mut self, spec: WorkloadSpec, manager: impl Into<Manager>) -> Result<RunReport> {
-        self.run(spec, manager, 1, Profile::Emulation)
-    }
-
     /// Like [`Harness::run`], but a terminal failure (already recorded and
     /// memoized by `run`) yields `None` so figure loops degrade to partial
     /// tables instead of aborting the sweep.
@@ -968,18 +967,6 @@ impl Harness {
     ) -> Option<RunReport> {
         self.run_opt(spec, manager, 1, Profile::Emulation)
     }
-
-    /// Convenience: the C++ implementation of a GraphChi app (PCM-Only).
-    ///
-    /// # Errors
-    ///
-    /// Propagates experiment failures, and rejects unknown benchmark names.
-    pub fn run_cpp(&mut self, name: &str, dataset: DatasetSize) -> Result<RunReport> {
-        let spec = workload(name)?
-            .with_language(Language::Cpp)
-            .with_dataset(dataset);
-        self.run1(spec, CollectorKind::PcmOnly)
-    }
 }
 
 #[cfg(test)]
@@ -1000,9 +987,9 @@ mod tests {
     fn cache_avoids_rerunning() {
         let mut h = Harness::new(Scale::Quick);
         let spec = WorkloadSpec::by_name("avrora").unwrap();
-        let a = h.run1(spec, CollectorKind::KgN).unwrap();
+        let a = h.run1_opt(spec, CollectorKind::KgN).unwrap();
         assert_eq!(h.runs_executed, 1);
-        let b = h.run1(spec, CollectorKind::KgN).unwrap();
+        let b = h.run1_opt(spec, CollectorKind::KgN).unwrap();
         assert_eq!(h.runs_executed, 1, "second call must hit the cache");
         assert_eq!(a.pcm_writes, b.pcm_writes);
     }

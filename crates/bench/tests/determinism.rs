@@ -9,6 +9,7 @@
 use hemu_bench::{Harness, Profile, RunPolicy, Scale};
 use hemu_fault::FaultPlan;
 use hemu_heap::CollectorKind;
+use hemu_machine::MachineProfile;
 use hemu_obs::Reporter;
 use hemu_types::{ByteSize, OsPagingConfig, OsPolicy, Result};
 use hemu_workloads::WorkloadSpec;
@@ -89,7 +90,7 @@ fn os_sweep(h: &mut Harness) -> Result<String> {
 fn tenant_sweep(h: &mut Harness) -> Result<String> {
     let mut out = String::new();
     for tenants in [2usize, 3] {
-        if let Some(r) = h.run_consolidated_opt(
+        if let Ok(r) = h.run_consolidated(
             hemu_workloads::Mix::Dacapo,
             tenants,
             32,
@@ -107,6 +108,34 @@ fn tenant_sweep(h: &mut Harness) -> Result<String> {
                 r.pcm_writes,
                 c.unattributed_pcm_lines,
                 shares.join(" ")
+            ));
+        }
+    }
+    Ok(out)
+}
+
+/// An ablation-shaped sweep: one run profiled on its own, runs with a
+/// non-default LLC, nursery and monitor interval, and the default run they
+/// vary, each under its own key.
+fn ablation_sweep(h: &mut Harness) -> Result<String> {
+    let spec = WorkloadSpec::by_name("avrora").expect("workload registry");
+    let base = h.experiment(spec, CollectorKind::KgN, 1, Profile::Emulation);
+    let mut out = String::new();
+    for e in [
+        base.clone().profiling(),
+        base.clone()
+            .profile(MachineProfile::emulation().with_llc(ByteSize::from_mib(4))),
+        base.clone(),
+        base.clone().nursery(ByteSize::from_mib(2)),
+        base.monitor_interval(0.005),
+    ] {
+        let key = e.key();
+        if let Ok(r) = h.run_experiment(e) {
+            out.push_str(&format!(
+                "{key} pcm={} samples={} attributed={}\n",
+                r.pcm_writes,
+                r.samples.len(),
+                r.provenance.is_some()
             ));
         }
     }
@@ -344,6 +373,26 @@ fn faulted_tenant_sweep_is_byte_identical() {
     let base = artifacts(&tmp_dir("det-ften-base"), faulted(1), tenant_sweep);
     let par = artifacts(&tmp_dir("det-ften-par"), faulted(4), tenant_sweep);
     assert_identical(&base, &par);
+}
+
+/// The ablation dimensions ride the same planning and commit machinery:
+/// byte-identical at `--jobs` 1 and 2, one key and one artifact per run.
+#[test]
+fn ablation_sweep_is_byte_identical_across_jobs() {
+    let seq = artifacts(&tmp_dir("det-abl-seq"), knobs(1), ablation_sweep);
+    let par = artifacts(&tmp_dir("det-abl-par"), knobs(2), ablation_sweep);
+    assert_identical(&seq, &par);
+    assert_eq!(seq.0.lines().count(), 5, "every run rendered: {}", seq.0);
+    for file in [
+        "avrora_KG-N_1_Emulation_profiling_on.json",
+        "avrora_KG-N_1_Emulation_llc_4MiB.json",
+        "avrora_KG-N_1_Emulation.json",
+        "avrora_KG-N_1_Emulation_nursery_2MiB.json",
+        "avrora_KG-N_1_Emulation_monitor_0.005s.json",
+    ] {
+        assert!(seq.1.contains_key(file), "missing {file}");
+    }
+    assert_eq!(seq.0.matches("attributed=true").count(), 1, "{}", seq.0);
 }
 
 /// Widths beyond the job count (and odd widths) change nothing either.

@@ -9,9 +9,10 @@
 use hemu_bench::{Harness, Profile, RunPolicy, Scale};
 use hemu_fault::FaultPlan;
 use hemu_heap::CollectorKind;
+use hemu_machine::MachineProfile;
 use hemu_obs::journal::journal_path;
 use hemu_obs::Reporter;
-use hemu_types::{HemuError, Result};
+use hemu_types::{ByteSize, HemuError, Result};
 use hemu_workloads::WorkloadSpec;
 use std::collections::BTreeMap;
 use std::fs;
@@ -52,6 +53,31 @@ fn sweep(h: &mut Harness) -> Result<String> {
     Ok(out)
 }
 
+/// The determinism suite's ablation-shaped sweep: a run profiled on its
+/// own first, then non-default LLC, the default run, non-default nursery
+/// and non-default monitor interval.
+fn ablation_sweep(h: &mut Harness) -> Result<String> {
+    let spec = WorkloadSpec::by_name("avrora").expect("workload registry");
+    let base = h.experiment(spec, CollectorKind::KgN, 1, Profile::Emulation);
+    let mut out = String::new();
+    for e in [
+        base.clone().profiling(),
+        base.clone()
+            .profile(MachineProfile::emulation().with_llc(ByteSize::from_mib(4))),
+        base.clone(),
+        base.clone().nursery(ByteSize::from_mib(2)),
+        base.monitor_interval(0.005),
+    ] {
+        let key = e.key();
+        if let Ok(r) = h.run_experiment(e) {
+            out.push_str(&format!("{key} pcm={}\n", r.pcm_writes));
+        }
+    }
+    Ok(out)
+}
+
+type Sweep = fn(&mut Harness) -> Result<String>;
+
 fn quiet_harness(jobs: usize) -> Harness {
     let mut h = Harness::new(Scale::Quick);
     h.set_jobs(jobs);
@@ -64,7 +90,7 @@ fn quiet_harness(jobs: usize) -> Harness {
 }
 
 /// Runs the sweep uninterrupted into `dir` and returns the rendered text.
-fn clean_run(dir: &Path, jobs: usize) -> String {
+fn clean_run(dir: &Path, jobs: usize, sweep: Sweep) -> String {
     let mut h = quiet_harness(jobs);
     h.set_json_dir(dir).expect("create json dir");
     let text = h.run_planned(sweep).expect("sweep renders");
@@ -97,11 +123,11 @@ fn assert_dirs_identical(reference: &Path, resumed: &Path) {
 
 /// Inflicts a realistic mix of crash damage on a completed sweep
 /// directory: the journal is cut to its header plus two committed records
-/// and a torn trailing fragment; one journaled per-run artifact is
-/// corrupted (its content hash no longer matches); one non-journaled
-/// artifact is deleted outright; and the combined exports (written only at
-/// finalization) are gone.
-fn simulate_crash(dir: &Path) {
+/// and a torn trailing fragment; one journaled per-run artifact
+/// (`corrupt`) is corrupted (its content hash no longer matches); one
+/// non-journaled artifact (`delete`) is deleted outright; and the combined
+/// exports (written only at finalization) are gone.
+fn simulate_crash(dir: &Path, corrupt: &str, delete: &str) {
     let journal = journal_path(dir);
     let text = fs::read_to_string(&journal).expect("read journal");
     let mut lines = text.lines();
@@ -113,19 +139,15 @@ fn simulate_crash(dir: &Path) {
     kept.push_str("{\"key\":\"torn-mid-wri");
     fs::write(&journal, kept).expect("truncate journal");
 
-    fs::write(
-        dir.join("avrora_KG-N_1_Emulation.json"),
-        "{\"tampered\":true}\n",
-    )
-    .expect("corrupt a journaled artifact");
-    fs::remove_file(dir.join("luindex_KG-N_1_Emulation.json")).expect("delete an artifact");
+    fs::write(dir.join(corrupt), "{\"tampered\":true}\n").expect("corrupt a journaled artifact");
+    fs::remove_file(dir.join(delete)).expect("delete an artifact");
     fs::remove_file(dir.join("runs.json")).expect("delete runs.json");
     fs::remove_file(dir.join("samples.csv")).expect("delete samples.csv");
 }
 
 /// Resumes the damaged directory and returns the rendered text plus the
 /// replay/re-execute split actually used.
-fn resumed_run(dir: &Path, jobs: usize) -> (String, usize, usize) {
+fn resumed_run(dir: &Path, jobs: usize, sweep: Sweep) -> (String, usize, usize) {
     let mut h = quiet_harness(jobs);
     h.resume_from(dir).expect("resume accepts the journal");
     let text = h.run_planned(sweep).expect("sweep renders");
@@ -138,13 +160,17 @@ fn resumed_run(dir: &Path, jobs: usize) -> (String, usize, usize) {
 #[test]
 fn resumed_sweep_is_byte_identical_to_uninterrupted() {
     let reference = tmp_dir("resume-ref");
-    let ref_text = clean_run(&reference, 2);
+    let ref_text = clean_run(&reference, 2, sweep);
 
     for jobs in [1usize, 4] {
         let crashed = tmp_dir(&format!("resume-crash-j{jobs}"));
-        clean_run(&crashed, jobs);
-        simulate_crash(&crashed);
-        let (text, restored, executed) = resumed_run(&crashed, jobs);
+        clean_run(&crashed, jobs, sweep);
+        simulate_crash(
+            &crashed,
+            "avrora_KG-N_1_Emulation.json",
+            "luindex_KG-N_1_Emulation.json",
+        );
+        let (text, restored, executed) = resumed_run(&crashed, jobs, sweep);
         assert_eq!(text, ref_text, "rendered text diverged at jobs {jobs}");
         // Of the two journaled records, the corrupted one must fall back to
         // re-execution; only the intact one replays.
@@ -157,13 +183,38 @@ fn resumed_sweep_is_byte_identical_to_uninterrupted() {
     }
 }
 
+/// The ablation-shaped sweep resumes the same way. Its first journaled
+/// run is profiled on its own, so the replay restores a report with a
+/// write-attribution block; the second (non-default LLC) is corrupted and
+/// re-executes.
+#[test]
+fn resumed_ablation_sweep_is_byte_identical_to_uninterrupted() {
+    let reference = tmp_dir("resume-abl-ref");
+    let ref_text = clean_run(&reference, 1, ablation_sweep);
+    let crashed = tmp_dir("resume-abl-crash");
+    clean_run(&crashed, 2, ablation_sweep);
+    simulate_crash(
+        &crashed,
+        "avrora_KG-N_1_Emulation_llc_4MiB.json",
+        "avrora_KG-N_1_Emulation_nursery_2MiB.json",
+    );
+    let (text, restored, executed) = resumed_run(&crashed, 2, ablation_sweep);
+    assert_eq!(text, ref_text, "rendered text diverged");
+    assert_eq!(
+        (restored, executed),
+        (1, 4),
+        "only the profiled run replays"
+    );
+    assert_dirs_identical(&reference, &crashed);
+}
+
 /// A journal written under a different sweep plan (here: a fault plan the
 /// resuming harness does not have) is refused with a typed error, not
 /// silently replayed into wrong results.
 #[test]
 fn resume_refuses_a_journal_from_a_different_plan() {
     let dir = tmp_dir("resume-plan-mismatch");
-    clean_run(&dir, 1);
+    clean_run(&dir, 1, sweep);
 
     let mut h = quiet_harness(1);
     h.set_fault_plan(FaultPlan {

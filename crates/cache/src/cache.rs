@@ -26,7 +26,7 @@
 //! the store path asserts it.
 
 use crate::stats::CacheStats;
-use hemu_types::{AccessKind, ByteSize, LineAddr, CACHE_LINE};
+use hemu_types::{AccessKind, ByteSize, HemuError, LineAddr, Result, CACHE_LINE};
 
 /// Geometry and identity of one cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,27 +44,38 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate (zero ways, more than 21 ways
-    /// — per-set recency ranks are packed six bits per way into a `u128`
-    /// — or capacity not a multiple of `assoc * CACHE_LINE`, or a
-    /// non-power-of-two set count — the set index is computed by masking).
+    /// Panics on any geometry [`CacheConfig::try_new`] rejects.
     pub fn new(name: &'static str, size: ByteSize, assoc: usize) -> Self {
-        assert!(assoc > 0, "cache must have at least one way");
-        assert!(
-            assoc <= 21,
-            "recency ranks are packed 6 bits per way into a u128"
-        );
-        let lines = size.bytes() as usize / CACHE_LINE;
-        assert!(
-            lines % assoc == 0,
-            "capacity {size} not divisible into {assoc}-way sets"
-        );
-        let sets = lines / assoc;
-        assert!(
-            sets.is_power_of_two(),
-            "set count {sets} must be a power of two"
-        );
-        CacheConfig { name, size, assoc }
+        match Self::try_new(name, size, assoc) {
+            Ok(cfg) => cfg,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// Creates a config after checking its geometry: 1..=21 ways (per-set
+    /// recency ranks are packed six bits per way into a `u128`), a
+    /// capacity that is a whole number of `assoc`-way sets, and a
+    /// power-of-two set count (the set index is computed by masking).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HemuError::InvalidConfig`] naming the cache and the rule
+    /// its geometry breaks.
+    pub fn try_new(name: &'static str, size: ByteSize, assoc: usize) -> Result<Self> {
+        let set_bytes = (assoc * CACHE_LINE) as u64;
+        let why = if !(1..=21).contains(&assoc) {
+            format!("{assoc} ways is outside 1..=21")
+        } else if !size.bytes().is_multiple_of(set_bytes) {
+            format!("capacity {size} does not divide into {assoc}-way sets")
+        } else if !(size.bytes() / set_bytes).is_power_of_two() {
+            format!(
+                "set count {} must be a power of two",
+                size.bytes() / set_bytes
+            )
+        } else {
+            return Ok(CacheConfig { name, size, assoc });
+        };
+        Err(HemuError::InvalidConfig(format!("{name} geometry: {why}")))
     }
 
     /// Number of sets.

@@ -223,11 +223,12 @@ impl Experiment {
     /// # Errors
     ///
     /// Returns [`HemuError::InvalidConfig`] for inconsistent
-    /// configurations (a roster outside 1..=255 workloads, a C++ workload
-    /// with a hybrid collector — the paper evaluates the C++
-    /// implementations on the PCM-Only reference system — OS paging with a
-    /// write-rationing collector, or a monitor interval that is not
-    /// positive), and propagates heap or machine exhaustion.
+    /// configurations (a machine profile [`MachineProfile::validate`]
+    /// rejects, a roster outside 1..=255 workloads, a C++ workload with a
+    /// hybrid collector — the paper evaluates the C++ implementations on
+    /// the PCM-Only reference system — OS paging with a write-rationing
+    /// collector, or a monitor interval that is not positive), and
+    /// propagates heap or machine exhaustion.
     pub fn run(&self) -> Result<RunReport> {
         self.run_traced(Tracer::disabled()).map(|a| a.report)
     }
@@ -259,8 +260,51 @@ impl Experiment {
             .map(|a| (a.report, a.trace))
     }
 
+    /// The key naming this run in a sweep: `workload|manager|instances|Profile`
+    /// for copies, `mix@tenants|manager|sliceS|Profile` for mixes (the
+    /// manager is the OS policy, if any, else the collector), then one
+    /// `|name=value` segment per setting off its default: `llc`, `nursery`,
+    /// `chunks`, `monitor` and `profiling`, in that order. Sweep-wide
+    /// settings (fault plan, endurance, tracing) stay out of the key.
+    pub fn key(&self) -> String {
+        let manager = self
+            .os
+            .map_or(self.collector.name(), |cfg| cfg.policy.name());
+        let mut profile = self.profile.name.to_string();
+        if let Some(first) = profile.get_mut(..1) {
+            first.make_ascii_uppercase();
+        }
+        let (n, slice) = (self.instances, self.slice);
+        let mut key = match self.roster {
+            Roster::Copies(spec) => format!("{spec}|{manager}|{n}|{profile}"),
+            Roster::Mix(mix) => format!("{mix}@{n}|{manager}|slice{slice}|{profile}"),
+        };
+        let size = |b: ByteSize| match b.bytes() {
+            b if b.is_multiple_of(1 << 20) => format!("{}MiB", b >> 20),
+            b => format!("{b}B"),
+        };
+        let default = Self::with_roster(self.roster, n);
+        if self.profile.llc_size != default.profile.llc_size {
+            key += &format!("|llc={}", size(self.profile.llc_size));
+        }
+        if let Some(nursery) = self.nursery_override {
+            key += &format!("|nursery={}", size(nursery));
+        }
+        if self.chunk_policy != default.chunk_policy {
+            key += &format!("|chunks={:?}", self.chunk_policy);
+        }
+        if self.monitor_interval != default.monitor_interval {
+            key += &format!("|monitor={}s", self.monitor_interval);
+        }
+        if self.profiling {
+            key += "|profiling=on";
+        }
+        key
+    }
+
     /// Checks the configuration and resolves the roster into its workloads.
     fn validate(&self) -> Result<Vec<TenantSpec>> {
+        self.profile.validate()?;
         if !(1..=MAX_WORKLOADS).contains(&self.instances) {
             return Err(HemuError::InvalidConfig(format!(
                 "a run takes 1..={MAX_WORKLOADS} workloads, got {}",
@@ -782,6 +826,70 @@ mod tests {
             let e = Experiment::new(avrora()).monitor_interval(seconds);
             assert!(invalid(&e), "interval {seconds} must be rejected");
         }
+    }
+
+    #[test]
+    fn bad_cache_geometry_is_invalid_not_a_panic() {
+        // 4 MiB does not split into the profile's 20-way sets.
+        let profile = MachineProfile {
+            llc_size: ByteSize::from_mib(4),
+            ..MachineProfile::emulation()
+        };
+        assert!(invalid(&Experiment::new(avrora()).profile(profile)));
+    }
+
+    #[test]
+    fn keys_pin_the_historical_formats() {
+        let lu = WorkloadSpec::by_name("lu.Fix").expect("lu.Fix registered");
+        assert_eq!(
+            Experiment::new(lu).instances(4).key(),
+            "lu.Fix|PCM-Only|4|Emulation"
+        );
+        assert_eq!(
+            Experiment::mix(Mix::Mixed, 8).slice(64).key(),
+            "mixed@8|PCM-Only|slice64|Emulation"
+        );
+        let os = OsPagingConfig::new(hemu_types::OsPolicy::HotCold);
+        assert_eq!(
+            Experiment::new(avrora()).os_paging(os).key(),
+            "avrora|OS-hot-cold|1|Emulation"
+        );
+        assert_eq!(
+            Experiment::new(avrora())
+                .collector(CollectorKind::KgW)
+                .profile(MachineProfile::simulation())
+                .key(),
+            "avrora|KG-W|1|Simulation"
+        );
+        let cpp = WorkloadSpec::by_name("pr")
+            .expect("pr registered")
+            .with_language(Language::Cpp);
+        assert_eq!(Experiment::new(cpp).key(), "pr.cpp|PCM-Only|1|Emulation");
+    }
+
+    #[test]
+    fn every_ablation_dimension_gets_its_own_key() {
+        let base = Experiment::new(avrora());
+        let keys = [
+            base.clone(),
+            base.clone()
+                .profile(MachineProfile::emulation().with_llc(ByteSize::from_mib(4))),
+            base.clone().nursery(ByteSize::from_mib(2)),
+            base.clone().chunk_policy(ChunkPolicy::Monolithic),
+            base.clone().monitor_interval(0.005),
+            base.clone().profiling(),
+        ]
+        .map(|e| e.key());
+        assert_eq!(keys[1], "avrora|PCM-Only|1|Emulation|llc=4MiB");
+        assert_eq!(keys[2], "avrora|PCM-Only|1|Emulation|nursery=2MiB");
+        assert_eq!(keys[3], "avrora|PCM-Only|1|Emulation|chunks=Monolithic");
+        assert_eq!(keys[4], "avrora|PCM-Only|1|Emulation|monitor=0.005s");
+        assert_eq!(keys[5], "avrora|PCM-Only|1|Emulation|profiling=on");
+        let distinct: std::collections::HashSet<_> = keys.iter().collect();
+        assert_eq!(distinct.len(), keys.len(), "keys collide: {keys:?}");
+        // An override equal to the default (20 MiB) is the default run.
+        let same = base.profile(MachineProfile::emulation().with_llc(ByteSize::from_mib(20)));
+        assert_eq!(same.key(), keys[0]);
     }
 
     #[test]

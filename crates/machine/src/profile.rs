@@ -1,8 +1,8 @@
 //! Machine profiles: the hardware parameter sets the platform can emulate.
 
-use hemu_cache::HierarchyConfig;
+use hemu_cache::{CacheConfig, HierarchyConfig};
 use hemu_numa::{NumaConfig, QpiLink};
-use hemu_types::{ByteSize, Cycles};
+use hemu_types::{ByteSize, Cycles, HemuError, Result, CACHE_LINE};
 
 /// Per-level access latencies in core cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,12 +91,40 @@ impl MachineProfile {
         }
     }
 
-    /// Returns this profile with a different LLC capacity (associativity is
-    /// kept; capacity must stay divisible into power-of-two sets). Used by
-    /// the Table II / §V analysis of KG-N's sensitivity to LLC size.
+    /// Returns this profile with a different LLC capacity. The
+    /// associativity is kept when the new capacity splits into a
+    /// power-of-two number of sets at it, and otherwise drops to the
+    /// largest that does (20 MiB keeps 20 ways; 4 and 8 MiB get 16). A
+    /// capacity no associativity fits keeps the old one and fails
+    /// [`MachineProfile::validate`]. Used by the §V analysis of KG-N's
+    /// sensitivity to LLC size.
     pub fn with_llc(mut self, llc_size: ByteSize) -> Self {
+        let lines = llc_size.bytes() / CACHE_LINE as u64;
+        let fits = |ways: u64| lines.is_multiple_of(ways) && (lines / ways).is_power_of_two();
+        if let Some(ways) = (1..=self.llc_assoc as u64).rev().find(|&w| fits(w)) {
+            self.llc_assoc = ways as usize;
+        }
         self.llc_size = llc_size;
         self
+    }
+
+    /// Checks that this profile describes a machine the model can build: at
+    /// least one hardware context, and L2 and LLC geometries that
+    /// [`CacheConfig::try_new`] accepts. [`Machine::new`](crate::Machine::new)
+    /// panics on a profile this rejects.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HemuError::InvalidConfig`] naming the first broken rule.
+    pub fn validate(&self) -> Result<()> {
+        if self.contexts == 0 {
+            return Err(HemuError::InvalidConfig(
+                "a machine needs at least one hardware context".into(),
+            ));
+        }
+        CacheConfig::try_new("L2", self.l2_size, self.l2_assoc)?;
+        CacheConfig::try_new("LLC", self.llc_size, self.llc_assoc)?;
+        Ok(())
     }
 
     /// Returns this profile with a different context count.
@@ -136,6 +164,31 @@ mod tests {
         let p = MachineProfile::emulation().with_llc(ByteSize::from_mib(4));
         assert_eq!(p.llc_size, ByteSize::from_mib(4));
         assert_eq!(p.contexts, 16);
+    }
+
+    #[test]
+    fn with_llc_picks_power_of_two_sets() {
+        for (mib, ways) in [(4, 16), (8, 16), (20, 20)] {
+            let p = MachineProfile::emulation().with_llc(ByteSize::from_mib(mib));
+            assert_eq!(p.llc_assoc, ways, "{mib} MiB");
+            assert!(p.validate().is_ok(), "{mib} MiB must validate");
+        }
+    }
+
+    #[test]
+    fn bad_geometry_is_a_typed_error() {
+        // 4 MiB does not split into 20-way sets.
+        let p = MachineProfile {
+            llc_size: ByteSize::from_mib(4),
+            ..MachineProfile::emulation()
+        };
+        assert!(matches!(p.validate(), Err(HemuError::InvalidConfig(_))));
+        // No associativity gives 65537 lines (a prime) power-of-two sets.
+        let p = MachineProfile::emulation().with_llc(ByteSize::new(65_537 * 64));
+        assert!(matches!(p.validate(), Err(HemuError::InvalidConfig(_))));
+        let p = MachineProfile::emulation().with_contexts(0);
+        assert!(matches!(p.validate(), Err(HemuError::InvalidConfig(_))));
+        assert!(MachineProfile::simulation().validate().is_ok());
     }
 
     #[test]

@@ -86,6 +86,19 @@ for jobs in 1 4; do
   diff -r "$smoke_dir/chaos-ref" "$smoke_dir/chaos-j$jobs"
 done
 
+echo "== harness targets: ablations, write_breakdown and series run and resume (expect exit 0) =="
+# A panic (exit 101) or a failed run fails this step, and a sweep killed
+# after its third commit must resume byte-identical.
+targets=(ablations write_breakdown series:lusearch --scale quick --jobs 2)
+./target/release/repro "${targets[@]}" --json-out "$smoke_dir/targets"
+if ./target/release/repro "${targets[@]}" --chaos-kill-after 3 \
+  --json-out "$smoke_dir/targets-chaos"; then
+  echo "chaos-killed sweep should have exited non-zero" >&2
+  exit 1
+fi
+./target/release/repro "${targets[@]}" --resume "$smoke_dir/targets-chaos"
+diff -r "$smoke_dir/targets" "$smoke_dir/targets-chaos"
+
 echo "== torn-write gate: export code writes final artifacts only atomically =="
 # Final artifacts must go through hemu_obs::write_atomic; a direct
 # fs::write/File::create in export code is a torn-write hazard. Test
