@@ -1,15 +1,17 @@
 //! Tracing is an observer and never changes a result: a traced run
 //! exports the same report as the untraced run, byte for byte. The inputs
 //! cover a GC-managed run, OS epochs with page migration,
-//! multiprogramming, and a two-tenant mix run. The mix run's report must
-//! also attribute every controller write to a tenant and survive the
-//! strict restore round-trip. Each report also hashes to a golden FNV-1a
-//! digest, so a change that reorders object ids or the heap's slot reuse
-//! shows up here and not only in the benchmark's `sim_digest`.
+//! multiprogramming, a two-tenant mix run and a profiled run. The mix
+//! run's report must also attribute every controller write to a tenant
+//! and survive the strict restore round-trip. Each report also hashes to
+//! a golden FNV-1a digest, so a change that reorders object ids or the
+//! heap's slot reuse shows up here and not only in the benchmark's
+//! `sim_digest`; the profiled input pins the provenance block the same
+//! way.
 
 use hemu::core::{restore_run_report, Experiment, RunReport};
 use hemu::heap::CollectorKind;
-use hemu::obs::{fnv1a64, ToJson};
+use hemu::obs::{fnv1a64, ToJson, TraceEvent};
 use hemu::types::{ByteSize, OsPagingConfig, OsPolicy, CACHE_LINE};
 use hemu::workloads::{Mix, WorkloadSpec};
 
@@ -37,11 +39,12 @@ fn assert_attribution_complete(name: &str, report: &RunReport) {
 
 /// FNV-1a of each input's exported report, in input order. Re-record
 /// only for a change that is meant to move simulated results.
-const GOLDEN_REPORT_DIGESTS: [u64; 4] = [
+const GOLDEN_REPORT_DIGESTS: [u64; 5] = [
     0x2869_77fb_935f_4293,
     0xaed6_ffb2_e3cd_7918,
     0x8886_d5d6_7662_b381,
     0xd040_6642_fda7_cdf0,
+    0xc444_61b1_8572_8d57,
 ];
 
 #[test]
@@ -68,16 +71,33 @@ fn traced_and_untraced_runs_export_identical_reports() {
             "dacapo mix x2",
             Experiment::mix(Mix::Dacapo, 2).without_warmup(),
         ),
+        (
+            "lu.Fix KG-W profiled",
+            Experiment::new(lu).collector(CollectorKind::KgW).profiling(),
+        ),
     ];
     let mut mix_runs = 0;
     let mut digests = Vec::new();
     for (name, exp) in inputs {
         let plain = exp.run().expect("untraced run");
-        let (traced, trace) = exp.run_with_trace(1 << 12).expect("traced run");
+        let capacity = 1 << 12;
+        let (traced, trace) = exp.run_with_trace(capacity).expect("traced run");
         assert!(!trace.is_empty(), "{name}: the traced run recorded events");
         let json = plain.to_json();
         assert_eq!(json, traced.to_json(), "{name}");
         digests.push(fnv1a64(json.as_bytes()));
+        // The OS counters cover exactly the measured iteration, as the
+        // trace does: every migration the report counts is one traced
+        // move, and the ring kept every event.
+        if let Some(os) = &plain.os_paging {
+            assert!(trace.len() < capacity, "{name}: the trace ring filled");
+            let moved = trace
+                .iter()
+                .filter(|r| matches!(r.event, TraceEvent::PageMigrated { .. }))
+                .count() as u64;
+            assert!(os.migrations > 0, "{name}: the migrator moved pages");
+            assert_eq!(moved, os.migrations, "{name}: traced migrations");
+        }
         // Copy runs carry no tenant block; mix runs do.
         if plain.consolidation.is_some() {
             mix_runs += 1;
