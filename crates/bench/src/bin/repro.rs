@@ -49,7 +49,7 @@
 //! picks the workload roster tenants round-robin over (default: mixed);
 //! `--slice N` sets the scheduler's virtual-time slice in workload steps
 //! per tenant turn (default: 64). Per-tenant write attribution lands in
-//! each report's `consolidation` block and `*.tenant.<id>.*` metrics.
+//! each report's `consolidation` block.
 //!
 //! OS-baseline flags (the `os` target; see `docs/observability.md` and
 //! `EXPERIMENTS.md`): `--os-policy dram-first,pcm-first,hot-cold` selects

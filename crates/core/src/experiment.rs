@@ -10,10 +10,7 @@ use hemu_machine::{CtxId, Machine, MachineProfile, ProcId};
 use hemu_malloc::{NativeHeap, NativeStats};
 use hemu_obs::{SpanRecord, TraceRecord, Tracer};
 use hemu_os::OsPageManager;
-use hemu_types::{
-    ByteSize, HemuError, OsPagingConfig, Result, SocketId, SpaceTag, WriteCause, CACHE_LINE,
-    PAGE_SIZE,
-};
+use hemu_types::{ByteSize, HemuError, OsPagingConfig, Result, SocketId, CACHE_LINE, PAGE_SIZE};
 use hemu_workloads::{
     Language, Memory, Mix, Roster, StepResult, TenantSpec, Workload, WorkloadSpec,
 };
@@ -65,7 +62,6 @@ pub struct Experiment {
     warmup: bool,
     monitor_interval: f64,
     nursery_override: Option<ByteSize>,
-    track_wear: bool,
     profiling: bool,
     faults: Option<FaultPlan>,
     endurance: Option<EnduranceConfig>,
@@ -102,7 +98,6 @@ impl Experiment {
             warmup: true,
             monitor_interval: 0.01,
             nursery_override: None,
-            track_wear: false,
             profiling: false,
             faults: None,
             endurance: None,
@@ -110,22 +105,14 @@ impl Experiment {
         }
     }
 
-    /// Enables per-line PCM wear tracking; the report then carries a
-    /// measured wear-levelling efficiency instead of the paper's assumed
-    /// 50 %.
-    pub fn track_wear(mut self) -> Self {
-        self.track_wear = true;
-        self
-    }
-
     /// Enables the phase-and-provenance profiler: GC-phase and OS-epoch
     /// spans in virtual time, per-cause / per-space write attribution
-    /// ([`RunReport::provenance`]), and the per-page wear heatmap (implies
-    /// wear tracking). Retrieve the extra artifacts with
+    /// ([`RunReport::provenance`]), and per-line PCM wear tracking, so the
+    /// report carries a measured wear-levelling efficiency and the run a
+    /// per-page wear heatmap. Retrieve the extra artifacts with
     /// [`Experiment::run_full`].
     pub fn profiling(mut self) -> Self {
         self.profiling = true;
-        self.track_wear = true;
         self
     }
 
@@ -235,8 +222,8 @@ impl Experiment {
 
     /// Runs the experiment and returns the full artifact bundle: report,
     /// profiler spans and the wear heatmap ([`RunArtifacts`]). Spans and
-    /// heatmap are empty unless [`Experiment::profiling`] (or
-    /// [`Experiment::track_wear`], for the heatmap) was requested.
+    /// heatmap are empty unless [`Experiment::profiling`] was requested
+    /// (an endurance model alone also fills the heatmap).
     ///
     /// # Errors
     ///
@@ -345,8 +332,8 @@ impl Experiment {
     /// Same conditions as [`Experiment::run`].
     pub fn run_traced(&self, tracer: Tracer) -> Result<RunArtifacts> {
         let tenants = self.validate()?;
-        // Only mix runs attribute writes per tenant, so the reports and
-        // metrics of copy runs carry no tenant data.
+        // Only mix runs attribute writes per tenant, so the reports of
+        // copy runs carry no tenant data.
         let mix = match self.roster {
             Roster::Mix(mix) => Some(mix),
             Roster::Copies(_) => None,
@@ -361,10 +348,8 @@ impl Experiment {
         if mix.is_some() {
             machine.enable_tenancy(self.instances);
         }
-        if self.track_wear || self.profiling {
-            machine.enable_wear_tracking();
-        }
         if self.profiling {
+            machine.enable_wear_tracking();
             machine.enable_profiling();
         }
         if let Some(cfg) = self.endurance {
@@ -428,12 +413,16 @@ impl Experiment {
 
         // Snapshot per-workload stats, then measure the steady iteration.
         // The tracer goes in only now, so the trace covers exactly the
-        // measured iteration. Metrics, clocks and controller counters are
-        // reset at the same point — and so are the tenancy write counts,
-        // while frame ownership survives: the tenants keep their memory,
-        // the measurement interval restarts.
+        // measured iteration. Write provenance, the GC pause histogram, the
+        // OS manager's counts, clocks and controller counters are reset at
+        // the same point — and so are the tenancy write counts, while
+        // frame ownership survives: the tenants keep their memory, the
+        // measurement interval restarts.
         machine.set_tracer(tracer);
         machine.start_measured_iteration();
+        if let Some(os) = &mut os_mgr {
+            os.reset_stats();
+        }
         let gc_before: Vec<Option<GcStats>> = workloads
             .iter()
             .map(|(_, m)| m.gc_stats().copied())
@@ -513,7 +502,6 @@ impl Experiment {
                     }
                 })
                 .collect();
-            publish_tenant_gauges(&machine, &per_tenant);
             let (unattributed_pcm_lines, unattributed_dram_lines) = machine
                 .tenancy()
                 .map_or((0, 0), |tr| (tr.unattributed_pcm(), tr.unattributed_dram()));
@@ -528,30 +516,18 @@ impl Experiment {
             }
         });
 
-        machine.publish_metrics();
         let elapsed = machine.elapsed_seconds();
         let pcm_writes = machine.socket_writes(SocketId::PCM);
-        let trace = machine.obs().tracer.drain();
-        let gc_pause_histogram = machine
-            .obs()
-            .metrics
-            .histogram_snapshot("gc.pause_cycles")
-            .filter(|h| h.count > 0);
-        let provenance = machine.profiling_enabled().then(|| {
-            let m = &machine.obs().metrics;
-            let spans = &machine.obs().spans;
-            ProvenanceSummary {
-                pcm_by_cause: WriteCause::ALL
-                    .map(|c| m.counter_value(&format!("writes.by_cause.{}", c.name()))),
-                pcm_by_space: SpaceTag::ALL
-                    .map(|s| m.counter_value(&format!("writes.by_space.{}", s.name()))),
-                dram_by_cause: WriteCause::ALL
-                    .map(|c| m.counter_value(&format!("writes.dram.by_cause.{}", c.name()))),
-                dram_by_space: SpaceTag::ALL
-                    .map(|s| m.counter_value(&format!("writes.dram.by_space.{}", s.name()))),
-                spans_recorded: spans.len() as u64 + spans.dropped(),
-                spans_dropped: spans.dropped(),
-            }
+        let trace = machine.tracer().drain();
+        let pauses = machine.gc_pauses();
+        let gc_pause_histogram = (pauses.count() > 0).then(|| pauses.snapshot());
+        let provenance = machine.provenance().map(|p| ProvenanceSummary {
+            pcm_by_cause: p.pcm_by_cause,
+            pcm_by_space: p.pcm_by_space,
+            dram_by_cause: p.dram_by_cause,
+            dram_by_space: p.dram_by_space,
+            spans_recorded: spans.len() as u64 + spans.dropped(),
+            spans_dropped: spans.dropped(),
         });
         let heatmap = build_heatmap(&machine);
 
@@ -607,31 +583,11 @@ impl Experiment {
         Ok(RunArtifacts {
             report,
             trace,
-            spans: machine.obs().spans.snapshot(),
+            spans: spans.snapshot(),
             heatmap,
             freq_hz: self.profile.freq_hz as f64,
             elapsed: machine.elapsed(),
         })
-    }
-}
-
-/// Publishes the per-tenant GC/OS namespaces alongside the machine's
-/// `writes.tenant.*` gauges, so everything lands in the same metrics
-/// export.
-fn publish_tenant_gauges(machine: &Machine, per_tenant: &[TenantShare]) {
-    let m = &machine.obs().metrics;
-    for t in per_tenant {
-        let id = t.id;
-        m.gauge(&format!("gc.tenant.{id}.minor_gcs"))
-            .set(t.minor_gcs as f64);
-        m.gauge(&format!("gc.tenant.{id}.full_gcs"))
-            .set(t.full_gcs as f64);
-        m.gauge(&format!("gc.tenant.{id}.pause_cycles"))
-            .set(t.pause_cycles as f64);
-        m.gauge(&format!("gc.tenant.{id}.allocated_bytes"))
-            .set(t.allocated_bytes as f64);
-        m.gauge(&format!("os.tenant.{id}.page_faults"))
-            .set(t.page_faults as f64);
     }
 }
 

@@ -92,7 +92,7 @@ impl WriteRateMonitor {
             pcm_write_mbs: (pcm.bytes() - self.last_pcm.bytes()) as f64 / 1e6 / dt,
             dram_write_mbs: (dram.bytes() - self.last_dram.bytes()) as f64 / 1e6 / dt,
         };
-        machine.obs().tracer.record(
+        machine.tracer().record(
             machine.elapsed(),
             TraceEvent::MonitorSample {
                 t_seconds: sample.t_seconds,
@@ -100,7 +100,6 @@ impl WriteRateMonitor {
                 dram_write_mbs: sample.dram_write_mbs,
             },
         );
-        machine.publish_metrics();
         self.samples.push(sample);
         self.last_t = t;
         self.last_pcm = pcm;

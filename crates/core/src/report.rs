@@ -52,7 +52,8 @@ pub struct RunReport {
     /// endurance model).
     pub endurance: Option<EnduranceSummary>,
     /// Distribution of stop-the-world GC pauses (virtual cycles) over the
-    /// measured iteration, from the `gc.pause_cycles` metric.
+    /// measured iteration, across every heap on the machine (absent when
+    /// no collection ran).
     pub gc_pause_histogram: Option<HistogramSnapshot>,
     /// OS page-manager activity (present when the run was placed by an
     /// [`hemu_os::OsPolicy`] instead of a write-rationing collector).
@@ -448,11 +449,10 @@ mod tests {
     fn display_surfaces_pause_quantiles_when_present() {
         let mut r = report(100);
         let h = {
-            let m = hemu_obs::Metrics::new();
-            let hist = m.histogram("gc.pause_cycles");
+            let mut hist = hemu_obs::Histogram::default();
             hist.observe(100);
             hist.observe(200);
-            m.histogram_snapshot("gc.pause_cycles").unwrap()
+            hist.snapshot()
         };
         r.gc_pause_histogram = Some(h);
         let s = format!("{r}");

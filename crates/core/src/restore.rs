@@ -19,8 +19,7 @@ use crate::report::{
 use hemu_heap::GcStats;
 use hemu_machine::MachineStats;
 use hemu_malloc::NativeStats;
-use hemu_obs::metrics::BucketCount;
-use hemu_obs::{HistogramSnapshot, JsonValue, ToJson};
+use hemu_obs::{BucketCount, HistogramSnapshot, JsonValue, ToJson};
 use hemu_os::OsStats;
 use hemu_types::{ByteSize, OsPolicy, SpaceTag, WriteCause};
 
@@ -268,12 +267,11 @@ mod tests {
     /// covers all nested schemas.
     fn full_report() -> RunReport {
         let gc_pause_histogram = {
-            let m = hemu_obs::Metrics::new();
-            let h = m.histogram("gc.pause_cycles");
+            let mut h = hemu_obs::Histogram::default();
             for v in [120, 450, 451, 9000] {
                 h.observe(v);
             }
-            m.histogram_snapshot("gc.pause_cycles")
+            Some(h.snapshot())
         };
         let mut provenance = ProvenanceSummary::default();
         provenance.pcm_by_cause[WriteCause::Mutator as usize] = 11;

@@ -1,4 +1,4 @@
-//! End-to-end observability tests: the event trace, the metrics registry,
+//! End-to-end observability tests: the event trace, the report's counts
 //! and the JSON export must all tell the same story as the aggregate
 //! statistics.
 

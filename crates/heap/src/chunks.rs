@@ -208,13 +208,9 @@ impl ChunkManager {
                 machine.mbind(self.proc, entry.addr, entry.size, want_socket);
                 entry.socket = want_socket;
                 self.stats.remapped += 1;
-                machine.obs().metrics.counter("chunks.remapped").incr();
                 let t = machine.elapsed();
-                machine
-                    .obs()
-                    .tracer
-                    .record(t, TraceEvent::ChunkUnmap { addr });
-                machine.obs().tracer.record(
+                machine.tracer().record(t, TraceEvent::ChunkUnmap { addr });
+                machine.tracer().record(
                     t,
                     TraceEvent::ChunkRebind {
                         addr,
@@ -223,8 +219,7 @@ impl ChunkManager {
                 );
             } else {
                 self.stats.recycled += 1;
-                machine.obs().metrics.counter("chunks.recycled").incr();
-                machine.obs().tracer.record(
+                machine.tracer().record(
                     machine.elapsed(),
                     TraceEvent::ChunkMap {
                         addr,
@@ -233,7 +228,6 @@ impl ChunkManager {
                     },
                 );
             }
-            self.publish_free_gauge(machine);
             return Ok(addr);
         }
 
@@ -265,8 +259,7 @@ impl ChunkManager {
             side,
         });
         self.stats.fresh += 1;
-        machine.obs().metrics.counter("chunks.fresh").incr();
-        machine.obs().tracer.record(
+        machine.tracer().record(
             machine.elapsed(),
             TraceEvent::ChunkMap {
                 addr,
@@ -274,15 +267,7 @@ impl ChunkManager {
                 recycled: false,
             },
         );
-        self.publish_free_gauge(machine);
         Ok(addr)
-    }
-
-    /// Publishes the current free-list occupancy (both sides) to the
-    /// `chunks.free` gauge.
-    fn publish_free_gauge(&self, machine: &Machine) {
-        let free = (self.free_lo.len() + self.free_hi.len()) as f64;
-        machine.obs().metrics.gauge("chunks.free").set(free);
     }
 
     /// Releases the chunk at `addr` back to its free list. The chunk keeps

@@ -24,24 +24,20 @@ fn pause_begin(
 ) -> Cycles {
     let t0 = machine.clock(heap.ctx).now();
     machine
-        .obs()
-        .tracer
+        .tracer()
         .record(t0, TraceEvent::GcStart { kind, reason });
     t0
 }
 
 /// Stamps the end of a collection pause: accumulates `GcStats::pause_cycles`,
-/// feeds the `gc.pause_cycles` histogram, and emits a [`TraceEvent::GcEnd`].
-fn pause_end(heap: &mut ManagedHeap, machine: &Machine, kind: GcKind, t0: Cycles) {
+/// feeds the machine's GC pause histogram, and emits a
+/// [`TraceEvent::GcEnd`].
+fn pause_end(heap: &mut ManagedHeap, machine: &mut Machine, kind: GcKind, t0: Cycles) {
     let t1 = machine.clock(heap.ctx).now();
     let pause = t1.raw() - t0.raw();
     heap.stats.pause_cycles += pause;
-    machine
-        .obs()
-        .metrics
-        .histogram("gc.pause_cycles")
-        .observe(pause);
-    machine.obs().tracer.record(
+    machine.record_gc_pause(pause);
+    machine.tracer().record(
         t1,
         TraceEvent::GcEnd {
             kind,

@@ -14,7 +14,6 @@ use crate::plan::GcConfig;
 use crate::space::{BumpSpace, ImmixSpace, LargeObjectSpace, MetaAllocator};
 use crate::stats::GcStats;
 use hemu_machine::{CtxId, Machine, ProcId};
-use hemu_obs::Counter;
 use hemu_types::{Addr, ByteSize, MemoryAccess, Result, SpaceTag, WriteCause, WriteTag, WORD};
 
 /// Handle to a root slot (a VM-level reference such as a static or a stack
@@ -86,12 +85,6 @@ pub struct ManagedHeap {
     /// scheduling cooldown).
     pub(crate) minor_since_full: u32,
     pub(crate) stats: GcStats,
-    /// Cached handle to the `barrier.fast` metric (stores that skip the
-    /// remembered-set log).
-    barrier_fast: Counter,
-    /// Cached handle to the `barrier.slow` metric (stores that log a
-    /// remembered-set entry).
-    barrier_slow: Counter,
 }
 
 impl ManagedHeap {
@@ -170,8 +163,6 @@ impl ManagedHeap {
             boot_cursor: layout::BOOT_START,
             minor_since_full: 0,
             stats: GcStats::default(),
-            barrier_fast: machine.obs().metrics.counter("barrier.fast"),
-            barrier_slow: machine.obs().metrics.counter("barrier.slow"),
             config,
         })
     }
@@ -421,7 +412,6 @@ impl ManagedHeap {
 
         // Boundary write barrier: remember old→young and observer→nursery
         // pointers, one entry per source object (object remembering).
-        let mut took_slow_path = false;
         if let Some(t) = target {
             let target_space = self.table.get(t).space;
             let src_space = self.table.get(src).space;
@@ -432,7 +422,6 @@ impl ManagedHeap {
                     _ => true,
                 };
                 if log {
-                    took_slow_path = true;
                     self.table.get_mut(src).set_logged(true);
                     if src_space == SpaceKind::Observer {
                         self.remset_obs.push(src);
@@ -450,12 +439,6 @@ impl ManagedHeap {
                 }
             }
         }
-        if took_slow_path {
-            self.barrier_slow.incr();
-        } else {
-            self.barrier_fast.incr();
-        }
-
         self.table.set_ref(src, slot, target);
         Ok(())
     }

@@ -5,7 +5,7 @@ use hemu_cache::{CacheStats, Hierarchy, HitLevel};
 use hemu_fault::{EnduranceConfig, FaultInjector, FaultPlan};
 use hemu_numa::{AddressSpace, NumaMemory};
 use hemu_obs::json::{JsonObject, ToJson};
-use hemu_obs::{Counter, Metrics, Obs, SpanRecorder, TraceEvent, Tracer};
+use hemu_obs::{Histogram, SpanRecorder, TraceEvent, Tracer};
 use hemu_types::{
     AccessKind, Addr, ByteSize, Cycles, HemuError, LineAddr, MemoryAccess, PageNum, Result,
     SocketId, SpaceTag, VirtualClock, WriteCause, WriteTag, CACHE_LINE, PAGE_SIZE,
@@ -33,51 +33,39 @@ pub struct ProcId(pub usize);
 /// at a few hundred collections, small enough to stay cheap.
 pub const PROFILE_SPAN_CAPACITY: usize = 1 << 15;
 
-/// Cached per-cause / per-space write counters.
-///
-/// Registered once in the metrics registry when profiling is enabled —
-/// registered handles survive `Metrics::reset`, so a measured-iteration
-/// reset zeroes them without invalidating the cached handles — and bumped
-/// straight through the handles on the write-back path. Counts are in
-/// cache *lines*.
-#[derive(Debug)]
-struct ProvenanceCounters {
-    pcm_by_cause: [Counter; WriteCause::ALL.len()],
-    pcm_by_space: [Counter; SpaceTag::ALL.len()],
-    dram_by_cause: [Counter; WriteCause::ALL.len()],
-    dram_by_space: [Counter; SpaceTag::ALL.len()],
+/// Per-cause / per-space controller write counts, in cache *lines*,
+/// indexed by [`WriteCause`] and [`SpaceTag`] discriminant. Kept only while
+/// profiling ([`Machine::enable_profiling`]) and zeroed by
+/// [`Machine::start_measured_iteration`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WriteProvenance {
+    /// PCM-socket write lines by cause.
+    pub pcm_by_cause: [u64; WriteCause::ALL.len()],
+    /// PCM-socket write lines by heap space.
+    pub pcm_by_space: [u64; SpaceTag::ALL.len()],
+    /// DRAM-socket write lines by cause.
+    pub dram_by_cause: [u64; WriteCause::ALL.len()],
+    /// DRAM-socket write lines by heap space.
+    pub dram_by_space: [u64; SpaceTag::ALL.len()],
 }
 
-impl ProvenanceCounters {
-    fn new(m: &Metrics) -> Self {
-        ProvenanceCounters {
-            pcm_by_cause: WriteCause::ALL
-                .map(|c| m.counter(&format!("writes.by_cause.{}", c.name()))),
-            pcm_by_space: SpaceTag::ALL
-                .map(|s| m.counter(&format!("writes.by_space.{}", s.name()))),
-            dram_by_cause: WriteCause::ALL
-                .map(|c| m.counter(&format!("writes.dram.by_cause.{}", c.name()))),
-            dram_by_space: SpaceTag::ALL
-                .map(|s| m.counter(&format!("writes.dram.by_space.{}", s.name()))),
-        }
-    }
-
+impl WriteProvenance {
     /// Attributes `n` line writes arriving at `socket` to `tag`.
     #[inline]
-    fn record_n(&self, socket: SocketId, tag: u8, n: u64) {
+    fn record_n(&mut self, socket: SocketId, tag: u8, n: u64) {
         let t = WriteTag::from_raw(tag);
         let (c, s) = (t.cause() as usize, t.space() as usize);
         if socket == SocketId::PCM {
-            self.pcm_by_cause[c].add(n);
-            self.pcm_by_space[s].add(n);
+            self.pcm_by_cause[c] += n;
+            self.pcm_by_space[s] += n;
         } else {
-            self.dram_by_cause[c].add(n);
-            self.dram_by_space[s].add(n);
+            self.dram_by_cause[c] += n;
+            self.dram_by_space[s] += n;
         }
     }
 
     #[inline]
-    fn record(&self, socket: SocketId, tag: u8) {
+    fn record(&mut self, socket: SocketId, tag: u8) {
         self.record_n(socket, tag, 1);
     }
 }
@@ -89,19 +77,13 @@ impl ProvenanceCounters {
 struct MiniTlb {
     keys: Vec<u64>,
     frames: Vec<u64>,
-    hits: Counter,
-    misses: Counter,
-    flushes: Counter,
 }
 
 impl MiniTlb {
-    fn new(m: &Metrics) -> Self {
+    fn new() -> Self {
         MiniTlb {
             keys: vec![0; TLB_SLOTS],
             frames: vec![0; TLB_SLOTS],
-            hits: m.counter("tlb.hits"),
-            misses: m.counter("tlb.misses"),
-            flushes: m.counter("tlb.flushes"),
         }
     }
 
@@ -120,10 +102,8 @@ impl MiniTlb {
         let slot = (vpage as usize ^ (proc << 4)) & (TLB_SLOTS - 1);
         let key = (vpage << 16) | (proc as u64 + 1);
         if self.keys[slot] == key {
-            self.hits.incr();
             return Ok(self.frames[slot]);
         }
-        self.misses.incr();
         let f0 = space.frame_of(Addr::new(v), mem)?.phys_base().line().raw();
         self.keys[slot] = key;
         self.frames[slot] = f0;
@@ -136,7 +116,6 @@ impl MiniTlb {
     /// re-fills its slot.
     fn flush(&mut self) {
         self.keys.iter_mut().for_each(|k| *k = 0);
-        self.flushes.incr();
     }
 }
 
@@ -171,8 +150,13 @@ pub struct Machine {
     spaces: Vec<AddressSpace>,
     clocks: Vec<VirtualClock>,
     stats: MachineStats,
-    obs: Obs,
-    qpi_lines: Counter,
+    /// Structured event tracer; disabled (a no-op) by default.
+    tracer: Tracer,
+    /// Profiler span recorder; disabled unless profiling.
+    spans: SpanRecorder,
+    /// Every GC pause of the interval, in cycles, across all heaps on the
+    /// machine.
+    gc_pauses: Histogram,
     qpi_pending: u64,
     /// Pages transparently remapped after wear-out frame retirement.
     pages_remapped: u64,
@@ -186,16 +170,13 @@ pub struct Machine {
     write_tag: u8,
     /// Per-cause / per-space write attribution, present only while
     /// profiling ([`Machine::enable_profiling`]).
-    prov: Option<ProvenanceCounters>,
+    prov: Option<WriteProvenance>,
     tlb: MiniTlb,
 }
 
 impl Machine {
     /// Builds a machine from a profile.
     pub fn new(profile: MachineProfile) -> Self {
-        let obs = Obs::new();
-        let qpi_lines = obs.metrics.counter("qpi.lines");
-        let tlb = MiniTlb::new(&obs.metrics);
         Machine {
             mem: NumaMemory::new(profile.numa),
             caches: Hierarchy::new(profile.hierarchy_config()),
@@ -204,14 +185,15 @@ impl Machine {
                 .map(|_| VirtualClock::new(profile.freq_hz))
                 .collect(),
             stats: MachineStats::default(),
-            obs,
-            qpi_lines,
+            tracer: Tracer::disabled(),
+            spans: SpanRecorder::disabled(),
+            gc_pauses: Histogram::default(),
             qpi_pending: 0,
             pages_remapped: 0,
             wb_scratch: Vec::with_capacity(4),
             write_tag: WriteTag::OTHER.raw(),
             prov: None,
-            tlb,
+            tlb: MiniTlb::new(),
             profile,
         }
     }
@@ -226,8 +208,8 @@ impl Machine {
             return;
         }
         self.caches.enable_tags();
-        self.prov = Some(ProvenanceCounters::new(&self.obs.metrics));
-        self.obs.spans = SpanRecorder::bounded(PROFILE_SPAN_CAPACITY);
+        self.prov = Some(WriteProvenance::default());
+        self.spans = SpanRecorder::bounded(PROFILE_SPAN_CAPACITY);
     }
 
     /// Whether [`Machine::enable_profiling`] has been called. Runtime
@@ -249,73 +231,36 @@ impl Machine {
     /// runtime layers that open and close spans. Disabled unless
     /// [`Machine::enable_profiling`] was called.
     pub fn spans(&self) -> SpanRecorder {
-        self.obs.spans.clone()
+        self.spans.clone()
     }
 
-    /// The machine's observability bundle (tracer + metrics registry).
-    ///
-    /// Runtime layers clone handles out of this to record events and bump
-    /// metrics; the experiment driver snapshots it when building a report.
-    pub fn obs(&self) -> &Obs {
-        &self.obs
+    /// The interval's per-cause / per-space write attribution; `None`
+    /// unless profiling.
+    pub fn provenance(&self) -> Option<&WriteProvenance> {
+        self.prov.as_ref()
+    }
+
+    /// Records one GC pause of `cycles` in the machine-wide pause
+    /// histogram.
+    pub fn record_gc_pause(&mut self, cycles: u64) {
+        self.gc_pauses.observe(cycles);
+    }
+
+    /// Every GC pause recorded since the measured iteration began.
+    pub fn gc_pauses(&self) -> &Histogram {
+        &self.gc_pauses
+    }
+
+    /// The machine's event tracer (disabled unless one was installed);
+    /// runtime layers record events through it.
+    pub fn tracer(&self) -> &Tracer {
+        &self.tracer
     }
 
     /// Installs an event tracer (replacing the current one, which is
-    /// disabled by default). Metrics handles are unaffected.
+    /// disabled by default).
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.obs.tracer = tracer;
-    }
-
-    /// Publishes derived machine-level metrics — cache hit rates and
-    /// per-socket memory-controller traffic — as gauges, so they are
-    /// queryable mid-run (the monitor calls this once per sample).
-    pub fn publish_metrics(&self) {
-        let m = &self.obs.metrics;
-        m.gauge("llc.hit_rate")
-            .set(self.caches.llc().stats().hit_ratio());
-        for (name, socket) in [("dram", SocketId::DRAM), ("pcm", SocketId::PCM)] {
-            let c = self.mem.counters(socket);
-            m.gauge(&format!("mem.{name}.written_bytes"))
-                .set(c.written().bytes() as f64);
-            m.gauge(&format!("mem.{name}.read_bytes"))
-                .set(c.read().bytes() as f64);
-        }
-        m.gauge("machine.line_accesses")
-            .set(self.stats.line_accesses as f64);
-        m.gauge("machine.local_fills")
-            .set(self.stats.local_fills as f64);
-        m.gauge("machine.remote_fills")
-            .set(self.stats.remote_fills as f64);
-        let (th, tm) = (self.tlb.hits.get(), self.tlb.misses.get());
-        if th + tm > 0 {
-            m.gauge("tlb.hit_rate").set(th as f64 / (th + tm) as f64);
-        }
-        // Per-tenant gauges only exist in consolidated runs, so the
-        // exported metric set of a single-tenant run is unchanged.
-        if let Some(t) = self.mem.tenancy() {
-            for id in 0..t.tenants() {
-                m.gauge(&format!("writes.tenant.{id}.pcm_lines"))
-                    .set(t.pcm_lines(id) as f64);
-                m.gauge(&format!("writes.tenant.{id}.dram_lines"))
-                    .set(t.dram_lines(id) as f64);
-            }
-            m.gauge("writes.tenant.unattributed.pcm_lines")
-                .set(t.unattributed_pcm() as f64);
-            m.gauge("writes.tenant.unattributed.dram_lines")
-                .set(t.unattributed_dram() as f64);
-        }
-        // Wear/endurance gauges only exist when the model is on, so the
-        // exported metric set of a healthy run is unchanged.
-        if self.mem.endurance_enabled() {
-            m.gauge("wear.failed_lines")
-                .set(self.mem.failed_lines() as f64);
-            m.gauge("wear.retired_pages")
-                .set(self.mem.retired_pages(SocketId::PCM) as f64);
-            m.gauge("wear.remapped_pages")
-                .set(self.pages_remapped as f64);
-            m.gauge("wear.effective_capacity_bytes")
-                .set(self.mem.effective_capacity(SocketId::PCM).bytes() as f64);
-        }
+        self.tracer = tracer;
     }
 
     /// The profile this machine was built from.
@@ -435,8 +380,7 @@ impl Machine {
             spaces,
             clocks,
             stats,
-            obs,
-            qpi_lines,
+            tracer,
             qpi_pending,
             wb_scratch,
             write_tag,
@@ -481,12 +425,11 @@ impl Machine {
                             lat.local_fill
                         } else {
                             stats.remote_fills += 1;
-                            qpi_lines.incr();
                             // Individual remote fills are too frequent to trace;
                             // emit one aggregate event per batch of lines.
                             *qpi_pending += 1;
                             if *qpi_pending >= QPI_TRACE_BATCH {
-                                obs.tracer.record(
+                                tracer.record(
                                     clock.now(),
                                     TraceEvent::QpiTransfer {
                                         lines: *qpi_pending,
@@ -512,7 +455,7 @@ impl Machine {
                 }
                 for &(wb, tag) in wb_scratch.iter() {
                     mem.record_line_access(wb, AccessKind::Write);
-                    if let Some(pc) = prov {
+                    if let Some(pc) = prov.as_mut() {
                         pc.record(mem.socket_of_line(wb), tag);
                     }
                 }
@@ -576,7 +519,7 @@ impl Machine {
                     self.mem
                         .record_line_access(LineAddr::new(new_line0 + i), AccessKind::Write);
                 }
-                if let Some(pc) = &self.prov {
+                if let Some(pc) = &mut self.prov {
                     let tag = WriteTag::new(WriteCause::WearRemap, SpaceTag::Other).raw();
                     pc.record_n(socket, tag, lines_per_page);
                 }
@@ -595,8 +538,8 @@ impl Machine {
     /// replacement frame is allocated on the target socket, every address
     /// space's mapping of `old` is rewritten, the page copy is charged as
     /// DMA-like controller traffic (a read of the old frame, a write of
-    /// the new — wearing PCM when `to` is the PCM socket) plus one page of
-    /// QPI transfer, a [`TraceEvent::PageMigrated`] is emitted, and the
+    /// the new — wearing PCM when `to` is the PCM socket), a
+    /// [`TraceEvent::PageMigrated`] is emitted, and the
     /// old frame is freed. Page heat follows the page to its new frame
     /// with epoch deltas restarted.
     ///
@@ -640,13 +583,11 @@ impl Machine {
             self.mem
                 .record_line_access(LineAddr::new(new_line0 + i), AccessKind::Write);
         }
-        if let Some(pc) = &self.prov {
+        if let Some(pc) = &mut self.prov {
             let tag = WriteTag::new(WriteCause::OsMigration, SpaceTag::Other).raw();
             pc.record_n(to, tag, lines_per_page);
         }
-        // The copy crosses the inter-socket link once per line.
-        self.qpi_lines.add(lines_per_page);
-        self.obs.tracer.record(
+        self.tracer.record(
             self.elapsed(),
             TraceEvent::PageMigrated {
                 frame: old.raw(),
@@ -770,7 +711,7 @@ impl Machine {
             } = self;
             caches.flush(|line, tag| {
                 mem.record_line_access(line, AccessKind::Write);
-                if let Some(pc) = prov {
+                if let Some(pc) = prov.as_mut() {
                     pc.record(mem.socket_of_line(line), tag);
                 }
             });
@@ -859,12 +800,15 @@ impl Machine {
         self.caches.reset_stats();
         self.stats = MachineStats::default();
         self.qpi_pending = 0;
-        self.obs.metrics.reset();
-        self.obs.spans.reset();
+        if let Some(pc) = &mut self.prov {
+            *pc = WriteProvenance::default();
+        }
+        self.gc_pauses = Histogram::default();
+        self.spans.reset();
         for c in &mut self.clocks {
             c.reset();
         }
-        self.obs.tracer.record(
+        self.tracer.record(
             Cycles::ZERO,
             TraceEvent::Phase {
                 name: "measured_iteration",
@@ -1045,7 +989,6 @@ mod tests {
         assert_eq!(m.memory().socket_of_frame(old), SocketId::PCM);
         let pcm_reads_before = m.socket_reads(SocketId::PCM).bytes();
         let dram_writes_before = m.socket_writes(SocketId::DRAM).bytes();
-        let qpi_before = m.obs().metrics.counter_value("qpi.lines");
 
         let new = m
             .migrate_frame(old, SocketId::DRAM)
@@ -1058,8 +1001,8 @@ mod tests {
             .translate_existing(Addr::new(0x7000))
             .unwrap();
         assert_eq!(after.frame(), new);
-        // The copy shows as one page read at PCM, one page written at
-        // DRAM, and one page of QPI transfer.
+        // The copy shows as one page read at PCM and one page written at
+        // DRAM.
         let page = PAGE_SIZE as u64;
         assert_eq!(
             m.socket_reads(SocketId::PCM).bytes() - pcm_reads_before,
@@ -1068,10 +1011,6 @@ mod tests {
         assert_eq!(
             m.socket_writes(SocketId::DRAM).bytes() - dram_writes_before,
             page
-        );
-        assert_eq!(
-            m.obs().metrics.counter_value("qpi.lines") - qpi_before,
-            page / CACHE_LINE as u64
         );
     }
 
@@ -1133,11 +1072,11 @@ mod tests {
         .unwrap();
         m.flush_caches().unwrap();
         let lines = (32u64 << 20) / CACHE_LINE as u64;
-        let mtx = &m.obs().metrics;
-        assert_eq!(mtx.counter_value("writes.by_cause.mutator"), lines);
-        assert_eq!(mtx.counter_value("writes.by_space.nursery"), lines);
-        assert_eq!(mtx.counter_value("writes.by_cause.nursery_evac"), 0);
-        assert_eq!(mtx.counter_value("writes.dram.by_cause.mutator"), 0);
+        let prov = m.provenance().unwrap();
+        assert_eq!(prov.pcm_by_cause[WriteCause::Mutator as usize], lines);
+        assert_eq!(prov.pcm_by_space[SpaceTag::Nursery as usize], lines);
+        assert_eq!(prov.pcm_by_cause[WriteCause::NurseryEvac as usize], 0);
+        assert_eq!(prov.dram_by_cause[WriteCause::Mutator as usize], 0);
     }
 
     #[test]
@@ -1149,7 +1088,7 @@ mod tests {
             .unwrap();
         m.flush_caches().unwrap();
         assert!(!m.profiling_enabled());
-        assert_eq!(m.obs().metrics.counter_value("writes.by_cause.mutator"), 0);
+        assert!(m.provenance().is_none());
     }
 
     #[test]
@@ -1167,9 +1106,7 @@ mod tests {
         m.migrate_frame(old, SocketId::PCM).unwrap().unwrap();
         let per_page = (PAGE_SIZE / CACHE_LINE) as u64;
         assert_eq!(
-            m.obs()
-                .metrics
-                .counter_value("writes.by_cause.os_migration"),
+            m.provenance().unwrap().pcm_by_cause[WriteCause::OsMigration as usize],
             per_page
         );
     }
@@ -1238,7 +1175,7 @@ mod tests {
     }
 
     /// Page migration invalidates the mini-TLB, so later accesses observe
-    /// the new frame (and the flush is counted).
+    /// the new frame.
     #[test]
     fn migration_flushes_the_mini_tlb() {
         let mut m = machine();
@@ -1251,7 +1188,6 @@ mod tests {
             .unwrap()
             .frame();
         m.migrate_frame(old, SocketId::DRAM).unwrap().unwrap();
-        assert!(m.obs().metrics.counter_value("tlb.flushes") > 0);
         // Post-migration traffic lands on DRAM: the stale PCM translation
         // is gone.
         let before = m.stats().local_fills;
@@ -1262,8 +1198,7 @@ mod tests {
 
     /// Tenancy at machine level: two tenant processes write PCM-bound
     /// memory; per-tenant line counts sum exactly to the controller
-    /// counter, migration keeps the owner with the page, and the gauges
-    /// appear under `writes.tenant.<id>.*`.
+    /// counter, and migration keeps the owner with the page.
     #[test]
     fn tenancy_attributes_controller_writes_per_tenant() {
         let mut m = machine();
@@ -1288,9 +1223,6 @@ mod tests {
             m.pcm_writes().bytes(),
             "per-tenant counts sum exactly to the PCM controller counter"
         );
-        m.publish_metrics();
-        let g = m.obs().metrics.gauge("writes.tenant.0.pcm_lines").get();
-        assert_eq!(g as u64, t0);
 
         // Migration keeps ownership with the page: the copy writes to the
         // DRAM frame charge tenant 0.

@@ -1,4 +1,5 @@
-//! Observability for the hemu platform: tracing, metrics, and export.
+//! Observability for the hemu platform: tracing, profiling spans, and
+//! export.
 //!
 //! This crate is the platform's telemetry layer, playing the role the
 //! modified `pcm-memory` plays in the paper's methodology (§IV): everything
@@ -7,33 +8,38 @@
 //! buffering are all implemented in-tree so the workspace builds with an
 //! empty cargo registry.
 //!
-//! Three pieces:
+//! Its pieces:
 //!
 //! * [`trace`] — a bounded ring buffer of timestamped [`TraceEvent`]s (GC
-//!   pauses, chunk map/unmap/rebind, QPI transfers, monitor samples),
-//!   recorded through a cheaply cloneable [`Tracer`] handle.
-//! * [`metrics`] — a registry of named [`Counter`]s, [`Gauge`]s, and
-//!   log₂-bucketed [`Histogram`]s, queryable mid-run.
+//!   pauses, chunk map/unmap/rebind, page migrations, QPI transfers,
+//!   monitor samples), recorded through a cheaply cloneable [`Tracer`]
+//!   handle.
 //! * [`span`] — hierarchical execution spans (GC phases, OS epochs,
 //!   measured iterations) in virtual time, recorded through a bounded
-//!   [`SpanRecorder`] and exportable as a Chrome trace-event timeline.
-//! * [`json`] / [`csv`] — a hand-rolled JSON/JSONL and CSV emitter built
-//!   around the [`ToJson`] trait.
+//!   [`SpanRecorder`] and exportable as a Chrome trace-event [`Timeline`].
+//! * [`histogram`] — a log₂-bucketed [`Histogram`] (GC pause lengths) and
+//!   the [`HistogramSnapshot`] a run report carries.
+//! * [`json`] / [`value`] / [`csv`] — a hand-rolled JSON/JSONL emitter
+//!   built around the [`ToJson`] trait, its parser, and a CSV emitter.
+//! * [`artifact`] / [`journal`] — atomic artifact writes and the
+//!   append-only sweep journal behind resume.
 //! * [`progress`] — a thread-safe, line-serialized progress [`Reporter`]
-//!   for concurrent sweeps (the only thread-shared piece; tracer and
-//!   metrics stay per-run and unsynchronized).
+//!   for concurrent sweeps (the only thread-shared piece; tracer and spans
+//!   stay per-run and unsynchronized).
 //!
-//! The [`Obs`] bundle groups one tracer and one metrics registry; the
-//! emulated machine owns one and the runtime layers above it (heap, GC,
-//! experiment driver) record into it.
+//! Counts live where they are read: the emulated machine owns one tracer,
+//! one span recorder and the GC pause histogram, and the runtime layers
+//! above it (heap, GC, OS, experiment driver) record into them. Every
+//! count a run report carries is a plain field of the report or of the
+//! stats struct it copies.
 
 #![warn(missing_docs)]
 
 pub mod artifact;
 pub mod csv;
+pub mod histogram;
 pub mod journal;
 pub mod json;
-pub mod metrics;
 pub mod progress;
 pub mod span;
 pub mod timeline;
@@ -42,71 +48,11 @@ pub mod value;
 
 pub use artifact::{fnv1a64, hash_hex, write_atomic, write_atomic_str};
 pub use csv::Csv;
+pub use histogram::{BucketCount, Histogram, HistogramSnapshot};
 pub use journal::{read_journal, JournalContents, JournalReadError, JournalRecord, JournalWriter};
 pub use json::{to_json_lines, ToJson};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot};
 pub use progress::Reporter;
 pub use span::{SpanRecord, SpanRecorder};
 pub use timeline::Timeline;
 pub use trace::{GcKind, TraceEvent, TraceRecord, Tracer};
 pub use value::{JsonParseError, JsonValue};
-
-/// The observability bundle a machine carries: one event tracer plus one
-/// metrics registry.
-///
-/// Cloning is cheap (both members are reference handles); clones observe the
-/// same underlying buffers, so a handle can be stashed anywhere on the hot
-/// path without threading `&mut` references around.
-#[derive(Debug, Clone, Default)]
-pub struct Obs {
-    /// Structured event tracer. Disabled (a no-op) by default.
-    pub tracer: Tracer,
-    /// Metrics registry. Always active; recording is cheap.
-    pub metrics: Metrics,
-    /// Hierarchical span recorder. Disabled (a no-op) by default; the
-    /// profiler enables it.
-    pub spans: SpanRecorder,
-}
-
-impl Obs {
-    /// A bundle with a disabled tracer and a fresh metrics registry.
-    pub fn new() -> Self {
-        Obs::default()
-    }
-
-    /// A bundle whose tracer keeps the most recent `capacity` events.
-    pub fn with_trace_capacity(capacity: usize) -> Self {
-        Obs {
-            tracer: Tracer::bounded(capacity),
-            metrics: Metrics::new(),
-            spans: SpanRecorder::disabled(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_bundle_has_disabled_tracer() {
-        let obs = Obs::new();
-        assert!(!obs.tracer.enabled());
-        obs.tracer
-            .record(hemu_types::Cycles::ZERO, TraceEvent::Phase { name: "x" });
-        assert_eq!(obs.tracer.len(), 0);
-    }
-
-    #[test]
-    fn clones_share_state() {
-        let obs = Obs::with_trace_capacity(8);
-        let clone = obs.clone();
-        clone.tracer.record(
-            hemu_types::Cycles::new(1),
-            TraceEvent::Phase { name: "warmup" },
-        );
-        clone.metrics.counter("x").add(3);
-        assert_eq!(obs.tracer.len(), 1);
-        assert_eq!(obs.metrics.counter_value("x"), 3);
-    }
-}

@@ -20,11 +20,10 @@
 //!   PCM to make room, moving at most
 //!   [`OsPagingConfig::migration_budget`] pages per epoch.
 //!
-//! Moves go through [`Machine::migrate_frame`], which charges the page
-//! copy as controller traffic (wearing PCM on demotions), one page of QPI
-//! transfer, and a `PageMigrated` trace event. The manager keeps live
-//! `os.*` counters/gauges in the machine's metrics registry and exposes an
-//! [`OsStats`] snapshot for the run report.
+//! Moves go through [`hemu_machine::Machine::migrate_frame`], which
+//! charges the page copy as controller traffic (wearing PCM on demotions)
+//! and emits a `PageMigrated` trace event. The manager counts its own activity in an
+//! [`OsStats`], which the run report copies.
 //!
 //! # Examples
 //!

@@ -3,7 +3,6 @@
 
 use hemu_machine::{Machine, ProcId};
 use hemu_obs::json::{JsonObject, ToJson};
-use hemu_obs::Counter;
 use hemu_types::{
     ByteSize, HemuError, OsPagingConfig, OsPolicy, PageNum, Result, SocketId, PAGE_SIZE,
 };
@@ -16,22 +15,16 @@ use hemu_types::{
 /// migration epoch every [`OsPagingConfig::epoch_lines`] machine line
 /// accesses when polled from the scheduler loop.
 ///
-/// All activity is published as `os.*` counters in the machine's metrics
-/// registry (`os.epochs`, `os.migrations`, `os.promotions`, `os.demotions`,
-/// `os.migrated_bytes`, `os.failed_migrations`). The handles survive
-/// [`Machine::start_measured_iteration`]'s metrics reset, so end-of-run
-/// values cover exactly the measured iteration.
+/// All activity is counted in an [`OsStats`] the manager owns. The
+/// experiment driver zeroes it with [`OsPageManager::reset_stats`] right
+/// after [`Machine::start_measured_iteration`], so end-of-run values cover
+/// exactly the measured iteration.
 #[derive(Debug)]
 pub struct OsPageManager {
     cfg: OsPagingConfig,
     /// Machine line-access count at the start of the current epoch.
     epoch_base: u64,
-    epochs: Counter,
-    migrations: Counter,
-    promotions: Counter,
-    demotions: Counter,
-    migrated_bytes: Counter,
-    failed_migrations: Counter,
+    stats: OsStats,
 }
 
 /// Snapshot of a manager's activity, for run reports.
@@ -54,6 +47,21 @@ pub struct OsStats {
     pub failed_migrations: u64,
 }
 
+impl OsStats {
+    /// No activity yet under `policy`.
+    fn new(policy: OsPolicy) -> Self {
+        OsStats {
+            policy,
+            epochs: 0,
+            migrations: 0,
+            promotions: 0,
+            demotions: 0,
+            migrated_bytes: ByteSize::ZERO,
+            failed_migrations: 0,
+        }
+    }
+}
+
 impl ToJson for OsStats {
     fn write_json(&self, out: &mut String) {
         let mut obj = JsonObject::new(out);
@@ -71,8 +79,8 @@ impl ToJson for OsStats {
 impl OsPageManager {
     /// Installs OS paging on `machine`: clamps DRAM capacity when
     /// [`OsPagingConfig::dram_limit`] is set, enables per-page heat
-    /// sampling for the hot/cold migrator, and registers the `os.*`
-    /// metrics. Call before any workload memory is touched, then
+    /// sampling for the hot/cold migrator, and starts its counts at zero.
+    /// Call before any workload memory is touched, then
     /// [`attach_process`](OsPageManager::attach_process) each process as it
     /// is created.
     pub fn install(machine: &mut Machine, cfg: OsPagingConfig) -> Self {
@@ -82,15 +90,9 @@ impl OsPageManager {
         if cfg.policy == OsPolicy::HotCold {
             machine.enable_page_heat();
         }
-        let m = &machine.obs().metrics;
         OsPageManager {
             epoch_base: machine.stats().line_accesses,
-            epochs: m.counter("os.epochs"),
-            migrations: m.counter("os.migrations"),
-            promotions: m.counter("os.promotions"),
-            demotions: m.counter("os.demotions"),
-            migrated_bytes: m.counter("os.migrated_bytes"),
-            failed_migrations: m.counter("os.failed_migrations"),
+            stats: OsStats::new(cfg.policy),
             cfg,
         }
     }
@@ -120,7 +122,7 @@ impl OsPageManager {
     ///
     /// Propagates machine invariant violations from the migration engine;
     /// an epoch that merely cannot find room in DRAM is not an error (it
-    /// counts `os.failed_migrations` and moves on).
+    /// counts a failed migration and moves on).
     pub fn poll(&mut self, machine: &mut Machine) -> Result<()> {
         if self.cfg.policy != OsPolicy::HotCold {
             return Ok(());
@@ -141,7 +143,7 @@ impl OsPageManager {
     /// to DRAM (demoting cold DRAM pages when DRAM is full), close the
     /// sampling epoch.
     fn run_epoch(&mut self, machine: &mut Machine) -> Result<()> {
-        self.epochs.incr();
+        self.stats.epochs += 1;
         let spans = machine.spans();
         spans.begin("os_epoch", "os", machine.elapsed());
         let result = self.run_epoch_inner(machine);
@@ -160,7 +162,8 @@ impl OsPageManager {
             match machine.migrate_frame(frame, SocketId::DRAM) {
                 Ok(Some(_)) => {
                     budget -= 1;
-                    self.note_move(&self.promotions);
+                    self.stats.promotions += 1;
+                    self.note_move();
                 }
                 Ok(None) => {} // freed or already moved since sampling
                 Err(HemuError::OutOfPhysicalMemory { .. }) => {
@@ -168,18 +171,19 @@ impl OsPageManager {
                     // to make room, then retry this promotion once. The
                     // pair costs two budget units.
                     if budget < 2 || !self.demote_one(machine, &mut cold)? {
-                        self.failed_migrations.incr();
+                        self.stats.failed_migrations += 1;
                         break;
                     }
                     budget -= 1;
                     match machine.migrate_frame(frame, SocketId::DRAM) {
                         Ok(Some(_)) => {
                             budget -= 1;
-                            self.note_move(&self.promotions);
+                            self.stats.promotions += 1;
+                            self.note_move();
                         }
                         Ok(None) => {}
                         Err(HemuError::OutOfPhysicalMemory { .. }) => {
-                            self.failed_migrations.incr();
+                            self.stats.failed_migrations += 1;
                             break;
                         }
                         Err(e) => return Err(e),
@@ -230,14 +234,15 @@ impl OsPageManager {
     /// Demotes the next still-mapped cold candidate to PCM. `Ok(false)`
     /// when no candidate could be moved (DRAM stays full).
     fn demote_one(
-        &self,
+        &mut self,
         machine: &mut Machine,
         cold: &mut impl Iterator<Item = PageNum>,
     ) -> Result<bool> {
         for frame in cold {
             match machine.migrate_frame(frame, SocketId::PCM)? {
                 Some(_) => {
-                    self.note_move(&self.demotions);
+                    self.stats.demotions += 1;
+                    self.note_move();
                     return Ok(true);
                 }
                 None => continue, // freed since sampling; try the next one
@@ -246,26 +251,23 @@ impl OsPageManager {
         Ok(false)
     }
 
-    /// Accounts one completed migration under `direction` (promotions or
-    /// demotions counter).
-    fn note_move(&self, direction: &Counter) {
-        direction.incr();
-        self.migrations.incr();
-        self.migrated_bytes.add(PAGE_SIZE as u64);
+    /// Accounts one completed page move, in either direction.
+    fn note_move(&mut self) {
+        self.stats.migrations += 1;
+        self.stats.migrated_bytes += ByteSize::new(PAGE_SIZE as u64);
     }
 
-    /// Snapshot of the manager's activity so far (since the last metrics
-    /// reset, i.e. the measured iteration in the standard protocol).
+    /// The manager's activity since installation or the last
+    /// [`OsPageManager::reset_stats`] (the measured iteration in the
+    /// standard protocol).
     pub fn stats(&self) -> OsStats {
-        OsStats {
-            policy: self.cfg.policy,
-            epochs: self.epochs.get(),
-            migrations: self.migrations.get(),
-            promotions: self.promotions.get(),
-            demotions: self.demotions.get(),
-            migrated_bytes: ByteSize::new(self.migrated_bytes.get()),
-            failed_migrations: self.failed_migrations.get(),
-        }
+        self.stats
+    }
+
+    /// Zeroes the activity counts, keeping the policy; the start of a
+    /// measured iteration.
+    pub fn reset_stats(&mut self) {
+        self.stats = OsStats::new(self.cfg.policy);
     }
 }
 
@@ -318,7 +320,6 @@ mod tests {
         os.poll(&mut m).unwrap();
         os.poll(&mut m).unwrap();
         assert_eq!(os.stats().epochs, 1, "no work, no second epoch");
-        assert_eq!(m.obs().metrics.counter_value("os.epochs"), 1);
     }
 
     #[test]

@@ -49,7 +49,7 @@ impl WriteCause {
         WriteCause::Other,
     ];
 
-    /// Stable snake_case name used in metric keys and exported JSON.
+    /// Stable snake_case name used in exported JSON.
     pub fn name(self) -> &'static str {
         match self {
             WriteCause::Mutator => "mutator",
@@ -102,7 +102,7 @@ impl SpaceTag {
         SpaceTag::Other,
     ];
 
-    /// Stable snake_case name used in metric keys and exported JSON.
+    /// Stable snake_case name used in exported JSON.
     pub fn name(self) -> &'static str {
         match self {
             SpaceTag::Nursery => "nursery",

@@ -23,7 +23,7 @@
 //! | machine | [`machine`] (`hemu-machine`) | contexts, address spaces, timing |
 //! | caches | [`cache`] (`hemu-cache`) | private L2s + shared inclusive 20 MB LLC, write-back |
 //! | memory | [`numa`] (`hemu-numa`) | two sockets, page tables, `mbind`, controller counters |
-//! | observability | [`obs`] (`hemu-obs`) | event tracer, metrics registry, JSON/CSV export |
+//! | observability | [`obs`] (`hemu-obs`) | event tracer, profiler spans, GC pause histogram, JSON/CSV export |
 //! | vocabulary | [`types`] (`hemu-types`) | addresses, sizes, clock, deterministic RNG |
 //!
 //! # Quickstart

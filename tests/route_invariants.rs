@@ -73,7 +73,9 @@ fn traced_and_untraced_runs_export_identical_reports() {
         ),
         (
             "lu.Fix KG-W profiled",
-            Experiment::new(lu).collector(CollectorKind::KgW).profiling(),
+            Experiment::new(lu)
+                .collector(CollectorKind::KgW)
+                .profiling(),
         ),
     ];
     let mut mix_runs = 0;
