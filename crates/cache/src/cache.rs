@@ -9,7 +9,7 @@
 //! ```text
 //! word 0        valid mask (low 32) | dirty mask (high 32)
 //! words 1-2     packed recency ranks: 6 bits per way (u128)
-//! words 3..P    presence bytes, one per way (inclusion directory)
+//! words 3..P    presence bytes, one per way (kept by the hierarchy)
 //! words P..     tags, two u32 per word
 //! ```
 //!
@@ -127,7 +127,8 @@ const VD: usize = 0;
 const ORDER_LO: usize = 1;
 /// Word offset of the high half of the packed recency ranks.
 const ORDER_HI: usize = 2;
-/// Word offset of the first presence byte (inclusion directory).
+/// Word offset of the first presence byte: the LLC's inclusion
+/// directory, or an L2 slot's link to its LLC way.
 const PRES: usize = 3;
 /// Bits per packed recency-rank field.
 const RANK_BITS: u32 = 6;
@@ -566,11 +567,11 @@ impl Cache {
         }
     }
 
-    /// The presence byte of way `way` in the set `line` maps to — the
-    /// per-slot inclusion directory the hierarchy maintains (which private
-    /// caches may hold this slot's line).
-    #[cfg(test)]
-    fn pres_at(&self, line: LineAddr, way: usize) -> u8 {
+    /// The presence byte of way `way` in the set `line` maps to: the
+    /// per-slot byte the hierarchy maintains (in the LLC, which private
+    /// caches may hold the slot's line; in an L2, the line's LLC way).
+    #[inline]
+    pub(crate) fn pres_at(&self, line: LineAddr, way: usize) -> u8 {
         let base = self.base(self.set_of(line));
         (self.word(base + PRES + way / 8) >> ((way & 7) * 8)) as u8
     }
@@ -631,6 +632,23 @@ impl Cache {
             }
             None => false,
         }
+    }
+
+    /// Marks the line in way `way` of `line`'s set dirty and stamps it with
+    /// `wtag`, without a probe and without touching LRU state: the caller
+    /// already knows where the line lives (the hierarchy's L2-to-LLC link).
+    #[inline]
+    pub(crate) fn mark_dirty_at(&mut self, line: LineAddr, way: usize, wtag: u8) {
+        let set = self.set_of(line);
+        let base = self.base(set);
+        debug_assert!(
+            self.word(base + VD) >> way & 1 == 1
+                && u64::from(self.tag_at(base, way)) == line.raw() >> self.set_bits,
+            "line {:#x} is not in way {way}",
+            line.raw()
+        );
+        *self.word_mut(base + VD) |= 1u64 << (32 + way);
+        self.store_tag(set * self.assoc + way, wtag);
     }
 
     /// Removes `line` if resident (inclusive-hierarchy back-invalidation),
@@ -801,6 +819,10 @@ mod tests {
         c.access(l(1), AccessKind::Read);
         assert!(c.mark_dirty_tagged(l(1), 9));
         assert_eq!(c.invalidate_tagged(l(1)), Some((true, 9)));
+        // mark_dirty_at does the same at a known way, without a probe.
+        let way = c.access(l(3), AccessKind::Read).way as usize;
+        c.mark_dirty_at(l(3), way, 4);
+        assert_eq!(c.invalidate_tagged(l(3)), Some((true, 4)));
     }
 
     #[test]

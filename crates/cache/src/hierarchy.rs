@@ -24,15 +24,20 @@ pub struct HierarchyOutcome {
     pub level: HitLevel,
     /// Line fetched from memory (always the accessed line, on LLC miss).
     pub memory_fill: Option<LineAddr>,
-    /// Dirty lines written back to memory by this access (at most 2: an LLC
-    /// victim plus an L2 victim that missed the LLC).
+    /// Dirty lines written back to memory by this access (at most 1: the
+    /// LLC victim).
     pub memory_writebacks: Vec<LineAddr>,
 }
+
+/// Most hardware contexts a [`Hierarchy`] supports: it keeps the contexts
+/// that have run in one 64-bit set.
+pub const MAX_CONTEXTS: usize = 64;
 
 /// Geometry of the hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HierarchyConfig {
-    /// Number of hardware contexts, each with a private L2.
+    /// Number of hardware contexts, each with a private L2 (1 to
+    /// [`MAX_CONTEXTS`]).
     pub contexts: usize,
     /// Private L2 capacity (256 KiB on the paper's platform).
     pub l2_size: ByteSize,
@@ -62,19 +67,29 @@ impl HierarchyConfig {
 ///
 /// Inclusion is enforced: when the LLC evicts a line, every L2 copy is
 /// back-invalidated and any L2 dirtiness is merged into the write-back, so
-/// no store is ever lost and no line is dirty in an L2 without the LLC
-/// knowing it resides above.
-/// The inclusion directory lives *inside* the LLC's set blocks: one
-/// presence byte per LLC slot, bit `c & 7` set when context `c`'s L2 *may*
-/// hold the slot's line. Maintained as a superset of true residency (bits
-/// are set on every L2 fill but only cleared when the slot is reallocated),
-/// so back-invalidation probes only the flagged L2s instead of all of them
-/// — the unflagged ones provably miss. With more than 8 contexts bits
-/// alias, which just means extra (harmless) probes.
+/// no store is ever lost and every line in an L2 is also in the LLC.
+///
+/// Two per-slot bytes, kept inside the caches' set blocks, keep an L2 miss
+/// from probing caches that cannot hold a line:
+/// - **L2 link.** Each L2 slot records the LLC way of its line. A line
+///   cannot move within the LLC, and it leaves the LLC only by an eviction
+///   that also removes it from every L2, so the link stays valid while the
+///   line sits in the L2. A dirty L2 victim is merged into the LLC through
+///   its link, with no probe.
+/// - **LLC presence.** Each LLC slot has a presence byte, bit `c & 7` set
+///   when context `c`'s L2 *may* hold the slot's line. The bits are set on
+///   every L2 fill and cleared only when the slot is reallocated, so they
+///   are a superset of true residency. An LLC eviction probes only the
+///   contexts that have filled their L2 at least once and whose presence
+///   bit is set, in ascending context order; with more than 8 contexts
+///   the bit of `c` is shared by `c + 8`, `c + 16`, …, and only those of
+///   them that ever ran are probed.
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
     l2s: Vec<Cache>,
     llc: Cache,
+    /// Bit `c` is set once context `c` has filled its L2.
+    active: u64,
 }
 
 impl Hierarchy {
@@ -82,14 +97,20 @@ impl Hierarchy {
     ///
     /// # Panics
     ///
-    /// Panics if `config.contexts` is zero or a cache geometry is invalid.
+    /// Panics if `config.contexts` is zero or above [`MAX_CONTEXTS`], or a
+    /// cache geometry is invalid.
     pub fn new(config: HierarchyConfig) -> Self {
         assert!(config.contexts > 0, "need at least one hardware context");
+        assert!(
+            config.contexts <= MAX_CONTEXTS,
+            "at most {MAX_CONTEXTS} hardware contexts"
+        );
         let l2cfg = CacheConfig::new("L2", config.l2_size, config.l2_assoc);
         let llc_cfg = CacheConfig::new("LLC", config.llc_size, config.llc_assoc);
         Hierarchy {
             l2s: (0..config.contexts).map(|_| Cache::new(l2cfg)).collect(),
             llc: Cache::new(llc_cfg),
+            active: 0,
         }
     }
 
@@ -175,26 +196,29 @@ impl Hierarchy {
         writebacks.clear();
 
         // L2 probe.
-        let l2r = self.l2s[ctx].access_tagged(line, kind, wtag);
+        let l2 = &mut self.l2s[ctx];
+        let l2r = l2.access_tagged(line, kind, wtag);
         if l2r.hit {
             return (HitLevel::L2, None);
         }
+        let l2_way = l2r.way as usize;
 
-        // The L2 displaced a line; a dirty one must merge into the LLC,
-        // carrying the tag of its most recent store.
+        // The L2 displaced a line; a dirty one merges into its LLC copy
+        // through the slot's link, carrying the tag of its most recent
+        // store.
         if let Some(v) = l2r.victim {
-            if v.dirty && !self.llc.mark_dirty_tagged(v.line, v.tag) {
-                // Inclusion violated only transiently: the victim can have
-                // been back-invalidated from the LLC by a concurrent set
-                // conflict. Its data goes straight to memory.
-                writebacks.push((v.line, v.tag));
+            if v.dirty {
+                let link = l2.pres_at(line, l2_way);
+                self.llc.mark_dirty_at(v.line, link as usize, v.tag);
             }
         }
+        self.active |= 1 << ctx;
 
         // LLC probe. The L2 will hold the written line dirty, so the LLC
         // access itself is a read-for-fill; dirtiness reaches the LLC later
         // via the L2 write-back path above.
         let llcr = self.llc.access(line, AccessKind::Read);
+        self.l2s[ctx].pres_replace(line, l2_way, llcr.way);
         let ctx_bit = 1u8 << (ctx & 7);
         if llcr.hit {
             // The accessed line just filled into ctx's L2; record it.
@@ -208,33 +232,20 @@ impl Hierarchy {
         if let Some(v) = llcr.victim {
             // Inclusive LLC: evicting a line expels it from every L2. An
             // L2 copy holds newer data than the LLC's, so its tag (the
-            // most recent store) wins. Only the L2s flagged in the
-            // directory can hold the line; the rest provably miss.
+            // most recent store) wins, the highest context's among several.
+            // Only active contexts whose presence bit is set can hold the
+            // line; the bit of `c` repeats every 8 contexts in `spread`.
+            let spread = u64::from(present) * 0x0101_0101_0101_0101;
             let mut dirty = v.dirty;
             let mut tag = v.tag;
-            if self.l2s.len() <= 8 {
-                let mut rem = present;
-                while rem != 0 {
-                    let c = rem.trailing_zeros() as usize;
-                    rem &= rem - 1;
-                    if let Some((l2_dirty, l2_tag)) = self.l2s[c].invalidate_tagged(v.line) {
-                        if l2_dirty {
-                            dirty = true;
-                            tag = l2_tag;
-                        }
-                    }
-                }
-            } else {
-                // Aliased presence bits: probe every context whose bit is
-                // set (a superset of the true holders).
-                for (c, l2) in self.l2s.iter_mut().enumerate() {
-                    if present & (1 << (c & 7)) != 0 {
-                        if let Some((l2_dirty, l2_tag)) = l2.invalidate_tagged(v.line) {
-                            if l2_dirty {
-                                dirty = true;
-                                tag = l2_tag;
-                            }
-                        }
+            let mut rem = self.active & spread;
+            while rem != 0 {
+                let c = rem.trailing_zeros() as usize;
+                rem &= rem - 1;
+                if let Some((l2_dirty, l2_tag)) = self.l2s[c].invalidate_tagged(v.line) {
+                    if l2_dirty {
+                        dirty = true;
+                        tag = l2_tag;
                     }
                 }
             }
@@ -252,19 +263,13 @@ impl Hierarchy {
     /// stores still buffered in caches are attributed to the iteration
     /// that made them.
     pub fn flush<F: FnMut(LineAddr, u8)>(&mut self, mut sink: F) {
-        // L2 dirty lines merge into the LLC copy (or go straight to memory
-        // if inclusion was transiently broken).
-        let mut l2_orphans = Vec::new();
+        // Inclusion holds, so every dirty L2 line merges into its LLC copy.
         for l2 in &mut self.l2s {
             let llc = &mut self.llc;
             l2.flush_dirty_tagged(|line, tag| {
-                if !llc.mark_dirty_tagged(line, tag) {
-                    l2_orphans.push((line, tag));
-                }
+                let merged = llc.mark_dirty_tagged(line, tag);
+                debug_assert!(merged, "L2 line {:#x} is not in the LLC", line.raw());
             });
-        }
-        for (line, tag) in l2_orphans {
-            sink(line, tag);
         }
         self.llc.flush_dirty_tagged(&mut sink);
     }

@@ -41,6 +41,6 @@ mod shard;
 mod stats;
 
 pub use cache::{AccessResult, Cache, CacheConfig, Victim};
-pub use hierarchy::{Hierarchy, HierarchyConfig, HierarchyOutcome, HitLevel};
+pub use hierarchy::{Hierarchy, HierarchyConfig, HierarchyOutcome, HitLevel, MAX_CONTEXTS};
 pub use shard::{ShardedHierarchy, DEFAULT_SHARD_BITS};
 pub use stats::CacheStats;

@@ -7,7 +7,8 @@
 //! same hits, same victims, same victim dirtiness, same final statistics.
 //! Packing changed the representation, never the replacement policy.
 //!
-//! The same file holds the hierarchy-level oracles: the set-sharded
+//! The same file holds the hierarchy-level oracles: the hierarchy against
+//! a naive inclusive model that shares no code with it, the set-sharded
 //! hierarchy against the monolithic one, line by line, and its aggregate
 //! batch resolution against the per-line outcomes summed.
 //!
@@ -380,4 +381,296 @@ fn batch_boundaries_are_invisible() {
     // queue/prefetch depths.
     let ragged = run_aggregate(&stream, 3, &[1, 13, 4096, 257, 2, 8191, 31], 2);
     assert_eq!(whole, ragged, "diverged at ragged boundaries");
+}
+
+/// One resident line of the naive inclusive model: `(line, dirty, tag)`,
+/// where the tag is the provenance of the store that last dirtied it.
+type Entry = (u64, bool, u8);
+
+/// Naive per-set LRU cache for the inclusive-hierarchy model: each set is
+/// a `Vec` ordered most recently used first, so a fill into a full set
+/// evicts the last entry.
+struct LruCache {
+    sets: Vec<Vec<Entry>>,
+    assoc: usize,
+    stats: hemu_cache::CacheStats,
+}
+
+impl LruCache {
+    fn new(size: ByteSize, assoc: usize) -> Self {
+        let sets = size.bytes() as usize / CACHE_LINE / assoc;
+        LruCache {
+            sets: vec![Vec::new(); sets],
+            assoc,
+            stats: hemu_cache::CacheStats::default(),
+        }
+    }
+
+    fn set(&mut self, line: u64) -> &mut Vec<Entry> {
+        let n = self.sets.len() as u64;
+        &mut self.sets[(line % n) as usize]
+    }
+
+    fn position(&mut self, line: u64) -> Option<usize> {
+        self.set(line).iter().position(|e| e.0 == line)
+    }
+
+    /// Touches `line`, filling it on a miss; returns whether it hit and
+    /// the displaced entry, if any.
+    fn access(&mut self, line: u64, write: bool, tag: u8) -> (bool, Option<Entry>) {
+        let assoc = self.assoc;
+        if let Some(i) = self.position(line) {
+            self.stats.hits += 1;
+            let set = self.set(line);
+            let mut e = set.remove(i);
+            if write {
+                e = (line, true, tag);
+            }
+            set.insert(0, e);
+            return (true, None);
+        }
+        self.stats.misses += 1;
+        let set = self.set(line);
+        let victim = (set.len() == assoc).then(|| set.pop().expect("a full set"));
+        set.insert(0, (line, write, if write { tag } else { 0 }));
+        if let Some((_, dirty, _)) = victim {
+            self.stats.evictions += 1;
+            self.stats.writebacks += u64::from(dirty);
+        }
+        (false, victim)
+    }
+
+    /// Marks a resident line dirty with `tag` without touching recency;
+    /// returns whether it was resident.
+    fn mark_dirty(&mut self, line: u64, tag: u8) -> bool {
+        match self.position(line) {
+            Some(i) => {
+                self.set(line)[i] = (line, true, tag);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Removes `line` if resident, returning its entry.
+    fn invalidate(&mut self, line: u64) -> Option<Entry> {
+        let i = self.position(line)?;
+        Some(self.set(line).remove(i))
+    }
+
+    /// Every resident line with its dirty bit, sorted.
+    fn resident(&self) -> Vec<(u64, bool)> {
+        let mut all: Vec<_> = self.sets.iter().flatten().map(|e| (e.0, e.1)).collect();
+        all.sort_unstable();
+        all
+    }
+}
+
+/// Coverage counters of the naive model, so a stream that never reaches
+/// the paths under test fails loudly instead of passing vacuously.
+#[derive(Debug, Default)]
+struct Coverage {
+    /// Dirty L2 victims merged into the LLC.
+    dirty_merges: u64,
+    /// LLC evictions that found the line in two or more L2s.
+    shared_back_invalidations: u64,
+    /// LLC evictions that found the line dirty in two or more L2s.
+    multi_dirty_back_invalidations: u64,
+    /// LLC evictions that found the line in the L2s of both `c` and
+    /// `c + 8` (contexts whose presence bits alias in an 8-bit byte).
+    aliased_back_invalidations: u64,
+}
+
+/// An inclusive two-level hierarchy written the obvious way and sharing
+/// no code with [`Hierarchy`]: per-set LRU `Vec`s, a dirty L2 victim
+/// merged into the LLC by search, and back-invalidation that probes every
+/// L2 in ascending context order, so a later dirty copy's tag wins.
+struct NaiveHierarchy {
+    l2s: Vec<LruCache>,
+    llc: LruCache,
+    cov: Coverage,
+}
+
+impl NaiveHierarchy {
+    fn new(config: HierarchyConfig) -> Self {
+        NaiveHierarchy {
+            l2s: (0..config.contexts)
+                .map(|_| LruCache::new(config.l2_size, config.l2_assoc))
+                .collect(),
+            llc: LruCache::new(config.llc_size, config.llc_assoc),
+            cov: Coverage::default(),
+        }
+    }
+
+    /// One access: the hit level, the line filled from memory, and the
+    /// memory write-backs with their tags.
+    fn access(
+        &mut self,
+        ctx: usize,
+        line: u64,
+        write: bool,
+        tag: u8,
+    ) -> (HitLevel, Option<u64>, Vec<(u64, u8)>) {
+        let (hit, l2_victim) = self.l2s[ctx].access(line, write, tag);
+        if hit {
+            return (HitLevel::L2, None, Vec::new());
+        }
+        if let Some((v, true, vtag)) = l2_victim {
+            assert!(
+                self.llc.mark_dirty(v, vtag),
+                "inclusion: dirty L2 victim {v} is resident in the LLC"
+            );
+            self.cov.dirty_merges += 1;
+        }
+        let (hit, llc_victim) = self.llc.access(line, false, 0);
+        if hit {
+            return (HitLevel::Llc, None, Vec::new());
+        }
+        let mut wbs = Vec::new();
+        if let Some((v, mut dirty, mut vtag)) = llc_victim {
+            let (mut holders, mut dirty_holders) = (Vec::new(), 0);
+            for (c, l2) in self.l2s.iter_mut().enumerate() {
+                if let Some((_, l2_dirty, l2_tag)) = l2.invalidate(v) {
+                    holders.push(c);
+                    if l2_dirty {
+                        dirty_holders += 1;
+                        dirty = true;
+                        vtag = l2_tag;
+                    }
+                }
+            }
+            self.cov.shared_back_invalidations += u64::from(holders.len() >= 2);
+            self.cov.multi_dirty_back_invalidations += u64::from(dirty_holders >= 2);
+            self.cov.aliased_back_invalidations +=
+                u64::from(holders.iter().any(|c| holders.contains(&(c + 8))));
+            if dirty {
+                wbs.push((v, vtag));
+            }
+        }
+        (HitLevel::Memory, Some(line), wbs)
+    }
+
+    /// Merges every dirty L2 line into the LLC (contexts in ascending
+    /// order), then drains the LLC's dirty lines; returns them sorted.
+    fn flush(&mut self) -> Vec<(u64, u8)> {
+        for l2 in &mut self.l2s {
+            for e in l2.sets.iter_mut().flatten().filter(|e| e.1) {
+                assert!(
+                    self.llc.mark_dirty(e.0, e.2),
+                    "inclusion: dirty L2 line {} is resident in the LLC",
+                    e.0
+                );
+                e.1 = false;
+            }
+        }
+        let mut out = Vec::new();
+        for e in self.llc.sets.iter_mut().flatten().filter(|e| e.1) {
+            out.push((e.0, e.2));
+            e.1 = false;
+        }
+        out.sort_unstable();
+        out
+    }
+}
+
+/// Every cache's resident lines with dirty bits, then every cache's
+/// statistics (LLC first, then the L2s in context order).
+fn full_state(h: &Hierarchy) -> (Vec<Vec<(u64, bool)>>, Vec<hemu_cache::CacheStats>) {
+    let sorted = |c: &Cache| {
+        let mut v: Vec<_> = c.iter_resident().map(|(l, d)| (l.raw(), d)).collect();
+        v.sort_unstable();
+        v
+    };
+    let caches: Vec<&Cache> = std::iter::once(h.llc())
+        .chain((0..h.contexts()).map(|c| h.l2(c)))
+        .collect();
+    (
+        caches.iter().map(|c| sorted(c)).collect(),
+        caches.iter().map(|c| *c.stats()).collect(),
+    )
+}
+
+fn naive_state(n: &NaiveHierarchy) -> (Vec<Vec<(u64, bool)>>, Vec<hemu_cache::CacheStats>) {
+    let caches: Vec<&LruCache> = std::iter::once(&n.llc).chain(&n.l2s).collect();
+    (
+        caches.iter().map(|c| c.resident()).collect(),
+        caches.iter().map(|c| c.stats).collect(),
+    )
+}
+
+/// Runs `stream` through [`Hierarchy`] (tags on) and the naive inclusive
+/// model, comparing every access's hit level, fill and tagged write-backs,
+/// then the final residency, dirtiness and statistics of every cache, and
+/// the tagged lines a flush drains. Returns the model's coverage.
+fn compare_with_naive(
+    config: HierarchyConfig,
+    stream: &[(usize, LineAddr, AccessKind, u8)],
+) -> Coverage {
+    let mut h = Hierarchy::new(config);
+    h.enable_tags();
+    let mut naive = NaiveHierarchy::new(config);
+    let mut wbs = Vec::new();
+    for (i, &(ctx, line, kind, tag)) in stream.iter().enumerate() {
+        let (level, fill) = h.access_into(ctx, line, kind, tag, &mut wbs);
+        let got_wbs: Vec<_> = wbs.iter().map(|&(l, t)| (l.raw(), t)).collect();
+        let want = naive.access(ctx, line.raw(), kind.is_write(), tag);
+        assert_eq!(
+            (level, fill.map(|l| l.raw()), got_wbs),
+            want,
+            "op {i} (ctx {ctx}, line {}, {kind:?}): outcome diverged",
+            line.raw()
+        );
+    }
+    assert_eq!(full_state(&h), naive_state(&naive), "final state diverged");
+    let mut flushed = Vec::new();
+    h.flush(|line, tag| flushed.push((line.raw(), tag)));
+    flushed.sort_unstable();
+    assert_eq!(flushed, naive.flush(), "flushed lines or tags diverged");
+    assert_eq!(full_state(&h), naive_state(&naive), "post-flush state");
+    naive.cov
+}
+
+#[test]
+fn hierarchy_matches_naive_inclusive_model() {
+    let cov = compare_with_naive(CONFIG, &stream(0x5EED, 60_000));
+    assert!(cov.dirty_merges > 0, "{cov:?}");
+    assert!(cov.shared_back_invalidations > 0, "{cov:?}");
+}
+
+/// Twelve contexts against 8-bit presence bytes: contexts `c` and `c + 8`
+/// share a presence bit.
+const ALIASED: HierarchyConfig = HierarchyConfig {
+    contexts: 12,
+    ..CONFIG
+};
+
+/// A stream for [`ALIASED`]: every context draws half its lines from a
+/// 192-line hot range all of them read and write, so lines sit in several
+/// L2s at once (aliased pairs included) and are dirty in more than one.
+fn shared_stream(seed: u64, len: u64) -> Vec<(usize, LineAddr, AccessKind, u8)> {
+    let mut state = seed;
+    (0..len)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let kind = if state & 1 == 1 {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            let range = if state >> 63 == 1 { 192 } else { LINE_RANGE };
+            let line = LineAddr::new((state >> 24) % range);
+            let ctx = ((state >> 40) % 12) as usize;
+            (ctx, line, kind, (state >> 8) as u8)
+        })
+        .collect()
+}
+
+#[test]
+fn hierarchy_matches_naive_inclusive_model_with_aliased_contexts() {
+    let cov = compare_with_naive(ALIASED, &shared_stream(0xA11A5, 120_000));
+    assert!(cov.dirty_merges > 0, "{cov:?}");
+    assert!(cov.multi_dirty_back_invalidations > 0, "{cov:?}");
+    assert!(cov.aliased_back_invalidations > 0, "{cov:?}");
 }

@@ -1,6 +1,6 @@
 //! Machine profiles: the hardware parameter sets the platform can emulate.
 
-use hemu_cache::{CacheConfig, HierarchyConfig};
+use hemu_cache::{CacheConfig, HierarchyConfig, MAX_CONTEXTS};
 use hemu_numa::{NumaConfig, QpiLink};
 use hemu_types::{ByteSize, Cycles, HemuError, Result, CACHE_LINE};
 
@@ -108,8 +108,8 @@ impl MachineProfile {
         self
     }
 
-    /// Checks that this profile describes a machine the model can build: at
-    /// least one hardware context, and L2 and LLC geometries that
+    /// Checks that this profile describes a machine the model can build: 1
+    /// to [`MAX_CONTEXTS`] hardware contexts, and L2 and LLC geometries that
     /// [`CacheConfig::try_new`] accepts. [`Machine::new`](crate::Machine::new)
     /// panics on a profile this rejects.
     ///
@@ -121,6 +121,12 @@ impl MachineProfile {
             return Err(HemuError::InvalidConfig(
                 "a machine needs at least one hardware context".into(),
             ));
+        }
+        if self.contexts > MAX_CONTEXTS {
+            return Err(HemuError::InvalidConfig(format!(
+                "{} hardware contexts is more than the {MAX_CONTEXTS} the caches track",
+                self.contexts
+            )));
         }
         CacheConfig::try_new("L2", self.l2_size, self.l2_assoc)?;
         CacheConfig::try_new("LLC", self.llc_size, self.llc_assoc)?;
@@ -187,6 +193,8 @@ mod tests {
         let p = MachineProfile::emulation().with_llc(ByteSize::new(65_537 * 64));
         assert!(matches!(p.validate(), Err(HemuError::InvalidConfig(_))));
         let p = MachineProfile::emulation().with_contexts(0);
+        assert!(matches!(p.validate(), Err(HemuError::InvalidConfig(_))));
+        let p = MachineProfile::emulation().with_contexts(MAX_CONTEXTS + 1);
         assert!(matches!(p.validate(), Err(HemuError::InvalidConfig(_))));
         assert!(MachineProfile::simulation().validate().is_ok());
     }
