@@ -464,14 +464,14 @@ impl Experiment {
             .zip(&gc_before)
             .map(|((_, m), before)| {
                 m.gc_stats()
-                    .map(|now| diff_gc(now, &before.unwrap_or_default()))
+                    .map(|now| now.delta_since(&before.unwrap_or_default()))
             })
             .collect();
         let gc = gc_deltas
             .iter()
             .flatten()
             .fold(None, |total: Option<GcStats>, d| {
-                Some(add_gc(&total.unwrap_or_default(), d))
+                Some(total.unwrap_or_default().add(d))
             });
         let native = aggregate_native(&workloads, &native_before);
         let allocated: Vec<u64> = workloads
@@ -662,48 +662,6 @@ fn schedule(
         }
     }
     Ok(())
-}
-
-fn diff_gc(now: &GcStats, then: &GcStats) -> GcStats {
-    GcStats {
-        minor_gcs: now.minor_gcs - then.minor_gcs,
-        observer_gcs: now.observer_gcs - then.observer_gcs,
-        full_gcs: now.full_gcs - then.full_gcs,
-        pause_cycles: now.pause_cycles - then.pause_cycles,
-        allocated_bytes: now.allocated_bytes - then.allocated_bytes,
-        allocated_objects: now.allocated_objects - then.allocated_objects,
-        large_allocated_bytes: now.large_allocated_bytes - then.large_allocated_bytes,
-        loo_nursery_large: now.loo_nursery_large - then.loo_nursery_large,
-        copied_minor_bytes: now.copied_minor_bytes - then.copied_minor_bytes,
-        copied_observer_bytes: now.copied_observer_bytes - then.copied_observer_bytes,
-        promoted_dram_objects: now.promoted_dram_objects - then.promoted_dram_objects,
-        promoted_pcm_objects: now.promoted_pcm_objects - then.promoted_pcm_objects,
-        large_rescued: now.large_rescued - then.large_rescued,
-        mark_writes: now.mark_writes - then.mark_writes,
-        remset_entries: now.remset_entries - then.remset_entries,
-        monitor_marks: now.monitor_marks - then.monitor_marks,
-    }
-}
-
-fn add_gc(a: &GcStats, b: &GcStats) -> GcStats {
-    GcStats {
-        minor_gcs: a.minor_gcs + b.minor_gcs,
-        observer_gcs: a.observer_gcs + b.observer_gcs,
-        full_gcs: a.full_gcs + b.full_gcs,
-        pause_cycles: a.pause_cycles + b.pause_cycles,
-        allocated_bytes: a.allocated_bytes + b.allocated_bytes,
-        allocated_objects: a.allocated_objects + b.allocated_objects,
-        large_allocated_bytes: a.large_allocated_bytes + b.large_allocated_bytes,
-        loo_nursery_large: a.loo_nursery_large + b.loo_nursery_large,
-        copied_minor_bytes: a.copied_minor_bytes + b.copied_minor_bytes,
-        copied_observer_bytes: a.copied_observer_bytes + b.copied_observer_bytes,
-        promoted_dram_objects: a.promoted_dram_objects + b.promoted_dram_objects,
-        promoted_pcm_objects: a.promoted_pcm_objects + b.promoted_pcm_objects,
-        large_rescued: a.large_rescued + b.large_rescued,
-        mark_writes: a.mark_writes + b.mark_writes,
-        remset_entries: a.remset_entries + b.remset_entries,
-        monitor_marks: a.monitor_marks + b.monitor_marks,
-    }
 }
 
 fn aggregate_native(

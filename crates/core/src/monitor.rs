@@ -8,28 +8,19 @@
 //! emulating the emulator.
 
 use hemu_machine::Machine;
-use hemu_obs::json::{JsonObject, ToJson};
 use hemu_obs::TraceEvent;
 use hemu_types::{ByteSize, SocketId};
 
-/// One monitor sample: interval rates in MB/s (decimal megabytes).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RateSample {
-    /// Virtual time at the end of the interval, seconds.
-    pub t_seconds: f64,
-    /// PCM write rate over the interval.
-    pub pcm_write_mbs: f64,
-    /// DRAM write rate over the interval.
-    pub dram_write_mbs: f64,
-}
-
-impl ToJson for RateSample {
-    fn write_json(&self, out: &mut String) {
-        let mut obj = JsonObject::new(out);
-        obj.field("t_seconds", &self.t_seconds)
-            .field("pcm_write_mbs", &self.pcm_write_mbs)
-            .field("dram_write_mbs", &self.dram_write_mbs);
-        obj.finish();
+hemu_obs::record! {
+    /// One monitor sample: interval rates in MB/s (decimal megabytes).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct RateSample {
+        /// Virtual time at the end of the interval, seconds.
+        pub t_seconds: f64,
+        /// PCM write rate over the interval.
+        pub pcm_write_mbs: f64,
+        /// DRAM write rate over the interval.
+        pub dram_write_mbs: f64,
     }
 }
 

@@ -5,114 +5,120 @@ use hemu_heap::GcStats;
 use hemu_machine::MachineStats;
 use hemu_malloc::NativeStats;
 use hemu_obs::json::{JsonObject, ToJson};
-use hemu_obs::HistogramSnapshot;
+use hemu_obs::{FromJson, HistogramSnapshot, JsonValue};
 use hemu_os::OsStats;
 use hemu_types::{ByteSize, SpaceTag, WriteCause};
 use std::fmt;
 
-/// Everything measured during one experiment's measured iteration.
-#[derive(Debug, Clone)]
-pub struct RunReport {
-    /// Workload display name (`pr.cpp.large`, `lusearch`, …).
-    pub workload: String,
-    /// Collector name (`KG-W`, `PCM-Only`, …; `malloc` for native runs).
-    pub collector: String,
-    /// Machine profile name (`emulation` or `simulation`).
-    pub profile: String,
-    /// Number of co-running instances.
-    pub instances: usize,
-    /// Bytes written at the PCM socket's controller — the headline metric.
-    pub pcm_writes: ByteSize,
-    /// Bytes read at the PCM socket.
-    pub pcm_reads: ByteSize,
-    /// Bytes written at the DRAM socket.
-    pub dram_writes: ByteSize,
-    /// Bytes read at the DRAM socket.
-    pub dram_reads: ByteSize,
-    /// Virtual elapsed time of the measured iteration, in seconds.
-    pub elapsed_seconds: f64,
-    /// Average PCM write rate in MB/s (decimal megabytes, as the paper and
-    /// `pcm-memory` report).
-    pub pcm_write_rate_mbs: f64,
-    /// Total bytes the applications allocated during the measured
-    /// iteration.
-    pub allocated: ByteSize,
-    /// Aggregated GC statistics (managed runs).
-    pub gc: Option<GcStats>,
-    /// Aggregated native allocator statistics (C++ runs).
-    pub native: Option<NativeStats>,
-    /// Machine-level statistics.
-    pub machine: MachineStats,
-    /// Interval samples from the write-rate monitor.
-    pub samples: Vec<RateSample>,
-    /// Measured PCM wear statistics (present when the experiment enabled
-    /// wear tracking).
-    pub wear: Option<WearSummary>,
-    /// PCM endurance outcome (present when the experiment enabled the
-    /// endurance model).
-    pub endurance: Option<EnduranceSummary>,
-    /// Distribution of stop-the-world GC pauses (virtual cycles) over the
-    /// measured iteration, across every heap on the machine (absent when
-    /// no collection ran).
-    pub gc_pause_histogram: Option<HistogramSnapshot>,
-    /// OS page-manager activity (present when the run was placed by an
-    /// [`hemu_os::OsPolicy`] instead of a write-rationing collector).
-    pub os_paging: Option<OsStats>,
-    /// Write-provenance breakdown (present when the experiment enabled
-    /// profiling).
-    pub provenance: Option<ProvenanceSummary>,
-    /// Per-tenant write shares (present for mix runs,
-    /// [`crate::Experiment::mix`]).
-    pub consolidation: Option<ConsolidationSummary>,
+hemu_obs::record! {
+    /// Everything measured during one experiment's measured iteration.
+    #[derive(Debug, Clone)]
+    pub struct RunReport {
+        /// Workload display name (`pr.cpp.large`, `lusearch`, …).
+        pub workload: String,
+        /// Collector name (`KG-W`, `PCM-Only`, …; `malloc` for native runs).
+        pub collector: String,
+        /// Machine profile name (`emulation` or `simulation`).
+        pub profile: String,
+        /// Number of co-running instances.
+        pub instances: usize,
+        /// Bytes written at the PCM socket's controller — the headline metric.
+        pub pcm_writes: ByteSize,
+        /// Bytes read at the PCM socket.
+        pub pcm_reads: ByteSize,
+        /// Bytes written at the DRAM socket.
+        pub dram_writes: ByteSize,
+        /// Bytes read at the DRAM socket.
+        pub dram_reads: ByteSize,
+        /// Virtual elapsed time of the measured iteration, in seconds.
+        pub elapsed_seconds: f64,
+        /// Average PCM write rate in MB/s (decimal megabytes, as the paper and
+        /// `pcm-memory` report).
+        pub pcm_write_rate_mbs: f64,
+        /// Total bytes the applications allocated during the measured
+        /// iteration.
+        pub allocated: ByteSize,
+        /// Aggregated GC statistics (managed runs).
+        pub gc: Option<GcStats>,
+        /// Aggregated native allocator statistics (C++ runs).
+        pub native: Option<NativeStats>,
+        /// Machine-level statistics.
+        pub machine: MachineStats,
+        /// Interval samples from the write-rate monitor.
+        pub samples: Vec<RateSample>,
+        /// Measured PCM wear statistics (present when the experiment enabled
+        /// wear tracking).
+        pub wear: Option<WearSummary>,
+        /// PCM endurance outcome (present when the experiment enabled the
+        /// endurance model).
+        pub endurance: Option<EnduranceSummary>,
+        /// Distribution of stop-the-world GC pauses (virtual cycles) over the
+        /// measured iteration, across every heap on the machine (absent when
+        /// no collection ran).
+        pub gc_pause_histogram: Option<HistogramSnapshot>,
+        /// OS page-manager activity (present when the run was placed by an
+        /// [`hemu_os::OsPolicy`] instead of a write-rationing collector).
+        pub os_paging: Option<OsStats>,
+        /// Write-provenance breakdown (present when the experiment enabled
+        /// profiling).
+        pub provenance: Option<ProvenanceSummary>,
+        /// Per-tenant write shares (present for mix runs,
+        /// [`crate::Experiment::mix`]).
+        pub consolidation: Option<ConsolidationSummary>,
+    }
 }
 
-/// Per-tenant attribution of a consolidated (multi-tenant) run: who wrote
-/// how much at each memory controller, plus enough per-tenant GC/OS
-/// context to explain the shares.
-///
-/// Tenant line counts plus the `unattributed_*` buckets sum *exactly* to
-/// the global controller counters — they are charged at the same
-/// accounting point and reset at the same instant.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConsolidationSummary {
-    /// Workload mix name (`dacapo`, `pjbb`, `graphchi`, `mixed`).
-    pub mix: String,
-    /// Number of co-scheduled tenants (the consolidation density).
-    pub tenants: usize,
-    /// Hardware contexts the tenants were multiplexed onto.
-    pub contexts: usize,
-    /// Scheduler slice length in workload steps.
-    pub slice: u64,
-    /// PCM line writes that hit a frame no tenant owned (0 in a
-    /// well-formed run; the CI smoke greps for exactly that).
-    pub unattributed_pcm_lines: u64,
-    /// DRAM line writes that hit a frame no tenant owned.
-    pub unattributed_dram_lines: u64,
-    /// One entry per tenant, in tenant-id order.
-    pub per_tenant: Vec<TenantShare>,
+hemu_obs::record! {
+    /// Per-tenant attribution of a consolidated (multi-tenant) run: who wrote
+    /// how much at each memory controller, plus enough per-tenant GC/OS
+    /// context to explain the shares.
+    ///
+    /// Tenant line counts plus the `unattributed_*` buckets sum *exactly* to
+    /// the global controller counters — they are charged at the same
+    /// accounting point and reset at the same instant.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ConsolidationSummary {
+        /// Workload mix name (`dacapo`, `pjbb`, `graphchi`, `mixed`).
+        pub mix: String,
+        /// Number of co-scheduled tenants (the consolidation density).
+        pub tenants: usize,
+        /// Hardware contexts the tenants were multiplexed onto.
+        pub contexts: usize,
+        /// Scheduler slice length in workload steps.
+        pub slice: u64,
+        /// PCM line writes that hit a frame no tenant owned (0 in a
+        /// well-formed run; the CI smoke greps for exactly that).
+        pub unattributed_pcm_lines: u64,
+        /// DRAM line writes that hit a frame no tenant owned.
+        pub unattributed_dram_lines: u64,
+        /// One entry per tenant, in tenant-id order.
+        pub per_tenant: Vec<TenantShare>,
+    }
 }
 
-/// One tenant's slice of a consolidated run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TenantShare {
-    /// Tenant id (0-based).
-    pub id: usize,
-    /// The tenant's workload display name.
-    pub workload: String,
-    /// PCM controller line writes charged to this tenant.
-    pub pcm_write_lines: u64,
-    /// DRAM controller line writes charged to this tenant.
-    pub dram_write_lines: u64,
-    /// Minor (nursery) collections the tenant ran.
-    pub minor_gcs: u64,
-    /// Full-heap collections the tenant ran.
-    pub full_gcs: u64,
-    /// Virtual cycles the tenant spent in stop-the-world pauses.
-    pub pause_cycles: u64,
-    /// Bytes the tenant allocated during the measured iteration.
-    pub allocated_bytes: u64,
-    /// Demand page faults the tenant's process took.
-    pub page_faults: u64,
+hemu_obs::record! {
+    /// One tenant's slice of a consolidated run.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct TenantShare {
+        /// Tenant id (0-based).
+        pub id: usize,
+        /// The tenant's workload display name.
+        pub workload: String,
+        /// PCM controller line writes charged to this tenant.
+        pub pcm_write_lines: u64,
+        /// DRAM controller line writes charged to this tenant.
+        pub dram_write_lines: u64,
+        /// Minor (nursery) collections the tenant ran.
+        pub minor_gcs: u64,
+        /// Full-heap collections the tenant ran.
+        pub full_gcs: u64,
+        /// Virtual cycles the tenant spent in stop-the-world pauses.
+        pub pause_cycles: u64,
+        /// Bytes the tenant allocated during the measured iteration.
+        pub allocated_bytes: u64,
+        /// Demand page faults the tenant's process took.
+        pub page_faults: u64,
+    }
 }
 
 impl ConsolidationSummary {
@@ -200,32 +206,36 @@ pub struct PageWear {
     pub max_line_writes: u64,
 }
 
-/// Per-line PCM wear statistics from the opt-in wear tracker.
-#[derive(Debug, Clone, Copy)]
-pub struct WearSummary {
-    /// Distinct PCM lines written during the measured iteration.
-    pub pcm_lines_touched: u64,
-    /// Writes absorbed by the hottest line.
-    pub max_line_writes: u64,
-    /// Estimated rotation-levelling efficiency for this write stream in
-    /// `(0, 1]` (the paper assumes 0.5).
-    pub levelling_efficiency: f64,
+hemu_obs::record! {
+    /// Per-line PCM wear statistics from the opt-in wear tracker.
+    #[derive(Debug, Clone, Copy)]
+    pub struct WearSummary {
+        /// Distinct PCM lines written during the measured iteration.
+        pub pcm_lines_touched: u64,
+        /// Writes absorbed by the hottest line.
+        pub max_line_writes: u64,
+        /// Estimated rotation-levelling efficiency for this write stream in
+        /// `(0, 1]` (the paper assumes 0.5).
+        pub levelling_efficiency: f64,
+    }
 }
 
-/// Outcome of the PCM endurance model: how much of the device wore out
-/// during the run and what capacity survived.
-#[derive(Debug, Clone, Copy)]
-pub struct EnduranceSummary {
-    /// Configured mean per-line write budget.
-    pub budget_writes: u64,
-    /// PCM lines that exhausted their budget and failed.
-    pub failed_lines: u64,
-    /// PCM pages retired because a line in them failed.
-    pub retired_pages: u64,
-    /// Virtual pages transparently remapped onto replacement frames.
-    pub remapped_pages: u64,
-    /// PCM capacity still backed by healthy frames.
-    pub effective_capacity: ByteSize,
+hemu_obs::record! {
+    /// Outcome of the PCM endurance model: how much of the device wore out
+    /// during the run and what capacity survived.
+    #[derive(Debug, Clone, Copy)]
+    pub struct EnduranceSummary {
+        /// Configured mean per-line write budget.
+        pub budget_writes: u64,
+        /// PCM lines that exhausted their budget and failed.
+        pub failed_lines: u64,
+        /// PCM pages retired because a line in them failed.
+        pub retired_pages: u64,
+        /// Virtual pages transparently remapped onto replacement frames.
+        pub remapped_pages: u64,
+        /// PCM capacity still backed by healthy frames.
+        pub effective_capacity: ByteSize,
+    }
 }
 
 impl RunReport {
@@ -250,58 +260,6 @@ impl RunReport {
             return f64::INFINITY;
         }
         self.pcm_writes.bytes() as f64 / baseline.pcm_writes.bytes() as f64
-    }
-}
-
-impl ToJson for WearSummary {
-    fn write_json(&self, out: &mut String) {
-        let mut obj = JsonObject::new(out);
-        obj.field("pcm_lines_touched", &self.pcm_lines_touched)
-            .field("max_line_writes", &self.max_line_writes)
-            .field("levelling_efficiency", &self.levelling_efficiency);
-        obj.finish();
-    }
-}
-
-impl ToJson for EnduranceSummary {
-    fn write_json(&self, out: &mut String) {
-        let mut obj = JsonObject::new(out);
-        obj.field("budget_writes", &self.budget_writes)
-            .field("failed_lines", &self.failed_lines)
-            .field("retired_pages", &self.retired_pages)
-            .field("remapped_pages", &self.remapped_pages)
-            .field("effective_capacity", &self.effective_capacity);
-        obj.finish();
-    }
-}
-
-impl ToJson for TenantShare {
-    fn write_json(&self, out: &mut String) {
-        let mut obj = JsonObject::new(out);
-        obj.field("id", &self.id)
-            .field("workload", &self.workload)
-            .field("pcm_write_lines", &self.pcm_write_lines)
-            .field("dram_write_lines", &self.dram_write_lines)
-            .field("minor_gcs", &self.minor_gcs)
-            .field("full_gcs", &self.full_gcs)
-            .field("pause_cycles", &self.pause_cycles)
-            .field("allocated_bytes", &self.allocated_bytes)
-            .field("page_faults", &self.page_faults);
-        obj.finish();
-    }
-}
-
-impl ToJson for ConsolidationSummary {
-    fn write_json(&self, out: &mut String) {
-        let mut obj = JsonObject::new(out);
-        obj.field("mix", &self.mix)
-            .field("tenants", &self.tenants)
-            .field("contexts", &self.contexts)
-            .field("slice", &self.slice)
-            .field("unattributed_pcm_lines", &self.unattributed_pcm_lines)
-            .field("unattributed_dram_lines", &self.unattributed_dram_lines)
-            .field("per_tenant", &self.per_tenant);
-        obj.finish();
     }
 }
 
@@ -336,31 +294,29 @@ impl ToJson for ProvenanceSummary {
     }
 }
 
-impl ToJson for RunReport {
-    fn write_json(&self, out: &mut String) {
-        let mut obj = JsonObject::new(out);
-        obj.field("workload", &self.workload)
-            .field("collector", &self.collector)
-            .field("profile", &self.profile)
-            .field("instances", &self.instances)
-            .field("pcm_writes", &self.pcm_writes)
-            .field("pcm_reads", &self.pcm_reads)
-            .field("dram_writes", &self.dram_writes)
-            .field("dram_reads", &self.dram_reads)
-            .field("elapsed_seconds", &self.elapsed_seconds)
-            .field("pcm_write_rate_mbs", &self.pcm_write_rate_mbs)
-            .field("allocated", &self.allocated)
-            .field("gc", &self.gc)
-            .field("native", &self.native)
-            .field("machine", &self.machine)
-            .field("samples", &self.samples)
-            .field("wear", &self.wear)
-            .field("endurance", &self.endurance)
-            .field("gc_pause_histogram", &self.gc_pause_histogram)
-            .field("os_paging", &self.os_paging)
-            .field("provenance", &self.provenance)
-            .field("consolidation", &self.consolidation);
-        obj.finish();
+/// Reads the nested `pcm|dram → by_cause|by_space` shape the writer above
+/// emits, one named member per cause and per space.
+impl FromJson for ProvenanceSummary {
+    fn from_json(v: &JsonValue) -> Option<Self> {
+        fn counts<const N: usize>(v: &JsonValue, names: [&str; N]) -> Option<[u64; N]> {
+            let mut out = [0u64; N];
+            for (slot, name) in out.iter_mut().zip(names) {
+                *slot = v.field(name)?;
+            }
+            Some(out)
+        }
+        let cause_names = WriteCause::ALL.map(WriteCause::name);
+        let space_names = SpaceTag::ALL.map(SpaceTag::name);
+        let pcm = v.get("pcm")?;
+        let dram = v.get("dram")?;
+        Some(ProvenanceSummary {
+            pcm_by_cause: counts(pcm.get("by_cause")?, cause_names)?,
+            pcm_by_space: counts(pcm.get("by_space")?, space_names)?,
+            dram_by_cause: counts(dram.get("by_cause")?, cause_names)?,
+            dram_by_space: counts(dram.get("by_space")?, space_names)?,
+            spans_recorded: v.field("spans_recorded")?,
+            spans_dropped: v.field("spans_dropped")?,
+        })
     }
 }
 

@@ -3,25 +3,18 @@
 //!
 //! The export side ([`crate::report`]) renders every field in a fixed
 //! order with deterministic formatting, so restoring is strict: this
-//! module parses the per-run JSON artifact back into a `RunReport`,
-//! re-serializes it, and only returns the report when the round-trip
-//! reproduces the input byte-for-byte. Anything else — unknown schema,
-//! missing field, formatting drift between binary versions — returns
-//! `None`, and the resuming harness simply re-executes the run. Because
-//! runs are deterministic, re-execution yields identical artifacts, so
-//! the round-trip gate turns any conceivable parser bug into wasted work
-//! rather than silently divergent output.
+//! module parses the per-run JSON artifact back into a `RunReport`
+//! through its [`FromJson`] reader, re-serializes it, and only returns the
+//! report when the round-trip reproduces the input byte-for-byte.
+//! Anything else — unknown schema, missing field, formatting drift between
+//! binary versions — returns `None`, and the resuming harness simply
+//! re-executes the run. Because runs are deterministic, re-execution
+//! yields identical artifacts, so the round-trip gate turns any
+//! conceivable parser bug into wasted work rather than silently divergent
+//! output.
 
-use crate::monitor::RateSample;
-use crate::report::{
-    ConsolidationSummary, EnduranceSummary, ProvenanceSummary, RunReport, TenantShare, WearSummary,
-};
-use hemu_heap::GcStats;
-use hemu_machine::MachineStats;
-use hemu_malloc::NativeStats;
-use hemu_obs::{BucketCount, HistogramSnapshot, JsonValue, ToJson};
-use hemu_os::OsStats;
-use hemu_types::{ByteSize, OsPolicy, SpaceTag, WriteCause};
+use crate::report::RunReport;
+use hemu_obs::{FromJson, JsonValue, ToJson};
 
 /// Parses the JSON text of a per-run report artifact back into a
 /// [`RunReport`], verifying the round-trip: the restored report must
@@ -30,8 +23,7 @@ use hemu_types::{ByteSize, OsPolicy, SpaceTag, WriteCause};
 /// this binary's report schema; the caller re-executes the run instead.
 pub fn restore_run_report(text: &str) -> Option<RunReport> {
     let trimmed = text.strip_suffix('\n').unwrap_or(text);
-    let v = JsonValue::parse(trimmed).ok()?;
-    let report = report_from_value(&v)?;
+    let report = RunReport::from_json(&JsonValue::parse(trimmed).ok()?)?;
     if report.to_json() == trimmed {
         Some(report)
     } else {
@@ -39,229 +31,18 @@ pub fn restore_run_report(text: &str) -> Option<RunReport> {
     }
 }
 
-fn get_u64(v: &JsonValue, key: &str) -> Option<u64> {
-    v.get(key)?.as_u64()
-}
-
-fn get_f64(v: &JsonValue, key: &str) -> Option<f64> {
-    v.get(key)?.as_f64()
-}
-
-fn get_bytes(v: &JsonValue, key: &str) -> Option<ByteSize> {
-    Some(ByteSize::new(get_u64(v, key)?))
-}
-
-fn get_str<'a>(v: &'a JsonValue, key: &str) -> Option<&'a str> {
-    v.get(key)?.as_str()
-}
-
-/// Applies `f` to an optional field: `null` restores to `None`, a present
-/// value must parse, a *missing* key is a schema mismatch (fails).
-fn optional<T>(
-    v: &JsonValue,
-    key: &str,
-    f: impl FnOnce(&JsonValue) -> Option<T>,
-) -> Option<Option<T>> {
-    let field = v.get(key)?;
-    if field.is_null() {
-        Some(None)
-    } else {
-        Some(Some(f(field)?))
-    }
-}
-
-fn report_from_value(v: &JsonValue) -> Option<RunReport> {
-    Some(RunReport {
-        workload: get_str(v, "workload")?.to_string(),
-        collector: get_str(v, "collector")?.to_string(),
-        profile: get_str(v, "profile")?.to_string(),
-        instances: usize::try_from(get_u64(v, "instances")?).ok()?,
-        pcm_writes: get_bytes(v, "pcm_writes")?,
-        pcm_reads: get_bytes(v, "pcm_reads")?,
-        dram_writes: get_bytes(v, "dram_writes")?,
-        dram_reads: get_bytes(v, "dram_reads")?,
-        elapsed_seconds: get_f64(v, "elapsed_seconds")?,
-        pcm_write_rate_mbs: get_f64(v, "pcm_write_rate_mbs")?,
-        allocated: get_bytes(v, "allocated")?,
-        gc: optional(v, "gc", gc_from_value)?,
-        native: optional(v, "native", native_from_value)?,
-        machine: machine_from_value(v.get("machine")?)?,
-        samples: v
-            .get("samples")?
-            .as_array()?
-            .iter()
-            .map(sample_from_value)
-            .collect::<Option<Vec<_>>>()?,
-        wear: optional(v, "wear", wear_from_value)?,
-        endurance: optional(v, "endurance", endurance_from_value)?,
-        gc_pause_histogram: optional(v, "gc_pause_histogram", histogram_from_value)?,
-        os_paging: optional(v, "os_paging", os_from_value)?,
-        provenance: optional(v, "provenance", provenance_from_value)?,
-        consolidation: optional(v, "consolidation", consolidation_from_value)?,
-    })
-}
-
-fn gc_from_value(v: &JsonValue) -> Option<GcStats> {
-    Some(GcStats {
-        minor_gcs: get_u64(v, "minor_gcs")?,
-        observer_gcs: get_u64(v, "observer_gcs")?,
-        full_gcs: get_u64(v, "full_gcs")?,
-        pause_cycles: get_u64(v, "pause_cycles")?,
-        allocated_bytes: get_u64(v, "allocated_bytes")?,
-        allocated_objects: get_u64(v, "allocated_objects")?,
-        large_allocated_bytes: get_u64(v, "large_allocated_bytes")?,
-        loo_nursery_large: get_u64(v, "loo_nursery_large")?,
-        copied_minor_bytes: get_u64(v, "copied_minor_bytes")?,
-        copied_observer_bytes: get_u64(v, "copied_observer_bytes")?,
-        promoted_dram_objects: get_u64(v, "promoted_dram_objects")?,
-        promoted_pcm_objects: get_u64(v, "promoted_pcm_objects")?,
-        large_rescued: get_u64(v, "large_rescued")?,
-        mark_writes: get_u64(v, "mark_writes")?,
-        remset_entries: get_u64(v, "remset_entries")?,
-        monitor_marks: get_u64(v, "monitor_marks")?,
-    })
-}
-
-fn native_from_value(v: &JsonValue) -> Option<NativeStats> {
-    Some(NativeStats {
-        allocated_bytes: get_u64(v, "allocated_bytes")?,
-        allocated_objects: get_u64(v, "allocated_objects")?,
-        freed_bytes: get_u64(v, "freed_bytes")?,
-        in_use: get_u64(v, "in_use")?,
-        peak: get_u64(v, "peak")?,
-    })
-}
-
-fn machine_from_value(v: &JsonValue) -> Option<MachineStats> {
-    Some(MachineStats {
-        line_accesses: get_u64(v, "line_accesses")?,
-        local_fills: get_u64(v, "local_fills")?,
-        remote_fills: get_u64(v, "remote_fills")?,
-    })
-}
-
-fn sample_from_value(v: &JsonValue) -> Option<RateSample> {
-    Some(RateSample {
-        t_seconds: get_f64(v, "t_seconds")?,
-        pcm_write_mbs: get_f64(v, "pcm_write_mbs")?,
-        dram_write_mbs: get_f64(v, "dram_write_mbs")?,
-    })
-}
-
-fn wear_from_value(v: &JsonValue) -> Option<WearSummary> {
-    Some(WearSummary {
-        pcm_lines_touched: get_u64(v, "pcm_lines_touched")?,
-        max_line_writes: get_u64(v, "max_line_writes")?,
-        levelling_efficiency: get_f64(v, "levelling_efficiency")?,
-    })
-}
-
-fn endurance_from_value(v: &JsonValue) -> Option<EnduranceSummary> {
-    Some(EnduranceSummary {
-        budget_writes: get_u64(v, "budget_writes")?,
-        failed_lines: get_u64(v, "failed_lines")?,
-        retired_pages: get_u64(v, "retired_pages")?,
-        remapped_pages: get_u64(v, "remapped_pages")?,
-        effective_capacity: get_bytes(v, "effective_capacity")?,
-    })
-}
-
-fn histogram_from_value(v: &JsonValue) -> Option<HistogramSnapshot> {
-    // mean/p50/p95/p99 are derived from the stored fields at serialization
-    // time; parsing skips them and the round-trip gate re-derives them.
-    Some(HistogramSnapshot {
-        count: get_u64(v, "count")?,
-        sum: get_u64(v, "sum")?,
-        min: get_u64(v, "min")?,
-        max: get_u64(v, "max")?,
-        buckets: v
-            .get("buckets")?
-            .as_array()?
-            .iter()
-            .map(|b| {
-                Some(BucketCount {
-                    lo: get_u64(b, "lo")?,
-                    hi: get_u64(b, "hi")?,
-                    count: get_u64(b, "count")?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?,
-    })
-}
-
-fn os_from_value(v: &JsonValue) -> Option<OsStats> {
-    let policy_name = get_str(v, "policy")?;
-    let policy = OsPolicy::ALL
-        .into_iter()
-        .find(|p| p.name() == policy_name)?;
-    Some(OsStats {
-        policy,
-        epochs: get_u64(v, "epochs")?,
-        migrations: get_u64(v, "migrations")?,
-        promotions: get_u64(v, "promotions")?,
-        demotions: get_u64(v, "demotions")?,
-        migrated_bytes: get_bytes(v, "migrated_bytes")?,
-        failed_migrations: get_u64(v, "failed_migrations")?,
-    })
-}
-
-fn tag_counts<const N: usize>(v: &JsonValue, names: [&str; N]) -> Option<[u64; N]> {
-    let mut out = [0u64; N];
-    for (slot, name) in out.iter_mut().zip(names) {
-        *slot = get_u64(v, name)?;
-    }
-    Some(out)
-}
-
-fn provenance_from_value(v: &JsonValue) -> Option<ProvenanceSummary> {
-    let cause_names = WriteCause::ALL.map(WriteCause::name);
-    let space_names = SpaceTag::ALL.map(SpaceTag::name);
-    let pcm = v.get("pcm")?;
-    let dram = v.get("dram")?;
-    Some(ProvenanceSummary {
-        pcm_by_cause: tag_counts(pcm.get("by_cause")?, cause_names)?,
-        pcm_by_space: tag_counts(pcm.get("by_space")?, space_names)?,
-        dram_by_cause: tag_counts(dram.get("by_cause")?, cause_names)?,
-        dram_by_space: tag_counts(dram.get("by_space")?, space_names)?,
-        spans_recorded: get_u64(v, "spans_recorded")?,
-        spans_dropped: get_u64(v, "spans_dropped")?,
-    })
-}
-
-fn tenant_share_from_value(v: &JsonValue) -> Option<TenantShare> {
-    Some(TenantShare {
-        id: usize::try_from(get_u64(v, "id")?).ok()?,
-        workload: get_str(v, "workload")?.to_string(),
-        pcm_write_lines: get_u64(v, "pcm_write_lines")?,
-        dram_write_lines: get_u64(v, "dram_write_lines")?,
-        minor_gcs: get_u64(v, "minor_gcs")?,
-        full_gcs: get_u64(v, "full_gcs")?,
-        pause_cycles: get_u64(v, "pause_cycles")?,
-        allocated_bytes: get_u64(v, "allocated_bytes")?,
-        page_faults: get_u64(v, "page_faults")?,
-    })
-}
-
-fn consolidation_from_value(v: &JsonValue) -> Option<ConsolidationSummary> {
-    Some(ConsolidationSummary {
-        mix: get_str(v, "mix")?.to_string(),
-        tenants: usize::try_from(get_u64(v, "tenants")?).ok()?,
-        contexts: usize::try_from(get_u64(v, "contexts")?).ok()?,
-        slice: get_u64(v, "slice")?,
-        unattributed_pcm_lines: get_u64(v, "unattributed_pcm_lines")?,
-        unattributed_dram_lines: get_u64(v, "unattributed_dram_lines")?,
-        per_tenant: v
-            .get("per_tenant")?
-            .as_array()?
-            .iter()
-            .map(tenant_share_from_value)
-            .collect::<Option<Vec<_>>>()?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::monitor::RateSample;
+    use crate::report::{
+        ConsolidationSummary, EnduranceSummary, ProvenanceSummary, TenantShare, WearSummary,
+    };
+    use hemu_heap::GcStats;
+    use hemu_machine::MachineStats;
+    use hemu_malloc::NativeStats;
+    use hemu_os::OsStats;
+    use hemu_types::{ByteSize, OsPolicy, SpaceTag, WriteCause};
 
     /// A report with every optional block populated, so the round-trip
     /// covers all nested schemas.
@@ -468,5 +249,86 @@ mod tests {
         let json = sparse_report().to_json();
         let spaced = json.replacen("\":", "\": ", 1);
         assert!(restore_run_report(&spaced).is_none());
+    }
+
+    /// Byte ranges of every object member (`"key":value`) of compact JSON,
+    /// at every depth, each widened by one adjacent comma so that cutting
+    /// it out leaves valid JSON.
+    fn member_spans(json: &str) -> Vec<(String, std::ops::Range<usize>)> {
+        let bytes = json.as_bytes();
+        let mut spans = Vec::new();
+        // Open containers: (is an object, start of its current element).
+        let mut open: Vec<(bool, usize)> = Vec::new();
+        let (mut in_string, mut escaped) = (false, false);
+        for (i, &b) in bytes.iter().enumerate() {
+            if in_string {
+                match b {
+                    _ if escaped => escaped = false,
+                    b'\\' => escaped = true,
+                    b'"' => in_string = false,
+                    _ => {}
+                }
+                continue;
+            }
+            match b {
+                b'"' => in_string = true,
+                b'{' | b'[' => open.push((b == b'{', i + 1)),
+                b',' | b'}' | b']' => {
+                    let (is_object, start) = open.pop().expect("balanced JSON");
+                    if is_object && i > start {
+                        let key = json[start + 1..].split('"').next().expect("key");
+                        let span = if b == b',' {
+                            start..i + 1
+                        } else if bytes[start - 1] == b',' {
+                            start - 1..i
+                        } else {
+                            start..i
+                        };
+                        spans.push((key.to_string(), span));
+                    }
+                    if b == b',' {
+                        open.push((is_object, i + 1));
+                    }
+                }
+                _ => {}
+            }
+        }
+        spans
+    }
+
+    fn count_members(v: &JsonValue) -> usize {
+        match v {
+            JsonValue::Object(m) => m.len() + m.values().map(count_members).sum::<usize>(),
+            JsonValue::Array(a) => a.iter().map(count_members).sum(),
+            _ => 0,
+        }
+    }
+
+    #[test]
+    fn a_missing_member_fails_at_every_depth() {
+        // Written but never read: the round-trip gate alone catches their
+        // loss, because the writer derives them again.
+        const HISTOGRAM_DERIVED: [&str; 4] = ["mean", "p50", "p95", "p99"];
+        let json = full_report().to_json();
+        let spans = member_spans(&json);
+        let parsed = JsonValue::parse(&json).expect("parse");
+        assert_eq!(spans.len(), count_members(&parsed));
+        for (key, span) in spans {
+            let pruned = format!("{}{}", &json[..span.start], &json[span.end..]);
+            let value = JsonValue::parse(&pruned)
+                .unwrap_or_else(|e| panic!("cutting {key:?} broke the JSON: {e}"));
+            assert!(
+                restore_run_report(&pruned).is_none(),
+                "restored without {key:?}"
+            );
+            // The gate would also refuse a reader that defaulted the key,
+            // so the reader itself must fail too.
+            if !HISTOGRAM_DERIVED.contains(&key.as_str()) {
+                assert!(
+                    RunReport::from_json(&value).is_none(),
+                    "read without {key:?}"
+                );
+            }
+        }
     }
 }

@@ -107,16 +107,6 @@ pub struct ChunkStats {
     pub remapped: u64,
 }
 
-impl hemu_obs::ToJson for ChunkStats {
-    fn write_json(&self, out: &mut String) {
-        let mut obj = hemu_obs::json::JsonObject::new(out);
-        obj.field("fresh", &self.fresh)
-            .field("recycled", &self.recycled)
-            .field("remapped", &self.remapped);
-        obj.finish();
-    }
-}
-
 /// The chunk allocator: FreeList-Lo, FreeList-Hi, and the region cursors.
 #[derive(Debug)]
 pub struct ChunkManager {

@@ -1,44 +1,46 @@
 //! Garbage collection and mutator statistics.
 
-use hemu_obs::json::{JsonObject, ToJson};
 use hemu_types::ByteSize;
 use std::fmt;
 
-/// Counters accumulated by one managed heap.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GcStats {
-    /// Nursery (minor) collections.
-    pub minor_gcs: u64,
-    /// Minor collections that also evacuated the observer space.
-    pub observer_gcs: u64,
-    /// Full-heap (mature) collections.
-    pub full_gcs: u64,
-    /// Virtual cycles spent inside stop-the-world collection pauses.
-    pub pause_cycles: u64,
-    /// Total bytes allocated by the mutator (including zeroing).
-    pub allocated_bytes: u64,
-    /// Objects allocated.
-    pub allocated_objects: u64,
-    /// Bytes allocated directly into large object spaces.
-    pub large_allocated_bytes: u64,
-    /// Large objects that the LOO heuristic routed through the nursery.
-    pub loo_nursery_large: u64,
-    /// Bytes copied by minor collections (nursery → survivor target).
-    pub copied_minor_bytes: u64,
-    /// Bytes copied out of the observer space.
-    pub copied_observer_bytes: u64,
-    /// Observer objects found written (promoted to DRAM mature).
-    pub promoted_dram_objects: u64,
-    /// Observer objects found unwritten (promoted to PCM mature).
-    pub promoted_pcm_objects: u64,
-    /// Large objects copied from PCM to DRAM during mature collections.
-    pub large_rescued: u64,
-    /// Object mark-byte writes performed by full collections.
-    pub mark_writes: u64,
-    /// Remembered-set entries recorded by the write barrier.
-    pub remset_entries: u64,
-    /// First-write monitoring bits set in the observer space.
-    pub monitor_marks: u64,
+hemu_obs::record! {
+    /// Counters accumulated by one managed heap.
+    #[counters]
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct GcStats {
+        /// Nursery (minor) collections.
+        pub minor_gcs: u64,
+        /// Minor collections that also evacuated the observer space.
+        pub observer_gcs: u64,
+        /// Full-heap (mature) collections.
+        pub full_gcs: u64,
+        /// Virtual cycles spent inside stop-the-world collection pauses.
+        pub pause_cycles: u64,
+        /// Total bytes allocated by the mutator (including zeroing).
+        pub allocated_bytes: u64,
+        /// Objects allocated.
+        pub allocated_objects: u64,
+        /// Bytes allocated directly into large object spaces.
+        pub large_allocated_bytes: u64,
+        /// Large objects that the LOO heuristic routed through the nursery.
+        pub loo_nursery_large: u64,
+        /// Bytes copied by minor collections (nursery → survivor target).
+        pub copied_minor_bytes: u64,
+        /// Bytes copied out of the observer space.
+        pub copied_observer_bytes: u64,
+        /// Observer objects found written (promoted to DRAM mature).
+        pub promoted_dram_objects: u64,
+        /// Observer objects found unwritten (promoted to PCM mature).
+        pub promoted_pcm_objects: u64,
+        /// Large objects copied from PCM to DRAM during mature collections.
+        pub large_rescued: u64,
+        /// Object mark-byte writes performed by full collections.
+        pub mark_writes: u64,
+        /// Remembered-set entries recorded by the write barrier.
+        pub remset_entries: u64,
+        /// First-write monitoring bits set in the observer space.
+        pub monitor_marks: u64,
+    }
 }
 
 impl GcStats {
@@ -50,29 +52,6 @@ impl GcStats {
     /// Total collections of any kind.
     pub fn total_gcs(&self) -> u64 {
         self.minor_gcs + self.full_gcs
-    }
-}
-
-impl ToJson for GcStats {
-    fn write_json(&self, out: &mut String) {
-        let mut obj = JsonObject::new(out);
-        obj.field("minor_gcs", &self.minor_gcs)
-            .field("observer_gcs", &self.observer_gcs)
-            .field("full_gcs", &self.full_gcs)
-            .field("pause_cycles", &self.pause_cycles)
-            .field("allocated_bytes", &self.allocated_bytes)
-            .field("allocated_objects", &self.allocated_objects)
-            .field("large_allocated_bytes", &self.large_allocated_bytes)
-            .field("loo_nursery_large", &self.loo_nursery_large)
-            .field("copied_minor_bytes", &self.copied_minor_bytes)
-            .field("copied_observer_bytes", &self.copied_observer_bytes)
-            .field("promoted_dram_objects", &self.promoted_dram_objects)
-            .field("promoted_pcm_objects", &self.promoted_pcm_objects)
-            .field("large_rescued", &self.large_rescued)
-            .field("mark_writes", &self.mark_writes)
-            .field("remset_entries", &self.remset_entries)
-            .field("monitor_marks", &self.monitor_marks);
-        obj.finish();
     }
 }
 
@@ -97,6 +76,7 @@ impl fmt::Display for GcStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hemu_obs::ToJson;
 
     #[test]
     fn totals_combine_minor_and_full() {

@@ -4,7 +4,7 @@ use crate::profile::MachineProfile;
 use hemu_cache::{CacheStats, Hierarchy, HitLevel};
 use hemu_fault::{EnduranceConfig, FaultInjector, FaultPlan};
 use hemu_numa::{AddressSpace, NumaMemory};
-use hemu_obs::json::{JsonObject, ToJson};
+use hemu_obs::json::ToJson;
 use hemu_obs::{Histogram, SpanRecorder, TraceEvent, Tracer};
 use hemu_types::{
     AccessKind, Addr, ByteSize, Cycles, HemuError, LineAddr, MemoryAccess, PageNum, Result,
@@ -119,15 +119,17 @@ impl MiniTlb {
     }
 }
 
-/// Aggregate machine statistics for a measured interval.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MachineStats {
-    /// Line-granularity accesses issued to the hierarchy.
-    pub line_accesses: u64,
-    /// Fills served by the local (DRAM) socket.
-    pub local_fills: u64,
-    /// Fills served by the remote (PCM) socket, i.e. over QPI.
-    pub remote_fills: u64,
+hemu_obs::record! {
+    /// Aggregate machine statistics for a measured interval.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct MachineStats {
+        /// Line-granularity accesses issued to the hierarchy.
+        pub line_accesses: u64,
+        /// Fills served by the local (DRAM) socket.
+        pub local_fills: u64,
+        /// Fills served by the remote (PCM) socket, i.e. over QPI.
+        pub remote_fills: u64,
+    }
 }
 
 /// The emulated machine.
@@ -826,16 +828,6 @@ impl ToJson for CtxId {
 impl ToJson for ProcId {
     fn write_json(&self, out: &mut String) {
         self.0.write_json(out);
-    }
-}
-
-impl ToJson for MachineStats {
-    fn write_json(&self, out: &mut String) {
-        let mut obj = JsonObject::new(out);
-        obj.field("line_accesses", &self.line_accesses)
-            .field("local_fills", &self.local_fills)
-            .field("remote_fills", &self.remote_fills);
-        obj.finish();
     }
 }
 

@@ -49,31 +49,21 @@ struct Slot {
     alive: bool,
 }
 
-/// Allocation statistics, comparable to what the paper measures with
-/// Valgrind's memcheck (total allocation) and massif (peak heap).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NativeStats {
-    /// Total bytes requested over the run.
-    pub allocated_bytes: u64,
-    /// Objects allocated.
-    pub allocated_objects: u64,
-    /// Bytes freed.
-    pub freed_bytes: u64,
-    /// Current bytes in use (payload).
-    pub in_use: u64,
-    /// Peak bytes in use.
-    pub peak: u64,
-}
-
-impl hemu_obs::ToJson for NativeStats {
-    fn write_json(&self, out: &mut String) {
-        let mut obj = hemu_obs::json::JsonObject::new(out);
-        obj.field("allocated_bytes", &self.allocated_bytes)
-            .field("allocated_objects", &self.allocated_objects)
-            .field("freed_bytes", &self.freed_bytes)
-            .field("in_use", &self.in_use)
-            .field("peak", &self.peak);
-        obj.finish();
+hemu_obs::record! {
+    /// Allocation statistics, comparable to what the paper measures with
+    /// Valgrind's memcheck (total allocation) and massif (peak heap).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct NativeStats {
+        /// Total bytes requested over the run.
+        pub allocated_bytes: u64,
+        /// Objects allocated.
+        pub allocated_objects: u64,
+        /// Bytes freed.
+        pub freed_bytes: u64,
+        /// Current bytes in use (payload).
+        pub in_use: u64,
+        /// Peak bytes in use.
+        pub peak: u64,
     }
 }
 

@@ -1,7 +1,8 @@
 //! Log₂-bucketed histograms of `u64` samples (GC pause lengths), and the
 //! immutable snapshot a run report carries.
 
-use crate::json::{JsonObject, ToJson};
+use crate::json::{FromJson, JsonObject, ToJson};
+use crate::value::JsonValue;
 
 /// Number of log₂ buckets: bucket 0 holds zeros, bucket `i ≥ 1` holds
 /// values in `[2^(i-1), 2^i)`, up to the full `u64` range.
@@ -96,24 +97,16 @@ impl Histogram {
     }
 }
 
-/// One non-empty bucket of a [`HistogramSnapshot`]: samples in `[lo, hi]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BucketCount {
-    /// Inclusive lower bound of the bucket.
-    pub lo: u64,
-    /// Inclusive upper bound of the bucket.
-    pub hi: u64,
-    /// Number of samples that landed in the bucket.
-    pub count: u64,
-}
-
-impl ToJson for BucketCount {
-    fn write_json(&self, out: &mut String) {
-        let mut obj = JsonObject::new(out);
-        obj.field("lo", &self.lo)
-            .field("hi", &self.hi)
-            .field("count", &self.count);
-        obj.finish();
+crate::record! {
+    /// One non-empty bucket of a [`HistogramSnapshot`]: samples in `[lo, hi]`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct BucketCount {
+        /// Inclusive lower bound of the bucket.
+        pub lo: u64,
+        /// Inclusive upper bound of the bucket.
+        pub hi: u64,
+        /// Number of samples that landed in the bucket.
+        pub count: u64,
     }
 }
 
@@ -199,6 +192,20 @@ impl ToJson for HistogramSnapshot {
             .field("p99", &self.p99())
             .field("buckets", &self.buckets);
         obj.finish();
+    }
+}
+
+/// Reads only the stored fields: `mean` and the quantiles are derived when
+/// writing, so the resume round-trip gate re-derives and checks them.
+impl FromJson for HistogramSnapshot {
+    fn from_json(v: &JsonValue) -> Option<Self> {
+        Some(HistogramSnapshot {
+            count: v.field("count")?,
+            sum: v.field("sum")?,
+            min: v.field("min")?,
+            max: v.field("max")?,
+            buckets: v.field("buckets")?,
+        })
     }
 }
 

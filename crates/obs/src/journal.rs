@@ -23,7 +23,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-use crate::json::JsonObject;
+use crate::json::{FromJson, JsonObject, ToJson};
 use crate::value::JsonValue;
 
 /// Journal format identifier; bump on incompatible record changes.
@@ -32,63 +32,24 @@ pub const JOURNAL_SCHEMA: &str = "hemu-sweep-journal/1";
 /// File name of the journal inside a JSON export directory.
 pub const JOURNAL_FILE: &str = "journal.jsonl";
 
-/// One committed run, as recorded in (or read back from) the journal.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JournalRecord {
-    /// The harness memo key (`spec|manager|instances|profile`).
-    pub key: String,
-    /// Final status string (`ok`, `failed`, `timed-out`).
-    pub status: String,
-    /// Attempts consumed, including the successful one.
-    pub attempts: u32,
-    /// Effective fault seed of the final attempt, when a fault plan
-    /// applied to this run; `None` otherwise.
-    pub seed: Option<u64>,
-    /// Rendered error for non-`ok` runs.
-    pub error: Option<String>,
-    /// FNV-1a hash (hex16, see [`crate::artifact::hash_hex`]) of the
-    /// per-run JSON artifact for `ok` runs; `None` otherwise.
-    pub hash: Option<String>,
-}
-
-impl JournalRecord {
-    fn to_json_line(&self) -> String {
-        let mut out = String::new();
-        let mut o = JsonObject::new(&mut out);
-        o.field("key", self.key.as_str())
-            .field("status", self.status.as_str())
-            .field("attempts", &u64::from(self.attempts))
-            .field("seed", &self.seed)
-            .field("error", &self.error)
-            .field("hash", &self.hash);
-        o.finish();
-        out
-    }
-
-    fn from_value(v: &JsonValue) -> Option<JournalRecord> {
-        let key = v.get("key")?.as_str()?.to_string();
-        let status = v.get("status")?.as_str()?.to_string();
-        let attempts = u32::try_from(v.get("attempts")?.as_u64()?).ok()?;
-        let seed = match v.get("seed")? {
-            JsonValue::Null => None,
-            n => Some(n.as_u64()?),
-        };
-        let error = match v.get("error")? {
-            JsonValue::Null => None,
-            s => Some(s.as_str()?.to_string()),
-        };
-        let hash = match v.get("hash")? {
-            JsonValue::Null => None,
-            s => Some(s.as_str()?.to_string()),
-        };
-        Some(JournalRecord {
-            key,
-            status,
-            attempts,
-            seed,
-            error,
-            hash,
-        })
+crate::record! {
+    /// One committed run, as recorded in (or read back from) the journal.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct JournalRecord {
+        /// The harness memo key (`spec|manager|instances|profile`).
+        pub key: String,
+        /// Final status string (`ok`, `failed`, `timed-out`).
+        pub status: String,
+        /// Attempts consumed, including the successful one.
+        pub attempts: u32,
+        /// Effective fault seed of the final attempt, when a fault plan
+        /// applied to this run; `None` otherwise.
+        pub seed: Option<u64>,
+        /// Rendered error for non-`ok` runs.
+        pub error: Option<String>,
+        /// FNV-1a hash (hex16, see [`crate::artifact::hash_hex`]) of the
+        /// per-run JSON artifact for `ok` runs; `None` otherwise.
+        pub hash: Option<String>,
     }
 }
 
@@ -134,7 +95,7 @@ impl JournalWriter {
     ///
     /// Propagates I/O errors from the append or the sync.
     pub fn append(&mut self, record: &JournalRecord) -> io::Result<()> {
-        let mut line = record.to_json_line();
+        let mut line = record.to_json();
         line.push('\n');
         self.file.write_all(line.as_bytes())?;
         self.file.sync_data()
@@ -256,7 +217,7 @@ pub fn read_journal(
             JsonValue::parse(line.trim_end())
                 .ok()
                 .as_ref()
-                .and_then(JournalRecord::from_value)
+                .and_then(JournalRecord::from_json)
         } else {
             None
         };
@@ -349,7 +310,7 @@ mod tests {
         let mut text = fs::read_to_string(&path).expect("read");
         text.push_str("not json\n");
         // A well-formed record *after* garbage must not be replayed.
-        text.push_str(&sample("cc|KG-N|1|None", "ok", Some("ffffffffffffffff")).to_json_line());
+        text.push_str(&sample("cc|KG-N|1|None", "ok", Some("ffffffffffffffff")).to_json());
         text.push('\n');
         fs::write(&path, text).expect("write");
         let c = read_journal(&dir, "cafe").expect("read");

@@ -1,12 +1,23 @@
-//! Hand-rolled JSON emission: the [`ToJson`] trait plus escaping, number
-//! formatting, and object/array writer helpers.
+//! Hand-rolled JSON in both directions: the [`ToJson`] writer trait with
+//! escaping, number formatting and object/array helpers, and the
+//! [`FromJson`] reader trait over a parsed [`JsonValue`].
 //!
 //! This replaces the serde derives the platform used to carry. Output is
 //! strict RFC 8259 JSON: strings are escaped, non-finite floats serialize as
 //! `null` (JSON has no NaN/Infinity), and integers are emitted verbatim.
-//! Emission only — the platform writes results; it never parses them.
+//! Resume reads the journal and the per-run reports back through
+//! `FromJson`. A record whose JSON is exactly its stored fields is declared
+//! once with [`record!`](macro@crate::record), which derives both directions
+//! from the one field list; the few types that also emit derived keys keep
+//! hand-written impls. The reader is strict (a missing key fails), and
+//! resume trusts a report only when it re-serializes to the very bytes it
+//! was read from, so a reader that disagrees with its writer costs a rerun,
+//! never a wrong result.
 
-use hemu_types::{AccessKind, Addr, ByteSize, Cycles, LineAddr, MemoryAccess, PageNum, PhysAddr};
+use crate::value::JsonValue;
+use hemu_types::{
+    AccessKind, Addr, ByteSize, Cycles, LineAddr, MemoryAccess, OsPolicy, PageNum, PhysAddr,
+};
 
 /// Serialize `self` as a JSON value appended to a `String` buffer.
 ///
@@ -23,6 +34,16 @@ pub trait ToJson {
         self.write_json(&mut out);
         out
     }
+}
+
+/// Rebuilds a value from the JSON its [`ToJson`] impl writes.
+///
+/// Returns `None` when `v` is not what this type writes. Records read every
+/// key they write and fail on a missing one; `null` reads as `None` only
+/// where the type is an `Option`.
+pub trait FromJson: Sized {
+    /// Reads `v` as a `Self`.
+    fn from_json(v: &JsonValue) -> Option<Self>;
 }
 
 /// Appends `s` as a quoted, escaped JSON string.
@@ -215,6 +236,52 @@ impl<T: ToJson> ToJson for Vec<T> {
     }
 }
 
+impl FromJson for u64 {
+    fn from_json(v: &JsonValue) -> Option<Self> {
+        v.as_u64()
+    }
+}
+
+impl FromJson for u32 {
+    fn from_json(v: &JsonValue) -> Option<Self> {
+        u32::try_from(v.as_u64()?).ok()
+    }
+}
+
+impl FromJson for usize {
+    fn from_json(v: &JsonValue) -> Option<Self> {
+        usize::try_from(v.as_u64()?).ok()
+    }
+}
+
+impl FromJson for f64 {
+    fn from_json(v: &JsonValue) -> Option<Self> {
+        v.as_f64()
+    }
+}
+
+impl FromJson for String {
+    fn from_json(v: &JsonValue) -> Option<Self> {
+        v.as_str().map(str::to_string)
+    }
+}
+
+impl<T: FromJson> FromJson for Option<T> {
+    fn from_json(v: &JsonValue) -> Option<Self> {
+        if v.is_null() {
+            Some(None)
+        } else {
+            T::from_json(v).map(Some)
+        }
+    }
+}
+
+impl<T: FromJson> FromJson for Vec<T> {
+    fn from_json(v: &JsonValue) -> Option<Self> {
+        v.as_array()?.iter().map(T::from_json).collect()
+    }
+}
+
 // --- hemu-types primitives ------------------------------------------------
 // These render as their raw numeric payloads: consumers get plain numbers
 // (bytes, cycles, indices) rather than nested wrapper objects.
@@ -255,6 +322,12 @@ impl ToJson for ByteSize {
     }
 }
 
+impl FromJson for ByteSize {
+    fn from_json(v: &JsonValue) -> Option<Self> {
+        Some(ByteSize::new(v.as_u64()?))
+    }
+}
+
 impl ToJson for Cycles {
     fn write_json(&self, out: &mut String) {
         self.raw().write_json(out);
@@ -270,6 +343,20 @@ impl ToJson for AccessKind {
                 AccessKind::Write => "write",
             },
         );
+    }
+}
+
+/// A policy goes by its display name (`OS-hot-cold`, …).
+impl ToJson for OsPolicy {
+    fn write_json(&self, out: &mut String) {
+        push_json_str(out, self.name());
+    }
+}
+
+impl FromJson for OsPolicy {
+    fn from_json(v: &JsonValue) -> Option<Self> {
+        let name = v.as_str()?;
+        OsPolicy::ALL.into_iter().find(|p| p.name() == name)
     }
 }
 

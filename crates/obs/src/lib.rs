@@ -19,8 +19,12 @@
 //!   [`SpanRecorder`] and exportable as a Chrome trace-event [`Timeline`].
 //! * [`histogram`] — a log₂-bucketed [`Histogram`] (GC pause lengths) and
 //!   the [`HistogramSnapshot`] a run report carries.
-//! * [`json`] / [`value`] / [`csv`] — a hand-rolled JSON/JSONL emitter
-//!   built around the [`ToJson`] trait, its parser, and a CSV emitter.
+//! * [`json`] / [`value`] / [`csv`] — hand-rolled JSON in both directions
+//!   (the [`ToJson`] writer and [`FromJson`] reader traits over the
+//!   [`JsonValue`] parse tree), JSONL, and a CSV emitter.
+//! * [`record!`] — the record macro: one struct declaration yields the
+//!   struct, its JSON writer and reader, and for counter blocks the
+//!   `delta_since`/`add` arithmetic.
 //! * [`artifact`] / [`journal`] — atomic artifact writes and the
 //!   append-only sweep journal behind resume.
 //! * [`progress`] — a thread-safe, line-serialized progress [`Reporter`]
@@ -41,6 +45,7 @@ pub mod histogram;
 pub mod journal;
 pub mod json;
 pub mod progress;
+mod record;
 pub mod span;
 pub mod timeline;
 pub mod trace;
@@ -50,7 +55,7 @@ pub use artifact::{fnv1a64, hash_hex, write_atomic, write_atomic_str};
 pub use csv::Csv;
 pub use histogram::{BucketCount, Histogram, HistogramSnapshot};
 pub use journal::{read_journal, JournalContents, JournalReadError, JournalRecord, JournalWriter};
-pub use json::{to_json_lines, ToJson};
+pub use json::{to_json_lines, FromJson, ToJson};
 pub use progress::Reporter;
 pub use span::{SpanRecord, SpanRecorder};
 pub use timeline::Timeline;

@@ -1,18 +1,19 @@
-//! A minimal JSON reader for resuming sweeps.
+//! A minimal JSON parser for resuming sweeps.
 //!
 //! The platform's exporters hand-roll their JSON (see [`crate::json`]);
 //! nothing in the workspace needs a general serializer. Crash-safe resume
-//! is the first feature that must *read* JSON back: the run journal and
-//! the per-run report artifacts. This module is the matching reader — a
-//! small recursive-descent parser over the subset of JSON the exporters
-//! emit.
+//! reads JSON back: the run journal and the per-run report artifacts. This
+//! module parses that text into a [`JsonValue`] tree — a small
+//! recursive-descent parser over the subset of JSON the exporters emit —
+//! and typed values are then read out of the tree with [`FromJson`].
 //!
 //! Numbers are kept as their raw source text ([`JsonValue::Number`]) so
-//! `u64` counters round-trip exactly; callers pick `as_u64`/`as_f64` at
-//! the use site. The parser accepts any valid JSON document the exporters
-//! produce and rejects trailing garbage, which is exactly what journal
-//! truncation detection needs.
+//! `u64` counters round-trip exactly; the reader picks `as_u64`/`as_f64`
+//! by the type it reads. The parser accepts any valid JSON document the
+//! exporters produce and rejects trailing garbage, which is exactly what
+//! journal truncation detection needs.
 
+use crate::json::FromJson;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -81,6 +82,12 @@ impl JsonValue {
             JsonValue::Object(m) => m.get(key),
             _ => None,
         }
+    }
+
+    /// Reads member `key` as a `T`; `None` when the key is missing or its
+    /// value is not a `T`.
+    pub fn field<T: FromJson>(&self, key: &str) -> Option<T> {
+        T::from_json(self.get(key)?)
     }
 
     /// Borrows the string payload, if this is a string.

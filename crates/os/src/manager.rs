@@ -2,7 +2,6 @@
 //! hot/cold page migrator.
 
 use hemu_machine::{Machine, ProcId};
-use hemu_obs::json::{JsonObject, ToJson};
 use hemu_types::{
     ByteSize, HemuError, OsPagingConfig, OsPolicy, PageNum, Result, SocketId, PAGE_SIZE,
 };
@@ -27,24 +26,26 @@ pub struct OsPageManager {
     stats: OsStats,
 }
 
-/// Snapshot of a manager's activity, for run reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OsStats {
-    /// The placement policy that ran.
-    pub policy: OsPolicy,
-    /// Migration epochs executed.
-    pub epochs: u64,
-    /// Pages moved in either direction.
-    pub migrations: u64,
-    /// PCM pages promoted to DRAM.
-    pub promotions: u64,
-    /// DRAM pages demoted to PCM.
-    pub demotions: u64,
-    /// Bytes copied between sockets by migration.
-    pub migrated_bytes: ByteSize,
-    /// Promotions abandoned because DRAM stayed full within the epoch's
-    /// budget.
-    pub failed_migrations: u64,
+hemu_obs::record! {
+    /// Snapshot of a manager's activity, for run reports.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct OsStats {
+        /// The placement policy that ran.
+        pub policy: OsPolicy,
+        /// Migration epochs executed.
+        pub epochs: u64,
+        /// Pages moved in either direction.
+        pub migrations: u64,
+        /// PCM pages promoted to DRAM.
+        pub promotions: u64,
+        /// DRAM pages demoted to PCM.
+        pub demotions: u64,
+        /// Bytes copied between sockets by migration.
+        pub migrated_bytes: ByteSize,
+        /// Promotions abandoned because DRAM stayed full within the epoch's
+        /// budget.
+        pub failed_migrations: u64,
+    }
 }
 
 impl OsStats {
@@ -59,20 +60,6 @@ impl OsStats {
             migrated_bytes: ByteSize::ZERO,
             failed_migrations: 0,
         }
-    }
-}
-
-impl ToJson for OsStats {
-    fn write_json(&self, out: &mut String) {
-        let mut obj = JsonObject::new(out);
-        obj.field("policy", &self.policy.name())
-            .field("epochs", &self.epochs)
-            .field("migrations", &self.migrations)
-            .field("promotions", &self.promotions)
-            .field("demotions", &self.demotions)
-            .field("migrated_bytes", &self.migrated_bytes)
-            .field("failed_migrations", &self.failed_migrations);
-        obj.finish();
     }
 }
 
@@ -275,6 +262,7 @@ impl OsPageManager {
 mod tests {
     use super::*;
     use hemu_machine::{CtxId, MachineProfile};
+    use hemu_obs::ToJson;
     use hemu_types::{Addr, MemoryAccess};
 
     fn machine() -> Machine {

@@ -20,8 +20,9 @@ cargo clippy --offline --lib \
   -p hemu-core -p hemu-bench \
   -- -D clippy::unwrap_used
 
-echo "== clippy: no unwrap() or expect() in the heap, the machine or the caches =="
+echo "== clippy: no unwrap() or expect() in the heap, the machine, the caches, obs or the OS =="
 cargo clippy --offline --lib -p hemu-heap -p hemu-cache -p hemu-machine \
+  -p hemu-obs -p hemu-os \
   -- -D clippy::unwrap_used -D clippy::expect_used
 
 echo "== fault smoke: sweep survives transient faults (expect exit 0) =="

@@ -1,27 +1,43 @@
 //! Whole-platform integration tests: the paper-shape invariants that must
 //! hold for any reproduction of the system, checked on small benchmarks.
 
-use hemu::core::Experiment;
+use hemu::core::{Experiment, RunReport};
 use hemu::heap::CollectorKind;
 use hemu::machine::MachineProfile;
 use hemu::workloads::{Language, WorkloadSpec};
+use std::sync::OnceLock;
 
 fn lu_fix() -> WorkloadSpec {
     WorkloadSpec::by_name("lu.Fix").expect("lu.Fix registered")
 }
 
+/// The default lu.Fix run (PCM-Only, one instance, emulation), which six
+/// tests read. Runs are deterministic, so it runs once per test binary.
+fn lu_fix_pcm_only() -> &'static RunReport {
+    static RUN: OnceLock<RunReport> = OnceLock::new();
+    RUN.get_or_init(|| Experiment::new(lu_fix()).run().unwrap())
+}
+
+/// lu.Fix under KG-W on the emulation profile, which two tests read.
+fn lu_fix_kg_w() -> &'static RunReport {
+    static RUN: OnceLock<RunReport> = OnceLock::new();
+    RUN.get_or_init(|| {
+        Experiment::new(lu_fix())
+            .collector(CollectorKind::KgW)
+            .run()
+            .unwrap()
+    })
+}
+
 #[test]
 fn write_rationing_reduces_pcm_writes_in_order() {
     // PCM-Only ≥ KG-N ≥ KG-W (Table II / Fig. 7 ordering).
-    let base = Experiment::new(lu_fix()).run().unwrap();
+    let base = lu_fix_pcm_only();
     let kgn = Experiment::new(lu_fix())
         .collector(CollectorKind::KgN)
         .run()
         .unwrap();
-    let kgw = Experiment::new(lu_fix())
-        .collector(CollectorKind::KgW)
-        .run()
-        .unwrap();
+    let kgw = lu_fix_kg_w();
     assert!(
         kgn.pcm_writes <= base.pcm_writes,
         "KG-N ({}) must not exceed PCM-Only ({})",
@@ -71,7 +87,7 @@ fn experiments_are_deterministic() {
 fn multiprogramming_grows_pcm_writes_superlinearly_under_pcm_only() {
     // Fig. 4(a): the growth from 1 to 4 instances exceeds 4x for cache-
     // sensitive DaCapo workloads.
-    let one = Experiment::new(lu_fix()).instances(1).run().unwrap();
+    let one = lu_fix_pcm_only();
     let four = Experiment::new(lu_fix()).instances(4).run().unwrap();
     let growth = four.pcm_writes.bytes() as f64 / one.pcm_writes.bytes().max(1) as f64;
     assert!(
@@ -134,12 +150,15 @@ fn java_writes_more_than_cpp_on_pcm_only() {
 fn emulation_and_simulation_profiles_agree_on_the_trend() {
     // §V: both methodologies must rank the collectors identically.
     for profile in [MachineProfile::emulation(), MachineProfile::simulation()] {
-        let base = Experiment::new(lu_fix()).profile(profile).run().unwrap();
-        let kgw = Experiment::new(lu_fix())
-            .profile(profile)
-            .collector(CollectorKind::KgW)
-            .run()
-            .unwrap();
+        let (base, kgw) = if profile == MachineProfile::emulation() {
+            (lu_fix_pcm_only().clone(), lu_fix_kg_w().clone())
+        } else {
+            let run = |c| {
+                let e = Experiment::new(lu_fix()).profile(profile).collector(c);
+                e.run().unwrap()
+            };
+            (run(CollectorKind::PcmOnly), run(CollectorKind::KgW))
+        };
         let reduction = kgw.pcm_write_reduction_vs(&base);
         assert!(
             reduction > 30.0,
@@ -151,7 +170,7 @@ fn emulation_and_simulation_profiles_agree_on_the_trend() {
 
 #[test]
 fn monitor_integral_matches_the_counters() {
-    let r = Experiment::new(lu_fix()).run().unwrap();
+    let r = lu_fix_pcm_only();
     // Integrate the sampled PCM write rate over time; it must equal the
     // total PCM writes to within a few percent.
     let mut prev_t = 0.0;
@@ -171,10 +190,7 @@ fn monitor_integral_matches_the_counters() {
 fn pcm_only_reference_keeps_socket0_silent() {
     // §V's reference setup isolation: with all spaces and threads bound to
     // socket 1, socket 0 sees no application writes at all.
-    let r = Experiment::new(lu_fix())
-        .collector(CollectorKind::PcmOnly)
-        .run()
-        .unwrap();
+    let r = lu_fix_pcm_only();
     assert_eq!(
         r.dram_writes.bytes(),
         0,
@@ -185,7 +201,7 @@ fn pcm_only_reference_keeps_socket0_silent() {
 
 #[test]
 fn write_rate_is_writes_over_virtual_time() {
-    let r = Experiment::new(lu_fix()).run().unwrap();
+    let r = lu_fix_pcm_only();
     let expect = r.pcm_writes.bytes() as f64 / 1e6 / r.elapsed_seconds;
     assert!((r.pcm_write_rate_mbs - expect).abs() < 1e-6);
     assert!(r.elapsed_seconds > 0.0);
