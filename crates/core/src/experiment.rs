@@ -10,7 +10,7 @@ use hemu_machine::{CtxId, Machine, MachineProfile, ProcId};
 use hemu_malloc::{NativeHeap, NativeStats};
 use hemu_obs::{SpanRecord, TraceRecord, Tracer};
 use hemu_os::OsPageManager;
-use hemu_types::{ByteSize, HemuError, OsPagingConfig, Result, SocketId, CACHE_LINE, PAGE_SIZE};
+use hemu_types::{ByteSize, HemuError, OsPagingConfig, Result, SocketId};
 use hemu_workloads::{
     Language, Memory, Mix, Roster, StepResult, TenantSpec, Workload, WorkloadSpec,
 };
@@ -480,14 +480,14 @@ impl Experiment {
             .map(|((_, m), before)| m.allocated_bytes() - before)
             .collect();
         let consolidation = mix.map(|mix| {
+            let tenancy = machine.memory().tenancy();
             let per_tenant: Vec<TenantShare> = tenants
                 .iter()
                 .map(|t| {
                     let i = t.id;
                     let gc_delta = gc_deltas[i];
-                    let (pcm, dram) = machine
-                        .tenancy()
-                        .map_or((0, 0), |tr| (tr.pcm_lines(i), tr.dram_lines(i)));
+                    let (pcm, dram) =
+                        tenancy.map_or((0, 0), |tr| (tr.pcm_lines(i), tr.dram_lines(i)));
                     TenantShare {
                         id: i,
                         workload: format!("{}", t.workload),
@@ -502,9 +502,8 @@ impl Experiment {
                     }
                 })
                 .collect();
-            let (unattributed_pcm_lines, unattributed_dram_lines) = machine
-                .tenancy()
-                .map_or((0, 0), |tr| (tr.unattributed_pcm(), tr.unattributed_dram()));
+            let (unattributed_pcm_lines, unattributed_dram_lines) =
+                tenancy.map_or((0, 0), |tr| (tr.unattributed_pcm(), tr.unattributed_dram()));
             ConsolidationSummary {
                 mix: mix.name().to_string(),
                 tenants: self.instances,
@@ -563,7 +562,7 @@ impl Experiment {
             machine: *machine.stats(),
             samples: monitor.into_samples(),
             wear: machine.memory().wear().map(|w| crate::report::WearSummary {
-                pcm_lines_touched: w.lines_touched() as u64,
+                pcm_lines_touched: w.lines_touched(),
                 max_line_writes: w.max_line_writes(),
                 levelling_efficiency: w
                     .levelling_efficiency(self.profile.numa.capacity_per_socket.bytes() / 64),
@@ -591,28 +590,20 @@ impl Experiment {
     }
 }
 
-/// Aggregates the per-line wear tracker into per-frame heatmap rows,
-/// sorted by frame number (deterministic regardless of hash-map iteration
-/// order). Empty when wear tracking is off.
+/// One heatmap row per worn PCM frame, in ascending frame order. Empty
+/// when wear tracking is off.
 fn build_heatmap(machine: &Machine) -> Vec<PageWear> {
     let Some(wear) = machine.memory().wear() else {
         return Vec::new();
     };
-    let lines_per_page = (PAGE_SIZE / CACHE_LINE) as u64;
-    let mut pages: std::collections::BTreeMap<u64, PageWear> = std::collections::BTreeMap::new();
-    for (line, count) in wear.histogram() {
-        let frame = line.raw() / lines_per_page;
-        let row = pages.entry(frame).or_insert(PageWear {
-            frame,
-            writes: 0,
-            lines_touched: 0,
-            max_line_writes: 0,
-        });
-        row.writes += count;
-        row.lines_touched += 1;
-        row.max_line_writes = row.max_line_writes.max(count);
-    }
-    pages.into_values().collect()
+    wear.pages()
+        .map(|(frame, lines)| PageWear {
+            frame: frame.raw(),
+            writes: lines.iter().sum(),
+            lines_touched: lines.iter().filter(|&&c| c > 0).count() as u64,
+            max_line_writes: lines.iter().copied().max().unwrap_or(0),
+        })
+        .collect()
 }
 
 /// The slice scheduler: each running workload takes up to `slice`

@@ -550,7 +550,7 @@ mod tests {
         let a = s.alloc(&mut m, &mut cm, 256).unwrap();
         let b = s.alloc(&mut m, &mut cm, 256).unwrap();
         s.begin_sweep();
-        s.mark_object(b, 256); // only b survives
+        s.mark_object(b, 256).unwrap(); // only b survives
         assert_eq!(s.used().bytes(), 256);
         // New allocation reuses a's line.
         let c = s.alloc(&mut m, &mut cm, 256).unwrap();

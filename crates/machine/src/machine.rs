@@ -509,18 +509,7 @@ impl Machine {
                 }
                 self.tlb.flush();
                 self.pages_remapped += remapped;
-                self.mem.heat_on_remap(old, new);
-                // Ownership moves before the copy, so the replacement
-                // frame's copy writes charge to the owning tenant.
-                self.mem.tenancy_on_remap(old, new);
-                let old_line0 = old.phys_base().line().raw();
-                let new_line0 = new.phys_base().line().raw();
-                for i in 0..lines_per_page {
-                    self.mem
-                        .record_line_access(LineAddr::new(old_line0 + i), AccessKind::Read);
-                    self.mem
-                        .record_line_access(LineAddr::new(new_line0 + i), AccessKind::Write);
-                }
+                self.mem.copy_page(old, new);
                 if let Some(pc) = &mut self.prov {
                     let tag = WriteTag::new(WriteCause::WearRemap, SpaceTag::Other).raw();
                     pc.record_n(socket, tag, lines_per_page);
@@ -539,11 +528,10 @@ impl Machine {
     /// socket `to`, the primitive under OS hot/cold page migration: a
     /// replacement frame is allocated on the target socket, every address
     /// space's mapping of `old` is rewritten, the page copy is charged as
-    /// DMA-like controller traffic (a read of the old frame, a write of
-    /// the new — wearing PCM when `to` is the PCM socket), a
-    /// [`TraceEvent::PageMigrated`] is emitted, and the
-    /// old frame is freed. Page heat follows the page to its new frame
-    /// with epoch deltas restarted.
+    /// DMA-like controller traffic by [`NumaMemory::copy_page`] (a read of
+    /// the old frame, a write of the new — wearing PCM when `to` is the PCM
+    /// socket, and moving the page's owner and heat), a
+    /// [`TraceEvent::PageMigrated`] is emitted, and the old frame is freed.
     ///
     /// Returns `Ok(None)` without side effects when the frame already
     /// lives on `to` or is not mapped by any process, and `Ok(Some(new))`
@@ -573,21 +561,10 @@ impl Machine {
             return Ok(None);
         }
         self.tlb.flush();
-        // Ownership moves before the copy, so the migration's write pass
-        // over the new frame charges to the owning tenant.
-        self.mem.tenancy_on_remap(old, new);
-        let lines_per_page = (PAGE_SIZE / CACHE_LINE) as u64;
-        let old_line0 = old.phys_base().line().raw();
-        let new_line0 = new.phys_base().line().raw();
-        for i in 0..lines_per_page {
-            self.mem
-                .record_line_access(LineAddr::new(old_line0 + i), AccessKind::Read);
-            self.mem
-                .record_line_access(LineAddr::new(new_line0 + i), AccessKind::Write);
-        }
+        self.mem.copy_page(old, new);
         if let Some(pc) = &mut self.prov {
             let tag = WriteTag::new(WriteCause::OsMigration, SpaceTag::Other).raw();
-            pc.record_n(to, tag, lines_per_page);
+            pc.record_n(to, tag, (PAGE_SIZE / CACHE_LINE) as u64);
         }
         self.tracer.record(
             self.elapsed(),
@@ -597,7 +574,6 @@ impl Machine {
                 to,
             },
         );
-        self.mem.heat_on_remap(old, new);
         self.mem.free_frame(old)?;
         // Demotion writes wear PCM and may retire a line's frame.
         if self.mem.has_pending_retirements() {
@@ -616,8 +592,8 @@ impl Machine {
         self.spaces[proc.0].set_os_placement(primary, spill);
     }
 
-    /// Enables per-page read/write sampling (input to OS hot-page
-    /// migration). Off by default; GC-managed runs pay nothing.
+    /// Enables per-page read/write sampling ([`NumaMemory::page_heat`], the
+    /// OS hot-page migration input). Off by default; GC runs pay nothing.
     pub fn enable_page_heat(&mut self) {
         self.mem.enable_page_heat();
     }
@@ -629,11 +605,6 @@ impl Machine {
         self.mem.enable_tenancy(tenants);
     }
 
-    /// The tenancy tracker, if per-tenant attribution is enabled.
-    pub fn tenancy(&self) -> Option<&hemu_numa::TenancyTracker> {
-        self.mem.tenancy()
-    }
-
     /// Binds process `proc` to `tenant`: frames it demand-faults from now
     /// on are attributed to that tenant. Call right after
     /// [`Machine::add_process`], before the process touches memory.
@@ -643,11 +614,6 @@ impl Machine {
     /// Panics if `proc` is out of range.
     pub fn set_proc_tenant(&mut self, proc: ProcId, tenant: u16) {
         self.spaces[proc.0].set_tenant(tenant);
-    }
-
-    /// The page-heat tracker, if sampling is enabled.
-    pub fn page_heat(&self) -> Option<&hemu_numa::PageHeatTracker> {
-        self.mem.page_heat()
     }
 
     /// Closes the heat-sampling epoch (per-page deltas restart at zero).
@@ -750,8 +716,8 @@ impl Machine {
         &self.mem
     }
 
-    /// Enables per-line wear tracking on the PCM socket (an analysis
-    /// extension; costs a hash-map update per PCM line write).
+    /// Enables per-line wear tracking on the PCM socket ([`NumaMemory::wear`],
+    /// an analysis extension; one frame-record update per PCM line write).
     pub fn enable_wear_tracking(&mut self) {
         self.mem.enable_wear_tracking();
     }
@@ -1038,7 +1004,7 @@ mod tests {
         m.migrate_frame(old, SocketId::PCM).unwrap().unwrap();
         let wear = m.memory().wear().unwrap();
         assert_eq!(
-            wear.lines_touched() as u64,
+            wear.lines_touched(),
             (PAGE_SIZE / CACHE_LINE) as u64,
             "the demotion copy wears every line of the PCM frame"
         );
@@ -1206,7 +1172,7 @@ mod tests {
         m.access(CtxId(1), b, MemoryAccess::write(Addr::new(0), 1 << 20))
             .unwrap();
         m.flush_caches().unwrap();
-        let t = m.tenancy().unwrap();
+        let t = m.memory().tenancy().unwrap();
         let (t0, t1) = (t.pcm_lines(0), t.pcm_lines(1));
         assert!(t0 > t1, "tenant 0 wrote twice as much");
         assert_eq!(t.unattributed_pcm(), 0, "every frame has an owner");
@@ -1224,7 +1190,7 @@ mod tests {
             .unwrap()
             .frame();
         m.migrate_frame(old, SocketId::DRAM).unwrap().unwrap();
-        let t = m.tenancy().unwrap();
+        let t = m.memory().tenancy().unwrap();
         assert_eq!(
             t.dram_lines(0),
             (PAGE_SIZE / CACHE_LINE) as u64,

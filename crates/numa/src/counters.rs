@@ -1,8 +1,7 @@
-//! Memory-controller traffic counters and per-page access sampling.
+//! Memory-controller traffic counters.
 
 use hemu_obs::json::{JsonObject, ToJson};
-use hemu_types::{AccessKind, ByteSize, PageNum, CACHE_LINE};
-use std::collections::BTreeMap;
+use hemu_types::{AccessKind, ByteSize, CACHE_LINE};
 use std::fmt;
 
 /// Read/write traffic counters for one socket's memory controller.
@@ -106,108 +105,6 @@ impl fmt::Display for MemoryCounters {
     }
 }
 
-/// Read/write heat of one physical page: cumulative counts over the whole
-/// run plus the deltas of the current sampling epoch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PageHeat {
-    /// Lines read from this page since tracking began.
-    pub reads: u64,
-    /// Lines written to this page since tracking began.
-    pub writes: u64,
-    /// Lines read during the current epoch.
-    pub epoch_reads: u64,
-    /// Lines written during the current epoch.
-    pub epoch_writes: u64,
-}
-
-/// Per-page access sampling for OS-level placement decisions.
-///
-/// This is the emulated analog of the access-bit / PEBS sampling an OS
-/// hot-page migrator relies on: every line access that reaches a memory
-/// controller is attributed to its physical frame, separately for reads
-/// and writes, with both cumulative totals and per-epoch deltas. Pages
-/// are keyed in a `BTreeMap` so iteration order — and therefore every
-/// migration decision derived from it — is deterministic.
-///
-/// # Examples
-///
-/// ```
-/// use hemu_numa::PageHeatTracker;
-/// use hemu_types::{AccessKind, PageNum};
-///
-/// let mut t = PageHeatTracker::new();
-/// t.record(PageNum::new(7), AccessKind::Write);
-/// t.record(PageNum::new(7), AccessKind::Read);
-/// let h = t.heat(PageNum::new(7));
-/// assert_eq!((h.writes, h.epoch_writes, h.reads), (1, 1, 1));
-/// t.epoch_reset();
-/// let h = t.heat(PageNum::new(7));
-/// assert_eq!((h.writes, h.epoch_writes), (1, 0));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct PageHeatTracker {
-    pages: BTreeMap<u64, PageHeat>,
-}
-
-impl PageHeatTracker {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Attributes one line transfer to the frame it landed on.
-    pub fn record(&mut self, frame: PageNum, kind: AccessKind) {
-        let h = self.pages.entry(frame.raw()).or_default();
-        match kind {
-            AccessKind::Read => {
-                h.reads += 1;
-                h.epoch_reads += 1;
-            }
-            AccessKind::Write => {
-                h.writes += 1;
-                h.epoch_writes += 1;
-            }
-        }
-    }
-
-    /// The heat of one frame (zeroes if it was never touched).
-    pub fn heat(&self, frame: PageNum) -> PageHeat {
-        self.pages.get(&frame.raw()).copied().unwrap_or_default()
-    }
-
-    /// Iterates every tracked page in ascending frame order — the
-    /// deterministic sampling order migration policies must rely on.
-    pub fn iter(&self) -> impl Iterator<Item = (PageNum, &PageHeat)> {
-        self.pages.iter().map(|(f, h)| (PageNum::new(*f), h))
-    }
-
-    /// Number of distinct frames touched so far.
-    pub fn tracked_pages(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// Closes the sampling epoch: every page's epoch deltas restart at
-    /// zero while cumulative totals are untouched.
-    pub fn epoch_reset(&mut self) {
-        for h in self.pages.values_mut() {
-            h.epoch_reads = 0;
-            h.epoch_writes = 0;
-        }
-    }
-
-    /// Follows a physical remap `old → new` (page migration or wear-out
-    /// retirement): the page keeps its cumulative totals under the new
-    /// frame, but its epoch deltas restart at zero — the copy traffic of
-    /// the move itself must not make the freshly placed page look hot.
-    pub fn on_remap(&mut self, old: PageNum, new: PageNum) {
-        if let Some(mut h) = self.pages.remove(&old.raw()) {
-            h.epoch_reads = 0;
-            h.epoch_writes = 0;
-            self.pages.insert(new.raw(), h);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,51 +154,5 @@ mod tests {
         c.record(AccessKind::Write);
         let later = c;
         assert_eq!(MemoryCounters::new().since(&later), None);
-    }
-
-    #[test]
-    fn heat_tracks_cumulative_and_epoch_counts() {
-        let mut t = PageHeatTracker::new();
-        for _ in 0..3 {
-            t.record(PageNum::new(4), AccessKind::Write);
-        }
-        t.record(PageNum::new(4), AccessKind::Read);
-        t.record(PageNum::new(9), AccessKind::Read);
-        let h = t.heat(PageNum::new(4));
-        assert_eq!((h.writes, h.reads), (3, 1));
-        assert_eq!((h.epoch_writes, h.epoch_reads), (3, 1));
-        t.epoch_reset();
-        t.record(PageNum::new(4), AccessKind::Write);
-        let h = t.heat(PageNum::new(4));
-        assert_eq!((h.writes, h.epoch_writes), (4, 1));
-        assert_eq!(t.tracked_pages(), 2);
-        assert_eq!(t.heat(PageNum::new(1234)), PageHeat::default());
-    }
-
-    #[test]
-    fn iteration_is_in_ascending_frame_order() {
-        let mut t = PageHeatTracker::new();
-        for f in [9u64, 2, 5] {
-            t.record(PageNum::new(f), AccessKind::Write);
-        }
-        let order: Vec<u64> = t.iter().map(|(f, _)| f.raw()).collect();
-        assert_eq!(order, vec![2, 5, 9]);
-    }
-
-    #[test]
-    fn remap_moves_totals_and_restarts_epoch_deltas() {
-        let mut t = PageHeatTracker::new();
-        for _ in 0..5 {
-            t.record(PageNum::new(3), AccessKind::Write);
-        }
-        t.record(PageNum::new(3), AccessKind::Read);
-        t.on_remap(PageNum::new(3), PageNum::new(8));
-        assert_eq!(t.heat(PageNum::new(3)), PageHeat::default(), "vacated");
-        let h = t.heat(PageNum::new(8));
-        assert_eq!((h.writes, h.reads), (5, 1), "cumulative totals follow");
-        assert_eq!((h.epoch_writes, h.epoch_reads), (0, 0), "epoch restarts");
-        // Remapping an untracked frame is a no-op.
-        t.on_remap(PageNum::new(77), PageNum::new(78));
-        assert_eq!(t.tracked_pages(), 1);
     }
 }

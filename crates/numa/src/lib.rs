@@ -11,6 +11,12 @@
 //! number of writes arriving at each socket's memory controller. Here the
 //! "sockets" are simulated, so the counters are exact rather than sampled.
 //!
+//! Beside its counters, each socket keeps one record per physical frame for
+//! the opt-in observers of that accounting point: page heat for OS hot/cold
+//! migration, the owning tenant for consolidated runs, and retirement plus
+//! per-line wear for the endurance model. [`NumaMemory::copy_page`] is the
+//! one place that state follows a page to a new frame.
+//!
 //! # Examples
 //!
 //! ```
@@ -30,15 +36,15 @@
 #![warn(missing_docs)]
 
 mod counters;
+mod frames;
 mod memory;
 mod pagetable;
 mod qpi;
 mod tenancy;
-mod wear;
 
-pub use counters::{MemoryCounters, PageHeat, PageHeatTracker};
+pub use counters::MemoryCounters;
+pub use frames::{PageHeat, Wear};
 pub use memory::{NumaConfig, NumaMemory, SocketMemory};
 pub use pagetable::AddressSpace;
 pub use qpi::QpiLink;
 pub use tenancy::TenancyTracker;
-pub use wear::WearTracker;

@@ -1,11 +1,10 @@
 //! The physical side of the machine: sockets, frames, and controllers.
 
-use crate::counters::{MemoryCounters, PageHeatTracker};
+use crate::counters::MemoryCounters;
+use crate::frames::{Frame, FrameTable, PageHeat, Wear, LINES};
 use crate::tenancy::TenancyTracker;
-use crate::wear::WearTracker;
 use hemu_fault::{EnduranceConfig, EnduranceModel, FaultInjector};
 use hemu_types::{AccessKind, ByteSize, HemuError, LineAddr, PageNum, Result, SocketId, PAGE_SIZE};
-use std::collections::HashSet;
 
 /// Configuration of the physical memory system.
 ///
@@ -39,7 +38,8 @@ impl hemu_obs::ToJson for NumaConfig {
     }
 }
 
-/// One socket's physical memory: a frame allocator plus controller counters.
+/// One socket's physical memory: a frame allocator, controller counters
+/// and the per-frame records of its observers.
 #[derive(Debug, Clone)]
 pub struct SocketMemory {
     id: SocketId,
@@ -47,9 +47,7 @@ pub struct SocketMemory {
     frame_count: u64,
     next_fresh: u64,
     free: Vec<PageNum>,
-    /// Frames permanently taken out of service by wear-out. Never empty
-    /// unless endurance modeling is enabled, so healthy runs pay nothing.
-    retired: HashSet<u64>,
+    frames: FrameTable,
     counters: MemoryCounters,
 }
 
@@ -61,7 +59,7 @@ impl SocketMemory {
             frame_count,
             next_fresh: first_frame,
             free: Vec::new(),
-            retired: HashSet::new(),
+            frames: FrameTable::new(first_frame),
             counters: MemoryCounters::new(),
         }
     }
@@ -95,14 +93,14 @@ impl SocketMemory {
         // Retired frames can reach the free list (e.g. a page is unmapped
         // after its frame wore out); they must never be handed out again.
         while let Some(f) = self.free.pop() {
-            if !self.retired.contains(&f.raw()) {
+            if !self.frames.is_retired(f) {
                 return Ok(f);
             }
         }
         while self.next_fresh < self.first_frame + self.frame_count {
             let f = PageNum::new(self.next_fresh);
             self.next_fresh += 1;
-            if !self.retired.contains(&f.raw()) {
+            if !self.frames.is_retired(f) {
                 return Ok(f);
             }
         }
@@ -126,27 +124,10 @@ impl SocketMemory {
                 self.id
             )));
         }
-        if !self.retired.contains(&frame.raw()) {
+        if !self.frames.is_retired(frame) {
             self.free.push(frame);
         }
         Ok(())
-    }
-
-    /// Permanently takes a frame out of service (wear-out). Returns `true`
-    /// if the frame was not already retired.
-    pub fn retire_frame(&mut self, frame: PageNum) -> bool {
-        debug_assert!(self.owns_frame(frame));
-        self.retired.insert(frame.raw())
-    }
-
-    /// Number of frames permanently retired by wear-out.
-    pub fn retired_frames(&self) -> u64 {
-        self.retired.len() as u64
-    }
-
-    /// Frames still in service: total capacity minus retired frames.
-    pub fn effective_frames(&self) -> u64 {
-        self.frame_count - self.retired.len() as u64
     }
 
     /// Returns `true` if `frame` lies in this socket's physical range.
@@ -192,9 +173,9 @@ pub struct NumaMemory {
     /// decode shift instead of divide. `None` falls back to division.
     frames_shift: Option<u32>,
     /// Opt-in per-line wear tracking on the PCM socket.
-    wear: Option<WearTracker>,
+    wear: bool,
     /// Opt-in per-page read/write sampling (OS hot-page migration input).
-    heat: Option<PageHeatTracker>,
+    heat: bool,
     /// Opt-in endurance modeling (implies wear tracking).
     endurance: Option<EnduranceState>,
     /// Opt-in deterministic fault injection.
@@ -227,8 +208,8 @@ impl NumaMemory {
             frames_per_socket,
             frames_shift: (frames_per_socket.is_power_of_two())
                 .then(|| frames_per_socket.trailing_zeros()),
-            wear: None,
-            heat: None,
+            wear: false,
+            heat: false,
             endurance: None,
             injector: None,
             tenancy: None,
@@ -236,7 +217,7 @@ impl NumaMemory {
     }
 
     /// Enables per-tenant write attribution for `tenants` tenants. Costs
-    /// one hash-map lookup per controller line write; off by default so
+    /// one frame-record read per controller line write; off by default so
     /// single-tenant runs pay nothing.
     pub fn enable_tenancy(&mut self, tenants: usize) {
         if self.tenancy.is_none() {
@@ -250,51 +231,81 @@ impl NumaMemory {
     }
 
     /// Records `frame` as owned by `tenant` (called from the demand-fault
-    /// path). No-op when tenancy is off.
+    /// path). No-op when tenancy is off; out-of-range tenant ids are
+    /// ignored.
     pub fn tenancy_assign(&mut self, frame: PageNum, tenant: u16) {
-        if let Some(t) = self.tenancy.as_mut() {
-            t.assign(frame, tenant);
-        }
-    }
-
-    /// Follows a physical remap `old → new` in the tenancy tracker, so
-    /// migration and wear-remap copy writes are charged to the owning
-    /// tenant. Call *before* recording the copy traffic. No-op when
-    /// tenancy is off.
-    pub fn tenancy_on_remap(&mut self, old: PageNum, new: PageNum) {
-        if let Some(t) = self.tenancy.as_mut() {
-            t.on_remap(old, new);
+        let tenants = self.tenancy.as_ref().map_or(0, TenancyTracker::tenants);
+        if (tenant as usize) < tenants {
+            self.frame_mut(frame).set_owner(Some(tenant));
         }
     }
 
     /// Enables per-page read/write sampling on every socket. Costs one
-    /// B-tree update per line transfer; off by default so GC-managed runs
-    /// pay nothing.
+    /// frame-record update per line transfer; off by default so
+    /// GC-managed runs pay nothing.
     pub fn enable_page_heat(&mut self) {
-        if self.heat.is_none() {
-            self.heat = Some(PageHeatTracker::new());
-        }
+        self.heat = true;
     }
 
-    /// The page-heat tracker, if enabled.
-    pub fn page_heat(&self) -> Option<&PageHeatTracker> {
-        self.heat.as_ref()
+    /// Every sampled frame's heat in ascending frame order — the
+    /// deterministic order migration policies rely on — or `None` when
+    /// sampling is off. A frame is sampled once any line of it reached a
+    /// controller, until its heat moves away.
+    pub fn page_heat(&self) -> Option<impl Iterator<Item = (PageNum, PageHeat)> + '_> {
+        let frames = self.sockets.iter().flat_map(|s| s.frames.iter());
+        let sampled = frames.filter(|(_, f)| f.heat.sampled());
+        self.heat.then(|| sampled.map(|(p, f)| (p, f.heat)))
+    }
+
+    /// The heat of one frame (zeroes if it was never touched).
+    pub fn heat(&self, frame: PageNum) -> PageHeat {
+        self.frame(frame).map(|f| f.heat).unwrap_or_default()
     }
 
     /// Closes the heat-sampling epoch: per-page epoch deltas restart at
-    /// zero, cumulative totals stay. No-op when sampling is off.
+    /// zero, cumulative totals stay.
     pub fn reset_page_heat_epoch(&mut self) {
-        if let Some(h) = self.heat.as_mut() {
-            h.epoch_reset();
-        }
+        self.sockets.iter_mut().for_each(|s| s.frames.reset_epoch());
     }
 
-    /// Follows a physical remap `old → new` in the heat tracker (page
-    /// migration and wear-out retirement both route through this). No-op
-    /// when sampling is off.
-    pub fn heat_on_remap(&mut self, old: PageNum, new: PageNum) {
-        if let Some(h) = self.heat.as_mut() {
-            h.on_remap(old, new);
+    fn frame(&self, frame: PageNum) -> Option<&Frame> {
+        let s = self.socket_of_frame(frame).index();
+        self.sockets[s].frames.get(frame)
+    }
+
+    fn frame_mut(&mut self, frame: PageNum) -> &mut Frame {
+        let s = self.socket_of_frame(frame).index();
+        self.sockets[s].frames.get_mut(frame)
+    }
+
+    /// Copies the page in frame `old` to frame `new` as controller
+    /// traffic: a DMA-like read of every line of `old` and a write of the
+    /// same line of `new`, bypassing the caches. Page migration and
+    /// wear-out retirement both move a page through here, so this is the
+    /// one place a frame's state follows a remap:
+    /// - the owning tenant moves first, so the copy writes are charged to
+    ///   it;
+    /// - page heat moves last, keeping its cumulative totals with epoch
+    ///   deltas restarted, so the copy makes neither frame look hot;
+    /// - wear and retirement stay with the physical frame.
+    pub fn copy_page(&mut self, old: PageNum, new: PageNum) {
+        if let Some(t) = self.frame(old).and_then(Frame::owner) {
+            self.frame_mut(old).set_owner(None);
+            self.frame_mut(new).set_owner(Some(t));
+        }
+        let (old0, new0) = (old.phys_base().line().raw(), new.phys_base().line().raw());
+        for i in 0..LINES as u64 {
+            self.record_line_access(LineAddr::new(old0 + i), AccessKind::Read);
+            self.record_line_access(LineAddr::new(new0 + i), AccessKind::Write);
+        }
+        let heat = self.heat(old);
+        if heat.sampled() {
+            self.frame_mut(old).heat = PageHeat::default();
+            self.frame_mut(new).heat = PageHeat {
+                epoch_reads: 0,
+                epoch_writes: 0,
+                ..heat
+            };
         }
     }
 
@@ -307,16 +318,15 @@ impl NumaMemory {
     }
 
     /// Enables per-line wear tracking on the PCM socket (socket 1). Costs
-    /// one hash-map update per PCM line write; off by default.
+    /// one frame-record update per PCM line write; off by default.
     pub fn enable_wear_tracking(&mut self) {
-        if self.wear.is_none() {
-            self.wear = Some(WearTracker::new());
-        }
+        self.wear = true;
     }
 
-    /// The wear tracker, if enabled.
-    pub fn wear(&self) -> Option<&WearTracker> {
-        self.wear.as_ref()
+    /// The PCM socket's per-line write counts, if wear tracking is on.
+    pub fn wear(&self) -> Option<Wear<'_>> {
+        self.wear
+            .then(|| Wear(&self.sockets[SocketId::PCM.index()].frames))
     }
 
     /// Enables endurance modeling on the PCM socket: every PCM line gets a
@@ -420,12 +430,13 @@ impl NumaMemory {
 
     /// Pages (frames) retired by wear-out on one socket.
     pub fn retired_pages(&self, socket: SocketId) -> u64 {
-        self.sockets[socket.index()].retired_frames()
+        self.sockets[socket.index()].frames.retired
     }
 
     /// Capacity still in service on one socket after wear-out retirement.
     pub fn effective_capacity(&self, socket: SocketId) -> ByteSize {
-        ByteSize::new(self.sockets[socket.index()].effective_frames() * PAGE_SIZE as u64)
+        let s = &self.sockets[socket.index()];
+        ByteSize::new((s.frame_count - s.frames.retired) * PAGE_SIZE as u64)
     }
 
     /// Which socket owns the given physical frame.
@@ -477,8 +488,9 @@ impl NumaMemory {
                 "frame {frame} lies outside physical memory"
             )));
         }
-        if let Some(t) = self.tenancy.as_mut() {
-            t.clear(frame);
+        // Heat survives the free: a reallocated frame inherits it.
+        if self.frame(frame).and_then(Frame::owner).is_some() {
+            self.frame_mut(frame).set_owner(None);
         }
         self.sockets[s.index()].free_frame(frame)
     }
@@ -489,31 +501,30 @@ impl NumaMemory {
     /// accumulates.
     pub fn record_line_access(&mut self, line: LineAddr, kind: AccessKind) {
         let s = self.socket_of_line(line);
-        self.sockets[s.index()].counters.record(kind);
-        if let Some(h) = self.heat.as_mut() {
-            h.record(line.frame(), kind);
+        let frame = line.frame();
+        let socket = &mut self.sockets[s.index()];
+        socket.counters.record(kind);
+        if self.heat {
+            socket.frames.get_mut(frame).heat.record(kind);
         }
-        if kind.is_write() {
-            // Tenancy sees exactly the writes the controller counters see,
-            // so per-tenant counts sum to the global counters by
-            // construction.
-            if let Some(t) = self.tenancy.as_mut() {
-                t.record_write(line.frame(), s);
-            }
+        if !kind.is_write() {
+            return;
         }
-        if kind.is_write() && s == SocketId::PCM {
-            if let Some(w) = self.wear.as_mut() {
-                let count = w.record(line);
-                if let Some(e) = self.endurance.as_mut() {
-                    // `record` increments by exactly 1, so the comparison
-                    // fires exactly once per line: on the write that spends
-                    // the line's last budgeted cycle.
-                    if count == e.model.line_budget(line) {
-                        e.failed_lines += 1;
-                        let frame = line.frame();
-                        if self.sockets[s.index()].retire_frame(frame) {
-                            e.pending.push(frame);
-                        }
+        // Tenancy sees exactly the writes the controller counters see, so
+        // per-tenant counts sum to the global counters by construction.
+        if let Some(t) = self.tenancy.as_mut() {
+            t.record_write(socket.frames.get(frame).and_then(Frame::owner), s);
+        }
+        if self.wear && s == SocketId::PCM {
+            let count = socket.frames.wear_line(line);
+            if let Some(e) = self.endurance.as_mut() {
+                // `wear_line` increments by exactly 1, so the comparison
+                // fires exactly once per line: on the write that spends the
+                // line's last budgeted cycle.
+                if count == e.model.line_budget(line) {
+                    e.failed_lines += 1;
+                    if socket.frames.retire(frame) {
+                        e.pending.push(frame);
                     }
                 }
             }
@@ -609,8 +620,8 @@ mod tests {
     fn retired_frames_are_never_reissued() {
         let mut m = small();
         let f = m.allocate_frame(SocketId::PCM).unwrap();
-        assert!(m.socket_mut(SocketId::PCM).retire_frame(f));
-        assert!(!m.socket_mut(SocketId::PCM).retire_frame(f), "idempotent");
+        assert!(m.socket_mut(SocketId::PCM).frames.retire(f));
+        assert!(!m.socket_mut(SocketId::PCM).frames.retire(f), "idempotent");
         m.free_frame(f).unwrap(); // silently dropped, not recycled
         for _ in 0..3 {
             let g = m.allocate_frame(SocketId::PCM).unwrap();
@@ -676,11 +687,236 @@ mod tests {
         m.record_line_access(line, AccessKind::Write);
         m.record_line_access(line, AccessKind::Write);
         m.record_line_access(line, AccessKind::Read);
-        let h = m.page_heat().unwrap().heat(f);
+        let h = m.heat(f);
         assert_eq!((h.writes, h.reads), (2, 1));
         m.reset_page_heat_epoch();
-        let h = m.page_heat().unwrap().heat(f);
+        let h = m.heat(f);
         assert_eq!((h.writes, h.epoch_writes), (2, 0));
+    }
+
+    fn owner(m: &NumaMemory, frame: PageNum) -> Option<u16> {
+        m.frame(frame).and_then(Frame::owner)
+    }
+
+    fn touch(m: &mut NumaMemory, frame: u64, kind: AccessKind, n: usize) {
+        for _ in 0..n {
+            m.record_line_access(PageNum::new(frame).phys_base().line(), kind);
+        }
+    }
+
+    #[test]
+    fn heat_tracks_cumulative_and_epoch_counts() {
+        let mut m = small();
+        m.enable_page_heat();
+        touch(&mut m, 4, AccessKind::Write, 3);
+        touch(&mut m, 4, AccessKind::Read, 1);
+        touch(&mut m, 1, AccessKind::Read, 1);
+        let h = m.heat(PageNum::new(4));
+        assert_eq!((h.writes, h.reads), (3, 1));
+        assert_eq!((h.epoch_writes, h.epoch_reads), (3, 1));
+        m.reset_page_heat_epoch();
+        touch(&mut m, 4, AccessKind::Write, 1);
+        let h = m.heat(PageNum::new(4));
+        assert_eq!((h.writes, h.epoch_writes), (4, 1));
+        assert_eq!(m.page_heat().unwrap().count(), 2);
+        assert_eq!(m.heat(PageNum::new(6)), PageHeat::default());
+    }
+
+    #[test]
+    fn heat_is_off_by_default() {
+        let mut m = small();
+        touch(&mut m, 4, AccessKind::Write, 1);
+        assert!(m.page_heat().is_none());
+        assert_eq!(m.heat(PageNum::new(4)), PageHeat::default());
+    }
+
+    #[test]
+    fn iteration_is_in_ascending_frame_order() {
+        let mut m = small();
+        m.enable_page_heat();
+        for f in [7u64, 2, 5] {
+            touch(&mut m, f, AccessKind::Write, 1);
+        }
+        let order: Vec<u64> = m.page_heat().unwrap().map(|(f, _)| f.raw()).collect();
+        assert_eq!(order, vec![2, 5, 7]);
+    }
+
+    #[test]
+    fn copy_page_moves_totals_and_restarts_epoch_deltas() {
+        let mut m = small();
+        m.enable_page_heat();
+        let (old, new) = (PageNum::new(3), PageNum::new(6));
+        touch(&mut m, 3, AccessKind::Write, 5);
+        touch(&mut m, 3, AccessKind::Read, 1);
+        touch(&mut m, 6, AccessKind::Read, 2);
+        m.copy_page(old, new);
+        assert_eq!(m.heat(old), PageHeat::default(), "vacated");
+        let h = m.heat(new);
+        // The copy reads the old frame's 64 lines before the heat moves.
+        assert_eq!((h.writes, h.reads), (5, 1 + 64), "cumulative totals follow");
+        assert_eq!((h.epoch_writes, h.epoch_reads), (0, 0), "epoch restarts");
+        let order: Vec<u64> = m.page_heat().unwrap().map(|(f, _)| f.raw()).collect();
+        assert_eq!(order, vec![6], "the vacated frame is not sampled");
+        // The copy itself is controller traffic.
+        assert_eq!(m.counters(SocketId::PCM).write_lines(), 64);
+        assert_eq!(m.counters(SocketId::DRAM).read_lines(), 1 + 64);
+    }
+
+    #[test]
+    fn heat_survives_free_and_a_copy_without_heat_is_traffic_only() {
+        let mut m = small();
+        m.enable_page_heat();
+        let f = m.allocate_frame(SocketId::DRAM).unwrap();
+        touch(&mut m, f.raw(), AccessKind::Write, 2);
+        m.free_frame(f).unwrap();
+        assert_eq!(m.allocate_frame(SocketId::DRAM).unwrap(), f);
+        assert_eq!(m.heat(f).writes, 2, "a reallocated frame inherits its heat");
+
+        let mut m = small();
+        m.copy_page(PageNum::new(1), PageNum::new(5));
+        assert!(m.page_heat().is_none());
+        assert_eq!(m.heat(PageNum::new(5)), PageHeat::default());
+        assert_eq!(m.counters(SocketId::PCM).write_lines(), 64);
+    }
+
+    #[test]
+    fn writes_are_charged_to_the_owning_tenant() {
+        let mut m = small();
+        m.enable_tenancy(2);
+        let (p, d) = (PageNum::new(5), PageNum::new(1));
+        m.tenancy_assign(p, 1);
+        m.tenancy_assign(d, 1);
+        touch(&mut m, 5, AccessKind::Write, 2);
+        touch(&mut m, 1, AccessKind::Write, 1);
+        let t = m.tenancy().unwrap();
+        assert_eq!((t.pcm_lines(1), t.dram_lines(1)), (2, 1));
+        assert_eq!(t.pcm_lines(0), 0);
+        assert_eq!(t.unattributed_pcm() + t.unattributed_dram(), 0);
+        assert_eq!(owner(&m, p), Some(1));
+    }
+
+    #[test]
+    fn unowned_frames_fall_into_the_unattributed_bucket() {
+        let mut m = small();
+        m.enable_tenancy(1);
+        touch(&mut m, 5, AccessKind::Write, 1);
+        touch(&mut m, 1, AccessKind::Write, 1);
+        let t = m.tenancy().unwrap();
+        assert_eq!((t.unattributed_pcm(), t.unattributed_dram()), (1, 1));
+    }
+
+    #[test]
+    fn copy_page_moves_ownership_and_free_drops_it() {
+        let mut m = small();
+        m.enable_tenancy(1);
+        let (old, new) = (PageNum::new(5), PageNum::new(6));
+        m.tenancy_assign(old, 0);
+        m.copy_page(old, new);
+        let t = m.tenancy().unwrap();
+        assert_eq!(
+            t.pcm_lines(0),
+            64,
+            "the copy writes are charged to the owner"
+        );
+        assert_eq!((owner(&m, old), owner(&m, new)), (None, Some(0)));
+        touch(&mut m, 6, AccessKind::Write, 1);
+        touch(&mut m, 5, AccessKind::Write, 1);
+        let t = m.tenancy().unwrap();
+        assert_eq!(t.pcm_lines(0), 65, "the replacement frame is owned");
+        assert_eq!(t.unattributed_pcm(), 1, "the vacated frame is not");
+        m.free_frame(new).unwrap();
+        touch(&mut m, 6, AccessKind::Write, 1);
+        assert_eq!(m.tenancy().unwrap().pcm_lines(0), 65);
+        assert_eq!(owner(&m, new), None);
+        // Copying an unowned page moves no owner.
+        m.tenancy_assign(new, 0);
+        m.copy_page(old, new);
+        assert_eq!(owner(&m, new), Some(0));
+    }
+
+    #[test]
+    fn reset_zeroes_counts_but_keeps_ownership() {
+        let mut m = small();
+        m.enable_tenancy(1);
+        m.tenancy_assign(PageNum::new(5), 0);
+        touch(&mut m, 5, AccessKind::Write, 1);
+        m.reset_counters();
+        assert_eq!(m.tenancy().unwrap().pcm_lines(0), 0);
+        touch(&mut m, 5, AccessKind::Write, 1);
+        assert_eq!(m.tenancy().unwrap().pcm_lines(0), 1, "ownership survived");
+    }
+
+    #[test]
+    fn out_of_range_tenant_ids_are_ignored() {
+        let mut m = small();
+        m.enable_tenancy(1);
+        m.tenancy_assign(PageNum::new(5), 5);
+        touch(&mut m, 5, AccessKind::Write, 1);
+        assert_eq!(m.tenancy().unwrap().unattributed_pcm(), 1);
+        assert_eq!(owner(&m, PageNum::new(5)), None);
+        // Without tenancy nothing is owned at all.
+        let mut m = small();
+        m.tenancy_assign(PageNum::new(5), 0);
+        assert_eq!(owner(&m, PageNum::new(5)), None);
+    }
+
+    fn worn() -> NumaMemory {
+        let mut m = NumaMemory::new(NumaConfig::default());
+        m.enable_wear_tracking();
+        m
+    }
+
+    fn pcm_line(i: u64) -> LineAddr {
+        LineAddr::new(PageNum::new(1 << 21).phys_base().line().raw() + i)
+    }
+
+    #[test]
+    fn wear_counts_accumulate_per_pcm_line() {
+        let mut m = worn();
+        m.record_line_access(pcm_line(1), AccessKind::Write);
+        m.record_line_access(pcm_line(1), AccessKind::Write);
+        m.record_line_access(pcm_line(2), AccessKind::Write);
+        // Reads and DRAM writes do not wear PCM.
+        m.record_line_access(pcm_line(3), AccessKind::Read);
+        m.record_line_access(LineAddr::new(0), AccessKind::Write);
+        let w = m.wear().unwrap();
+        assert_eq!(w.lines_touched(), 2);
+        assert_eq!(w.max_line_writes(), 2);
+        let pages: Vec<_> = w.pages().map(|(f, l)| (f, l[..4].to_vec())).collect();
+        assert_eq!(pages, vec![(PageNum::new(1 << 21), vec![0, 2, 1, 0])]);
+        assert!(small().wear().is_none(), "off by default");
+    }
+
+    #[test]
+    fn uniform_stream_levels_perfectly_in_the_limit() {
+        let mut m = worn();
+        for i in 0..1000u64 {
+            m.record_line_access(pcm_line(i), AccessKind::Write);
+        }
+        // 1000 lines, device of 1000 lines, one write each: fully even.
+        let eff = m.wear().unwrap().levelling_efficiency(1000);
+        assert!(eff > 0.45, "uniform stream should level well, got {eff}");
+    }
+
+    #[test]
+    fn single_hot_line_levels_poorly() {
+        let mut m = worn();
+        for _ in 0..10_000 {
+            m.record_line_access(pcm_line(7), AccessKind::Write);
+        }
+        let eff = m.wear().unwrap().levelling_efficiency(1_000_000);
+        assert!(eff < 0.01, "one hot line must defeat rotation, got {eff}");
+    }
+
+    #[test]
+    fn empty_wear_is_perfect() {
+        assert_eq!(worn().wear().unwrap().levelling_efficiency(100), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity")]
+    fn zero_capacity_rejected() {
+        let _ = worn().wear().unwrap().levelling_efficiency(0);
     }
 
     #[test]

@@ -5,8 +5,12 @@
 //! external dependencies. Failures print the seed of
 //! the offending case; rerunning is fully reproducible.
 
-use hemu_numa::{AddressSpace, NumaConfig, NumaMemory};
-use hemu_types::{Addr, ByteSize, DeterministicRng, SocketId, PAGE_SIZE};
+use hemu_fault::{EnduranceConfig, EnduranceModel};
+use hemu_numa::{AddressSpace, NumaConfig, NumaMemory, PageHeat};
+use hemu_types::{
+    AccessKind, Addr, ByteSize, DeterministicRng, LineAddr, PageNum, SocketId, PAGE_SIZE,
+};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 fn mem() -> NumaMemory {
     NumaMemory::new(NumaConfig {
@@ -128,5 +132,233 @@ fn line_routing_matches_frame_owner() {
         let f = m.allocate_frame(socket).unwrap();
         let line = hemu_types::LineAddr::new(f.phys_base().line().raw() + line_in_page);
         assert_eq!(m.socket_of_line(line), socket, "case {case}");
+    }
+}
+
+/// The per-frame observers as plain maps, one map per observer: the
+/// reference semantics the frame table must reproduce op for op.
+struct Model {
+    frames_per_socket: u64,
+    endurance: EnduranceModel,
+    /// Frame → heat; present once any line of the frame was recorded.
+    heat: BTreeMap<u64, PageHeat>,
+    /// Frame → owning tenant.
+    owner: HashMap<u64, u16>,
+    /// PCM line → writes.
+    wear: BTreeMap<u64, u64>,
+    retired: BTreeSet<u64>,
+    pending: Vec<PageNum>,
+    failed: u64,
+    pcm: Vec<u64>,
+    dram: Vec<u64>,
+    unattributed: [u64; 2],
+}
+
+impl Model {
+    fn record(&mut self, line: LineAddr, kind: AccessKind) {
+        let frame = line.frame().raw();
+        let pcm = frame / self.frames_per_socket == 1;
+        let h = self.heat.entry(frame).or_default();
+        match kind {
+            AccessKind::Read => {
+                h.reads += 1;
+                h.epoch_reads += 1;
+                return;
+            }
+            AccessKind::Write => {
+                h.writes += 1;
+                h.epoch_writes += 1;
+            }
+        }
+        match self.owner.get(&frame) {
+            Some(&t) if pcm => self.pcm[t as usize] += 1,
+            Some(&t) => self.dram[t as usize] += 1,
+            None => self.unattributed[pcm as usize] += 1,
+        }
+        if pcm {
+            let count = self.wear.entry(line.raw()).or_default();
+            *count += 1;
+            if *count == self.endurance.line_budget(line) {
+                self.failed += 1;
+                if self.retired.insert(frame) {
+                    self.pending.push(line.frame());
+                }
+            }
+        }
+    }
+
+    fn assign(&mut self, frame: PageNum, tenant: u16) {
+        if (tenant as usize) < self.pcm.len() {
+            self.owner.insert(frame.raw(), tenant);
+        }
+    }
+
+    /// Owner moves before the copy, heat after it with epoch deltas
+    /// restarted; wear and retirement stay with the physical frame.
+    fn copy_page(&mut self, old: PageNum, new: PageNum) {
+        if let Some(t) = self.owner.remove(&old.raw()) {
+            self.owner.insert(new.raw(), t);
+        }
+        let (old0, new0) = (old.phys_base().line().raw(), new.phys_base().line().raw());
+        for i in 0..64 {
+            self.record(LineAddr::new(old0 + i), AccessKind::Read);
+            self.record(LineAddr::new(new0 + i), AccessKind::Write);
+        }
+        if let Some(mut h) = self.heat.remove(&old.raw()) {
+            h.epoch_reads = 0;
+            h.epoch_writes = 0;
+            self.heat.insert(new.raw(), h);
+        }
+    }
+
+    fn check(&self, m: &mut NumaMemory, case: u64, op: u64) {
+        let heat: Vec<(PageNum, PageHeat)> = m.page_heat().unwrap().collect();
+        let want: Vec<(PageNum, PageHeat)> = self
+            .heat
+            .iter()
+            .map(|(&f, &h)| (PageNum::new(f), h))
+            .collect();
+        assert_eq!(heat, want, "case {case} op {op}: heat sequence");
+
+        let t = m.tenancy().unwrap();
+        for i in 0..self.pcm.len() {
+            assert_eq!(
+                (t.pcm_lines(i), t.dram_lines(i)),
+                (self.pcm[i], self.dram[i]),
+                "case {case} op {op}: tenant {i}"
+            );
+        }
+        assert_eq!(
+            [t.unattributed_dram(), t.unattributed_pcm()],
+            self.unattributed,
+            "case {case} op {op}: unattributed"
+        );
+
+        let w = m.wear().unwrap();
+        let lines: Vec<(u64, u64)> = w
+            .pages()
+            .flat_map(|(f, counts)| {
+                let line0 = f.phys_base().line().raw();
+                (0..64u64).map(move |i| (line0 + i, counts[i as usize]))
+            })
+            .filter(|&(_, c)| c > 0)
+            .collect();
+        let want: Vec<(u64, u64)> = self.wear.iter().map(|(&l, &c)| (l, c)).collect();
+        assert_eq!(lines, want, "case {case} op {op}: wear rows");
+        assert_eq!(w.lines_touched(), self.wear.len() as u64);
+        assert_eq!(
+            w.max_line_writes(),
+            self.wear.values().copied().max().unwrap_or(0)
+        );
+
+        assert_eq!(
+            m.retired_pages(SocketId::PCM),
+            self.retired.len() as u64,
+            "case {case} op {op}: retired pages"
+        );
+        assert_eq!(m.retired_pages(SocketId::DRAM), 0);
+        assert_eq!(m.failed_lines(), self.failed, "case {case} op {op}");
+        assert_eq!(
+            m.take_pending_retirements(),
+            self.pending,
+            "case {case} op {op}: pending retirements"
+        );
+    }
+}
+
+/// The frame table against the plain-map model: a seeded stream of reads
+/// and writes on both sockets, tenant assignments, frees, page copies,
+/// epoch resets and counter resets, with page heat, tenancy, wear and
+/// endurance all on. Every observable of every observer must agree after
+/// every op.
+#[test]
+fn frame_table_matches_the_plain_map_model() {
+    let mut rng = DeterministicRng::seeded(0x7261_6e64_0005);
+    // 1024 frames per socket: four record chunks each.
+    let capacity = ByteSize::from_mib(4);
+    let frames_per_socket = capacity.bytes() / PAGE_SIZE as u64;
+    for case in 0..16 {
+        let cfg = EnduranceConfig {
+            budget_writes: 8,
+            variability: 0.25,
+            seed: 0xF4A3 + case,
+        };
+        let mut m = NumaMemory::new(NumaConfig {
+            sockets: 2,
+            capacity_per_socket: capacity,
+        });
+        m.enable_page_heat();
+        m.enable_tenancy(3);
+        m.enable_endurance(cfg);
+        let mut model = Model {
+            frames_per_socket,
+            endurance: EnduranceModel::new(cfg),
+            heat: BTreeMap::new(),
+            owner: HashMap::new(),
+            wear: BTreeMap::new(),
+            retired: BTreeSet::new(),
+            pending: Vec::new(),
+            failed: 0,
+            pcm: vec![0; 3],
+            dram: vec![0; 3],
+            unattributed: [0; 2],
+        };
+        // A few frames per chunk on both sockets, so ops collide.
+        let frame = |rng: &mut DeterministicRng| {
+            let socket = rng.below(2);
+            PageNum::new(socket * frames_per_socket + rng.below(4) * 300 + rng.below(3))
+        };
+        for op in 0..1500 {
+            match rng.below(100) {
+                0..=69 => {
+                    let f = frame(&mut rng);
+                    let line = LineAddr::new(f.phys_base().line().raw() + rng.below(4));
+                    let kind = if rng.chance(0.6) {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    };
+                    m.record_line_access(line, kind);
+                    model.record(line, kind);
+                }
+                70..=79 => {
+                    let (f, t) = (frame(&mut rng), rng.below(4) as u16);
+                    m.tenancy_assign(f, t);
+                    model.assign(f, t);
+                }
+                80..=85 => {
+                    let f = frame(&mut rng);
+                    m.free_frame(f).unwrap();
+                    model.owner.remove(&f.raw());
+                }
+                86..=93 => {
+                    let (old, new) = (frame(&mut rng), frame(&mut rng));
+                    if old != new {
+                        m.copy_page(old, new);
+                        model.copy_page(old, new);
+                    }
+                }
+                94..=97 => {
+                    m.reset_page_heat_epoch();
+                    for h in model.heat.values_mut() {
+                        h.epoch_reads = 0;
+                        h.epoch_writes = 0;
+                    }
+                }
+                _ => {
+                    m.reset_counters();
+                    model.pcm.iter_mut().for_each(|c| *c = 0);
+                    model.dram.iter_mut().for_each(|c| *c = 0);
+                    model.unattributed = [0; 2];
+                }
+            }
+            model.check(&mut m, case, op);
+            model.pending.clear();
+        }
+        assert!(
+            model.failed > 0,
+            "case {case}: the stream never wore a line out"
+        );
+        assert!(!model.heat.is_empty() && !model.wear.is_empty());
     }
 }

@@ -15,9 +15,9 @@
 //!   opposite, and `HotCold` starts DRAM-first;
 //! * **epoch-driven migration** (`HotCold` only): every
 //!   [`OsPagingConfig::epoch_lines`] machine line accesses, the manager
-//!   samples the per-page read/write counters (`hemu_numa::PageHeatTracker`),
-//!   promotes write-hot PCM pages to DRAM and demotes cold DRAM pages to
-//!   PCM to make room, moving at most
+//!   samples the per-page read/write counters kept in each frame's record
+//!   (`hemu_numa::NumaMemory::page_heat`), promotes write-hot PCM pages to
+//!   DRAM and demotes cold DRAM pages to PCM to make room, moving at most
 //!   [`OsPagingConfig::migration_budget`] pages per epoch.
 //!
 //! Moves go through [`hemu_machine::Machine::migrate_frame`], which

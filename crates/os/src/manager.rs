@@ -183,22 +183,22 @@ impl OsPageManager {
         Ok(())
     }
 
-    /// Deterministic candidate selection from the heat tracker: write-hot
+    /// Deterministic candidate selection from the page heat: write-hot
     /// PCM frames (hottest first) and cold DRAM frames (coldest first),
     /// ties broken by ascending frame number.
     fn sample(&self, machine: &Machine) -> (Vec<PageNum>, Vec<PageNum>) {
-        let Some(heat) = machine.page_heat() else {
+        let mem = machine.memory();
+        let Some(heat) = mem.page_heat() else {
             return (Vec::new(), Vec::new());
         };
-        let mem = machine.memory();
         let mut hot = Vec::new();
         let mut cold = Vec::new();
-        for (frame, h) in heat.iter() {
+        for (frame, h) in heat {
             match mem.socket_of_frame(frame) {
                 SocketId::PCM if h.epoch_writes >= self.cfg.hot_write_threshold => {
-                    hot.push((frame, *h));
+                    hot.push((frame, h));
                 }
-                SocketId::DRAM if h.epoch_writes == 0 => cold.push((frame, *h)),
+                SocketId::DRAM if h.epoch_writes == 0 => cold.push((frame, h)),
                 _ => {}
             }
         }
@@ -280,7 +280,7 @@ mod tests {
         os.poll(&mut m).unwrap();
         assert_eq!(os.stats().epochs, 0);
         assert!(
-            m.page_heat().is_none(),
+            m.memory().page_heat().is_none(),
             "no sampling cost without migration"
         );
     }

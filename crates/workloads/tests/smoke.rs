@@ -93,9 +93,9 @@ fn os_placement_overrides_the_heap_socket() {
     let pcm = machine.memory().counters(SocketId::PCM).write_lines();
     assert!(dram > 0, "workload traffic must reach the DRAM controller");
     assert_eq!(pcm, 0, "first-touch DRAM placement left nothing on PCM");
-    let heat = machine.page_heat().expect("heat tracking enabled");
+    let mut heat = machine.memory().page_heat().expect("heat tracking enabled");
     assert!(
-        heat.iter().any(|(_, h)| h.writes > 0),
+        heat.any(|(_, h)| h.writes > 0),
         "per-page counters must see the workload's writes"
     );
 }

@@ -20,9 +20,9 @@ cargo clippy --offline --lib \
   -p hemu-core -p hemu-bench \
   -- -D clippy::unwrap_used
 
-echo "== clippy: no unwrap() or expect() in the heap, the machine, the caches, obs or the OS =="
+echo "== clippy: no unwrap() or expect() in the heap, the machine, the caches, numa, types, fault, obs or the OS =="
 cargo clippy --offline --lib -p hemu-heap -p hemu-cache -p hemu-machine \
-  -p hemu-obs -p hemu-os \
+  -p hemu-numa -p hemu-types -p hemu-fault -p hemu-obs -p hemu-os \
   -- -D clippy::unwrap_used -D clippy::expect_used
 
 echo "== fault smoke: sweep survives transient faults (expect exit 0) =="
@@ -46,6 +46,23 @@ echo "== OS-paging smoke: GC-vs-OS sweep runs the hot/cold migrator (expect exit
 ./target/release/repro os --scale quick --os-policy hot-cold --json-out "$smoke_dir/os"
 grep -q '"collector":"OS-hot-cold"' "$smoke_dir/os/runs.json"
 grep -q '"os_paging":{"policy":"OS-hot-cold"' "$smoke_dir/os/runs.json"
+
+echo "== OS-paging + endurance smoke: hot/cold migration over wearing PCM (jobs 1 and 2) =="
+# Wear-out remaps and OS migrations both move pages through
+# NumaMemory::copy_page; the sweep must be --jobs-invariant and the
+# hot/cold run must actually retire pages.
+for jobs in 1 2; do
+  ./target/release/repro os --scale quick --os-policy hot-cold --endurance budget=4 \
+    --jobs "$jobs" --json-out "$smoke_dir/os-endurance-j$jobs"
+done
+diff -r "$smoke_dir/os-endurance-j1" "$smoke_dir/os-endurance-j2"
+python3 - "$smoke_dir/os-endurance-j1/runs.json" <<'PY'
+import json, sys
+runs = json.load(open(sys.argv[1]))
+hot_cold = [r["report"] for r in runs if r["report"]["collector"] == "OS-hot-cold"]
+assert hot_cold and any(r["endurance"]["retired_pages"] > 0 for r in hot_cold), \
+    "no OS-hot-cold run retired a page"
+PY
 
 echo "== profiler smoke: --profile emits a valid Perfetto timeline + wear heatmap =="
 ./target/release/repro os --scale quick --os-policy hot-cold --profile \
