@@ -249,7 +249,7 @@ impl ObjectInfo {
 /// and `data_bytes` of scalar payload, rounded up to word alignment.
 pub fn object_size(ref_count: usize, data_bytes: usize) -> u32 {
     let raw = HEADER_SIZE as usize + ref_count * WORD + data_bytes;
-    ((raw + WORD - 1) / WORD * WORD) as u32
+    (raw.div_ceil(WORD) * WORD) as u32
 }
 
 /// An empty reference field in the arena. A raw id of all ones would need

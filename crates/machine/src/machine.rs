@@ -15,10 +15,8 @@ use hemu_types::{
 /// per this many lines, so tracing stays cheap on the access fast path.
 const QPI_TRACE_BATCH: u64 = 1024;
 
-/// Slots in the machine-level translation mini-TLB (direct-mapped,
-/// keyed by process and virtual page). Covers 16 MiB of working set per
-/// way-less set; misses fall through to the page table.
-const TLB_SLOTS: usize = 4096;
+/// Cache lines per page: the traffic of one page copy.
+const LINES_PER_PAGE: u64 = (PAGE_SIZE / CACHE_LINE) as u64;
 
 /// Index of a hardware context (logical core) on the local socket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -67,55 +65,6 @@ impl WriteProvenance {
     #[inline]
     fn record(&mut self, socket: SocketId, tag: u8) {
         self.record_n(socket, tag, 1);
-    }
-}
-
-/// Machine-level translation mini-TLB: direct-mapped (proc, vpage) → first
-/// physical line of the frame, probed in front of the page-table walk on
-/// every access.
-#[derive(Debug)]
-struct MiniTlb {
-    keys: Vec<u64>,
-    frames: Vec<u64>,
-}
-
-impl MiniTlb {
-    fn new() -> Self {
-        MiniTlb {
-            keys: vec![0; TLB_SLOTS],
-            frames: vec![0; TLB_SLOTS],
-        }
-    }
-
-    /// The first physical line of the frame backing virtual address `v`
-    /// of process `proc`, walking (and demand-faulting) `space` on a miss.
-    #[inline]
-    fn frame_line0(
-        &mut self,
-        proc: usize,
-        v: u64,
-        space: &mut AddressSpace,
-        mem: &mut NumaMemory,
-    ) -> Result<u64> {
-        debug_assert!(proc < 0xffff, "proc index exceeds the mini-TLB key");
-        let vpage = v / PAGE_SIZE as u64;
-        let slot = (vpage as usize ^ (proc << 4)) & (TLB_SLOTS - 1);
-        let key = (vpage << 16) | (proc as u64 + 1);
-        if self.keys[slot] == key {
-            return Ok(self.frames[slot]);
-        }
-        let f0 = space.frame_of(Addr::new(v), mem)?.phys_base().line().raw();
-        self.keys[slot] = key;
-        self.frames[slot] = f0;
-        Ok(f0)
-    }
-
-    /// Invalidates every slot. Called whenever an existing mapping can
-    /// change — unmap, OS page migration, wear remapping — all rare; the
-    /// page table stays the source of truth and the next access per page
-    /// re-fills its slot.
-    fn flush(&mut self) {
-        self.keys.iter_mut().for_each(|k| *k = 0);
     }
 }
 
@@ -173,7 +122,6 @@ pub struct Machine {
     /// Per-cause / per-space write attribution, present only while
     /// profiling ([`Machine::enable_profiling`]).
     prov: Option<WriteProvenance>,
-    tlb: MiniTlb,
 }
 
 impl Machine {
@@ -195,7 +143,6 @@ impl Machine {
             wb_scratch: Vec::with_capacity(4),
             write_tag: WriteTag::OTHER.raw(),
             prov: None,
-            tlb: MiniTlb::new(),
             profile,
         }
     }
@@ -308,7 +255,6 @@ impl Machine {
     /// Returns an error if a mapped frame violates physical-memory
     /// invariants.
     pub fn unmap(&mut self, proc: ProcId, start: Addr, len: ByteSize) -> Result<()> {
-        self.tlb.flush();
         let Machine { spaces, mem, .. } = self;
         spaces[proc.0].unmap(start, len, mem)
     }
@@ -387,7 +333,6 @@ impl Machine {
             wb_scratch,
             write_tag,
             prov,
-            tlb,
             ..
         } = self;
         let space = &mut spaces[proc.0];
@@ -403,12 +348,11 @@ impl Machine {
 
         let mut v = first;
         while v <= last {
-            // One page walk covers every line up to the page end; the
-            // mini-TLB short-circuits the walk for recently used pages.
+            // One translation covers every line up to the page end.
             let page_end = (v / PAGE + 1) * PAGE;
             let chunk_last = last.min(page_end - LINE);
-            let frame_line0 = tlb.frame_line0(proc.0, v, space, mem)?;
-            let chunk_line0 = frame_line0 + (v % PAGE) / LINE;
+            let frame = space.frame_of(Addr::new(v), mem)?;
+            let chunk_line0 = frame.phys_base().line().raw() + (v % PAGE) / LINE;
             let nlines = (chunk_last - v) / LINE + 1;
             stats.line_accesses += nlines;
 
@@ -467,16 +411,13 @@ impl Machine {
         Ok(())
     }
 
-    /// Drains the retirement queue: every worn-out frame gets a healthy
-    /// replacement on the same socket, page tables are rewritten so the
-    /// application keeps its virtual addresses, and the page copy shows up
-    /// as controller traffic (a DMA-like read of the dead frame plus a
-    /// write of the replacement, bypassing the cache hierarchy).
+    /// Drains the retirement queue: every worn-out frame's page moves to a
+    /// healthy replacement on the same socket ([`Machine::move_page`]), so
+    /// the application keeps its virtual addresses.
     ///
     /// `ctx`, when given, is the context whose access triggered the
     /// retirement; it stalls for the copy.
     fn process_retirements(&mut self, ctx: Option<CtxId>) -> Result<()> {
-        let lines_per_page = (PAGE_SIZE / CACHE_LINE) as u64;
         // Migration writes wear the replacement frame too; budgets are
         // clamped >= 2, so a single copy pass cannot re-retire it, but the
         // queue is drained in a loop for robustness.
@@ -487,51 +428,63 @@ impl Machine {
             }
             for old in pending {
                 let socket = self.mem.socket_of_frame(old);
-                // Recovery must not be re-faulted by the injector.
-                let new = match self.mem.allocate_frame_uninjected(socket) {
-                    Ok(f) => f,
-                    Err(_) => {
+                match self.move_page(old, socket, WriteCause::WearRemap) {
+                    Ok(Some(_)) => self.pages_remapped += 1,
+                    // The dead frame was free or already unmapped.
+                    Ok(None) => continue,
+                    Err(HemuError::OutOfPhysicalMemory { .. }) => {
                         return Err(HemuError::WornOut {
                             socket,
                             retired_pages: self.mem.retired_pages(socket),
                         });
                     }
-                };
-                let mut remapped = 0;
-                for space in &mut self.spaces {
-                    remapped += space.remap_frame(old, new);
-                }
-                if remapped == 0 {
-                    // The dead frame was free or already unmapped: nothing
-                    // to migrate, return the unused replacement.
-                    self.mem.free_frame(new)?;
-                    continue;
-                }
-                self.tlb.flush();
-                self.pages_remapped += remapped;
-                self.mem.copy_page(old, new);
-                if let Some(pc) = &mut self.prov {
-                    let tag = WriteTag::new(WriteCause::WearRemap, SpaceTag::Other).raw();
-                    pc.record_n(socket, tag, lines_per_page);
+                    Err(e) => return Err(e),
                 }
                 if let Some(ctx) = ctx {
                     // The faulting context stalls for a read+write pass
                     // over the page, at fill latency per line.
-                    let copy = self.profile.latency.local_fill.raw() * 2 * lines_per_page;
+                    let copy = self.profile.latency.local_fill.raw() * 2 * LINES_PER_PAGE;
                     self.clocks[ctx.0].advance(Cycles::new(copy));
                 }
             }
         }
     }
 
+    /// Moves the page in frame `old` to a fresh frame on socket `to`,
+    /// allocated past the fault injector: every address space's mapping is
+    /// rewritten and [`NumaMemory::copy_page`] charges the copy, attributed
+    /// to `cause`. `old` is left to the caller. Returns `Ok(None)`, with the
+    /// replacement freed again, when no process maps `old`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HemuError::OutOfPhysicalMemory`] when `to` has no free
+    /// frame, and propagates internal invariant violations.
+    fn move_page(
+        &mut self,
+        old: PageNum,
+        to: SocketId,
+        cause: WriteCause,
+    ) -> Result<Option<PageNum>> {
+        let new = self.mem.allocate_frame_uninjected(to)?;
+        if !self.spaces.iter_mut().any(|s| s.remap_frame(old, new) > 0) {
+            self.mem.free_frame(new)?;
+            return Ok(None);
+        }
+        self.mem.copy_page(old, new);
+        if let Some(pc) = &mut self.prov {
+            let tag = WriteTag::new(cause, SpaceTag::Other).raw();
+            pc.record_n(to, tag, LINES_PER_PAGE);
+        }
+        Ok(Some(new))
+    }
+
     /// Migrates the physical page in frame `old` to a fresh frame on
-    /// socket `to`, the primitive under OS hot/cold page migration: a
-    /// replacement frame is allocated on the target socket, every address
-    /// space's mapping of `old` is rewritten, the page copy is charged as
-    /// DMA-like controller traffic by [`NumaMemory::copy_page`] (a read of
-    /// the old frame, a write of the new — wearing PCM when `to` is the PCM
-    /// socket, and moving the page's owner and heat), a
-    /// [`TraceEvent::PageMigrated`] is emitted, and the old frame is freed.
+    /// socket `to`, the primitive under OS hot/cold page migration: the
+    /// page moves through `Machine::move_page` (a read of the old frame,
+    /// a write of the new — wearing PCM when `to` is the PCM socket, and
+    /// moving the page's owner and heat), a [`TraceEvent::PageMigrated`]
+    /// is emitted, and the old frame is freed.
     ///
     /// Returns `Ok(None)` without side effects when the frame already
     /// lives on `to` or is not mapped by any process, and `Ok(Some(new))`
@@ -547,25 +500,9 @@ impl Machine {
         if from == to {
             return Ok(None);
         }
-        // Migration is an OS background operation; it must not be failed
-        // by the experiment's fault injector, so allocate uninjected.
-        let new = self.mem.allocate_frame_uninjected(to)?;
-        let mut remapped = 0;
-        for space in &mut self.spaces {
-            remapped += space.remap_frame(old, new);
-        }
-        if remapped == 0 {
-            // Nothing maps the frame (it was freed since sampling saw it);
-            // return the unused replacement and report "not migrated".
-            self.mem.free_frame(new)?;
+        let Some(new) = self.move_page(old, to, WriteCause::OsMigration)? else {
             return Ok(None);
-        }
-        self.tlb.flush();
-        self.mem.copy_page(old, new);
-        if let Some(pc) = &mut self.prov {
-            let tag = WriteTag::new(WriteCause::OsMigration, SpaceTag::Other).raw();
-            pc.record_n(to, tag, (PAGE_SIZE / CACHE_LINE) as u64);
-        }
+        };
         self.tracer.record(
             self.elapsed(),
             TraceEvent::PageMigrated {
@@ -1132,10 +1069,9 @@ mod tests {
         assert_eq!(m.socket_writes(SocketId::PCM).bytes(), writes[1] * line);
     }
 
-    /// Page migration invalidates the mini-TLB, so later accesses observe
-    /// the new frame.
+    /// The access right after a page migration observes the new frame.
     #[test]
-    fn migration_flushes_the_mini_tlb() {
+    fn migration_is_visible_to_the_next_access() {
         let mut m = machine();
         let p = m.add_process(SocketId::PCM);
         m.access(CtxId(0), p, MemoryAccess::write(Addr::new(0x7000), 64))
@@ -1152,6 +1088,26 @@ mod tests {
         m.access(CtxId(0), p, MemoryAccess::read(Addr::new(0x7040), 64))
             .unwrap();
         assert_eq!(m.stats().local_fills, before + 1);
+    }
+
+    /// The access right after an unmap faults the page in again.
+    #[test]
+    fn unmap_is_visible_to_the_next_access() {
+        let mut m = machine();
+        let p = m.add_process(SocketId::DRAM);
+        m.access(CtxId(0), p, MemoryAccess::write(Addr::new(0x7000), 64))
+            .unwrap();
+        let faults = m.address_space(p).fault_count();
+        m.unmap(p, Addr::new(0x7000), ByteSize::from_kib(4))
+            .unwrap();
+        assert!(m
+            .address_space(p)
+            .translate_existing(Addr::new(0x7000))
+            .is_none());
+        m.access(CtxId(0), p, MemoryAccess::read(Addr::new(0x7040), 64))
+            .unwrap();
+        assert_eq!(m.address_space(p).fault_count(), faults + 1);
+        assert_eq!(m.address_space(p).mapped_pages(), 1);
     }
 
     /// Tenancy at machine level: two tenant processes write PCM-bound

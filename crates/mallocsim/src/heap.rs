@@ -156,7 +156,16 @@ impl NativeHeap {
     /// exhausted.
     pub fn alloc(&mut self, machine: &mut Machine, size: u32) -> Result<NativeObject> {
         let total = size + MALLOC_HEADER;
-        let (addr, block) = if total >= LARGE_REQUEST {
+        // Every request below `LARGE_REQUEST` fits the largest size class.
+        let small = class_for(total).filter(|_| total < LARGE_REQUEST);
+        let (addr, block) = if let Some(class) = small {
+            if let Some(a) = self.bins[class].pop() {
+                (a, SIZE_CLASSES[class])
+            } else {
+                let a = self.bump(SIZE_CLASSES[class] as u64, 16)?;
+                (a, SIZE_CLASSES[class])
+            }
+        } else {
             let pages = ByteSize::new(total as u64).pages();
             let found = self
                 .large_free
@@ -177,14 +186,6 @@ impl NativeHeap {
                 self.bump(pages * PAGE_SIZE as u64, PAGE_SIZE as u64)?
             };
             (base, (pages * PAGE_SIZE as u64) as u32)
-        } else {
-            let class = class_for(total).expect("small request must fit a size class");
-            if let Some(a) = self.bins[class].pop() {
-                (a, SIZE_CLASSES[class])
-            } else {
-                let a = self.bump(SIZE_CLASSES[class] as u64, 16)?;
-                (a, SIZE_CLASSES[class])
-            }
         };
 
         // malloc writes its boundary tag; the payload stays untouched.
@@ -227,12 +228,12 @@ impl NativeHeap {
         self.stats.freed_bytes += slot.size as u64;
         self.stats.in_use -= slot.size as u64;
         let (addr, block) = (slot.addr, slot.block);
-        if block as u64 % PAGE_SIZE as u64 == 0 && block >= LARGE_REQUEST {
-            self.large_free
-                .push((addr, block as u64 / PAGE_SIZE as u64));
-        } else {
-            let class = class_for(block).expect("block came from a size class");
-            self.bins[class].push(addr);
+        let large = block >= LARGE_REQUEST && (block as u64).is_multiple_of(PAGE_SIZE as u64);
+        match class_for(block) {
+            Some(class) if !large => self.bins[class].push(addr),
+            _ => self
+                .large_free
+                .push((addr, block as u64 / PAGE_SIZE as u64)),
         }
         self.free_ids.push(obj.0);
     }

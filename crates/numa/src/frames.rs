@@ -1,5 +1,5 @@
-//! One record per physical frame: page heat, owning tenant, retirement
-//! and line wear.
+//! One record per physical frame: page heat, owning tenant, retirement,
+//! free-list membership and line wear.
 //!
 //! Every per-frame observer of the controller accounting point
 //! (`NumaMemory::record_line_access`) keeps its state in one `FrameTable`
@@ -54,6 +54,8 @@ pub(crate) struct Frame {
     /// The owning tenant's id plus one; 0 when no tenant owns the frame.
     owner: u16,
     pub(crate) retired: bool,
+    /// On the socket's free list.
+    pub(crate) free: bool,
     /// One plus the index of the frame's block in `FrameTable::wear`; 0
     /// before the frame's first PCM write.
     wear: u32,

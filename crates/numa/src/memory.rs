@@ -93,7 +93,9 @@ impl SocketMemory {
         // Retired frames can reach the free list (e.g. a page is unmapped
         // after its frame wore out); they must never be handed out again.
         while let Some(f) = self.free.pop() {
-            if !self.frames.is_retired(f) {
+            let record = self.frames.get_mut(f);
+            record.free = false;
+            if !record.retired {
                 return Ok(f);
             }
         }
@@ -116,18 +118,26 @@ impl SocketMemory {
     /// # Errors
     ///
     /// Returns [`HemuError::InvalidConfig`] if the frame does not belong to
-    /// this socket.
+    /// this socket, was never handed out, or is already free.
     pub fn free_frame(&mut self, frame: PageNum) -> Result<()> {
-        if !self.owns_frame(frame) {
-            return Err(HemuError::InvalidConfig(format!(
-                "frame {frame} does not belong to socket {}",
-                self.id
-            )));
-        }
-        if !self.frames.is_retired(frame) {
-            self.free.push(frame);
-        }
-        Ok(())
+        let why = if !self.owns_frame(frame) {
+            "does not belong to"
+        } else if frame.raw() >= self.next_fresh {
+            "was never allocated on"
+        } else if self.frames.get(frame).is_some_and(|f| f.free) {
+            "is already free on"
+        } else {
+            let record = self.frames.get_mut(frame);
+            if !record.retired {
+                record.free = true;
+                self.free.push(frame);
+            }
+            return Ok(());
+        };
+        let socket = self.id;
+        Err(HemuError::InvalidConfig(format!(
+            "frame {frame} {why} socket {socket}"
+        )))
     }
 
     /// Returns `true` if `frame` lies in this socket's physical range.
@@ -480,7 +490,7 @@ impl NumaMemory {
     /// # Errors
     ///
     /// Returns [`HemuError::InvalidConfig`] if the frame lies outside every
-    /// socket's range.
+    /// socket's range, was never handed out, or is already free.
     pub fn free_frame(&mut self, frame: PageNum) -> Result<()> {
         let s = self.socket_of_frame(frame);
         if s.index() >= self.sockets.len() {
@@ -488,11 +498,12 @@ impl NumaMemory {
                 "frame {frame} lies outside physical memory"
             )));
         }
+        self.sockets[s.index()].free_frame(frame)?;
         // Heat survives the free: a reallocated frame inherits it.
         if self.frame(frame).and_then(Frame::owner).is_some() {
             self.frame_mut(frame).set_owner(None);
         }
-        self.sockets[s.index()].free_frame(frame)
+        Ok(())
     }
 
     /// Records one cache-line transfer arriving at the memory controller
@@ -614,6 +625,26 @@ mod tests {
         let f = m.allocate_frame(SocketId::PCM).unwrap();
         let err = m.socket_mut(SocketId::DRAM).free_frame(f).unwrap_err();
         assert!(format!("{err}").contains("does not belong"));
+    }
+
+    /// A frame freed twice, or never handed out, is rejected; one frame
+    /// can therefore never back two pages.
+    #[test]
+    fn double_free_and_unallocated_free_are_errors() {
+        let mut m = small();
+        let f = m.allocate_frame(SocketId::DRAM).unwrap();
+        m.free_frame(f).unwrap();
+        let err = m.free_frame(f).unwrap_err();
+        assert!(matches!(err, HemuError::InvalidConfig(_)), "{err}");
+        assert_eq!(m.socket(SocketId::DRAM).frames_in_use(), 0);
+        let err = m.free_frame(PageNum::new(f.raw() + 1)).unwrap_err();
+        assert!(format!("{err}").contains("never allocated"), "{err}");
+        // The free list keeps its LIFO order and hands `f` out once.
+        let g = m.allocate_frame(SocketId::DRAM).unwrap();
+        let h = m.allocate_frame(SocketId::DRAM).unwrap();
+        assert_eq!(g, f);
+        assert_ne!(h, f);
+        m.free_frame(g).unwrap();
     }
 
     #[test]
@@ -809,7 +840,11 @@ mod tests {
     fn copy_page_moves_ownership_and_free_drops_it() {
         let mut m = small();
         m.enable_tenancy(1);
-        let (old, new) = (PageNum::new(5), PageNum::new(6));
+        let frames: Vec<_> = (0..3)
+            .map(|_| m.allocate_frame(SocketId::PCM).unwrap())
+            .collect();
+        let (old, new) = (frames[1], frames[2]);
+        assert_eq!((old, new), (PageNum::new(5), PageNum::new(6)));
         m.tenancy_assign(old, 0);
         m.copy_page(old, new);
         let t = m.tenancy().unwrap();

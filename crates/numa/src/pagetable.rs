@@ -2,7 +2,14 @@
 
 use crate::memory::NumaMemory;
 use hemu_types::{Addr, ByteSize, HemuError, PageNum, PhysAddr, Result, SocketId, PAGE_SIZE};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+
+/// Virtual pages per page-table leaf: one leaf maps 2 MiB.
+const LEAF_PAGES: u64 = 512;
+
+/// Faults at or past this virtual address are rejected. Every layout lies
+/// below 4 GiB; the bound keeps the leaf directory under 2^19 slots.
+const VA_LIMIT: u64 = 1 << 40;
 
 /// A binding-policy range: pages `[start, end)` must be faulted in on
 /// `socket`.
@@ -20,6 +27,11 @@ struct PolicyRange {
 /// paper's runtime calls `mbind()` after each `mmap()` and lets first touch
 /// allocate physical memory on the bound socket.
 ///
+/// The page table has two levels: a directory of leaves, each mapping
+/// 512 consecutive virtual pages (2 MiB) and allocated on the first
+/// fault inside it. A translation is two indexed loads, and there is no
+/// translation cache to keep coherent when a mapping changes.
+///
 /// # Examples
 ///
 /// ```
@@ -33,9 +45,11 @@ struct PolicyRange {
 /// assert_eq!(mem.socket_of_frame(pa.frame()), SocketId::PCM);
 /// # Ok::<(), hemu_types::HemuError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AddressSpace {
-    table: HashMap<u64, PageNum>,
+    /// Leaf `vpage / LEAF_PAGES` holds, at `vpage % LEAF_PAGES`, the
+    /// page's frame plus one; 0 means unmapped.
+    leaves: Vec<Option<Box<[u64; LEAF_PAGES as usize]>>>,
     policy: BTreeMap<u64, PolicyRange>,
     default_socket: SocketId,
     /// When set, the OS owns placement: faults allocate on the primary
@@ -43,12 +57,6 @@ pub struct AddressSpace {
     /// the `mbind` policy map entirely (the runtime's hints are advisory
     /// under an OS-managed memory configuration).
     os_placement: Option<(SocketId, Option<SocketId>)>,
-    /// Direct-mapped translation cache in front of `table`: slot
-    /// `vpage % TLB_SLOTS` holds `(vpage + 1, frame)`, with key 0 meaning
-    /// empty. A hit can only exist for a mapped page, so it never changes
-    /// fault behavior; the whole array is dropped whenever a mapping is
-    /// rewritten or removed (`remap_frame` / `unmap`).
-    tlb: Vec<(u64, PageNum)>,
     faults: u64,
     unmapped_pages: u64,
     remapped_pages: u64,
@@ -56,27 +64,6 @@ pub struct AddressSpace {
     /// demand-faulted by this space are recorded as owned by that tenant
     /// (when the memory system has tenancy tracking enabled).
     tenant: Option<u16>,
-}
-
-/// Slots in the per-space translation cache. 8192 spans 32 MiB of virtual
-/// address space when densely used — larger than any single space's hot
-/// region in the sweeps — and costs 128 KiB per process.
-const TLB_SLOTS: usize = 8192;
-
-impl Default for AddressSpace {
-    fn default() -> Self {
-        AddressSpace {
-            table: HashMap::new(),
-            policy: BTreeMap::new(),
-            default_socket: SocketId::default(),
-            os_placement: None,
-            tlb: vec![(0, PageNum::new(0)); TLB_SLOTS],
-            faults: 0,
-            unmapped_pages: 0,
-            remapped_pages: 0,
-            tenant: None,
-        }
-    }
 }
 
 impl AddressSpace {
@@ -181,8 +168,7 @@ impl AddressSpace {
     ///
     /// # Errors
     ///
-    /// Returns [`HemuError::OutOfPhysicalMemory`] if the policy socket has
-    /// no free frames.
+    /// As [`AddressSpace::frame_of`].
     pub fn translate(&mut self, addr: Addr, mem: &mut NumaMemory) -> Result<PhysAddr> {
         let frame = self.frame_of(addr, mem)?;
         Ok(frame.phys_base().offset(addr.raw() % PAGE_SIZE as u64))
@@ -198,49 +184,60 @@ impl AddressSpace {
     /// # Errors
     ///
     /// Returns [`HemuError::OutOfPhysicalMemory`] if the policy socket has
-    /// no free frames.
+    /// no free frames, and [`HemuError::InvalidConfig`] for a fault at or
+    /// past the 1 TiB virtual-address bound.
     #[inline]
     pub fn frame_of(&mut self, addr: Addr, mem: &mut NumaMemory) -> Result<PageNum> {
-        let vpage = addr.page().raw();
-        let slot = vpage as usize & (TLB_SLOTS - 1);
-        // Keys are stored as `vpage + 1`, so the zeroed array never hits.
-        if self.tlb[slot].0 == vpage + 1 {
-            return Ok(self.tlb[slot].1);
+        let mapped = self.lookup(addr.page().raw());
+        mapped.map_or_else(|| self.fault(addr, mem), Ok)
+    }
+
+    /// The frame `vpage` is mapped to, if any.
+    #[inline]
+    fn lookup(&self, vpage: u64) -> Option<PageNum> {
+        let leaf = self.leaves.get((vpage / LEAF_PAGES) as usize)?.as_deref()?;
+        let entry = leaf[(vpage % LEAF_PAGES) as usize];
+        entry.checked_sub(1).map(PageNum::new)
+    }
+
+    /// Maps `addr`'s unmapped page to a frame on the socket placement
+    /// names, allocating its leaf on the first fault inside it.
+    fn fault(&mut self, addr: Addr, mem: &mut NumaMemory) -> Result<PageNum> {
+        if addr.raw() >= VA_LIMIT {
+            let bound = format!("virtual address {addr} lies past the {VA_LIMIT:#x} bound");
+            return Err(HemuError::InvalidConfig(bound));
         }
-        let f = match self.table.get(&vpage) {
-            Some(f) => *f,
-            None => {
-                let f = match self.os_placement {
-                    // OS-managed: first touch on the primary socket, spill
-                    // only on genuine exhaustion (injected transient faults
-                    // must propagate, not silently change placement).
-                    Some((primary, spill)) => match (mem.allocate_frame(primary), spill) {
-                        (Ok(f), _) => f,
-                        (Err(HemuError::OutOfPhysicalMemory { .. }), Some(spill)) => {
-                            mem.allocate_frame(spill)?
-                        }
-                        (Err(e), _) => return Err(e),
-                    },
-                    None => mem.allocate_frame(self.socket_of(addr))?,
-                };
-                if let Some(t) = self.tenant {
-                    mem.tenancy_assign(f, t);
+        let f = match self.os_placement {
+            // OS-managed: first touch on the primary socket, spill only on
+            // genuine exhaustion (injected transient faults must
+            // propagate, not silently change placement).
+            Some((primary, spill)) => match (mem.allocate_frame(primary), spill) {
+                (Ok(f), _) => f,
+                (Err(HemuError::OutOfPhysicalMemory { .. }), Some(spill)) => {
+                    mem.allocate_frame(spill)?
                 }
-                self.table.insert(vpage, f);
-                self.faults += 1;
-                f
-            }
+                (Err(e), _) => return Err(e),
+            },
+            None => mem.allocate_frame(self.socket_of(addr))?,
         };
-        self.tlb[slot] = (vpage + 1, f);
+        if let Some(t) = self.tenant {
+            mem.tenancy_assign(f, t);
+        }
+        let vpage = addr.page().raw();
+        let dir = (vpage / LEAF_PAGES) as usize;
+        if dir >= self.leaves.len() {
+            self.leaves.resize_with(dir + 1, || None);
+        }
+        let leaf = self.leaves[dir].get_or_insert_with(|| Box::new([0; LEAF_PAGES as usize]));
+        leaf[(vpage % LEAF_PAGES) as usize] = f.raw() + 1;
+        self.faults += 1;
         Ok(f)
     }
 
     /// Translates without faulting; `None` if the page is not mapped.
     pub fn translate_existing(&self, addr: Addr) -> Option<PhysAddr> {
-        let vpage = addr.page().raw();
-        self.table
-            .get(&vpage)
-            .map(|f| f.phys_base().offset(addr.raw() % PAGE_SIZE as u64))
+        let frame = self.lookup(addr.page().raw())?;
+        Some(frame.phys_base().offset(addr.raw() % PAGE_SIZE as u64))
     }
 
     /// Unmaps the virtual range, returning its frames to their sockets.
@@ -251,59 +248,48 @@ impl AddressSpace {
     /// # Errors
     ///
     /// Returns [`HemuError::InvalidConfig`](hemu_types::HemuError) if a
-    /// mapped frame lies outside physical memory (an internal invariant
-    /// violation).
+    /// mapped frame lies outside physical memory or is already free (an
+    /// internal invariant violation).
     pub fn unmap(&mut self, start: Addr, len: ByteSize, mem: &mut NumaMemory) -> Result<()> {
         if len.bytes() == 0 {
             return Ok(());
         }
         let p0 = start.page().raw();
         let p1 = start.offset(len.bytes() - 1).page().raw() + 1;
-        let mut removed = false;
-        for vpage in p0..p1 {
-            if let Some(frame) = self.table.remove(&vpage) {
-                mem.free_frame(frame)?;
+        for vpage in p0..p1.min(self.leaves.len() as u64 * LEAF_PAGES) {
+            let Some(leaf) = self.leaves[(vpage / LEAF_PAGES) as usize].as_deref_mut() else {
+                continue;
+            };
+            let entry = std::mem::take(&mut leaf[(vpage % LEAF_PAGES) as usize]);
+            if entry != 0 {
                 self.unmapped_pages += 1;
-                removed = true;
+                mem.free_frame(PageNum::new(entry - 1))?;
             }
-        }
-        if removed {
-            self.flush_tlb();
         }
         Ok(())
     }
 
-    /// Rewrites every mapping of physical frame `old` to point at `new`,
-    /// returning how many page-table entries changed (0 or 1 in practice:
-    /// frames are never shared between virtual pages of one space).
+    /// Rewrites the mapping of physical frame `old` to point at `new`,
+    /// returning how many page-table entries changed: 0 or 1, since frames
+    /// are never shared between virtual pages.
     ///
-    /// This is the page-retirement primitive: after a frame wears out, the
-    /// machine copies its content to a healthy frame and calls this so the
-    /// application keeps its virtual addresses — the failure is transparent.
+    /// This is the page-move primitive: after a frame wears out or the OS
+    /// migrates its page, the machine copies the content to another frame
+    /// and calls this so the application keeps its virtual addresses — the
+    /// move is transparent.
     pub fn remap_frame(&mut self, old: PageNum, new: PageNum) -> u64 {
-        let mut changed = 0;
-        for frame in self.table.values_mut() {
-            if *frame == old {
-                *frame = new;
-                changed += 1;
-            }
-        }
-        if changed > 0 {
-            self.flush_tlb();
-        }
-        self.remapped_pages += changed;
-        changed
-    }
-
-    /// Drops every cached translation; the page table remains the source
-    /// of truth.
-    fn flush_tlb(&mut self) {
-        self.tlb.fill((0, PageNum::new(0)));
+        let mut entries = self.leaves.iter_mut().flatten().flat_map(|l| l.iter_mut());
+        let Some(e) = entries.find(|e| **e == old.raw() + 1) else {
+            return 0;
+        };
+        *e = new.raw() + 1;
+        self.remapped_pages += 1;
+        1
     }
 
     /// Number of pages currently mapped.
     pub fn mapped_pages(&self) -> usize {
-        self.table.len()
+        (self.faults - self.unmapped_pages) as usize
     }
 
     /// Number of page faults taken (pages lazily mapped) so far.
@@ -514,6 +500,44 @@ mod tests {
         m.reset_page_heat_epoch();
         let h = m.heat(new);
         assert_eq!((h.writes, h.epoch_writes), (7, 0));
+    }
+
+    #[test]
+    fn faults_past_the_address_bound_are_invalid_config() {
+        let mut m = mem();
+        let mut asp = AddressSpace::new();
+        let err = asp.translate(Addr::new(VA_LIMIT), &mut m).unwrap_err();
+        assert!(matches!(err, HemuError::InvalidConfig(_)), "{err}");
+        assert_eq!(
+            m.socket(SocketId::DRAM).frames_in_use(),
+            0,
+            "no frame taken"
+        );
+        assert_eq!((asp.fault_count(), asp.mapped_pages()), (0, 0));
+        assert!(asp.leaves.is_empty());
+        let below = asp.translate(Addr::new(VA_LIMIT - 1), &mut m).unwrap();
+        assert_eq!(asp.translate_existing(Addr::new(VA_LIMIT - 1)), Some(below));
+    }
+
+    #[test]
+    fn unmap_over_untouched_pages_allocates_no_leaf() {
+        let mut m = mem();
+        let mut asp = AddressSpace::new();
+        asp.translate(Addr::new(0x1000), &mut m).unwrap();
+        asp.unmap(Addr::new(4 << 20), ByteSize::from_gib(2), &mut m)
+            .unwrap();
+        asp.unmap(Addr::new(VA_LIMIT), ByteSize::from_mib(4), &mut m)
+            .unwrap();
+        assert_eq!(asp.leaves.len(), 1);
+        assert_eq!((asp.mapped_pages(), asp.unmap_count()), (1, 0));
+        // A range spanning a leaf boundary unmaps exactly its pages.
+        let edge = Addr::new(LEAF_PAGES * PAGE_SIZE as u64 - PAGE_SIZE as u64);
+        asp.translate(edge, &mut m).unwrap();
+        asp.translate(edge.offset(PAGE_SIZE as u64), &mut m)
+            .unwrap();
+        asp.unmap(edge, ByteSize::from_kib(8), &mut m).unwrap();
+        assert_eq!((asp.mapped_pages(), asp.unmap_count()), (1, 2));
+        assert!(asp.translate_existing(Addr::new(0x1000)).is_some());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use hemu_fault::{EnduranceConfig, EnduranceModel};
 use hemu_numa::{AddressSpace, NumaConfig, NumaMemory, PageHeat};
 use hemu_types::{
-    AccessKind, Addr, ByteSize, DeterministicRng, LineAddr, PageNum, SocketId, PAGE_SIZE,
+    AccessKind, Addr, ByteSize, DeterministicRng, HemuError, LineAddr, PageNum, SocketId, PAGE_SIZE,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -147,6 +147,8 @@ struct Model {
     /// PCM line → writes.
     wear: BTreeMap<u64, u64>,
     retired: BTreeSet<u64>,
+    /// Frames on a free list.
+    free: BTreeSet<u64>,
     pending: Vec<PageNum>,
     failed: u64,
     pcm: Vec<u64>,
@@ -185,6 +187,18 @@ impl Model {
                 }
             }
         }
+    }
+
+    /// A free frame cannot be freed again; a retired one is dropped.
+    fn free(&mut self, frame: PageNum) -> bool {
+        if self.free.contains(&frame.raw()) {
+            return false;
+        }
+        if !self.retired.contains(&frame.raw()) {
+            self.free.insert(frame.raw());
+        }
+        self.owner.remove(&frame.raw());
+        true
     }
 
     fn assign(&mut self, frame: PageNum, tenant: u16) {
@@ -267,7 +281,8 @@ impl Model {
 }
 
 /// The frame table against the plain-map model: a seeded stream of reads
-/// and writes on both sockets, tenant assignments, frees, page copies,
+/// and writes on both sockets, tenant assignments, frees (double frees
+/// must be rejected), page copies,
 /// epoch resets and counter resets, with page heat, tenancy, wear and
 /// endurance all on. Every observable of every observer must agree after
 /// every op.
@@ -297,12 +312,19 @@ fn frame_table_matches_the_plain_map_model() {
             owner: HashMap::new(),
             wear: BTreeMap::new(),
             retired: BTreeSet::new(),
+            free: BTreeSet::new(),
             pending: Vec::new(),
             failed: 0,
             pcm: vec![0; 3],
             dram: vec![0; 3],
             unattributed: [0; 2],
         };
+        // Hand out every frame the ops below can name.
+        for socket in [SocketId::DRAM, SocketId::PCM] {
+            for _ in 0..903 {
+                m.allocate_frame(socket).unwrap();
+            }
+        }
         // A few frames per chunk on both sockets, so ops collide.
         let frame = |rng: &mut DeterministicRng| {
             let socket = rng.below(2);
@@ -328,8 +350,8 @@ fn frame_table_matches_the_plain_map_model() {
                 }
                 80..=85 => {
                     let f = frame(&mut rng);
-                    m.free_frame(f).unwrap();
-                    model.owner.remove(&f.raw());
+                    let freed = m.free_frame(f).is_ok();
+                    assert_eq!(freed, model.free(f), "case {case} op {op}: free {f}");
                 }
                 86..=93 => {
                     let (old, new) = (frame(&mut rng), frame(&mut rng));
@@ -361,4 +383,175 @@ fn frame_table_matches_the_plain_map_model() {
         );
         assert!(!model.heat.is_empty() && !model.wear.is_empty());
     }
+}
+
+/// The page table as a plain map, plus the placement rules a fault follows.
+#[derive(Default)]
+struct TableModel {
+    table: HashMap<u64, PageNum>,
+    /// `mbind` ranges `[p0, p1)` in call order; the last covering one wins.
+    policy: Vec<(u64, u64, SocketId)>,
+    os_placement: Option<(SocketId, Option<SocketId>)>,
+    faults: u64,
+    unmaps: u64,
+    remaps: u64,
+}
+
+impl TableModel {
+    /// The socket a fault on `vpage` must allocate on, or `None` when
+    /// placement has no free frame to offer.
+    fn fault_socket(&self, vpage: u64, m: &NumaMemory) -> Option<SocketId> {
+        let has_room = |s: SocketId| m.socket(s).frames_in_use() < m.socket(s).frame_count();
+        match self.os_placement {
+            Some((primary, _)) if has_room(primary) => Some(primary),
+            Some((_, spill)) => spill.filter(|&s| has_room(s)),
+            None => {
+                let mut bound = self.policy.iter().rev();
+                let socket = bound
+                    .find(|&&(p0, p1, _)| (p0..p1).contains(&vpage))
+                    .map_or(SocketId::DRAM, |&(_, _, s)| s);
+                has_room(socket).then_some(socket)
+            }
+        }
+    }
+}
+
+/// The two-level page table against a plain-map model: a seeded stream of
+/// faults (some past the 1 TiB address bound), range unmaps, frame remaps,
+/// `mbind` calls and OS placement on 32-frame sockets, so faults spill and
+/// run out. After every op every touched page translates as the model
+/// says, and every counter and each socket's frames in use agree.
+#[test]
+fn page_table_matches_the_plain_map_model() {
+    const VA_LIMIT_PAGES: u64 = (1 << 40) / PAGE_SIZE as u64;
+    let mut rng = DeterministicRng::seeded(0x7261_6e64_0006);
+    let sockets = [SocketId::DRAM, SocketId::PCM];
+    // Faults past the bound, out of memory, and spilled.
+    let mut seen = [0u64; 3];
+    for case in 0..48 {
+        let mut m = NumaMemory::new(NumaConfig {
+            sockets: 2,
+            capacity_per_socket: ByteSize::from_kib(128),
+        });
+        let mut asp = AddressSpace::new();
+        let mut model = TableModel::default();
+        let mut touched = BTreeSet::new();
+        // Runs of pages across leaf boundaries, a far leaf, and a run that
+        // starts just below the address bound and crosses it.
+        let bases = [0, 500, 1020, 1 << 27, VA_LIMIT_PAGES - 8];
+        let page = |rng: &mut DeterministicRng| bases[rng.below(5) as usize] + rng.below(24);
+        for op in 0..400 {
+            match rng.below(100) {
+                0..=54 => {
+                    let vpage = page(&mut rng);
+                    let addr = Addr::new(vpage * PAGE_SIZE as u64 + rng.below(PAGE_SIZE as u64));
+                    let want = model.table.get(&vpage).copied();
+                    let socket = model.fault_socket(vpage, &m);
+                    let got = if rng.chance(0.5) {
+                        asp.frame_of(addr, &mut m)
+                    } else {
+                        asp.translate(addr, &mut m).map(|pa| pa.frame())
+                    };
+                    match (want, got) {
+                        (Some(want), got) => {
+                            assert_eq!(got.ok(), Some(want), "case {case} op {op}")
+                        }
+                        (None, Err(HemuError::InvalidConfig(_))) => {
+                            assert!(vpage >= VA_LIMIT_PAGES, "case {case} op {op}: {vpage}");
+                            seen[0] += 1;
+                        }
+                        (None, Err(HemuError::OutOfPhysicalMemory { .. })) => {
+                            assert_eq!(socket, None, "case {case} op {op}: room left");
+                            seen[1] += 1;
+                        }
+                        (None, Ok(f)) => {
+                            assert!(vpage < VA_LIMIT_PAGES, "case {case} op {op}: {vpage}");
+                            assert_eq!(Some(m.socket_of_frame(f)), socket, "case {case} op {op}");
+                            assert!(!model.table.values().any(|&g| g == f), "frame {f} shared");
+                            model.table.insert(vpage, f);
+                            model.faults += 1;
+                            let primary = model.os_placement.map(|(p, _)| p);
+                            seen[2] += u64::from(primary.is_some_and(|p| socket != Some(p)));
+                        }
+                        (None, Err(e)) => panic!("case {case} op {op}: {e}"),
+                    }
+                    touched.insert(vpage);
+                }
+                55..=69 => {
+                    let (p0, pages) = (page(&mut rng), rng.range(1, 40));
+                    let len = ByteSize::new(pages * PAGE_SIZE as u64);
+                    asp.unmap(Addr::new(p0 * PAGE_SIZE as u64), len, &mut m)
+                        .unwrap();
+                    let before = model.table.len();
+                    model.table.retain(|p, _| !(p0..p0 + pages).contains(p));
+                    model.unmaps += (before - model.table.len()) as u64;
+                }
+                70..=81 => {
+                    let mut mapped: Vec<PageNum> = model.table.values().copied().collect();
+                    mapped.sort();
+                    let old = if mapped.is_empty() || rng.chance(0.2) {
+                        PageNum::new(rng.below(128))
+                    } else {
+                        mapped[rng.below(mapped.len() as u64) as usize]
+                    };
+                    let Ok(new) = m.allocate_frame(sockets[rng.below(2) as usize]) else {
+                        continue;
+                    };
+                    let changed = asp.remap_frame(old, new);
+                    let entry = model.table.values_mut().find(|f| **f == old);
+                    assert_eq!(changed, u64::from(entry.is_some()), "case {case} op {op}");
+                    // The page moved off `old`; an unused replacement goes back.
+                    if let Some(f) = entry {
+                        *f = new;
+                        model.remaps += 1;
+                        m.free_frame(old).unwrap();
+                    } else {
+                        m.free_frame(new).unwrap();
+                    }
+                }
+                82..=93 => {
+                    let (p0, pages) = (page(&mut rng), rng.range(1, 40));
+                    let socket = sockets[rng.below(2) as usize];
+                    let len = ByteSize::new(pages * PAGE_SIZE as u64);
+                    asp.mbind(Addr::new(p0 * PAGE_SIZE as u64), len, socket);
+                    model.policy.push((p0, p0 + pages, socket));
+                }
+                _ => {
+                    let primary = sockets[rng.below(2) as usize];
+                    let spill = rng.chance(0.5).then_some(sockets[rng.below(2) as usize]);
+                    asp.set_os_placement(primary, spill);
+                    model.os_placement = Some((primary, spill));
+                }
+            }
+            for &vpage in &touched {
+                let addr = Addr::new(vpage * PAGE_SIZE as u64 + 8);
+                let want = model.table.get(&vpage).map(|f| f.phys_base().offset(8));
+                assert_eq!(
+                    asp.translate_existing(addr),
+                    want,
+                    "case {case} op {op}: page {vpage}"
+                );
+            }
+            assert_eq!(
+                (
+                    asp.fault_count(),
+                    asp.mapped_pages(),
+                    asp.unmap_count(),
+                    asp.remap_count()
+                ),
+                (model.faults, model.table.len(), model.unmaps, model.remaps),
+                "case {case} op {op}: counters"
+            );
+            for s in sockets {
+                let held = model.table.values().filter(|&&f| m.socket_of_frame(f) == s);
+                assert_eq!(
+                    m.socket(s).frames_in_use(),
+                    held.count() as u64,
+                    "case {case} op {op}"
+                );
+            }
+        }
+        assert!(model.unmaps > 0 && model.remaps > 0, "case {case}");
+    }
+    assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
 }

@@ -20,9 +20,9 @@ cargo clippy --offline --lib \
   -p hemu-core -p hemu-bench \
   -- -D clippy::unwrap_used
 
-echo "== clippy: no unwrap() or expect() in the heap, the machine, the caches, numa, types, fault, obs or the OS =="
+echo "== clippy: no unwrap() or expect() in the heap, the machine, the caches, numa, types, fault, obs, the OS or mallocsim =="
 cargo clippy --offline --lib -p hemu-heap -p hemu-cache -p hemu-machine \
-  -p hemu-numa -p hemu-types -p hemu-fault -p hemu-obs -p hemu-os \
+  -p hemu-numa -p hemu-types -p hemu-fault -p hemu-obs -p hemu-os -p hemu-malloc \
   -- -D clippy::unwrap_used -D clippy::expect_used
 
 echo "== fault smoke: sweep survives transient faults (expect exit 0) =="
