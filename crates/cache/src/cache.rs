@@ -670,13 +670,6 @@ impl Cache {
         Some((was_dirty, wtag))
     }
 
-    /// Number of valid lines currently resident (O(sets); for tests).
-    pub fn resident_lines(&self) -> usize {
-        (0..self.config.sets())
-            .map(|s| (self.words()[self.base(s) + VD] as u32).count_ones() as usize)
-            .sum()
-    }
-
     /// Iterates over the resident lines and their dirty bits (O(capacity);
     /// for invariant checking and debugging).
     pub fn iter_resident(&self) -> impl Iterator<Item = (LineAddr, bool)> + '_ {

@@ -232,21 +232,6 @@ impl Experiment {
         self.run_traced(Tracer::disabled())
     }
 
-    /// Runs the experiment with event tracing enabled for the measured
-    /// iteration, returning the report together with the captured trace.
-    ///
-    /// The tracer is installed at the start of the measured iteration, so
-    /// warm-up activity never appears in the trace; `capacity` bounds the
-    /// number of retained records (the oldest are dropped beyond it).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Experiment::run`].
-    pub fn run_with_trace(&self, capacity: usize) -> Result<(RunReport, Vec<TraceRecord>)> {
-        self.run_traced(Tracer::bounded(capacity))
-            .map(|a| (a.report, a.trace))
-    }
-
     /// The key naming this run in a sweep: `workload|manager|instances|Profile`
     /// for copies, `mix@tenants|manager|sliceS|Profile` for mixes (the
     /// manager is the OS policy, if any, else the collector), then one
@@ -322,10 +307,12 @@ impl Experiment {
     }
 
     /// Runs the experiment with an explicit tracer and returns the full
-    /// artifact bundle — the general form behind [`Experiment::run`],
-    /// [`Experiment::run_full`] and [`Experiment::run_with_trace`], for
-    /// callers (like the bench harness) that want both the event trace and
-    /// the profiler's artifacts from a single run.
+    /// artifact bundle — the general form behind [`Experiment::run`] and
+    /// [`Experiment::run_full`], for callers that want the event trace.
+    ///
+    /// The tracer is installed at the start of the measured iteration, so
+    /// warm-up activity never appears in the trace; a bounded tracer keeps
+    /// only the most recent records ([`Tracer::bounded`]).
     ///
     /// # Errors
     ///
@@ -440,8 +427,9 @@ impl Experiment {
         let mut monitor = WriteRateMonitor::new(self.monitor_interval);
         // The measured iteration is the root profiler span; clocks were
         // just reset, so it opens at virtual zero.
-        let spans = machine.spans();
-        spans.begin("iteration", "run", hemu_types::Cycles::ZERO);
+        machine
+            .spans_mut()
+            .begin("iteration", "run", hemu_types::Cycles::ZERO);
         schedule(
             &mut machine,
             &mut workloads,
@@ -449,14 +437,15 @@ impl Experiment {
             Some(&mut monitor),
             os_mgr.as_mut(),
         )?;
-        spans.end(machine.elapsed());
+        let end = machine.elapsed();
+        machine.spans_mut().end(end);
         // No cache flush here: the measured iteration starts with warm,
         // dirty caches (steady state after warm-up) and ends the same way,
         // so eviction traffic during the interval is exactly the
         // steady-state write stream `pcm-memory` samples on the real
         // platform. Flushing would mis-attribute the entire resident dirty
         // set to this iteration.
-        monitor.finish(&machine);
+        monitor.finish(&mut machine);
 
         // Aggregate.
         let gc_deltas: Vec<Option<GcStats>> = workloads
@@ -517,10 +506,11 @@ impl Experiment {
 
         let elapsed = machine.elapsed_seconds();
         let pcm_writes = machine.socket_writes(SocketId::PCM);
-        let trace = machine.tracer().drain();
+        let trace = machine.tracer_mut().drain();
         let pauses = machine.gc_pauses();
         let gc_pause_histogram = (pauses.count() > 0).then(|| pauses.snapshot());
-        let provenance = machine.provenance().map(|p| ProvenanceSummary {
+        let spans = machine.spans();
+        let provenance = machine.memory().provenance().map(|p| ProvenanceSummary {
             pcm_by_cause: p.pcm_by_cause,
             pcm_by_space: p.pcm_by_space,
             dram_by_cause: p.dram_by_cause,

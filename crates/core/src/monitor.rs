@@ -55,7 +55,7 @@ impl WriteRateMonitor {
 
     /// Polls the machine; records a sample if an interval has elapsed.
     /// Call this between workload quanta.
-    pub fn poll(&mut self, machine: &Machine) {
+    pub fn poll(&mut self, machine: &mut Machine) {
         let now = machine.elapsed_seconds();
         while now >= self.next_sample_at {
             self.record(machine, self.next_sample_at.min(now));
@@ -64,14 +64,14 @@ impl WriteRateMonitor {
     }
 
     /// Forces a final sample at the current time (end of the run).
-    pub fn finish(&mut self, machine: &Machine) {
+    pub fn finish(&mut self, machine: &mut Machine) {
         let now = machine.elapsed_seconds();
         if now > self.last_t {
             self.record(machine, now);
         }
     }
 
-    fn record(&mut self, machine: &Machine, t: f64) {
+    fn record(&mut self, machine: &mut Machine, t: f64) {
         let pcm = machine.socket_writes(SocketId::PCM);
         let dram = machine.socket_writes(SocketId::DRAM);
         let dt = t - self.last_t;
@@ -83,8 +83,9 @@ impl WriteRateMonitor {
             pcm_write_mbs: (pcm.bytes() - self.last_pcm.bytes()) as f64 / 1e6 / dt,
             dram_write_mbs: (dram.bytes() - self.last_dram.bytes()) as f64 / 1e6 / dt,
         };
-        machine.tracer().record(
-            machine.elapsed(),
+        let now = machine.elapsed();
+        machine.tracer_mut().record(
+            now,
             TraceEvent::MonitorSample {
                 t_seconds: sample.t_seconds,
                 pcm_write_mbs: sample.pcm_write_mbs,
@@ -131,8 +132,8 @@ mod tests {
         m.access(CtxId(0), p, MemoryAccess::write(Addr::new(0), 8 << 20))
             .unwrap();
         m.flush_caches().unwrap();
-        mon.poll(&m);
-        mon.finish(&m);
+        mon.poll(&mut m);
+        mon.finish(&mut m);
         assert!(!mon.samples().is_empty());
         let total: f64 = mon
             .samples()
@@ -156,7 +157,7 @@ mod tests {
         m.access(CtxId(0), p, MemoryAccess::write(Addr::new(0), 1 << 20))
             .unwrap();
         m.flush_caches().unwrap();
-        mon.finish(&m);
+        mon.finish(&mut m);
         assert_eq!(mon.samples().len(), 1);
         assert!(mon.peak_pcm_rate() > 0.0);
         let _ = ProcId(0);

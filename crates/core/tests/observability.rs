@@ -7,7 +7,7 @@ use hemu_core::{
 };
 use hemu_heap::{CollectorKind, GcStats};
 use hemu_machine::MachineStats;
-use hemu_obs::{ToJson, TraceEvent};
+use hemu_obs::{ToJson, TraceEvent, Tracer};
 use hemu_types::ByteSize;
 use hemu_workloads::WorkloadSpec;
 
@@ -21,7 +21,8 @@ fn trace_gc_events_match_gc_stats() {
     let spec = WorkloadSpec::by_name("lusearch").unwrap();
     let (report, trace) = Experiment::new(spec)
         .collector(CollectorKind::KgN)
-        .run_with_trace(TRACE_CAPACITY)
+        .run_traced(Tracer::bounded(TRACE_CAPACITY))
+        .map(|a| (a.report, a.trace))
         .unwrap();
 
     // Nothing was dropped: the ring only overwrites once full.
@@ -88,7 +89,8 @@ fn tracing_does_not_perturb_the_run() {
         .unwrap();
     let (traced, _) = Experiment::new(spec)
         .collector(CollectorKind::KgN)
-        .run_with_trace(TRACE_CAPACITY)
+        .run_traced(Tracer::bounded(TRACE_CAPACITY))
+        .map(|a| (a.report, a.trace))
         .unwrap();
     assert_eq!(plain.pcm_writes, traced.pcm_writes);
     assert_eq!(plain.elapsed_seconds, traced.elapsed_seconds);

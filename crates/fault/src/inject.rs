@@ -101,11 +101,6 @@ impl FaultInjector {
     pub fn stall_cycles_injected(&self) -> u64 {
         self.stall_cycles_injected
     }
-
-    /// Managed allocations observed so far.
-    pub fn managed_allocs_seen(&self) -> u64 {
-        self.managed_allocs
-    }
 }
 
 #[cfg(test)]

@@ -199,8 +199,9 @@ impl ChunkManager {
                 entry.socket = want_socket;
                 self.stats.remapped += 1;
                 let t = machine.elapsed();
-                machine.tracer().record(t, TraceEvent::ChunkUnmap { addr });
-                machine.tracer().record(
+                let tracer = machine.tracer_mut();
+                tracer.record(t, TraceEvent::ChunkUnmap { addr });
+                tracer.record(
                     t,
                     TraceEvent::ChunkRebind {
                         addr,
@@ -209,8 +210,9 @@ impl ChunkManager {
                 );
             } else {
                 self.stats.recycled += 1;
-                machine.tracer().record(
-                    machine.elapsed(),
+                let t = machine.elapsed();
+                machine.tracer_mut().record(
+                    t,
                     TraceEvent::ChunkMap {
                         addr,
                         socket: want_socket,
@@ -249,8 +251,9 @@ impl ChunkManager {
             side,
         });
         self.stats.fresh += 1;
-        machine.tracer().record(
-            machine.elapsed(),
+        let t = machine.elapsed();
+        machine.tracer_mut().record(
+            t,
             TraceEvent::ChunkMap {
                 addr,
                 socket: want_socket,

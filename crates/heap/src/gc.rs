@@ -14,36 +14,52 @@ use hemu_types::{
     ByteSize, Cycles, HemuError, MemoryAccess, Result, SpaceTag, WriteCause, WriteTag, WORD,
 };
 
-/// Stamps the start of a collection pause: emits a [`TraceEvent::GcStart`]
-/// and returns the pause's start time on the collecting context's clock.
+/// Stamps the start of a collection pause: emits a [`TraceEvent::GcStart`],
+/// opens the collection's outer span (named [`GcKind::name`]) and returns
+/// the pause's start time on the collecting context's clock.
 fn pause_begin(
     heap: &ManagedHeap,
-    machine: &Machine,
+    machine: &mut Machine,
     kind: GcKind,
     reason: &'static str,
 ) -> Cycles {
     let t0 = machine.clock(heap.ctx).now();
     machine
-        .tracer()
+        .tracer_mut()
         .record(t0, TraceEvent::GcStart { kind, reason });
+    machine.spans_mut().begin(kind.name(), "gc", t0);
     t0
 }
 
 /// Stamps the end of a collection pause: accumulates `GcStats::pause_cycles`,
-/// feeds the machine's GC pause histogram, and emits a
-/// [`TraceEvent::GcEnd`].
+/// feeds the machine's GC pause histogram, emits a [`TraceEvent::GcEnd`]
+/// and closes the outer span [`pause_begin`] opened.
 fn pause_end(heap: &mut ManagedHeap, machine: &mut Machine, kind: GcKind, t0: Cycles) {
     let t1 = machine.clock(heap.ctx).now();
     let pause = t1.raw() - t0.raw();
     heap.stats.pause_cycles += pause;
     machine.record_gc_pause(pause);
-    machine.tracer().record(
+    machine.tracer_mut().record(
         t1,
         TraceEvent::GcEnd {
             kind,
             pause_cycles: pause,
         },
     );
+    machine.spans_mut().end(t1);
+}
+
+/// Crosses a GC phase boundary on the collecting context's clock: closes
+/// the open phase span when `close`, then opens `next`, if any.
+fn phase(heap: &ManagedHeap, machine: &mut Machine, close: bool, next: Option<&'static str>) {
+    let t = machine.clock(heap.ctx).now();
+    let spans = machine.spans_mut();
+    if close {
+        spans.end(t);
+    }
+    if let Some(name) = next {
+        spans.begin(name, "gc", t);
+    }
 }
 
 /// Re-logs mature→young edges manufactured by evacuation.
@@ -241,19 +257,9 @@ pub(crate) fn minor_gc(
         GcKind::Minor
     };
     let pause_t0 = pause_begin(heap, machine, kind, reason);
-    let spans = machine.spans();
-    spans.begin(
-        if collect_observer {
-            "minor_observer"
-        } else {
-            "minor"
-        },
-        "gc",
-        pause_t0,
-    );
     // Stop-the-world pause setup: stack and register root scan.
     machine.compute(heap.ctx, Cycles::new(30_000));
-    spans.begin("trace", "gc", machine.clock(heap.ctx).now());
+    phase(heap, machine, false, Some("trace"));
 
     let in_evacuated =
         |s: SpaceKind| s == SpaceKind::Nursery || (collect_observer && s == SpaceKind::Observer);
@@ -299,8 +305,7 @@ pub(crate) fn minor_gc(
             mark(h, t, &mut gray, &mut survivors)
         })?;
     }
-    spans.end(machine.clock(heap.ctx).now());
-    spans.begin("evacuate", "gc", machine.clock(heap.ctx).now());
+    phase(heap, machine, true, Some("evacuate"));
 
     // --- Evacuate: observer first, then the nursery into the freed space.
     if collect_observer {
@@ -332,8 +337,7 @@ pub(crate) fn minor_gc(
             evacuate(heap, machine, id, dest)?;
         }
     }
-    spans.end(machine.clock(heap.ctx).now());
-    spans.begin("sweep", "gc", machine.clock(heap.ctx).now());
+    phase(heap, machine, true, Some("sweep"));
 
     // --- Sweep the evacuated spaces: only young objects can die here ---
     let mut dead: Vec<ObjectId> = Vec::new();
@@ -368,9 +372,8 @@ pub(crate) fn minor_gc(
         heap.remset_old.clear();
         rebuild_remsets(heap);
     }
-    spans.end(machine.clock(heap.ctx).now());
+    phase(heap, machine, true, None);
     pause_end(heap, machine, kind, pause_t0);
-    spans.end(machine.clock(heap.ctx).now());
     Ok(())
 }
 
@@ -385,10 +388,8 @@ pub(crate) fn full_gc(
     heap.stats.full_gcs += 1;
     heap.minor_since_full = 0;
     let pause_t0 = pause_begin(heap, machine, GcKind::Full, reason);
-    let spans = machine.spans();
-    spans.begin("full", "gc", pause_t0);
     machine.compute(heap.ctx, Cycles::new(120_000));
-    spans.begin("trace", "gc", machine.clock(heap.ctx).now());
+    phase(heap, machine, false, Some("trace"));
 
     // --- Mark the whole graph ---
     let mut gray: Vec<ObjectId> = Vec::new();
@@ -449,8 +450,7 @@ pub(crate) fn full_gc(
         }
     }
 
-    spans.end(machine.clock(heap.ctx).now());
-    spans.begin("sweep", "gc", machine.clock(heap.ctx).now());
+    phase(heap, machine, true, Some("sweep"));
 
     // --- Sweep: drop the dead, in ascending slot order ---
     for idx in 0..heap.table.slot_count() {
@@ -490,8 +490,7 @@ pub(crate) fn full_gc(
         }
     }
 
-    spans.end(machine.clock(heap.ctx).now());
-    spans.begin("evacuate", "gc", machine.clock(heap.ctx).now());
+    phase(heap, machine, true, Some("evacuate"));
 
     // --- Rescue written PCM large objects to DRAM (KG-W family) ---
     if heap.config.has_observer() {
@@ -565,8 +564,7 @@ pub(crate) fn full_gc(
     if heap.config.has_observer() {
         rebuild_remsets(heap);
     }
-    spans.end(machine.clock(heap.ctx).now());
+    phase(heap, machine, true, None);
     pause_end(heap, machine, GcKind::Full, pause_t0);
-    spans.end(machine.clock(heap.ctx).now());
     Ok(())
 }

@@ -258,11 +258,6 @@ impl ImmixSpace {
         self.used_lines += lines as u64;
         Ok(())
     }
-
-    /// Number of blocks with at least one live line after a sweep.
-    pub fn live_blocks(&self) -> usize {
-        self.blocks.iter().filter(|b| b.used != 0).count()
-    }
 }
 
 /// A non-moving, page-granular large object space.

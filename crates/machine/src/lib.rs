@@ -31,5 +31,5 @@
 mod machine;
 mod profile;
 
-pub use machine::{CtxId, Machine, MachineStats, ProcId, WriteProvenance};
+pub use machine::{CtxId, Machine, MachineStats, ProcId};
 pub use profile::{LatencyModel, MachineProfile};

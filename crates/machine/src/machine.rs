@@ -8,7 +8,7 @@ use hemu_obs::json::ToJson;
 use hemu_obs::{Histogram, SpanRecorder, TraceEvent, Tracer};
 use hemu_types::{
     AccessKind, Addr, ByteSize, Cycles, HemuError, LineAddr, MemoryAccess, PageNum, Result,
-    SocketId, SpaceTag, VirtualClock, WriteCause, WriteTag, CACHE_LINE, PAGE_SIZE,
+    SocketId, VirtualClock, WriteCause, WriteTag, CACHE_LINE, PAGE_SIZE,
 };
 
 /// Remote fills are coalesced into one aggregate [`TraceEvent::QpiTransfer`]
@@ -30,43 +30,6 @@ pub struct ProcId(pub usize);
 /// [`Machine::enable_profiling`]: enough for every GC phase of a full run
 /// at a few hundred collections, small enough to stay cheap.
 pub const PROFILE_SPAN_CAPACITY: usize = 1 << 15;
-
-/// Per-cause / per-space controller write counts, in cache *lines*,
-/// indexed by [`WriteCause`] and [`SpaceTag`] discriminant. Kept only while
-/// profiling ([`Machine::enable_profiling`]) and zeroed by
-/// [`Machine::start_measured_iteration`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WriteProvenance {
-    /// PCM-socket write lines by cause.
-    pub pcm_by_cause: [u64; WriteCause::ALL.len()],
-    /// PCM-socket write lines by heap space.
-    pub pcm_by_space: [u64; SpaceTag::ALL.len()],
-    /// DRAM-socket write lines by cause.
-    pub dram_by_cause: [u64; WriteCause::ALL.len()],
-    /// DRAM-socket write lines by heap space.
-    pub dram_by_space: [u64; SpaceTag::ALL.len()],
-}
-
-impl WriteProvenance {
-    /// Attributes `n` line writes arriving at `socket` to `tag`.
-    #[inline]
-    fn record_n(&mut self, socket: SocketId, tag: u8, n: u64) {
-        let t = WriteTag::from_raw(tag);
-        let (c, s) = (t.cause() as usize, t.space() as usize);
-        if socket == SocketId::PCM {
-            self.pcm_by_cause[c] += n;
-            self.pcm_by_space[s] += n;
-        } else {
-            self.dram_by_cause[c] += n;
-            self.dram_by_space[s] += n;
-        }
-    }
-
-    #[inline]
-    fn record(&mut self, socket: SocketId, tag: u8) {
-        self.record_n(socket, tag, 1);
-    }
-}
 
 hemu_obs::record! {
     /// Aggregate machine statistics for a measured interval.
@@ -119,9 +82,6 @@ pub struct Machine {
     /// Provenance tag stamped on subsequent write accesses; runtime layers
     /// set it via [`Machine::set_write_tag`] just before issuing writes.
     write_tag: u8,
-    /// Per-cause / per-space write attribution, present only while
-    /// profiling ([`Machine::enable_profiling`]).
-    prov: Option<WriteProvenance>,
 }
 
 impl Machine {
@@ -136,28 +96,27 @@ impl Machine {
                 .collect(),
             stats: MachineStats::default(),
             tracer: Tracer::disabled(),
-            spans: SpanRecorder::disabled(),
+            spans: SpanRecorder::default(),
             gc_pauses: Histogram::default(),
             qpi_pending: 0,
             pages_remapped: 0,
             wb_scratch: Vec::with_capacity(4),
             write_tag: WriteTag::OTHER.raw(),
-            prov: None,
             profile,
         }
     }
 
     /// Turns on the phase-and-provenance profiler: cache provenance tags,
-    /// per-cause / per-space write counters, and a bounded span recorder
-    /// ([`PROFILE_SPAN_CAPACITY`] spans). Idempotent; off by default, in
-    /// which case none of the machinery costs more than one branch per
-    /// write-back.
+    /// per-cause / per-space write counters ([`NumaMemory::provenance`]),
+    /// and a bounded span recorder ([`PROFILE_SPAN_CAPACITY`] spans).
+    /// Idempotent; off by default, in which case none of the machinery
+    /// costs more than one branch per write-back.
     pub fn enable_profiling(&mut self) {
-        if self.prov.is_some() {
+        if self.profiling_enabled() {
             return;
         }
         self.caches.enable_tags();
-        self.prov = Some(WriteProvenance::default());
+        self.mem.enable_provenance();
         self.spans = SpanRecorder::bounded(PROFILE_SPAN_CAPACITY);
     }
 
@@ -165,7 +124,7 @@ impl Machine {
     /// layers use this to skip tag computation entirely when off.
     #[inline]
     pub fn profiling_enabled(&self) -> bool {
-        self.prov.is_some()
+        self.mem.provenance().is_some()
     }
 
     /// Sets the provenance tag stamped on subsequent write accesses (until
@@ -176,17 +135,15 @@ impl Machine {
         self.write_tag = tag.raw();
     }
 
-    /// A clone of the machine's span recorder (shares the same ring), for
-    /// runtime layers that open and close spans. Disabled unless
+    /// The machine's span recorder; disabled unless
     /// [`Machine::enable_profiling`] was called.
-    pub fn spans(&self) -> SpanRecorder {
-        self.spans.clone()
+    pub fn spans(&self) -> &SpanRecorder {
+        &self.spans
     }
 
-    /// The interval's per-cause / per-space write attribution; `None`
-    /// unless profiling.
-    pub fn provenance(&self) -> Option<&WriteProvenance> {
-        self.prov.as_ref()
+    /// The span recorder, for runtime layers that open and close spans.
+    pub fn spans_mut(&mut self) -> &mut SpanRecorder {
+        &mut self.spans
     }
 
     /// Records one GC pause of `cycles` in the machine-wide pause
@@ -202,8 +159,8 @@ impl Machine {
 
     /// The machine's event tracer (disabled unless one was installed);
     /// runtime layers record events through it.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
+    pub fn tracer_mut(&mut self) -> &mut Tracer {
+        &mut self.tracer
     }
 
     /// Installs an event tracer (replacing the current one, which is
@@ -332,7 +289,6 @@ impl Machine {
             qpi_pending,
             wb_scratch,
             write_tag,
-            prov,
             ..
         } = self;
         let space = &mut spaces[proc.0];
@@ -397,13 +353,10 @@ impl Machine {
                 // not stall the requesting core, so they cost no time
                 // here.
                 if let Some(fill) = fill {
-                    mem.record_line_access(fill, AccessKind::Read);
+                    mem.record_line_access(fill, AccessKind::Read, *write_tag);
                 }
                 for &(wb, tag) in wb_scratch.iter() {
-                    mem.record_line_access(wb, AccessKind::Write);
-                    if let Some(pc) = prov.as_mut() {
-                        pc.record(mem.socket_of_line(wb), tag);
-                    }
+                    mem.record_line_access(wb, AccessKind::Write, tag);
                 }
             }
             v = page_end;
@@ -471,11 +424,7 @@ impl Machine {
             self.mem.free_frame(new)?;
             return Ok(None);
         }
-        self.mem.copy_page(old, new);
-        if let Some(pc) = &mut self.prov {
-            let tag = WriteTag::new(cause, SpaceTag::Other).raw();
-            pc.record_n(to, tag, LINES_PER_PAGE);
-        }
+        self.mem.copy_page(old, new, cause);
         Ok(Some(new))
     }
 
@@ -610,17 +559,8 @@ impl Machine {
     /// Returns [`HemuError::WornOut`] if the write-backs wear out a PCM
     /// line and no healthy frame is left to remap the page to.
     pub fn flush_caches(&mut self) -> Result<()> {
-        {
-            let Machine {
-                mem, caches, prov, ..
-            } = self;
-            caches.flush(|line, tag| {
-                mem.record_line_access(line, AccessKind::Write);
-                if let Some(pc) = prov.as_mut() {
-                    pc.record(mem.socket_of_line(line), tag);
-                }
-            });
-        }
+        let Machine { mem, caches, .. } = self;
+        caches.flush(|line, tag| mem.record_line_access(line, AccessKind::Write, tag));
         if self.mem.has_pending_retirements() {
             self.process_retirements(None)?;
         }
@@ -705,9 +645,6 @@ impl Machine {
         self.caches.reset_stats();
         self.stats = MachineStats::default();
         self.qpi_pending = 0;
-        if let Some(pc) = &mut self.prov {
-            *pc = WriteProvenance::default();
-        }
         self.gc_pauses = Histogram::default();
         self.spans.reset();
         for c in &mut self.clocks {
@@ -737,6 +674,7 @@ impl ToJson for ProcId {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hemu_types::SpaceTag;
 
     fn machine() -> Machine {
         Machine::new(MachineProfile::emulation())
@@ -967,7 +905,7 @@ mod tests {
         .unwrap();
         m.flush_caches().unwrap();
         let lines = (32u64 << 20) / CACHE_LINE as u64;
-        let prov = m.provenance().unwrap();
+        let prov = m.memory().provenance().unwrap();
         assert_eq!(prov.pcm_by_cause[WriteCause::Mutator as usize], lines);
         assert_eq!(prov.pcm_by_space[SpaceTag::Nursery as usize], lines);
         assert_eq!(prov.pcm_by_cause[WriteCause::NurseryEvac as usize], 0);
@@ -983,7 +921,7 @@ mod tests {
             .unwrap();
         m.flush_caches().unwrap();
         assert!(!m.profiling_enabled());
-        assert!(m.provenance().is_none());
+        assert!(m.memory().provenance().is_none());
     }
 
     #[test]
@@ -1001,10 +939,74 @@ mod tests {
         m.migrate_frame(old, SocketId::PCM).unwrap().unwrap();
         let per_page = (PAGE_SIZE / CACHE_LINE) as u64;
         assert_eq!(
-            m.provenance().unwrap().pcm_by_cause[WriteCause::OsMigration as usize],
+            m.memory().provenance().unwrap().pcm_by_cause[WriteCause::OsMigration as usize],
             per_page
         );
     }
+
+    /// Every controller write is attributed exactly once, whichever path
+    /// wrote it: an eviction write-back, a cache flush, an OS migration in
+    /// either direction or a wear-out remap. Per socket, the per-cause and
+    /// the per-space line counts each sum to the controller's write lines.
+    #[test]
+    fn provenance_sums_to_controller_writes_on_every_write_path() {
+        let mut m = Machine::new(MachineProfile::emulation().with_llc(ByteSize::from_kib(640)));
+        m.enable_profiling();
+        m.enable_endurance(EnduranceConfig {
+            budget_writes: 4,
+            variability: 0.0,
+            seed: 1,
+        });
+        let p = m.add_process(SocketId::DRAM);
+        let (a, b) = (Addr::new(0), Addr::new(0x1000_0000));
+        m.mbind(p, b, ByteSize::from_kib(4), SocketId::PCM);
+        m.set_write_tag(WriteTag::new(WriteCause::Mutator, SpaceTag::Nursery));
+        let write = |addr| MemoryAccess::write(addr, CACHE_LINE as u32);
+        m.access(CtxId(0), p, write(a)).unwrap();
+        m.access(CtxId(0), p, write(b)).unwrap();
+        // Twice the LLC's worth of DRAM stores: evictions write back.
+        let region = MemoryAccess::write(Addr::new(1 << 20), 1280 << 10);
+        m.access(CtxId(0), p, region).unwrap();
+        assert!(m.memory().counters(SocketId::DRAM).write_lines() > 0);
+        let frame = |m: &Machine, addr| m.address_space(p).translate_existing(addr).unwrap();
+        let (fa, fb) = (frame(&m, a).frame(), frame(&m, b).frame());
+        m.migrate_frame(fa, SocketId::PCM).unwrap().unwrap();
+        m.migrate_frame(fb, SocketId::DRAM).unwrap().unwrap();
+        // Page `a` now lives on PCM, its lines worn once by the copy: three
+        // more flushed writes spend line 0's budget and retire the frame.
+        for _ in 0..3 {
+            m.access(CtxId(0), p, write(a)).unwrap();
+            m.flush_caches().unwrap();
+        }
+        assert_eq!(m.pages_remapped(), 1);
+
+        let prov = *m.memory().provenance().unwrap();
+        let per_page = (PAGE_SIZE / CACHE_LINE) as u64;
+        let (os, wear) = (
+            WriteCause::OsMigration as usize,
+            WriteCause::WearRemap as usize,
+        );
+        assert_eq!(prov.pcm_by_cause[os], per_page);
+        assert_eq!(prov.dram_by_cause[os], per_page);
+        assert_eq!(prov.pcm_by_cause[wear], per_page);
+        assert!(prov.pcm_by_cause[WriteCause::Mutator as usize] >= 3);
+        let sockets = [
+            (SocketId::PCM, prov.pcm_by_cause, prov.pcm_by_space),
+            (SocketId::DRAM, prov.dram_by_cause, prov.dram_by_space),
+        ];
+        for (socket, by_cause, by_space) in sockets {
+            let lines = m.memory().counters(socket).write_lines();
+            assert_eq!(by_cause.iter().sum::<u64>(), lines, "{socket:?} by cause");
+            assert_eq!(by_space.iter().sum::<u64>(), lines, "{socket:?} by space");
+        }
+    }
+
+    /// The machine owns its observers by value, so a whole machine can
+    /// move to another thread.
+    const _: fn() = || {
+        fn send<T: Send>() {}
+        send::<Machine>();
+    };
 
     /// The access route at machine level: a mixed stream of word-sized and
     /// multi-line accesses from two contexts leaves the same fills,

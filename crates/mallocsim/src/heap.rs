@@ -44,9 +44,18 @@ struct Slot {
     addr: Addr,
     /// Requested payload size.
     size: u32,
-    /// Rounded block size actually occupied (for free-list recycling).
-    block: u32,
+    /// The path `alloc` served the block from, which `free` returns it to.
+    block: Block,
     alive: bool,
+}
+
+/// Where a native block came from.
+#[derive(Debug, Clone, Copy)]
+enum Block {
+    /// A small-path block of size class `SIZE_CLASSES[class]`.
+    Small(usize),
+    /// A page-aligned large-path run of this many pages.
+    Large(u64),
 }
 
 hemu_obs::record! {
@@ -159,12 +168,11 @@ impl NativeHeap {
         // Every request below `LARGE_REQUEST` fits the largest size class.
         let small = class_for(total).filter(|_| total < LARGE_REQUEST);
         let (addr, block) = if let Some(class) = small {
-            if let Some(a) = self.bins[class].pop() {
-                (a, SIZE_CLASSES[class])
-            } else {
-                let a = self.bump(SIZE_CLASSES[class] as u64, 16)?;
-                (a, SIZE_CLASSES[class])
-            }
+            let a = match self.bins[class].pop() {
+                Some(a) => a,
+                None => self.bump(SIZE_CLASSES[class] as u64, 16)?,
+            };
+            (a, Block::Small(class))
         } else {
             let pages = ByteSize::new(total as u64).pages();
             let found = self
@@ -185,7 +193,7 @@ impl NativeHeap {
             } else {
                 self.bump(pages * PAGE_SIZE as u64, PAGE_SIZE as u64)?
             };
-            (base, (pages * PAGE_SIZE as u64) as u32)
+            (base, Block::Large(pages))
         };
 
         // malloc writes its boundary tag; the payload stays untouched.
@@ -227,13 +235,9 @@ impl NativeHeap {
         slot.alive = false;
         self.stats.freed_bytes += slot.size as u64;
         self.stats.in_use -= slot.size as u64;
-        let (addr, block) = (slot.addr, slot.block);
-        let large = block >= LARGE_REQUEST && (block as u64).is_multiple_of(PAGE_SIZE as u64);
-        match class_for(block) {
-            Some(class) if !large => self.bins[class].push(addr),
-            _ => self
-                .large_free
-                .push((addr, block as u64 / PAGE_SIZE as u64)),
+        match slot.block {
+            Block::Small(class) => self.bins[class].push(slot.addr),
+            Block::Large(pages) => self.large_free.push((slot.addr, pages)),
         }
         self.free_ids.push(obj.0);
     }
@@ -354,6 +358,34 @@ mod tests {
         h.free(a);
         let b = h.alloc(&mut m, 90_000).unwrap();
         assert_eq!(h.payload(b, 0, 1), pa, "freed large run is reused first");
+    }
+
+    #[test]
+    fn freed_top_class_block_returns_to_its_bin() {
+        // 7000 + header lands in the 8192-byte small class.
+        let (mut m, mut h) = setup();
+        let a = h.alloc(&mut m, 7000).unwrap();
+        let pa = h.payload(a, 0, 1);
+        h.free(a);
+        let b = h.alloc(&mut m, 7000).unwrap();
+        assert_eq!(
+            h.payload(b, 0, 1),
+            pa,
+            "same-class request reuses the block"
+        );
+    }
+
+    #[test]
+    fn a_freed_small_block_never_serves_the_large_path() {
+        let (mut m, mut h) = setup();
+        // Push the wilderness off page alignment first.
+        let _pad = h.alloc(&mut m, 100).unwrap();
+        let a = h.alloc(&mut m, 7000).unwrap();
+        h.free(a);
+        // 8176 + header is exactly two pages: a large-path request.
+        let b = h.alloc(&mut m, 8176).unwrap();
+        let base = h.payload(b, 0, 1).raw() - MALLOC_HEADER as u64;
+        assert_eq!(base % PAGE_SIZE as u64, 0, "large blocks are page-aligned");
     }
 
     #[test]

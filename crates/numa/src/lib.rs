@@ -15,13 +15,15 @@
 //! the opt-in observers of that accounting point: page heat for OS hot/cold
 //! migration, the owning tenant for consolidated runs, and retirement plus
 //! per-line wear for the endurance model. [`NumaMemory::copy_page`] is the
-//! one place that state follows a page to a new frame.
+//! one place that state follows a page to a new frame. The profiler's
+//! [`WriteProvenance`] counts every controller write by cause and heap
+//! space at the same point, from the tag each write carries.
 //!
 //! # Examples
 //!
 //! ```
 //! use hemu_numa::{AddressSpace, NumaMemory, NumaConfig};
-//! use hemu_types::{AccessKind, Addr, ByteSize, SocketId};
+//! use hemu_types::{AccessKind, Addr, ByteSize, SocketId, WriteTag};
 //!
 //! let mut mem = NumaMemory::new(NumaConfig::default());
 //! let mut space = AddressSpace::new();
@@ -29,7 +31,9 @@
 //! // does after mmap().
 //! space.mbind(Addr::new(0x1000_0000), ByteSize::from_mib(4), SocketId::PCM);
 //! let pa = space.translate(Addr::new(0x1000_0040), &mut mem).unwrap();
-//! mem.record_line_access(pa.line(), AccessKind::Write);
+//! // The controller counts the write under the tag of the store that
+//! // dirtied the line (only consulted once provenance is enabled).
+//! mem.record_line_access(pa.line(), AccessKind::Write, WriteTag::OTHER.raw());
 //! assert_eq!(mem.counters(SocketId::PCM).write_lines(), 1);
 //! ```
 
@@ -39,6 +43,7 @@ mod counters;
 mod frames;
 mod memory;
 mod pagetable;
+mod provenance;
 mod qpi;
 mod tenancy;
 
@@ -46,5 +51,6 @@ pub use counters::MemoryCounters;
 pub use frames::{PageHeat, Wear};
 pub use memory::{NumaConfig, NumaMemory, SocketMemory};
 pub use pagetable::AddressSpace;
+pub use provenance::WriteProvenance;
 pub use qpi::QpiLink;
 pub use tenancy::TenancyTracker;

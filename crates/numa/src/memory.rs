@@ -2,9 +2,13 @@
 
 use crate::counters::MemoryCounters;
 use crate::frames::{Frame, FrameTable, PageHeat, Wear, LINES};
+use crate::provenance::WriteProvenance;
 use crate::tenancy::TenancyTracker;
 use hemu_fault::{EnduranceConfig, EnduranceModel, FaultInjector};
-use hemu_types::{AccessKind, ByteSize, HemuError, LineAddr, PageNum, Result, SocketId, PAGE_SIZE};
+use hemu_types::{
+    AccessKind, ByteSize, HemuError, LineAddr, PageNum, Result, SocketId, SpaceTag, WriteCause,
+    WriteTag, PAGE_SIZE,
+};
 
 /// Configuration of the physical memory system.
 ///
@@ -192,6 +196,8 @@ pub struct NumaMemory {
     injector: Option<FaultInjector>,
     /// Opt-in per-tenant write attribution (consolidated runs).
     tenancy: Option<TenancyTracker>,
+    /// Opt-in per-cause / per-space write attribution (the profiler).
+    provenance: Option<WriteProvenance>,
 }
 
 impl NumaMemory {
@@ -223,6 +229,7 @@ impl NumaMemory {
             endurance: None,
             injector: None,
             tenancy: None,
+            provenance: None,
         }
     }
 
@@ -238,6 +245,17 @@ impl NumaMemory {
     /// The tenancy tracker, if enabled.
     pub fn tenancy(&self) -> Option<&TenancyTracker> {
         self.tenancy.as_ref()
+    }
+
+    /// Enables per-cause / per-space write attribution: every controller
+    /// line write is counted under its provenance tag. Off by default.
+    pub fn enable_provenance(&mut self) {
+        self.provenance.get_or_insert_with(WriteProvenance::default);
+    }
+
+    /// The write attribution since the last counter reset, if enabled.
+    pub fn provenance(&self) -> Option<&WriteProvenance> {
+        self.provenance.as_ref()
     }
 
     /// Records `frame` as owned by `tenant` (called from the demand-fault
@@ -298,15 +316,18 @@ impl NumaMemory {
     /// - page heat moves last, keeping its cumulative totals with epoch
     ///   deltas restarted, so the copy makes neither frame look hot;
     /// - wear and retirement stay with the physical frame.
-    pub fn copy_page(&mut self, old: PageNum, new: PageNum) {
+    ///
+    /// The copy writes are attributed to `cause`.
+    pub fn copy_page(&mut self, old: PageNum, new: PageNum, cause: WriteCause) {
         if let Some(t) = self.frame(old).and_then(Frame::owner) {
             self.frame_mut(old).set_owner(None);
             self.frame_mut(new).set_owner(Some(t));
         }
         let (old0, new0) = (old.phys_base().line().raw(), new.phys_base().line().raw());
+        let tag = WriteTag::new(cause, SpaceTag::Other).raw();
         for i in 0..LINES as u64 {
-            self.record_line_access(LineAddr::new(old0 + i), AccessKind::Read);
-            self.record_line_access(LineAddr::new(new0 + i), AccessKind::Write);
+            self.record_line_access(LineAddr::new(old0 + i), AccessKind::Read, tag);
+            self.record_line_access(LineAddr::new(new0 + i), AccessKind::Write, tag);
         }
         let heat = self.heat(old);
         if heat.sampled() {
@@ -349,11 +370,6 @@ impl NumaMemory {
             failed_lines: 0,
             pending: Vec::new(),
         });
-    }
-
-    /// Returns `true` if endurance modeling is on.
-    pub fn endurance_enabled(&self) -> bool {
-        self.endurance.is_some()
     }
 
     /// Lines that exceeded their write budget so far.
@@ -508,9 +524,10 @@ impl NumaMemory {
 
     /// Records one cache-line transfer arriving at the memory controller
     /// that owns `line`. This is the single point where all memory traffic
-    /// is counted — and therefore the single point where PCM wear
-    /// accumulates.
-    pub fn record_line_access(&mut self, line: LineAddr, kind: AccessKind) {
+    /// is counted — and therefore the single point where write
+    /// attribution and PCM wear accumulate. `tag` is the raw
+    /// [`WriteTag`] of a write; reads ignore it.
+    pub fn record_line_access(&mut self, line: LineAddr, kind: AccessKind, tag: u8) {
         let s = self.socket_of_line(line);
         let frame = line.frame();
         let socket = &mut self.sockets[s.index()];
@@ -521,10 +538,14 @@ impl NumaMemory {
         if !kind.is_write() {
             return;
         }
-        // Tenancy sees exactly the writes the controller counters see, so
-        // per-tenant counts sum to the global counters by construction.
+        // Tenancy and provenance see exactly the writes the controller
+        // counters see, so their counts sum to the global counters by
+        // construction.
         if let Some(t) = self.tenancy.as_mut() {
             t.record_write(socket.frames.get(frame).and_then(Frame::owner), s);
+        }
+        if let Some(p) = self.provenance.as_mut() {
+            p.record(s, tag);
         }
         if self.wear && s == SocketId::PCM {
             let count = socket.frames.wear_line(line);
@@ -543,14 +564,18 @@ impl NumaMemory {
     }
 
     /// Resets all controllers' counters (start of a measured iteration).
-    /// Per-tenant write counts reset with them — frame ownership does not,
-    /// since the tenants keep their memory across the reset.
+    /// Per-tenant and provenance write counts reset with them — frame
+    /// ownership does not, since the tenants keep their memory across the
+    /// reset.
     pub fn reset_counters(&mut self) {
         for s in &mut self.sockets {
             s.counters.reset();
         }
         if let Some(t) = self.tenancy.as_mut() {
             t.reset_counts();
+        }
+        if let Some(p) = self.provenance.as_mut() {
+            *p = WriteProvenance::default();
         }
     }
 }
@@ -604,7 +629,7 @@ mod tests {
         let mut m = small();
         let f = m.allocate_frame(SocketId::PCM).unwrap();
         let line = f.phys_base().line();
-        m.record_line_access(line, AccessKind::Write);
+        m.record_line_access(line, AccessKind::Write, 0);
         assert_eq!(m.counters(SocketId::PCM).write_lines(), 1);
         assert_eq!(m.counters(SocketId::DRAM).write_lines(), 0);
     }
@@ -677,16 +702,16 @@ mod tests {
         let f = m.allocate_frame(SocketId::PCM).unwrap();
         let line = f.phys_base().line();
         for _ in 0..3 {
-            m.record_line_access(line, AccessKind::Write);
+            m.record_line_access(line, AccessKind::Write, 0);
         }
         assert!(!m.has_pending_retirements(), "budget not yet spent");
-        m.record_line_access(line, AccessKind::Write);
+        m.record_line_access(line, AccessKind::Write, 0);
         assert_eq!(m.failed_lines(), 1);
         assert!(m.has_pending_retirements());
         assert_eq!(m.take_pending_retirements(), vec![f]);
         assert!(!m.has_pending_retirements(), "drained");
         // Further writes to the same dead line do not re-retire anything.
-        m.record_line_access(line, AccessKind::Write);
+        m.record_line_access(line, AccessKind::Write, 0);
         assert!(!m.has_pending_retirements());
         assert_eq!(m.failed_lines(), 1);
     }
@@ -715,9 +740,9 @@ mod tests {
         m.enable_page_heat();
         let f = m.allocate_frame(SocketId::PCM).unwrap();
         let line = f.phys_base().line();
-        m.record_line_access(line, AccessKind::Write);
-        m.record_line_access(line, AccessKind::Write);
-        m.record_line_access(line, AccessKind::Read);
+        m.record_line_access(line, AccessKind::Write, 0);
+        m.record_line_access(line, AccessKind::Write, 0);
+        m.record_line_access(line, AccessKind::Read, 0);
         let h = m.heat(f);
         assert_eq!((h.writes, h.reads), (2, 1));
         m.reset_page_heat_epoch();
@@ -731,7 +756,7 @@ mod tests {
 
     fn touch(m: &mut NumaMemory, frame: u64, kind: AccessKind, n: usize) {
         for _ in 0..n {
-            m.record_line_access(PageNum::new(frame).phys_base().line(), kind);
+            m.record_line_access(PageNum::new(frame).phys_base().line(), kind, 0);
         }
     }
 
@@ -780,7 +805,7 @@ mod tests {
         touch(&mut m, 3, AccessKind::Write, 5);
         touch(&mut m, 3, AccessKind::Read, 1);
         touch(&mut m, 6, AccessKind::Read, 2);
-        m.copy_page(old, new);
+        m.copy_page(old, new, WriteCause::Other);
         assert_eq!(m.heat(old), PageHeat::default(), "vacated");
         let h = m.heat(new);
         // The copy reads the old frame's 64 lines before the heat moves.
@@ -804,7 +829,7 @@ mod tests {
         assert_eq!(m.heat(f).writes, 2, "a reallocated frame inherits its heat");
 
         let mut m = small();
-        m.copy_page(PageNum::new(1), PageNum::new(5));
+        m.copy_page(PageNum::new(1), PageNum::new(5), WriteCause::Other);
         assert!(m.page_heat().is_none());
         assert_eq!(m.heat(PageNum::new(5)), PageHeat::default());
         assert_eq!(m.counters(SocketId::PCM).write_lines(), 64);
@@ -846,7 +871,7 @@ mod tests {
         let (old, new) = (frames[1], frames[2]);
         assert_eq!((old, new), (PageNum::new(5), PageNum::new(6)));
         m.tenancy_assign(old, 0);
-        m.copy_page(old, new);
+        m.copy_page(old, new, WriteCause::Other);
         let t = m.tenancy().unwrap();
         assert_eq!(
             t.pcm_lines(0),
@@ -865,7 +890,7 @@ mod tests {
         assert_eq!(owner(&m, new), None);
         // Copying an unowned page moves no owner.
         m.tenancy_assign(new, 0);
-        m.copy_page(old, new);
+        m.copy_page(old, new, WriteCause::Other);
         assert_eq!(owner(&m, new), Some(0));
     }
 
@@ -908,12 +933,12 @@ mod tests {
     #[test]
     fn wear_counts_accumulate_per_pcm_line() {
         let mut m = worn();
-        m.record_line_access(pcm_line(1), AccessKind::Write);
-        m.record_line_access(pcm_line(1), AccessKind::Write);
-        m.record_line_access(pcm_line(2), AccessKind::Write);
+        m.record_line_access(pcm_line(1), AccessKind::Write, 0);
+        m.record_line_access(pcm_line(1), AccessKind::Write, 0);
+        m.record_line_access(pcm_line(2), AccessKind::Write, 0);
         // Reads and DRAM writes do not wear PCM.
-        m.record_line_access(pcm_line(3), AccessKind::Read);
-        m.record_line_access(LineAddr::new(0), AccessKind::Write);
+        m.record_line_access(pcm_line(3), AccessKind::Read, 0);
+        m.record_line_access(LineAddr::new(0), AccessKind::Write, 0);
         let w = m.wear().unwrap();
         assert_eq!(w.lines_touched(), 2);
         assert_eq!(w.max_line_writes(), 2);
@@ -926,7 +951,7 @@ mod tests {
     fn uniform_stream_levels_perfectly_in_the_limit() {
         let mut m = worn();
         for i in 0..1000u64 {
-            m.record_line_access(pcm_line(i), AccessKind::Write);
+            m.record_line_access(pcm_line(i), AccessKind::Write, 0);
         }
         // 1000 lines, device of 1000 lines, one write each: fully even.
         let eff = m.wear().unwrap().levelling_efficiency(1000);
@@ -937,7 +962,7 @@ mod tests {
     fn single_hot_line_levels_poorly() {
         let mut m = worn();
         for _ in 0..10_000 {
-            m.record_line_access(pcm_line(7), AccessKind::Write);
+            m.record_line_access(pcm_line(7), AccessKind::Write, 0);
         }
         let eff = m.wear().unwrap().levelling_efficiency(1_000_000);
         assert!(eff < 0.01, "one hot line must defeat rotation, got {eff}");
@@ -979,9 +1004,9 @@ mod tests {
         let f1 = m.allocate_frame(SocketId::DRAM).unwrap();
         m.tenancy_assign(f0, 0);
         m.tenancy_assign(f1, 1);
-        m.record_line_access(f0.phys_base().line(), AccessKind::Write);
-        m.record_line_access(f1.phys_base().line(), AccessKind::Write);
-        m.record_line_access(f0.phys_base().line(), AccessKind::Read);
+        m.record_line_access(f0.phys_base().line(), AccessKind::Write, 0);
+        m.record_line_access(f1.phys_base().line(), AccessKind::Write, 0);
+        m.record_line_access(f0.phys_base().line(), AccessKind::Read, 0);
         let t = m.tenancy().unwrap();
         assert_eq!((t.pcm_lines(0), t.dram_lines(1)), (1, 1));
         assert_eq!(t.unattributed_pcm() + t.unattributed_dram(), 0);
@@ -993,13 +1018,13 @@ mod tests {
         // Freeing a frame drops its ownership; later writes (stale
         // write-backs) land in the unattributed bucket.
         m.free_frame(f0).unwrap();
-        m.record_line_access(f0.phys_base().line(), AccessKind::Write);
+        m.record_line_access(f0.phys_base().line(), AccessKind::Write, 0);
         assert_eq!(m.tenancy().unwrap().unattributed_pcm(), 1);
         // The measured-iteration reset zeroes counts, keeps ownership.
         m.reset_counters();
         let t = m.tenancy().unwrap();
         assert_eq!((t.dram_lines(1), t.unattributed_pcm()), (0, 0));
-        m.record_line_access(f1.phys_base().line(), AccessKind::Write);
+        m.record_line_access(f1.phys_base().line(), AccessKind::Write, 0);
         assert_eq!(m.tenancy().unwrap().dram_lines(1), 1);
     }
 
@@ -1007,8 +1032,43 @@ mod tests {
     fn reset_clears_all_sockets() {
         let mut m = small();
         let f = m.allocate_frame(SocketId::DRAM).unwrap();
-        m.record_line_access(f.phys_base().line(), AccessKind::Write);
+        m.record_line_access(f.phys_base().line(), AccessKind::Write, 0);
         m.reset_counters();
         assert_eq!(m.counters(SocketId::DRAM).write_lines(), 0);
+    }
+
+    #[test]
+    fn provenance_counts_writes_by_tag_and_copies_by_cause() {
+        let mut m = small();
+        m.record_line_access(LineAddr::new(0), AccessKind::Write, 0x00);
+        assert!(m.provenance().is_none(), "off by default");
+        m.enable_provenance();
+        let (dram, pcm) = (
+            m.allocate_frame(SocketId::DRAM).unwrap(),
+            m.allocate_frame(SocketId::PCM).unwrap(),
+        );
+        let tag = WriteTag::new(WriteCause::Metadata, SpaceTag::Meta).raw();
+        m.record_line_access(pcm.phys_base().line(), AccessKind::Write, tag);
+        m.record_line_access(pcm.phys_base().line(), AccessKind::Read, tag);
+        m.copy_page(pcm, dram, WriteCause::OsMigration);
+        let p = *m.provenance().unwrap();
+        assert_eq!(p.pcm_by_cause[WriteCause::Metadata as usize], 1);
+        assert_eq!(p.pcm_by_space[SpaceTag::Meta as usize], 1);
+        assert_eq!(
+            p.pcm_by_cause.iter().sum::<u64>(),
+            1,
+            "reads are not counted"
+        );
+        assert_eq!(
+            p.dram_by_cause[WriteCause::OsMigration as usize],
+            LINES as u64
+        );
+        assert_eq!(p.dram_by_space[SpaceTag::Other as usize], LINES as u64);
+        m.reset_counters();
+        let p = m.provenance().unwrap();
+        assert_eq!(
+            p.pcm_by_cause.iter().chain(&p.dram_by_space).sum::<u64>(),
+            0
+        );
     }
 }

@@ -312,6 +312,7 @@ impl AddressSpace {
 mod tests {
     use super::*;
     use crate::memory::NumaConfig;
+    use hemu_types::WriteCause;
 
     fn mem() -> NumaMemory {
         NumaMemory::new(NumaConfig {
@@ -465,15 +466,15 @@ mod tests {
         let pa = asp.translate(Addr::new(0x5000), &mut m).unwrap();
         let old = pa.frame();
         for _ in 0..6 {
-            m.record_line_access(pa.line(), AccessKind::Write);
+            m.record_line_access(pa.line(), AccessKind::Write, 0);
         }
-        m.record_line_access(pa.line(), AccessKind::Read);
+        m.record_line_access(pa.line(), AccessKind::Read, 0);
 
         // Migrate the page to a new frame, mirroring what the machine's
         // migration engine does: remap the table, then copy the page.
         let new = m.allocate_frame(SocketId::PCM).unwrap();
         assert_eq!(asp.remap_frame(old, new), 1);
-        m.copy_page(old, new);
+        m.copy_page(old, new, WriteCause::Other);
 
         let migrated = m.heat(new);
         // The totals include the copy's 64 reads of the old frame.
@@ -493,7 +494,7 @@ mod tests {
         // resume exactly from zero.
         let pa2 = asp.translate(Addr::new(0x5000), &mut m).unwrap();
         assert_eq!(pa2.frame(), new);
-        m.record_line_access(pa2.line(), AccessKind::Write);
+        m.record_line_access(pa2.line(), AccessKind::Write, 0);
         let h = m.heat(new);
         assert_eq!((h.writes, h.epoch_writes), (7, 1));
         // And an epoch reset zeroes deltas without touching totals.

@@ -50,7 +50,7 @@ fn remapping_preserves_translation_and_counters_stay_monotonic() {
             let a = addrs[rng.below(addrs.len() as u64) as usize];
             let off = rng.below((PAGE_SIZE / CACHE_LINE) as u64) * CACHE_LINE as u64;
             let pa = asp.translate(a.offset(off), &mut m).unwrap();
-            m.record_line_access(pa.line(), AccessKind::Write);
+            m.record_line_access(pa.line(), AccessKind::Write, 0);
             let w = m.counters(SocketId::PCM).write_lines();
             assert!(
                 w > last_writes,
@@ -112,6 +112,7 @@ fn retired_frames_never_return_and_capacity_shrinks() {
             m.record_line_access(
                 hemu_types::LineAddr::new(line0.raw() + i),
                 AccessKind::Write,
+                0,
             );
         }
     }

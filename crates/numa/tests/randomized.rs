@@ -8,7 +8,8 @@
 use hemu_fault::{EnduranceConfig, EnduranceModel};
 use hemu_numa::{AddressSpace, NumaConfig, NumaMemory, PageHeat};
 use hemu_types::{
-    AccessKind, Addr, ByteSize, DeterministicRng, HemuError, LineAddr, PageNum, SocketId, PAGE_SIZE,
+    AccessKind, Addr, ByteSize, DeterministicRng, HemuError, LineAddr, PageNum, SocketId,
+    WriteCause, PAGE_SIZE,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -340,7 +341,7 @@ fn frame_table_matches_the_plain_map_model() {
                     } else {
                         AccessKind::Read
                     };
-                    m.record_line_access(line, kind);
+                    m.record_line_access(line, kind, 0);
                     model.record(line, kind);
                 }
                 70..=79 => {
@@ -356,7 +357,7 @@ fn frame_table_matches_the_plain_map_model() {
                 86..=93 => {
                     let (old, new) = (frame(&mut rng), frame(&mut rng));
                     if old != new {
-                        m.copy_page(old, new);
+                        m.copy_page(old, new, WriteCause::Other);
                         model.copy_page(old, new);
                     }
                 }

@@ -12,11 +12,11 @@
 //!
 //! * [`trace`] — a bounded ring buffer of timestamped [`TraceEvent`]s (GC
 //!   pauses, chunk map/unmap/rebind, page migrations, QPI transfers,
-//!   monitor samples), recorded through a cheaply cloneable [`Tracer`]
-//!   handle.
+//!   monitor samples), recorded into an owned [`Tracer`].
 //! * [`span`] — hierarchical execution spans (GC phases, OS epochs,
-//!   measured iterations) in virtual time, recorded through a bounded
+//!   measured iterations) in virtual time, recorded into a bounded
 //!   [`SpanRecorder`] and exportable as a Chrome trace-event [`Timeline`].
+//!   The tracer and the recorder share one private bounded ring type.
 //! * [`histogram`] — a log₂-bucketed [`Histogram`] (GC pause lengths) and
 //!   the [`HistogramSnapshot`] a run report carries.
 //! * [`json`] / [`value`] / [`csv`] — hand-rolled JSON in both directions
@@ -32,8 +32,9 @@
 //!   stay per-run and unsynchronized).
 //!
 //! Counts live where they are read: the emulated machine owns one tracer,
-//! one span recorder and the GC pause histogram, and the runtime layers
-//! above it (heap, GC, OS, experiment driver) record into them. Every
+//! one span recorder and the GC pause histogram by value, and the runtime
+//! layers above it (heap, GC, OS, experiment driver) record into them
+//! through `&mut Machine`. Every
 //! count a run report carries is a plain field of the report or of the
 //! stats struct it copies.
 
@@ -46,6 +47,7 @@ pub mod journal;
 pub mod json;
 pub mod progress;
 mod record;
+mod ring;
 pub mod span;
 pub mod timeline;
 pub mod trace;

@@ -8,10 +8,10 @@
 //!
 //! The reporter is the *only* piece of `hemu-obs` that is shared between
 //! threads. Everything else in this crate (tracer ring, span recorder) is
-//! deliberately single-threaded (`Rc`-based) and scoped to one run: a
-//! parallel sweep gives every run its own machine, with its own tracer and
-//! spans, and merges the exported artifacts deterministically afterwards,
-//! so the hot recording paths never pay for synchronization.
+//! a plain owned value scoped to one run: a parallel sweep gives every run
+//! its own machine, with its own tracer and spans, and merges the exported
+//! artifacts deterministically afterwards, so the hot recording paths
+//! never pay for synchronization.
 
 use std::collections::BTreeSet;
 use std::io::Write;

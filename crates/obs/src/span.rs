@@ -3,9 +3,9 @@
 //! A span is a named interval of execution — a GC phase, an OS epoch, a
 //! measured iteration — with a begin and end stamp in *virtual* time
 //! (machine cycles) plus a wall-clock duration measured on the host. The
-//! recorder keeps a bounded buffer of closed spans, exactly like the event
-//! [`Tracer`](crate::Tracer): when full, the oldest span is overwritten and
-//! a drop counter advances.
+//! recorder keeps a bounded buffer of closed spans in the same ring type as
+//! the event [`Tracer`](crate::Tracer): when full, the oldest span is
+//! overwritten and a drop counter advances.
 //!
 //! Virtual stamps are deterministic (they replay bit-identically across
 //! runs and worker counts); wall durations are host noise and therefore
@@ -17,10 +17,8 @@
 //! per call, so instrumentation points stay unconditional.
 
 use crate::json::{JsonObject, ToJson};
+use crate::ring::Ring;
 use hemu_types::Cycles;
-use std::cell::RefCell;
-use std::collections::VecDeque;
-use std::rc::Rc;
 use std::time::Instant;
 
 /// One closed span: a named interval in virtual time plus its nesting
@@ -70,56 +68,31 @@ struct OpenSpan {
     opened: Instant,
 }
 
-#[derive(Debug)]
-struct SpanRing {
-    buf: VecDeque<SpanRecord>,
-    capacity: usize,
-    dropped: u64,
-    stack: Vec<OpenSpan>,
-    /// Spans force-closed by [`SpanRecorder::reset`] while still open.
-    truncated: u64,
-}
-
-/// Cheaply cloneable handle onto a shared, bounded buffer of closed spans.
+/// An owned, bounded buffer of closed spans plus the stack of open ones.
 ///
 /// The default recorder is disabled: [`SpanRecorder::begin`] and
 /// [`SpanRecorder::end`] are no-ops. [`SpanRecorder::bounded`] creates a
 /// live one.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct SpanRecorder {
-    ring: Option<Rc<RefCell<SpanRing>>>,
+    ring: Option<Ring<SpanRecord>>,
+    stack: Vec<OpenSpan>,
 }
 
 impl SpanRecorder {
-    /// A recorder that records nothing.
-    pub fn disabled() -> Self {
-        SpanRecorder { ring: None }
-    }
-
     /// A recorder keeping the most recent `capacity` closed spans
     /// (clamped to at least 1).
     pub fn bounded(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
         SpanRecorder {
-            ring: Some(Rc::new(RefCell::new(SpanRing {
-                buf: VecDeque::with_capacity(capacity.min(1 << 16)),
-                capacity,
-                dropped: 0,
-                stack: Vec::new(),
-                truncated: 0,
-            }))),
+            ring: Some(Ring::new(capacity)),
+            stack: Vec::new(),
         }
     }
 
-    /// Whether spans are being kept.
-    pub fn enabled(&self) -> bool {
-        self.ring.is_some()
-    }
-
     /// Opens a span at virtual time `t`. No-op when disabled.
-    pub fn begin(&self, name: &'static str, cat: &'static str, t: Cycles) {
-        if let Some(ring) = &self.ring {
-            ring.borrow_mut().stack.push(OpenSpan {
+    pub fn begin(&mut self, name: &'static str, cat: &'static str, t: Cycles) {
+        if self.ring.is_some() {
+            self.stack.push(OpenSpan {
                 name,
                 cat,
                 begin: t,
@@ -130,36 +103,23 @@ impl SpanRecorder {
 
     /// Closes the innermost open span at virtual time `t` and records it.
     /// No-op when disabled or when no span is open.
-    pub fn end(&self, t: Cycles) {
-        if let Some(ring) = &self.ring {
-            let mut ring = ring.borrow_mut();
-            let Some(open) = ring.stack.pop() else {
-                return;
-            };
-            let record = SpanRecord {
-                name: open.name,
-                cat: open.cat,
-                begin: open.begin,
-                end: t,
-                depth: ring.stack.len() as u32,
-                wall_nanos: open.opened.elapsed().as_nanos() as u64,
-            };
-            if ring.buf.len() == ring.capacity {
-                ring.buf.pop_front();
-                ring.dropped += 1;
-            }
-            ring.buf.push_back(record);
-        }
-    }
-
-    /// Number of currently open (unclosed) spans.
-    pub fn open_depth(&self) -> usize {
-        self.ring.as_ref().map_or(0, |r| r.borrow().stack.len())
+    pub fn end(&mut self, t: Cycles) {
+        let (Some(ring), Some(open)) = (&mut self.ring, self.stack.pop()) else {
+            return;
+        };
+        ring.push(SpanRecord {
+            name: open.name,
+            cat: open.cat,
+            begin: open.begin,
+            end: t,
+            depth: self.stack.len() as u32,
+            wall_nanos: open.opened.elapsed().as_nanos() as u64,
+        });
     }
 
     /// Number of closed spans currently buffered.
     pub fn len(&self) -> usize {
-        self.ring.as_ref().map_or(0, |r| r.borrow().buf.len())
+        self.ring.as_ref().map_or(0, Ring::len)
     }
 
     /// Whether the buffer is empty (always `true` when disabled).
@@ -169,45 +129,21 @@ impl SpanRecorder {
 
     /// Number of closed spans overwritten because the buffer was full.
     pub fn dropped(&self) -> u64 {
-        self.ring.as_ref().map_or(0, |r| r.borrow().dropped)
-    }
-
-    /// Maximum number of buffered spans (0 when disabled).
-    pub fn capacity(&self) -> usize {
-        self.ring.as_ref().map_or(0, |r| r.borrow().capacity)
+        self.ring.as_ref().map_or(0, Ring::dropped)
     }
 
     /// Discards every buffered and open span (start of a measured
-    /// iteration) and resets the drop counter. Counts abandoned open spans
-    /// so instrumentation imbalances are visible.
-    pub fn reset(&self) {
-        if let Some(ring) = &self.ring {
-            let mut ring = ring.borrow_mut();
-            ring.truncated += ring.stack.len() as u64;
-            ring.stack.clear();
-            ring.buf.clear();
-            ring.dropped = 0;
+    /// iteration) and resets the drop counter.
+    pub fn reset(&mut self) {
+        self.stack.clear();
+        if let Some(ring) = &mut self.ring {
+            ring.drain();
         }
     }
 
     /// Copies out the buffered spans, oldest first, leaving them in place.
     pub fn snapshot(&self) -> Vec<SpanRecord> {
-        self.ring
-            .as_ref()
-            .map_or_else(Vec::new, |r| r.borrow().buf.iter().cloned().collect())
-    }
-
-    /// Removes and returns the buffered spans, oldest first, and resets
-    /// the drop counter.
-    pub fn drain(&self) -> Vec<SpanRecord> {
-        match &self.ring {
-            None => Vec::new(),
-            Some(r) => {
-                let mut ring = r.borrow_mut();
-                ring.dropped = 0;
-                ring.buf.drain(..).collect()
-            }
-        }
+        self.ring.iter().flat_map(Ring::iter).cloned().collect()
     }
 }
 
@@ -221,22 +157,20 @@ mod tests {
 
     #[test]
     fn disabled_recorder_is_a_no_op() {
-        let s = SpanRecorder::disabled();
+        let mut s = SpanRecorder::default();
         s.begin("x", "gc", at(1));
         s.end(at(2));
-        assert!(!s.enabled());
         assert_eq!(s.len(), 0);
-        assert_eq!(s.open_depth(), 0);
     }
 
     #[test]
     fn nesting_records_depth_and_orders_by_close() {
-        let s = SpanRecorder::bounded(8);
+        let mut s = SpanRecorder::bounded(8);
         s.begin("outer", "run", at(0));
         s.begin("inner", "gc", at(10));
         s.end(at(20)); // inner
         s.end(at(30)); // outer
-        let spans = s.drain();
+        let spans = s.snapshot();
         assert_eq!(spans.len(), 2);
         assert_eq!((spans[0].name, spans[0].depth), ("inner", 1));
         assert_eq!((spans[1].name, spans[1].depth), ("outer", 0));
@@ -246,7 +180,7 @@ mod tests {
 
     #[test]
     fn ring_keeps_most_recent_and_counts_drops() {
-        let s = SpanRecorder::bounded(2);
+        let mut s = SpanRecorder::bounded(2);
         for i in 0..4u64 {
             s.begin("p", "gc", at(i));
             s.end(at(i + 1));
@@ -259,23 +193,24 @@ mod tests {
 
     #[test]
     fn unmatched_end_is_ignored() {
-        let s = SpanRecorder::bounded(2);
+        let mut s = SpanRecorder::bounded(2);
         s.end(at(5));
         assert_eq!(s.len(), 0);
     }
 
     #[test]
     fn reset_discards_open_and_closed_spans() {
-        let s = SpanRecorder::bounded(4);
+        let mut s = SpanRecorder::bounded(4);
         s.begin("a", "gc", at(0));
         s.end(at(1));
         s.begin("open", "gc", at(2));
         s.reset();
         assert_eq!(s.len(), 0);
-        assert_eq!(s.open_depth(), 0);
         s.begin("b", "gc", at(3));
         s.end(at(4));
-        assert_eq!(s.drain().len(), 1);
+        let spans = s.snapshot();
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].depth, 0, "the abandoned open span is gone");
     }
 
     #[test]
@@ -292,14 +227,5 @@ mod tests {
             rec.to_json(),
             r#"{"name":"minor","cat":"gc","begin_cycles":100,"end_cycles":250,"depth":2}"#
         );
-    }
-
-    #[test]
-    fn clones_share_the_ring() {
-        let a = SpanRecorder::bounded(4);
-        let b = a.clone();
-        b.begin("shared", "run", at(0));
-        b.end(at(1));
-        assert_eq!(a.len(), 1);
     }
 }

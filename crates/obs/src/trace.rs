@@ -11,10 +11,8 @@
 //! call, so instrumentation points do not need to be conditionally compiled.
 
 use crate::json::{JsonObject, ToJson};
+use crate::ring::Ring;
 use hemu_types::{Addr, Cycles, SocketId};
-use std::cell::RefCell;
-use std::collections::VecDeque;
-use std::rc::Rc;
 
 /// Which collection a GC event belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,20 +189,13 @@ impl ToJson for TraceRecord {
     }
 }
 
-#[derive(Debug)]
-struct Ring {
-    buf: VecDeque<TraceRecord>,
-    capacity: usize,
-    dropped: u64,
-}
-
-/// Cheaply cloneable handle onto a shared, bounded event buffer.
+/// An owned, bounded event buffer.
 ///
-/// The default tracer is disabled: [`Tracer::record`] is a no-op and
-/// [`Tracer::enabled`] is `false`. [`Tracer::bounded`] creates a live one.
-#[derive(Debug, Clone, Default)]
+/// The default tracer is disabled: [`Tracer::record`] is a no-op.
+/// [`Tracer::bounded`] creates a live one.
+#[derive(Debug, Default)]
 pub struct Tracer {
-    ring: Option<Rc<RefCell<Ring>>>,
+    ring: Option<Ring<TraceRecord>>,
 }
 
 impl Tracer {
@@ -216,71 +207,22 @@ impl Tracer {
     /// A tracer keeping the most recent `capacity` events (capacity is
     /// clamped to at least 1).
     pub fn bounded(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
         Tracer {
-            ring: Some(Rc::new(RefCell::new(Ring {
-                buf: VecDeque::with_capacity(capacity.min(1 << 16)),
-                capacity,
-                dropped: 0,
-            }))),
+            ring: Some(Ring::new(capacity)),
         }
-    }
-
-    /// Whether events are being kept.
-    pub fn enabled(&self) -> bool {
-        self.ring.is_some()
     }
 
     /// Records `event` at virtual time `t`. No-op when disabled.
-    pub fn record(&self, t: Cycles, event: TraceEvent) {
-        if let Some(ring) = &self.ring {
-            let mut ring = ring.borrow_mut();
-            if ring.buf.len() == ring.capacity {
-                ring.buf.pop_front();
-                ring.dropped += 1;
-            }
-            ring.buf.push_back(TraceRecord { t, event });
+    pub fn record(&mut self, t: Cycles, event: TraceEvent) {
+        if let Some(ring) = &mut self.ring {
+            ring.push(TraceRecord { t, event });
         }
-    }
-
-    /// Number of events currently buffered.
-    pub fn len(&self) -> usize {
-        self.ring.as_ref().map_or(0, |r| r.borrow().buf.len())
-    }
-
-    /// Whether the buffer is empty (always `true` when disabled).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of events overwritten because the buffer was full.
-    pub fn dropped(&self) -> u64 {
-        self.ring.as_ref().map_or(0, |r| r.borrow().dropped)
-    }
-
-    /// Maximum number of buffered events (0 when disabled).
-    pub fn capacity(&self) -> usize {
-        self.ring.as_ref().map_or(0, |r| r.borrow().capacity)
-    }
-
-    /// Copies out the buffered records, oldest first, leaving them in place.
-    pub fn snapshot(&self) -> Vec<TraceRecord> {
-        self.ring
-            .as_ref()
-            .map_or_else(Vec::new, |r| r.borrow().buf.iter().cloned().collect())
     }
 
     /// Removes and returns the buffered records, oldest first, and resets
     /// the drop counter.
-    pub fn drain(&self) -> Vec<TraceRecord> {
-        match &self.ring {
-            None => Vec::new(),
-            Some(r) => {
-                let mut ring = r.borrow_mut();
-                ring.dropped = 0;
-                ring.buf.drain(..).collect()
-            }
-        }
+    pub fn drain(&mut self) -> Vec<TraceRecord> {
+        self.ring.as_mut().map_or_else(Vec::new, Ring::drain)
     }
 }
 
@@ -294,36 +236,29 @@ mod tests {
 
     #[test]
     fn disabled_tracer_is_a_no_op() {
-        let t = Tracer::disabled();
+        let mut t = Tracer::disabled();
         t.record(at(1), TraceEvent::Phase { name: "x" });
-        assert!(!t.enabled());
-        assert_eq!(t.len(), 0);
-        assert_eq!(t.dropped(), 0);
-        assert!(t.snapshot().is_empty());
+        assert!(t.drain().is_empty());
     }
 
     #[test]
-    fn ring_keeps_most_recent_and_counts_drops() {
-        let t = Tracer::bounded(3);
+    fn ring_keeps_the_most_recent_events() {
+        let mut t = Tracer::bounded(3);
         for i in 0..5 {
             t.record(at(i), TraceEvent::QpiTransfer { lines: i });
         }
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.dropped(), 2);
-        let kept: Vec<u64> = t.snapshot().iter().map(|r| r.t.raw()).collect();
+        let kept: Vec<u64> = t.drain().iter().map(|r| r.t.raw()).collect();
         assert_eq!(kept, vec![2, 3, 4]);
     }
 
     #[test]
     fn drain_empties_and_resets() {
-        let t = Tracer::bounded(2);
+        let mut t = Tracer::bounded(2);
         t.record(at(0), TraceEvent::Phase { name: "a" });
         t.record(at(1), TraceEvent::Phase { name: "b" });
         t.record(at(2), TraceEvent::Phase { name: "c" });
-        let drained = t.drain();
-        assert_eq!(drained.len(), 2);
-        assert_eq!(t.len(), 0);
-        assert_eq!(t.dropped(), 0);
+        assert_eq!(t.drain().len(), 2);
+        assert!(t.drain().is_empty());
     }
 
     #[test]
@@ -367,13 +302,5 @@ mod tests {
             rec.to_json(),
             r#"{"t_cycles":7,"event":"page_migrated","frame":123,"from":1,"to":0}"#
         );
-    }
-
-    #[test]
-    fn clones_share_the_ring() {
-        let a = Tracer::bounded(4);
-        let b = a.clone();
-        b.record(at(1), TraceEvent::Phase { name: "shared" });
-        assert_eq!(a.len(), 1);
     }
 }

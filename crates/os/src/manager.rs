@@ -131,10 +131,11 @@ impl OsPageManager {
     /// sampling epoch.
     fn run_epoch(&mut self, machine: &mut Machine) -> Result<()> {
         self.stats.epochs += 1;
-        let spans = machine.spans();
-        spans.begin("os_epoch", "os", machine.elapsed());
+        let t0 = machine.elapsed();
+        machine.spans_mut().begin("os_epoch", "os", t0);
         let result = self.run_epoch_inner(machine);
-        spans.end(machine.elapsed());
+        let t1 = machine.elapsed();
+        machine.spans_mut().end(t1);
         result
     }
 

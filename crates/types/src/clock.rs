@@ -94,11 +94,6 @@ impl VirtualClock {
         self.now
     }
 
-    /// Core frequency in Hz.
-    pub fn frequency_hz(&self) -> u64 {
-        self.freq_hz
-    }
-
     /// Advances the clock. The clock never goes backwards.
     pub fn advance(&mut self, by: Cycles) {
         self.now += by;

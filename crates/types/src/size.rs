@@ -64,11 +64,6 @@ impl ByteSize {
         self.0
     }
 
-    /// Returns the size in mebibytes as a float (for reporting).
-    pub fn as_mib_f64(self) -> f64 {
-        self.0 as f64 / MIB as f64
-    }
-
     /// Returns the number of whole cache lines covered by this size.
     ///
     /// Rounds up: any partial trailing line counts as a full line, because

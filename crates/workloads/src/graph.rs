@@ -230,8 +230,6 @@ fn dataset_edges(dataset: DatasetSize) -> (u32, u64) {
 #[derive(Debug)]
 pub struct PageRank {
     graph: GraphDataset,
-    native: bool,
-    rng: DeterministicRng,
     phase: Phase,
     iterations: u32,
     edge_array: ChunkedArray,
@@ -242,14 +240,11 @@ pub struct PageRank {
 }
 
 impl PageRank {
-    /// Creates a PageRank run over the chosen dataset; `native` selects
-    /// the C++ implementation.
-    pub fn new(dataset: DatasetSize, native: bool, seed: u64) -> Self {
+    /// Creates a PageRank run over the chosen dataset.
+    pub fn new(dataset: DatasetSize, seed: u64) -> Self {
         let (n, m) = dataset_edges(dataset);
         PageRank {
             graph: generate_graph(n, m, seed ^ 0x47),
-            native,
-            rng: DeterministicRng::seeded(seed),
             phase: Phase::Build { pos: 0 },
             iterations: 2,
             edge_array: ChunkedArray::default(),
@@ -261,14 +256,6 @@ impl PageRank {
                 DatasetSize::Large => ByteSize::from_mib(384),
             },
         }
-    }
-}
-
-impl PageRank {
-    /// `true` when this instance models the C++ implementation and must
-    /// be driven with a [`Memory::Native`].
-    pub fn expects_native(&self) -> bool {
-        self.native
     }
 }
 
@@ -368,7 +355,6 @@ impl Workload for PageRank {
                 } else {
                     self.ranks.sweep(machine, mem, true)?;
                 }
-                let _ = self.rng.next_u64(); // advance the stream per super-step
                 if iteration + 1 == self.iterations {
                     self.phase = Phase::Done;
                     Ok(StepResult::IterationDone)
@@ -408,7 +394,6 @@ impl Workload for PageRank {
 #[derive(Debug)]
 pub struct ConnectedComponents {
     graph: GraphDataset,
-    native: bool,
     phase: Phase,
     iterations: u32,
     labels: Vec<u32>,
@@ -421,13 +406,12 @@ pub struct ConnectedComponents {
 
 impl ConnectedComponents {
     /// Creates a CC run over the chosen dataset.
-    pub fn new(dataset: DatasetSize, native: bool, seed: u64) -> Self {
+    pub fn new(dataset: DatasetSize, seed: u64) -> Self {
         let (n, m) = dataset_edges(dataset);
         let graph = generate_graph(n, m, seed ^ 0xCC);
         ConnectedComponents {
             labels: (0..graph.vertices).collect(),
             graph,
-            native,
             phase: Phase::Build { pos: 0 },
             iterations: 3,
             edge_array: ChunkedArray::default(),
@@ -439,22 +423,6 @@ impl ConnectedComponents {
             },
             changes_this_sweep: 0,
         }
-    }
-
-    /// Number of distinct labels remaining (for verification).
-    pub fn component_estimate(&self) -> usize {
-        let mut roots: Vec<u32> = self.labels.clone();
-        roots.sort_unstable();
-        roots.dedup();
-        roots.len()
-    }
-}
-
-impl ConnectedComponents {
-    /// `true` when this instance models the C++ implementation and must
-    /// be driven with a [`Memory::Native`].
-    pub fn expects_native(&self) -> bool {
-        self.native
     }
 }
 
@@ -572,7 +540,6 @@ impl Workload for ConnectedComponents {
 #[derive(Debug)]
 pub struct Als {
     ratings: RatingsDataset,
-    native: bool,
     phase: Phase,
     sweeps: u32,
     rating_array: ChunkedArray,
@@ -585,7 +552,7 @@ pub struct Als {
 impl Als {
     /// Creates an ALS run: 64-byte latent-factor vectors per user and
     /// item, alternating user and item sweeps.
-    pub fn new(dataset: DatasetSize, native: bool, seed: u64) -> Self {
+    pub fn new(dataset: DatasetSize, seed: u64) -> Self {
         // Netflix-Challenge shaped: ~half a million users, a small item
         // catalogue, 1 M (default) or 10 M (large) ratings.
         let (users, items, m) = match dataset {
@@ -594,7 +561,6 @@ impl Als {
         };
         Als {
             ratings: generate_ratings(users, items, m, seed),
-            native,
             phase: Phase::Build { pos: 0 },
             sweeps: 1,
             rating_array: ChunkedArray::default(),
@@ -606,14 +572,6 @@ impl Als {
                 DatasetSize::Large => ByteSize::from_mib(288),
             },
         }
-    }
-}
-
-impl Als {
-    /// `true` when this instance models the C++ implementation and must
-    /// be driven with a [`Memory::Native`].
-    pub fn expects_native(&self) -> bool {
-        self.native
     }
 }
 

@@ -268,14 +268,6 @@ impl Memory {
         }
     }
 
-    /// The managed heap, if managed (for plan inspection in reports).
-    pub fn managed_heap(&self) -> Option<&ManagedHeap> {
-        match self {
-            Memory::Managed(mm) => Some(&mm.heap),
-            Memory::Native(_) => None,
-        }
-    }
-
     /// The hardware context this memory's owner runs on.
     pub fn ctx(&self) -> hemu_machine::CtxId {
         match self {

@@ -103,13 +103,10 @@ impl WorkloadSpec {
 
     /// Instantiates the workload with a deterministic seed.
     pub fn instantiate(&self, seed: u64) -> Box<dyn Workload> {
-        let native = self.language == Language::Cpp;
         match (self.suite, self.name) {
-            (Suite::GraphChi, "pr") => Box::new(PageRank::new(self.dataset, native, seed)),
-            (Suite::GraphChi, "cc") => {
-                Box::new(ConnectedComponents::new(self.dataset, native, seed))
-            }
-            (Suite::GraphChi, "als") => Box::new(Als::new(self.dataset, native, seed)),
+            (Suite::GraphChi, "pr") => Box::new(PageRank::new(self.dataset, seed)),
+            (Suite::GraphChi, "cc") => Box::new(ConnectedComponents::new(self.dataset, seed)),
+            (Suite::GraphChi, "als") => Box::new(Als::new(self.dataset, seed)),
             (Suite::Pjbb, _) => Box::new(PjbbWorkload::new(self.dataset, seed)),
             (Suite::DaCapo, name) => Box::new(DacapoWorkload::new(
                 dacapo::params_for(name).expect("unknown DaCapo benchmark"),

@@ -74,6 +74,19 @@ grep -q '"cat":"gc"' "$smoke_dir/timeline.json"
 grep -q '"name":"os_epoch"' "$smoke_dir/timeline.json"
 head -1 "$smoke_dir/heatmap.csv" | grep -q '^key,frame,writes,lines_touched,max_line_writes$'
 grep -q '"provenance":{"pcm":{"by_cause":{"mutator":' "$smoke_dir/prof/runs.json"
+# Provenance is complete: per socket, the lines split by cause and the
+# lines split by heap space each sum to the controller's write bytes / 64.
+python3 - "$smoke_dir/prof/runs.json" <<'PY'
+import json, sys
+runs = [r for r in json.load(open(sys.argv[1])) if r["status"] == "ok"]
+assert runs, "no profiled run succeeded"
+for run in runs:
+    rep = run["report"]
+    for side, writes in (("pcm", rep["pcm_writes"]), ("dram", rep["dram_writes"])):
+        for split in ("by_cause", "by_space"):
+            lines = sum(rep["provenance"][side][split].values())
+            assert lines * 64 == writes, f'{run["key"]}: {side} {split} {lines} lines vs {writes} bytes'
+PY
 
 echo "== parallel smoke: --jobs {1,4} artifacts are byte-identical =="
 for jobs in 1 4; do

@@ -11,7 +11,7 @@
 
 use hemu::core::{restore_run_report, Experiment, RunReport};
 use hemu::heap::CollectorKind;
-use hemu::obs::{fnv1a64, ToJson, TraceEvent};
+use hemu::obs::{fnv1a64, ToJson, TraceEvent, Tracer};
 use hemu::types::{ByteSize, OsPagingConfig, OsPolicy, CACHE_LINE};
 use hemu::workloads::{Mix, WorkloadSpec};
 
@@ -83,7 +83,10 @@ fn traced_and_untraced_runs_export_identical_reports() {
     for (name, exp) in inputs {
         let plain = exp.run().expect("untraced run");
         let capacity = 1 << 12;
-        let (traced, trace) = exp.run_with_trace(capacity).expect("traced run");
+        let (traced, trace) = exp
+            .run_traced(Tracer::bounded(capacity))
+            .map(|a| (a.report, a.trace))
+            .expect("traced run");
         assert!(!trace.is_empty(), "{name}: the traced run recorded events");
         let json = plain.to_json();
         assert_eq!(json, traced.to_json(), "{name}");
