@@ -208,11 +208,13 @@ fn main() {
             })
             .collect(),
     };
-    let mut os_tuning = OsPagingConfig::default();
     // The emulated sockets are far larger than any workload here, so an
     // unclamped DRAM socket never spills and every policy degenerates to
     // dram-first; a small default clamp makes migration pressure real.
-    os_tuning.dram_limit = Some(ByteSize::from_mib(4));
+    let mut os_tuning = OsPagingConfig {
+        dram_limit: Some(ByteSize::from_mib(4)),
+        ..OsPagingConfig::default()
+    };
     if let Some(s) = &epoch_flag {
         match s.parse::<u64>() {
             Ok(n) if n > 0 => os_tuning.epoch_lines = n,

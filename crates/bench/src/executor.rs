@@ -47,7 +47,7 @@ pub(crate) const TRACE_CAPACITY: usize = 1 << 16;
 /// One experiment run awaiting execution, fully described by value so a
 /// worker thread needs nothing from the harness.
 #[derive(Debug, Clone)]
-pub struct JobSpec {
+pub(crate) struct JobSpec {
     /// The memoization key, [`Experiment::key`]: for example
     /// `lusearch|KG-N|1|Emulation`, `mixed@8|PCM-Only|slice64|Emulation`
     /// or `lu.Fix|PCM-Only|1|Emulation|llc=4MiB`.
@@ -59,7 +59,7 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// Describes one run under its key.
-    pub fn new(experiment: Experiment) -> Self {
+    pub(crate) fn new(experiment: Experiment) -> Self {
         JobSpec {
             key: experiment.key(),
             experiment,
@@ -70,7 +70,7 @@ impl JobSpec {
 /// The outcome of executing one job, parked in staging until the run is
 /// demanded (and thereby committed) by the real rendering pass.
 #[derive(Debug)]
-pub struct StagedRun {
+pub(crate) struct StagedRun {
     /// Attempts consumed (1 unless transient faults forced retries).
     pub attempts: u32,
     /// The full artifact bundle (report, trace, profiler spans, wear
@@ -80,7 +80,7 @@ pub struct StagedRun {
 
 /// Everything a worker needs to execute jobs: the harness-wide run
 /// configuration, cloned once per wave and shared read-only.
-pub struct ExecCtx {
+pub(crate) struct ExecCtx {
     /// Fault plan applied (key-filtered) to every attempt.
     pub fault_plan: Option<FaultPlan>,
     /// Endurance model applied to every experiment.
@@ -174,7 +174,7 @@ fn run_guarded(
 /// job that crashed its worker never emits a duplicate `begin` and
 /// progress output stays parseable as one `running`/`retried*`/final-line
 /// sequence per key.
-pub fn run_job(job: &JobSpec, ctx: &ExecCtx, announce: bool) -> StagedRun {
+pub(crate) fn run_job(job: &JobSpec, ctx: &ExecCtx, announce: bool) -> StagedRun {
     // begin/finish bracket the run so a failed or retried run always
     // finalizes its display line — `running ...` is never a key's last word.
     if announce {
@@ -186,7 +186,7 @@ pub fn run_job(job: &JobSpec, ctx: &ExecCtx, announce: bool) -> StagedRun {
     loop {
         match run_guarded(&ctx.policy, ctx.want_trace, configure(ctx, job, attempt)) {
             Ok(ok) => {
-                ctx.reporter.finish(&job.key, &format!("done {}", job.key));
+                ctx.reporter.finish(&format!("done {}", job.key));
                 return StagedRun {
                     attempts: attempt,
                     outcome: Ok(ok),
@@ -207,10 +207,10 @@ pub fn run_job(job: &JobSpec, ctx: &ExecCtx, announce: bool) -> StagedRun {
                     attempt += 1;
                     continue;
                 }
-                ctx.reporter.finish(
-                    &job.key,
-                    &format!("FAILED {} after {attempt} attempt(s): {e}", job.key),
-                );
+                ctx.reporter.finish(&format!(
+                    "FAILED {} after {attempt} attempt(s): {e}",
+                    job.key
+                ));
                 return StagedRun {
                     attempts: attempt,
                     outcome: Err(e),
@@ -225,7 +225,7 @@ pub fn run_job(job: &JobSpec, ctx: &ExecCtx, announce: bool) -> StagedRun {
 /// cursor, so the assignment of jobs to threads is racy — but results are
 /// keyed by queue position, and commitment order is decided later by the
 /// demand sequence, so scheduling noise cannot reach any artifact.
-pub fn execute_wave(jobs: &[JobSpec], workers: usize, ctx: &ExecCtx) -> Vec<StagedRun> {
+pub(crate) fn execute_wave(jobs: &[JobSpec], workers: usize, ctx: &ExecCtx) -> Vec<StagedRun> {
     execute_wave_with(jobs, workers, ctx, run_job)
 }
 
@@ -299,13 +299,10 @@ where
                         q.push_back(i);
                     }
                 } else {
-                    ctx.reporter.finish(
-                        &job.key,
-                        &format!(
-                            "FAILED {} after {crash_count} worker crash(es): {err}",
-                            job.key
-                        ),
-                    );
+                    ctx.reporter.finish(&format!(
+                        "FAILED {} after {crash_count} worker crash(es): {err}",
+                        job.key
+                    ));
                     if let Ok(mut s) = slots[i].lock() {
                         *s = Some(StagedRun {
                             attempts: crash_count,
@@ -329,7 +326,7 @@ where
     // queued or requeued (catch_unwind above makes this unreachable in
     // practice), finish the stragglers inline rather than losing them.
     for (i, slot) in slots.iter().enumerate() {
-        let empty = slot.lock().map_or(false, |s| s.is_none());
+        let empty = slot.lock().is_ok_and(|s| s.is_none());
         if empty {
             let staged = panic::catch_unwind(AssertUnwindSafe(|| {
                 runner(&jobs[i], ctx, crashes[i].load(Ordering::Relaxed) == 0)

@@ -15,11 +15,11 @@ use crate::fmt::{ratio, table};
 use crate::harness::{workload, Harness, Manager, Profile};
 use hemu_core::lifetime::{LifetimeModel, ENDURANCE_PROTOTYPES};
 use hemu_core::RunReport;
-use hemu_heap::chunks::ChunkPolicy;
-use hemu_heap::{plan, CollectorKind};
+use hemu_heap::ChunkPolicy;
+use hemu_heap::{render_table1, CollectorKind};
 use hemu_machine::MachineProfile;
 use hemu_types::{ByteSize, OsPolicy, Result};
-use hemu_workloads::{spec, DatasetSize, Language, Mix, Suite};
+use hemu_workloads::{dacapo_sim_subset, DatasetSize, Language, Mix, Suite};
 
 /// Table I: space-to-socket mapping of KG-N, KG-W and KG-W−MDO, printed
 /// from the live plan objects.
@@ -34,7 +34,7 @@ pub fn table1() -> String {
     .collect();
     format!(
         "Table I: heap spaces and their socket mapping (S0 = DRAM, S1 = PCM)\n\n{}",
-        plan::render_table1(&configs)
+        render_table1(&configs)
     )
 }
 
@@ -46,7 +46,7 @@ pub fn table1() -> String {
 ///
 /// Propagates experiment failures.
 pub fn table2(h: &mut Harness) -> Result<String> {
-    let benches = spec::dacapo_sim_subset();
+    let benches = dacapo_sim_subset();
     let mut rows = vec![vec![
         "Collector".to_string(),
         "Simulator".to_string(),
@@ -200,7 +200,7 @@ pub fn fig4(h: &mut Harness) -> Result<String> {
                 .into_iter()
                 .filter(|s| s.suite == suite)
                 .collect();
-            let mut per_n = vec![Vec::new(), Vec::new(), Vec::new()];
+            let mut per_n = [Vec::new(), Vec::new(), Vec::new()];
             for app in apps {
                 let Some(base) = h.run_opt(app, collector, 1, Profile::Emulation) else {
                     continue;
@@ -271,7 +271,7 @@ pub fn fig5(h: &mut Harness) -> Result<String> {
         }
         suite_stats.push((suite, writes, rates));
     }
-    let dacapo = suite_stats[0].clone();
+    let dacapo = suite_stats[0];
     for (suite, writes, rates) in &suite_stats[1..] {
         writes_rows.push(vec![
             format!("{suite}"),

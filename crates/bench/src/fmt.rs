@@ -1,7 +1,7 @@
 //! Plain-text table rendering for the harness output.
 
 /// Renders an aligned text table. The first row is the header.
-pub fn table(rows: &[Vec<String>]) -> String {
+pub(crate) fn table(rows: &[Vec<String>]) -> String {
     if rows.is_empty() {
         return String::new();
     }
@@ -39,7 +39,7 @@ pub fn table(rows: &[Vec<String>]) -> String {
 }
 
 /// Formats a ratio with two decimals, using `-` for non-finite values.
-pub fn ratio(x: f64) -> String {
+pub(crate) fn ratio(x: f64) -> String {
     if x.is_finite() {
         format!("{x:.2}")
     } else {

@@ -9,7 +9,7 @@ use hemu_obs::journal::{read_journal, JournalReadError, JournalRecord, JournalWr
 use hemu_obs::json::{JsonObject, ToJson};
 use hemu_obs::{fnv1a64, hash_hex, to_json_lines, write_atomic_str, Csv, Reporter, Timeline};
 use hemu_types::{HemuError, OsPagingConfig, OsPolicy, Result};
-use hemu_workloads::{spec, Mix, WorkloadSpec};
+use hemu_workloads::{Mix, WorkloadSpec};
 use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -63,7 +63,7 @@ pub enum Manager {
 
 impl Manager {
     /// Stable display name used in run keys, reports and figure columns.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Manager::Gc(c) => c.name(),
             Manager::Os(p) => p.name(),
@@ -134,7 +134,7 @@ pub enum RunStatus {
 
 impl RunStatus {
     /// Stable lower-case name used in `runs.json`.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             RunStatus::Ok => "ok",
             RunStatus::Failed => "failed",
@@ -204,7 +204,7 @@ pub struct Harness {
     /// Worker-pool width for planned sweeps; 0 or 1 means fully inline
     /// sequential execution (the historical path).
     jobs: usize,
-    /// When true, [`Harness::run`] defers execution: unknown runs are
+    /// When true, `Harness::run` defers execution: unknown runs are
     /// enqueued as pending jobs and answered with [`HemuError::Deferred`].
     planning: bool,
     /// Jobs discovered by planning passes, in discovery order.
@@ -305,7 +305,7 @@ impl Harness {
     }
 
     /// The migrator tuning applied to OS-managed runs.
-    pub fn os_tuning(&self) -> OsPagingConfig {
+    pub(crate) fn os_tuning(&self) -> OsPagingConfig {
         self.os_tuning
     }
 
@@ -372,7 +372,7 @@ impl Harness {
 
     /// Whether runs execute under the profiler (enabled explicitly or
     /// implied by a timeline/heatmap export path).
-    pub fn profiling(&self) -> bool {
+    pub(crate) fn profiling(&self) -> bool {
         self.profile_runs || self.timeline_out.is_some() || self.heatmap_out.is_some()
     }
 
@@ -409,22 +409,22 @@ impl Harness {
     }
 
     /// The DaCapo benchmarks in scope at this scale.
-    pub fn dacapo(&self) -> Vec<WorkloadSpec> {
+    pub(crate) fn dacapo(&self) -> Vec<WorkloadSpec> {
         match self.scale {
-            Scale::Full => spec::dacapo_all(),
-            Scale::Quick => spec::dacapo_sim_subset(),
+            Scale::Full => hemu_workloads::dacapo_all(),
+            Scale::Quick => hemu_workloads::dacapo_sim_subset(),
         }
     }
 
     /// All applications in scope at this scale (DaCapo + Pjbb + GraphChi).
-    pub fn all_apps(&self) -> Vec<WorkloadSpec> {
+    pub(crate) fn all_apps(&self) -> Vec<WorkloadSpec> {
         let mut v = self.dacapo();
-        v.push(spec::pjbb());
-        v.extend(spec::graphchi_all());
+        v.push(hemu_workloads::pjbb());
+        v.extend(hemu_workloads::graphchi_all());
         v
     }
 
-    /// The experiment behind [`Harness::run`] (OS policies get this
+    /// The experiment behind `Harness::run` (OS policies get this
     /// harness's migrator tuning). Figures that sweep a further setting
     /// adjust it and pass it to [`Harness::run_experiment`].
     pub fn experiment(
@@ -465,7 +465,7 @@ impl Harness {
     /// Returns the run's terminal error ([`HemuError::Timeout`] when the
     /// deadline expired, [`HemuError::Panicked`] when the experiment
     /// panicked, otherwise whatever the experiment reported).
-    pub fn run(
+    pub(crate) fn run(
         &mut self,
         spec: WorkloadSpec,
         manager: impl Into<Manager>,
@@ -483,7 +483,7 @@ impl Harness {
     ///
     /// # Errors
     ///
-    /// Returns the run's terminal error, exactly like [`Harness::run`].
+    /// Returns the run's terminal error, exactly like `Harness::run`.
     pub fn run_consolidated(
         &mut self,
         mix: Mix,
@@ -503,7 +503,7 @@ impl Harness {
     ///
     /// # Errors
     ///
-    /// The run's terminal error, as for [`Harness::run`].
+    /// The run's terminal error, as for `Harness::run`.
     pub fn run_experiment(&mut self, experiment: Experiment) -> Result<RunReport> {
         let job = JobSpec::new(experiment);
         let key = job.key.clone();
@@ -946,7 +946,7 @@ impl Harness {
         write_atomic_str(&path, &csv.finish()).map_err(|e| io_err("writing", &path, &e))
     }
 
-    /// Like [`Harness::run`], but a terminal failure (already recorded and
+    /// Like `Harness::run`, but a terminal failure (already recorded and
     /// memoized by `run`) yields `None` so figure loops degrade to partial
     /// tables instead of aborting the sweep.
     pub fn run_opt(

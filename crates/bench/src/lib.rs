@@ -8,10 +8,9 @@
 //! multiprogrammed PCM-Only runs and Table III's lifetime inputs) run each
 //! experiment once.
 
-pub mod executor;
+mod executor;
 pub mod experiments;
-pub mod fmt;
-pub mod harness;
+mod fmt;
+mod harness;
 
-pub use executor::{ExecCtx, JobSpec, StagedRun};
 pub use harness::{Harness, Manager, Profile, RunPolicy, RunRecord, RunStatus, Scale};

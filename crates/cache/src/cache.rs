@@ -79,12 +79,12 @@ impl CacheConfig {
     }
 
     /// Number of sets.
-    pub fn sets(&self) -> usize {
+    pub(crate) fn sets(&self) -> usize {
         self.size.bytes() as usize / CACHE_LINE / self.assoc
     }
 
     /// Total number of lines.
-    pub fn lines(&self) -> usize {
+    pub(crate) fn lines(&self) -> usize {
         self.size.bytes() as usize / CACHE_LINE
     }
 }
@@ -245,15 +245,10 @@ impl Cache {
     /// Enables per-line provenance tag tracking (one byte per slot). Tags
     /// recorded by tagged writes from then on travel with dirty lines and
     /// surface in [`Victim::tag`] and the flush sink. Idempotent.
-    pub fn enable_tags(&mut self) {
+    pub(crate) fn enable_tags(&mut self) {
         if self.prov.is_none() {
             self.prov = Some(vec![0; self.config.lines()]);
         }
-    }
-
-    /// Whether provenance tags are being tracked.
-    pub fn tags_enabled(&self) -> bool {
-        self.prov.is_some()
     }
 
     #[inline]
@@ -268,18 +263,13 @@ impl Cache {
         self.prov.as_ref().map_or(0, |p| p[slot])
     }
 
-    /// The cache's geometry.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> &CacheStats {
         &self.stats
     }
 
     /// Resets statistics (not contents).
-    pub fn reset_stats(&mut self) {
+    pub(crate) fn reset_stats(&mut self) {
         self.stats.reset();
     }
 
@@ -468,7 +458,7 @@ impl Cache {
     /// calls this a few queue entries ahead so the probe's dependent loads
     /// don't stall on host memory; it never changes simulated state.
     #[inline]
-    pub fn prefetch_set(&self, line: LineAddr) {
+    pub(crate) fn prefetch_set(&self, line: LineAddr) {
         #[cfg(target_arch = "x86_64")]
         {
             use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
@@ -490,7 +480,7 @@ impl Cache {
 
     /// Accesses `line`; on a write the resident line is marked dirty.
     ///
-    /// Untagged convenience for [`Cache::access_tagged`] (tag 0).
+    /// Untagged convenience for `Cache::access_tagged` (tag 0).
     pub fn access(&mut self, line: LineAddr, kind: AccessKind) -> AccessResult {
         self.access_tagged(line, kind, 0)
     }
@@ -503,7 +493,12 @@ impl Cache {
     /// writes) and the displaced valid line, if any, is returned — with
     /// the tag of its last write — so the caller can propagate the
     /// write-back.
-    pub fn access_tagged(&mut self, line: LineAddr, kind: AccessKind, wtag: u8) -> AccessResult {
+    pub(crate) fn access_tagged(
+        &mut self,
+        line: LineAddr,
+        kind: AccessKind,
+        wtag: u8,
+    ) -> AccessResult {
         let (set, base, tag) = self.locate(line);
         let vd = self.word(base + VD);
         let (valid, dirty) = (vd as u32, (vd >> 32) as u32);
@@ -607,21 +602,11 @@ impl Cache {
             .map(|w| (self.word(base + VD) >> 32) as u32 >> w & 1 == 1)
     }
 
-    /// Marks a resident line dirty without touching LRU state (used when a
-    /// lower-level write-back lands in this cache).
-    ///
-    /// Untagged convenience for [`Cache::mark_dirty_tagged`] (tag 0).
-    ///
-    /// Returns `false` if the line was not resident.
-    pub fn mark_dirty(&mut self, line: LineAddr) -> bool {
-        self.mark_dirty_tagged(line, 0)
-    }
-
     /// Marks a resident line dirty and stamps it with the provenance
     /// `wtag`, without touching LRU state.
     ///
     /// Returns `false` if the line was not resident.
-    pub fn mark_dirty_tagged(&mut self, line: LineAddr, wtag: u8) -> bool {
+    pub(crate) fn mark_dirty_tagged(&mut self, line: LineAddr, wtag: u8) -> bool {
         let set = self.set_of(line);
         match self.find_way(line) {
             Some(w) => {
@@ -651,15 +636,9 @@ impl Cache {
         self.store_tag(set * self.assoc + way, wtag);
     }
 
-    /// Removes `line` if resident (inclusive-hierarchy back-invalidation),
-    /// returning whether it was resident and whether it was dirty.
-    pub fn invalidate(&mut self, line: LineAddr) -> Option<bool> {
-        self.invalidate_tagged(line).map(|(dirty, _)| dirty)
-    }
-
     /// Removes `line` if resident, returning its dirtiness and the
     /// provenance tag of its last write.
-    pub fn invalidate_tagged(&mut self, line: LineAddr) -> Option<(bool, u8)> {
+    pub(crate) fn invalidate_tagged(&mut self, line: LineAddr) -> Option<(bool, u8)> {
         let set = self.set_of(line);
         let w = self.find_way(line)?;
         let wtag = self.prov_at(set * self.assoc + w);
@@ -686,19 +665,12 @@ impl Cache {
         })
     }
 
-    /// Writes back and drops every dirty line, invoking `sink` for each
-    /// (used at iteration barriers to flush residual dirty data).
-    ///
-    /// Untagged convenience for [`Cache::flush_dirty_tagged`].
-    pub fn flush_dirty<F: FnMut(LineAddr)>(&mut self, mut sink: F) {
-        self.flush_dirty_tagged(|line, _| sink(line));
-    }
-
     /// Writes back and drops every dirty line, invoking `sink` with each
-    /// line and the provenance tag of its last write.
+    /// line and the provenance tag of its last write (used at iteration
+    /// barriers to flush residual dirty data).
     ///
     /// Sets with no dirty line are skipped with one mask test each.
-    pub fn flush_dirty_tagged<F: FnMut(LineAddr, u8)>(&mut self, mut sink: F) {
+    pub(crate) fn flush_dirty_tagged<F: FnMut(LineAddr, u8)>(&mut self, mut sink: F) {
         for set in 0..self.config.sets() {
             let base = self.base(set);
             let vd = self.words()[base + VD];
@@ -825,7 +797,7 @@ mod tests {
         c.access(l(2), AccessKind::Read);
         let r = c.access(l(4), AccessKind::Read);
         assert_eq!(r.victim.map(|v| v.tag), Some(0), "no storage when off");
-        assert!(!c.tags_enabled());
+        assert!(c.prov.is_none());
     }
 
     #[test]
@@ -856,17 +828,20 @@ mod tests {
     fn invalidate_returns_dirtiness() {
         let mut c = tiny();
         c.access(l(0), AccessKind::Write);
-        assert_eq!(c.invalidate(l(0)), Some(true));
-        assert_eq!(c.invalidate(l(0)), None);
+        assert_eq!(
+            c.invalidate_tagged(l(0)).map(|(dirty, _)| dirty),
+            Some(true)
+        );
+        assert_eq!(c.invalidate_tagged(l(0)).map(|(dirty, _)| dirty), None);
         assert!(!c.contains(l(0)));
     }
 
     #[test]
     fn mark_dirty_requires_residency() {
         let mut c = tiny();
-        assert!(!c.mark_dirty(l(0)));
+        assert!(!c.mark_dirty_tagged(l(0), 0));
         c.access(l(0), AccessKind::Read);
-        assert!(c.mark_dirty(l(0)));
+        assert!(c.mark_dirty_tagged(l(0), 0));
         assert_eq!(c.is_dirty(l(0)), Some(true));
     }
 
@@ -877,12 +852,12 @@ mod tests {
         c.access(l(1), AccessKind::Read);
         c.access(l(2), AccessKind::Write);
         let mut flushed = Vec::new();
-        c.flush_dirty(|line| flushed.push(line));
+        c.flush_dirty_tagged(|line, _| flushed.push(line));
         flushed.sort_by_key(|x| x.raw());
         assert_eq!(flushed, vec![l(0), l(2)]);
         // Second flush finds nothing.
         let mut again = Vec::new();
-        c.flush_dirty(|line| again.push(line));
+        c.flush_dirty_tagged(|line, _| again.push(line));
         assert!(again.is_empty());
     }
 
@@ -893,7 +868,10 @@ mod tests {
         let mut c = tiny();
         c.access(l(0), AccessKind::Read);
         c.access(l(2), AccessKind::Read);
-        assert_eq!(c.invalidate(l(0)), Some(false));
+        assert_eq!(
+            c.invalidate_tagged(l(0)).map(|(dirty, _)| dirty),
+            Some(false)
+        );
         c.access(l(4), AccessKind::Read); // refills the invalid way
         assert!(c.contains(l(2)));
         assert!(c.contains(l(4)));

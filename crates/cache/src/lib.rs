@@ -33,8 +33,6 @@
 //! assert!(r.hit);
 //! ```
 
-#![warn(missing_docs)]
-
 mod cache;
 mod hierarchy;
 mod shard;

@@ -207,11 +207,6 @@ impl ShardedHierarchy {
         }
     }
 
-    /// Number of hardware contexts.
-    pub fn contexts(&self) -> usize {
-        self.contexts
-    }
-
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -221,13 +216,6 @@ impl ShardedHierarchy {
     pub fn enable_tags(&mut self) {
         for s in &mut self.shards {
             s.hier.enable_tags();
-        }
-    }
-
-    /// Resets statistics on every shard (contents are preserved).
-    pub fn reset_stats(&mut self) {
-        for s in &mut self.shards {
-            s.hier.reset_stats();
         }
     }
 
@@ -280,11 +268,6 @@ impl ShardedHierarchy {
                 meta,
             });
         self.queued += 1;
-    }
-
-    /// Lines queued in the current batch.
-    pub fn queued(&self) -> usize {
-        self.queued
     }
 
     /// Resolves every queued access against its shard, accumulating the
@@ -347,20 +330,6 @@ impl ShardedHierarchy {
             for &(wb, tag) in &s.wbs {
                 visit(wb, tag);
             }
-        }
-    }
-
-    /// Flushes every dirty line in every shard to memory, calling `sink`
-    /// once per line with its provenance tag. Shards flush in index order,
-    /// each with [`Hierarchy::flush`]'s own ordering — deterministic, but
-    /// a different (equally valid) order than the monolithic hierarchy;
-    /// only per-line sums are observable in reports.
-    pub fn flush<F: FnMut(LineAddr, u8)>(&mut self, mut sink: F) {
-        let ns_bits = self.ns_bits;
-        for s in &mut self.shards {
-            let low = s.low;
-            s.hier
-                .flush(|line, tag| sink(LineAddr::new(line.raw() << ns_bits | low), tag));
         }
     }
 
@@ -533,21 +502,5 @@ mod tests {
             assert_eq!(per_line.llc_stats(), agg.llc_stats());
             assert_eq!(per_line.l2_stats(0), agg.l2_stats(0));
         }
-    }
-
-    #[test]
-    fn flush_reaches_every_dirty_line_once() {
-        let mut s = ShardedHierarchy::new(config(), 2);
-        let mut wb = Vec::new();
-        for n in [0u64, 3, 17, 64] {
-            s.access_into(0, LineAddr::new(n), AccessKind::Write, 0, &mut wb);
-        }
-        let mut flushed = Vec::new();
-        s.flush(|line, _| flushed.push(line.raw()));
-        flushed.sort_unstable();
-        assert_eq!(flushed, vec![0, 3, 17, 64]);
-        let mut again = Vec::new();
-        s.flush(|line, _| again.push(line));
-        assert!(again.is_empty());
     }
 }

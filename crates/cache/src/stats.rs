@@ -18,12 +18,12 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Total accesses.
-    pub fn accesses(&self) -> u64 {
+    pub(crate) fn accesses(&self) -> u64 {
         self.hits + self.misses
     }
 
     /// Hit ratio in `[0, 1]`; zero if there were no accesses.
-    pub fn hit_ratio(&self) -> f64 {
+    pub(crate) fn hit_ratio(&self) -> f64 {
         let total = self.accesses();
         if total == 0 {
             0.0
@@ -33,7 +33,7 @@ impl CacheStats {
     }
 
     /// Resets all counters.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         *self = Self::default();
     }
 }

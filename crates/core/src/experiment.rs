@@ -4,7 +4,7 @@
 use crate::monitor::WriteRateMonitor;
 use crate::report::{ConsolidationSummary, PageWear, ProvenanceSummary, RunReport, TenantShare};
 use hemu_fault::{EnduranceConfig, FaultPlan};
-use hemu_heap::chunks::ChunkPolicy;
+use hemu_heap::ChunkPolicy;
 use hemu_heap::{CollectorKind, GcStats, ManagedHeap};
 use hemu_machine::{CtxId, Machine, MachineProfile, ProcId};
 use hemu_malloc::{NativeHeap, NativeStats};

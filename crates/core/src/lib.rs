@@ -13,8 +13,8 @@
 //! 3. synchronizes all workloads at a **barrier**, resets the
 //!    memory-controller counters, clocks and cache statistics;
 //! 4. runs the **measured iteration**, interleaving slices of workload
-//!    steps on the shared cache hierarchy while the write-rate
-//!    [`monitor`] samples the PCM socket's counters;
+//!    steps on the shared cache hierarchy while the write-rate monitor
+//!    samples the PCM socket's counters ([`RateSample`]);
 //! 5. produces a [`RunReport`] (with per-tenant shares for mix runs).
 //!
 //! # Examples
@@ -47,17 +47,15 @@
 //! # Ok::<(), hemu_types::HemuError>(())
 //! ```
 
-#![warn(missing_docs)]
-
-pub mod experiment;
+mod experiment;
 pub mod lifetime;
-pub mod monitor;
-pub mod report;
-pub mod restore;
+mod monitor;
+mod report;
+mod restore;
 
 pub use experiment::{Experiment, RunArtifacts};
-pub use lifetime::{lifetime_years, LifetimeModel};
-pub use monitor::{RateSample, WriteRateMonitor};
+pub use lifetime::LifetimeModel;
+pub use monitor::RateSample;
 pub use report::{
     ConsolidationSummary, EnduranceSummary, PageWear, ProvenanceSummary, RunReport, TenantShare,
     WearSummary,

@@ -57,7 +57,7 @@ impl LifetimeModel {
 /// # Panics
 ///
 /// Panics if `wear_levelling_efficiency` is outside `(0, 1]`.
-pub fn lifetime_years(
+pub(crate) fn lifetime_years(
     capacity: ByteSize,
     endurance_writes_per_cell: u64,
     write_rate_bytes_per_sec: f64,

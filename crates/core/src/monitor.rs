@@ -26,7 +26,7 @@ hemu_obs::record! {
 
 /// Samples socket write counters over virtual time.
 #[derive(Debug, Clone)]
-pub struct WriteRateMonitor {
+pub(crate) struct WriteRateMonitor {
     interval_seconds: f64,
     next_sample_at: f64,
     last_t: f64,
@@ -41,7 +41,7 @@ impl WriteRateMonitor {
     /// # Panics
     ///
     /// Panics if the interval is not positive.
-    pub fn new(interval_seconds: f64) -> Self {
+    pub(crate) fn new(interval_seconds: f64) -> Self {
         assert!(interval_seconds > 0.0, "sampling interval must be positive");
         WriteRateMonitor {
             interval_seconds,
@@ -55,7 +55,7 @@ impl WriteRateMonitor {
 
     /// Polls the machine; records a sample if an interval has elapsed.
     /// Call this between workload quanta.
-    pub fn poll(&mut self, machine: &mut Machine) {
+    pub(crate) fn poll(&mut self, machine: &mut Machine) {
         let now = machine.elapsed_seconds();
         while now >= self.next_sample_at {
             self.record(machine, self.next_sample_at.min(now));
@@ -64,7 +64,7 @@ impl WriteRateMonitor {
     }
 
     /// Forces a final sample at the current time (end of the run).
-    pub fn finish(&mut self, machine: &mut Machine) {
+    pub(crate) fn finish(&mut self, machine: &mut Machine) {
         let now = machine.elapsed_seconds();
         if now > self.last_t {
             self.record(machine, now);
@@ -98,22 +98,9 @@ impl WriteRateMonitor {
         self.last_dram = dram;
     }
 
-    /// The recorded samples.
-    pub fn samples(&self) -> &[RateSample] {
-        &self.samples
-    }
-
     /// Consumes the monitor, returning its samples.
-    pub fn into_samples(self) -> Vec<RateSample> {
+    pub(crate) fn into_samples(self) -> Vec<RateSample> {
         self.samples
-    }
-
-    /// Peak interval PCM write rate seen so far (MB/s).
-    pub fn peak_pcm_rate(&self) -> f64 {
-        self.samples
-            .iter()
-            .map(|s| s.pcm_write_mbs)
-            .fold(0.0, f64::max)
     }
 }
 
@@ -134,11 +121,11 @@ mod tests {
         m.flush_caches().unwrap();
         mon.poll(&mut m);
         mon.finish(&mut m);
-        assert!(!mon.samples().is_empty());
+        assert!(!mon.samples.is_empty());
         let total: f64 = mon
-            .samples()
+            .samples
             .iter()
-            .zip(std::iter::once(0.0).chain(mon.samples().iter().map(|s| s.t_seconds)))
+            .zip(std::iter::once(0.0).chain(mon.samples.iter().map(|s| s.t_seconds)))
             .map(|(s, prev)| s.pcm_write_mbs * (s.t_seconds - prev))
             .sum();
         // Integrated rate ≈ total bytes written.
@@ -158,8 +145,8 @@ mod tests {
             .unwrap();
         m.flush_caches().unwrap();
         mon.finish(&mut m);
-        assert_eq!(mon.samples().len(), 1);
-        assert!(mon.peak_pcm_rate() > 0.0);
+        assert_eq!(mon.samples.len(), 1);
+        assert!(mon.samples[0].pcm_write_mbs > 0.0);
         let _ = ProcId(0);
     }
 

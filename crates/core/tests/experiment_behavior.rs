@@ -2,7 +2,7 @@
 //! benchmark (avrora) to stay fast.
 
 use hemu_core::Experiment;
-use hemu_heap::chunks::ChunkPolicy;
+use hemu_heap::ChunkPolicy;
 use hemu_heap::CollectorKind;
 use hemu_types::ByteSize;
 use hemu_workloads::WorkloadSpec;

@@ -29,20 +29,10 @@ pub struct ChaosKill {
 }
 
 impl ChaosKill {
-    /// A disarmed hook: [`ChaosKill::on_commit`] never fires.
-    pub fn disarmed() -> Self {
-        ChaosKill::default()
-    }
-
     /// Arms the hook to fire after `n` commits. `n = 0` fires on the
     /// very first commit.
     pub fn after(n: u64) -> Self {
         ChaosKill { remaining: Some(n) }
-    }
-
-    /// Whether the hook is armed.
-    pub fn armed(&self) -> bool {
-        self.remaining.is_some()
     }
 
     /// Records one committed run. Returns `true` when the caller must
@@ -74,8 +64,7 @@ mod tests {
 
     #[test]
     fn disarmed_never_fires() {
-        let mut c = ChaosKill::disarmed();
-        assert!(!c.armed());
+        let mut c = ChaosKill::default();
         for _ in 0..100 {
             assert!(!c.on_commit());
         }
@@ -84,7 +73,6 @@ mod tests {
     #[test]
     fn fires_exactly_once_after_n_commits() {
         let mut c = ChaosKill::after(3);
-        assert!(c.armed());
         assert!(!c.on_commit());
         assert!(!c.on_commit());
         assert!(c.on_commit(), "third commit must fire");
@@ -92,7 +80,6 @@ mod tests {
         for _ in 0..10 {
             assert!(!c.on_commit());
         }
-        assert!(!c.armed());
     }
 
     #[test]

@@ -32,7 +32,7 @@ impl Default for EnduranceConfig {
 impl EnduranceConfig {
     /// A deliberately tiny budget so tests and smoke runs retire pages
     /// within seconds of simulated work.
-    pub fn smoke() -> Self {
+    pub(crate) fn smoke() -> Self {
         EnduranceConfig {
             budget_writes: 64,
             variability: 0.25,
@@ -99,11 +99,6 @@ impl EnduranceModel {
     /// Creates the model.
     pub fn new(cfg: EnduranceConfig) -> Self {
         EnduranceModel { cfg }
-    }
-
-    /// The configuration this model samples from.
-    pub fn config(&self) -> &EnduranceConfig {
-        &self.cfg
     }
 
     /// The write budget of one line: a pure function of `(seed, line)`.

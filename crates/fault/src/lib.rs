@@ -38,8 +38,6 @@
 //! assert!(inj.on_managed_alloc().is_err()); // the 100th allocation fails
 //! ```
 
-#![warn(missing_docs)]
-
 mod chaos;
 mod endurance;
 mod inject;

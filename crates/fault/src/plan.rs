@@ -65,7 +65,7 @@ impl FaultPlan {
 
     /// The CI smoke preset: exercises the transient-failure retry path and
     /// the QPI stall path without making any run fail persistently.
-    pub fn smoke() -> Self {
+    pub(crate) fn smoke() -> Self {
         FaultPlan {
             frame_alloc_p: 1e-6,
             qpi_burst: Some(QpiBurst {

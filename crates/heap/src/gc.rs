@@ -233,6 +233,45 @@ fn scan(
     Ok(())
 }
 
+/// Evacuates the young survivors `ids` in their given order (which fixes
+/// the copy order): with `collect_observer`, the observer survivors first,
+/// segregated by their written bit, after which the observer space is
+/// empty; then the nursery survivors, into the space just freed.
+fn evacuate_young(
+    heap: &mut ManagedHeap,
+    machine: &mut Machine,
+    ids: &[ObjectId],
+    collect_observer: bool,
+) -> Result<()> {
+    if collect_observer {
+        for &id in ids {
+            let i = heap.table.get(id);
+            if i.space != SpaceKind::Observer {
+                continue;
+            }
+            let (written, size) = (i.written(), i.size);
+            if written {
+                heap.stats.promoted_dram_objects += 1;
+            } else {
+                heap.stats.promoted_pcm_objects += 1;
+            }
+            heap.stats.copied_observer_bytes += size as u64;
+            evacuate(heap, machine, id, observer_dest(written, size))?;
+        }
+        if let Some(obs) = heap.observer.as_mut() {
+            obs.reset();
+        }
+    }
+    for &id in ids {
+        if heap.table.get(id).space == SpaceKind::Nursery {
+            let size = heap.table.get(id).size;
+            heap.stats.copied_minor_bytes += size as u64;
+            evacuate(heap, machine, id, nursery_dest(heap, size))?;
+        }
+    }
+    Ok(())
+}
+
 /// A minor collection: evacuates the nursery (and, when it is full, the
 /// observer space), seeded from roots and the remembered sets.
 pub(crate) fn minor_gc(
@@ -307,36 +346,7 @@ pub(crate) fn minor_gc(
     }
     phase(heap, machine, true, Some("evacuate"));
 
-    // --- Evacuate: observer first, then the nursery into the freed space.
-    if collect_observer {
-        for &id in &survivors {
-            if heap.table.get(id).space == SpaceKind::Observer {
-                let (written, size) = {
-                    let i = heap.table.get(id);
-                    (i.written(), i.size)
-                };
-                let dest = observer_dest(written, size);
-                if written {
-                    heap.stats.promoted_dram_objects += 1;
-                } else {
-                    heap.stats.promoted_pcm_objects += 1;
-                }
-                heap.stats.copied_observer_bytes += size as u64;
-                evacuate(heap, machine, id, dest)?;
-            }
-        }
-        if let Some(obs) = heap.observer.as_mut() {
-            obs.reset();
-        }
-    }
-    for &id in &survivors {
-        if heap.table.get(id).space == SpaceKind::Nursery {
-            let size = heap.table.get(id).size;
-            let dest = nursery_dest(heap, size);
-            heap.stats.copied_minor_bytes += size as u64;
-            evacuate(heap, machine, id, dest)?;
-        }
-    }
+    evacuate_young(heap, machine, &survivors, collect_observer)?;
     phase(heap, machine, true, Some("sweep"));
 
     // --- Sweep the evacuated spaces: only young objects can die here ---
@@ -521,31 +531,7 @@ pub(crate) fn full_gc(
         .copied()
         .filter(|&id| heap.table.is_live(id) && heap.table.get(id).space.is_young())
         .collect();
-    for &id in &young {
-        if heap.table.get(id).space == SpaceKind::Observer {
-            let (written, size) = {
-                let i = heap.table.get(id);
-                (i.written(), i.size)
-            };
-            if written {
-                heap.stats.promoted_dram_objects += 1;
-            } else {
-                heap.stats.promoted_pcm_objects += 1;
-            }
-            heap.stats.copied_observer_bytes += size as u64;
-            evacuate(heap, machine, id, observer_dest(written, size))?;
-        }
-    }
-    if let Some(obs) = heap.observer.as_mut() {
-        obs.reset();
-    }
-    for &id in &young {
-        if heap.table.get(id).space == SpaceKind::Nursery {
-            let size = heap.table.get(id).size;
-            heap.stats.copied_minor_bytes += size as u64;
-            evacuate(heap, machine, id, nursery_dest(heap, size))?;
-        }
-    }
+    evacuate_young(heap, machine, &young, true)?;
     heap.nursery.reset();
     let table = &heap.table;
     heap.young

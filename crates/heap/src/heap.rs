@@ -95,7 +95,8 @@ impl ManagedHeap {
     /// # Errors
     ///
     /// Returns [`hemu_types::HemuError::InvalidConfig`] for degenerate
-    /// configurations (zero-sized nursery or heap).
+    /// configurations (zero-sized nursery or heap, or a nursery or observer
+    /// larger than its virtual-memory reservation).
     pub fn new(machine: &mut Machine, proc: ProcId, ctx: CtxId, config: GcConfig) -> Result<Self> {
         Self::with_chunk_policy(machine, proc, ctx, config, ChunkPolicy::TwoLists)
     }
@@ -121,12 +122,18 @@ impl ManagedHeap {
                 layout::NURSERY_MAX
             )));
         }
+        if let Some(observer) = config.observer.filter(|&o| o > layout::OBSERVER_MAX) {
+            return Err(hemu_types::HemuError::InvalidConfig(format!(
+                "observer {observer} exceeds the {} reservation",
+                layout::OBSERVER_MAX
+            )));
+        }
 
         let young_socket = config.young_socket();
         machine.mbind(proc, layout::NURSERY_START, config.nursery, young_socket);
         let observer = config.observer.map(|sz| {
             machine.mbind(proc, layout::OBSERVER_START, sz, young_socket);
-            BumpSpace::new("observer", layout::OBSERVER_START, sz)
+            BumpSpace::new(layout::OBSERVER_START, sz)
         });
         machine.mbind(
             proc,
@@ -145,7 +152,7 @@ impl ManagedHeap {
             proc,
             ctx,
             table: ObjectTable::new(),
-            nursery: BumpSpace::new("nursery", layout::NURSERY_START, config.nursery),
+            nursery: BumpSpace::new(layout::NURSERY_START, config.nursery),
             observer,
             mature_dram: ImmixSpace::new("mature-dram", Side::Dram),
             mature_pcm: ImmixSpace::new("mature-pcm", Side::Pcm),
@@ -167,19 +174,9 @@ impl ManagedHeap {
         })
     }
 
-    /// The plan this heap runs.
-    pub fn config(&self) -> &GcConfig {
-        &self.config
-    }
-
     /// The hardware context this heap's mutator and collector run on.
     pub fn ctx(&self) -> CtxId {
         self.ctx
-    }
-
-    /// The process whose address space this heap lives in.
-    pub fn proc(&self) -> ProcId {
-        self.proc
     }
 
     /// Collection and allocation statistics.
@@ -187,19 +184,9 @@ impl ManagedHeap {
         &self.stats
     }
 
-    /// The chunk manager (free lists), for inspection.
-    pub fn chunks(&self) -> &ChunkManager {
-        &self.chunks
-    }
-
     /// Number of live objects.
     pub fn live_objects(&self) -> usize {
         self.table.live_count()
-    }
-
-    /// Bytes of live objects.
-    pub fn live_bytes(&self) -> ByteSize {
-        self.table.live_bytes()
     }
 
     /// Old-generation occupancy (mature + large spaces).
@@ -212,7 +199,7 @@ impl ManagedHeap {
 
     /// The budget that triggers a full-heap collection: the heap size minus
     /// the young reservations (never less than a quarter of the heap).
-    pub fn old_gen_budget(&self) -> ByteSize {
+    pub(crate) fn old_gen_budget(&self) -> ByteSize {
         let young = self.config.nursery + self.config.observer.unwrap_or(ByteSize::ZERO);
         let quarter = ByteSize::new(self.config.heap_size.bytes() / 4);
         self.config.heap_size.saturating_sub(young).max(quarter)
@@ -560,16 +547,6 @@ impl ManagedHeap {
             self.roots.push(value);
             RootSlot(self.roots.len() - 1)
         }
-    }
-
-    /// Replaces the object a root slot refers to.
-    pub fn set_root(&mut self, slot: RootSlot, value: Option<ObjectId>) {
-        self.roots[slot.0] = value;
-    }
-
-    /// Reads a root slot.
-    pub fn root(&self, slot: RootSlot) -> Option<ObjectId> {
-        self.roots[slot.0]
     }
 
     /// Releases a root slot (its referent becomes collectable).

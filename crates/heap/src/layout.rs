@@ -9,45 +9,33 @@
 use hemu_types::{Addr, ByteSize, MIB};
 
 /// Start of the boot space (boot image runner + VM image files).
-pub const BOOT_START: Addr = Addr::new(0x1000_0000);
+pub(crate) const BOOT_START: Addr = Addr::new(0x1000_0000);
 /// Size reserved for the boot space.
-pub const BOOT_SIZE: ByteSize = ByteSize::new(16 * MIB as u64);
+pub(crate) const BOOT_SIZE: ByteSize = ByteSize::new(16 * MIB as u64);
 
 /// `PCM_START`: beginning of the user heap and of its PCM-backed portion.
-pub const PCM_START: Addr = Addr::new(0x2000_0000);
+pub(crate) const PCM_START: Addr = Addr::new(0x2000_0000);
 /// `PCM_END`: end of the PCM-backed portion, start of the DRAM-backed one.
-pub const PCM_END: Addr = Addr::new(0x8000_0000);
+pub(crate) const PCM_END: Addr = Addr::new(0x8000_0000);
 /// `DRAM_END`: end of the DRAM-backed chunk portion.
-pub const DRAM_END: Addr = Addr::new(0xB000_0000);
+pub(crate) const DRAM_END: Addr = Addr::new(0xB000_0000);
 
 /// Start of the region reserved for the observer space.
-pub const OBSERVER_START: Addr = Addr::new(0xB000_0000);
+pub(crate) const OBSERVER_START: Addr = Addr::new(0xB000_0000);
 /// Maximum observer reservation.
-pub const OBSERVER_MAX: ByteSize = ByteSize::new(256 * MIB as u64);
+pub(crate) const OBSERVER_MAX: ByteSize = ByteSize::new(256 * MIB as u64);
 
-/// Start of the nursery reservation. Everything at or above this address is
-/// young: `addr >= YOUNG_BOUNDARY` is the boundary barrier test, and the
-/// observer region directly below extends the young side for KG-W.
-pub const NURSERY_START: Addr = Addr::new(0xC000_0000);
+/// Start of the nursery reservation. The observer region directly below
+/// extends the young side of virtual memory for KG-W.
+pub(crate) const NURSERY_START: Addr = Addr::new(0xC000_0000);
 /// Maximum nursery reservation.
-pub const NURSERY_MAX: ByteSize = ByteSize::new(256 * MIB as u64);
-
-/// Boundary between old and young virtual memory for the write barrier.
-/// The observer space sits just below the nursery, so the young side starts
-/// at the observer.
-pub const YOUNG_BOUNDARY: Addr = OBSERVER_START;
+pub(crate) const NURSERY_MAX: ByteSize = ByteSize::new(256 * MIB as u64);
 
 /// Small DRAM region used as the remembered-set buffer the write barrier
 /// appends to.
-pub const REMSET_BUFFER: Addr = Addr::new(0xD000_0000);
+pub(crate) const REMSET_BUFFER: Addr = Addr::new(0xD000_0000);
 /// Size of the remembered-set buffer (entries wrap around).
-pub const REMSET_BUFFER_SIZE: ByteSize = ByteSize::new(4 * MIB as u64);
-
-/// Returns `true` if `addr` lies on the young (nursery/observer) side of
-/// the boundary barrier.
-pub const fn is_young(addr: Addr) -> bool {
-    addr.raw() >= YOUNG_BOUNDARY.raw()
-}
+pub(crate) const REMSET_BUFFER_SIZE: ByteSize = ByteSize::new(4 * MIB as u64);
 
 #[cfg(test)]
 mod tests {
@@ -61,15 +49,6 @@ mod tests {
         assert!(DRAM_END.raw() <= OBSERVER_START.raw());
         assert!(OBSERVER_START.raw() + OBSERVER_MAX.bytes() <= NURSERY_START.raw());
         assert!(NURSERY_START.raw() + NURSERY_MAX.bytes() <= REMSET_BUFFER.raw());
-    }
-
-    #[test]
-    fn boundary_test_classifies_spaces() {
-        assert!(is_young(NURSERY_START));
-        assert!(is_young(OBSERVER_START));
-        assert!(!is_young(PCM_START));
-        assert!(!is_young(PCM_END)); // first DRAM chunk address is old
-        assert!(!is_young(BOOT_START));
     }
 
     #[test]

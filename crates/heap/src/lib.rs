@@ -5,37 +5,36 @@
 //!
 //! * virtual heap memory split into a **PCM-backed portion** and a
 //!   **DRAM-backed portion**, each managed by its own free list of 4 MiB
-//!   chunks ([`chunks::ChunkManager`], FreeList-Lo / FreeList-Hi);
+//!   chunks (FreeList-Lo / FreeList-Hi, in the `chunks` module);
 //! * chunks stay mapped once touched and are recycled by owner list —
 //!   the design that avoids unmap/remap churn (ablation:
-//!   [`chunks::ChunkPolicy::Monolithic`]);
+//!   [`ChunkPolicy::Monolithic`]);
 //! * MMTk-style **spaces**: a bump-allocated copying nursery at the top of
 //!   virtual memory (enabling the fast boundary write barrier), an optional
 //!   observer space next to it, Immix-style mark-region mature spaces, large
-//!   object spaces and metadata spaces on either socket ([`space`]);
-//! * the **Kingsguard** write-rationing collector family ([`plan`]):
+//!   object spaces and metadata spaces on either socket (the `space` module);
+//! * the **Kingsguard** write-rationing collector family ([`CollectorKind`]):
 //!   PCM-Only (generational Immix with every space on PCM), KG-N, KG-B,
 //!   KG-N+LOO, KG-B+LOO, KG-W, KG-W−LOO and KG-W−MDO;
 //! * a mutator-facing object API with zero-initialising allocation, read and
-//!   write barriers, and root registration ([`heap::ManagedHeap`]).
+//!   write barriers, and root registration ([`ManagedHeap`]).
 //!
 //! All allocation, mutation, copying, marking and barrier work issues real
 //! accesses to the [`hemu_machine::Machine`], so every store is subject to
 //! cache filtering before it can become a PCM write — the property the
 //! paper's emulation methodology is built on.
 
-#![warn(missing_docs)]
+mod chunks;
+mod gc;
+mod heap;
+mod layout;
+mod object;
+mod plan;
+mod space;
+mod stats;
 
-pub mod chunks;
-pub mod gc;
-pub mod heap;
-pub mod layout;
-pub mod object;
-pub mod plan;
-pub mod space;
-pub mod stats;
-
-pub use heap::ManagedHeap;
-pub use object::ObjectId;
-pub use plan::{CollectorKind, GcConfig};
+pub use chunks::ChunkPolicy;
+pub use heap::{ManagedHeap, RootSlot};
+pub use object::{ObjectId, SpaceKind};
+pub use plan::{render_table1, CollectorKind, GcConfig};
 pub use stats::GcStats;

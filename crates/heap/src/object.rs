@@ -5,16 +5,16 @@
 //! [`ObjectTable`] on the Rust side, while its *location* (virtual address,
 //! size, space) determines the memory traffic its uses generate.
 
-use hemu_types::{Addr, ByteSize, WORD};
+use hemu_types::{Addr, WORD};
 use std::fmt;
 
 /// Size of an object header in bytes (status word + type information
 /// block pointer, as in Jikes RVM).
-pub const HEADER_SIZE: u32 = 16;
+pub(crate) const HEADER_SIZE: u32 = 16;
 
 /// Objects at least this big go to the large object space (the 8 KiB MMTk
 /// LOS threshold).
-pub const LARGE_THRESHOLD: u32 = 8 * 1024;
+pub(crate) const LARGE_THRESHOLD: u32 = 8 * 1024;
 
 /// A stable handle to a managed object.
 ///
@@ -79,23 +79,23 @@ pub enum SpaceKind {
 
 impl SpaceKind {
     /// Young spaces are collected at every minor collection.
-    pub fn is_young(self) -> bool {
+    pub(crate) fn is_young(self) -> bool {
         matches!(self, SpaceKind::Nursery | SpaceKind::Observer)
     }
 
     /// Spaces whose storage is on the emulated PCM socket under a hybrid
     /// plan.
-    pub fn is_pcm_side(self) -> bool {
+    pub(crate) fn is_pcm_side(self) -> bool {
         matches!(self, SpaceKind::MaturePcm | SpaceKind::LargePcm)
     }
 
     /// Large-object spaces (non-moving, page granular).
-    pub fn is_large(self) -> bool {
+    pub(crate) fn is_large(self) -> bool {
         matches!(self, SpaceKind::LargeDram | SpaceKind::LargePcm)
     }
 
     /// The provenance space tag for writes targeting this space.
-    pub fn tag(self) -> hemu_types::SpaceTag {
+    pub(crate) fn tag(self) -> hemu_types::SpaceTag {
         use hemu_types::SpaceTag;
         match self {
             SpaceKind::Nursery => SpaceTag::Nursery,
@@ -126,7 +126,7 @@ const NO_META: u64 = u64::MAX;
 /// shared arena ([`ObjectTable::ref_at`]), so a record owns no host
 /// allocation.
 #[derive(Debug, Clone, Copy)]
-pub struct ObjectInfo {
+pub(crate) struct ObjectInfo {
     /// Current virtual address of the header.
     pub addr: Addr,
     /// Address of the object's one-byte GC mark slot in a metadata space,
@@ -149,7 +149,7 @@ pub struct ObjectInfo {
 
 impl ObjectInfo {
     /// Creates a fresh object record at `addr` in `space`.
-    pub fn fresh(addr: Addr, size: u32, ref_count: usize, space: SpaceKind) -> Self {
+    pub(crate) fn fresh(addr: Addr, size: u32, ref_count: usize, space: SpaceKind) -> Self {
         ObjectInfo {
             addr,
             meta: NO_META,
@@ -176,78 +176,78 @@ impl ObjectInfo {
 
     /// Set when the mutator writes the object while it is being observed
     /// (KG-W write monitoring), or while it lives in PCM large space.
-    pub fn written(&self) -> bool {
+    pub(crate) fn written(&self) -> bool {
         self.flag(WRITTEN)
     }
 
     /// Sets or clears the written bit.
-    pub fn set_written(&mut self, on: bool) {
+    pub(crate) fn set_written(&mut self, on: bool) {
         self.set_flag(WRITTEN, on)
     }
 
     /// Mark state for tracing collections.
-    pub fn marked(&self) -> bool {
+    pub(crate) fn marked(&self) -> bool {
         self.flag(MARKED)
     }
 
     /// Sets or clears the mark bit.
-    pub fn set_marked(&mut self, on: bool) {
+    pub(crate) fn set_marked(&mut self, on: bool) {
         self.set_flag(MARKED, on)
     }
 
     /// Set when the object is registered in a remembered set (write
     /// barrier dedup).
-    pub fn logged(&self) -> bool {
+    pub(crate) fn logged(&self) -> bool {
         self.flag(LOGGED)
     }
 
     /// Sets or clears the logged bit.
-    pub fn set_logged(&mut self, on: bool) {
+    pub(crate) fn set_logged(&mut self, on: bool) {
         self.set_flag(LOGGED, on)
     }
 
     /// Number of reference slots.
-    pub fn ref_count(&self) -> u16 {
+    pub(crate) fn ref_count(&self) -> u16 {
         self.ref_count
     }
 
     /// `false` once the slot has been freed.
-    pub fn alive(&self) -> bool {
+    pub(crate) fn alive(&self) -> bool {
         self.flag(ALIVE)
     }
 
     /// Address of the object's GC mark slot, if it has one.
-    pub fn meta(&self) -> Option<Addr> {
+    pub(crate) fn meta(&self) -> Option<Addr> {
         (self.meta != NO_META).then_some(Addr::new(self.meta))
     }
 
     /// Assigns the object's GC mark slot.
-    pub fn set_meta(&mut self, slot: Addr) {
+    pub(crate) fn set_meta(&mut self, slot: Addr) {
         debug_assert_ne!(slot.raw(), NO_META);
         self.meta = slot.raw();
     }
 
     /// Address of reference slot `i` (slots follow the header).
-    pub fn ref_slot_addr(&self, i: usize) -> Addr {
+    pub(crate) fn ref_slot_addr(&self, i: usize) -> Addr {
         self.addr
             .offset(HEADER_SIZE as u64 + (i as u64) * WORD as u64)
     }
 
     /// Address of the data payload (after header and reference slots).
-    pub fn data_addr(&self) -> Addr {
+    pub(crate) fn data_addr(&self) -> Addr {
         self.addr
             .offset(HEADER_SIZE as u64 + self.ref_count as u64 * WORD as u64)
     }
 
     /// Size of the data payload in bytes.
-    pub fn data_size(&self) -> u32 {
+    pub(crate) fn data_size(&self) -> u32 {
         self.size - HEADER_SIZE - self.ref_count as u32 * WORD as u32
     }
 }
 
 /// Computes the total size of an object with `ref_count` reference slots
 /// and `data_bytes` of scalar payload, rounded up to word alignment.
-pub fn object_size(ref_count: usize, data_bytes: usize) -> u32 {
+pub(crate) fn object_size(ref_count: usize, data_bytes: usize) -> u32 {
     let raw = HEADER_SIZE as usize + ref_count * WORD + data_bytes;
     (raw.div_ceil(WORD) * WORD) as u32
 }
@@ -306,26 +306,24 @@ impl RefArena {
 /// objects in ascending slot order, so the ids handed out after a
 /// collection depend only on which slots died.
 #[derive(Debug, Default)]
-pub struct ObjectTable {
+pub(crate) struct ObjectTable {
     slots: Vec<ObjectInfo>,
     refs: RefArena,
     free: Vec<u32>,
     live_count: usize,
-    live_bytes: u64,
 }
 
 impl ObjectTable {
     /// Creates an empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Registers a new object, with every reference field empty, and
     /// returns its id.
-    pub fn insert(&mut self, mut info: ObjectInfo) -> ObjectId {
+    pub(crate) fn insert(&mut self, mut info: ObjectInfo) -> ObjectId {
         debug_assert!(info.alive());
         self.live_count += 1;
-        self.live_bytes += info.size as u64;
         info.refs_at = self.refs.alloc(info.ref_count);
         if let Some(idx) = self.free.pop() {
             let slot = &mut self.slots[idx as usize];
@@ -346,7 +344,7 @@ impl ObjectTable {
     /// # Panics
     ///
     /// Panics if the object is already dead.
-    pub fn remove(&mut self, id: ObjectId) {
+    pub(crate) fn remove(&mut self, id: ObjectId) {
         let idx = id.index();
         let slot = &mut self.slots[idx];
         assert_eq!(
@@ -359,7 +357,6 @@ impl ObjectTable {
         slot.generation = slot.generation.wrapping_add(1);
         self.refs.release(slot.refs_at, slot.ref_count);
         self.live_count -= 1;
-        self.live_bytes -= slot.size as u64;
         self.free.push(idx as u32);
     }
 
@@ -371,7 +368,7 @@ impl ObjectTable {
     /// # Panics
     ///
     /// Panics if an id is dead or stale, or appears twice.
-    pub fn remove_in_slot_order(&mut self, ids: &[ObjectId]) {
+    pub(crate) fn remove_in_slot_order(&mut self, ids: &[ObjectId]) {
         let mut dead = vec![0u64; self.slots.len().div_ceil(64)];
         for &id in ids {
             assert!(self.is_live(id), "remove of dead or stale handle {id}");
@@ -395,7 +392,7 @@ impl ObjectTable {
     /// Panics if the object is dead (use-after-free in the workload or
     /// collector).
     #[inline]
-    pub fn get(&self, id: ObjectId) -> &ObjectInfo {
+    pub(crate) fn get(&self, id: ObjectId) -> &ObjectInfo {
         debug_assert!(self.is_live(id), "use of dead or stale object {id}");
         &self.slots[id.index()]
     }
@@ -406,7 +403,7 @@ impl ObjectTable {
     ///
     /// Panics if the object is dead.
     #[inline]
-    pub fn get_mut(&mut self, id: ObjectId) -> &mut ObjectInfo {
+    pub(crate) fn get_mut(&mut self, id: ObjectId) -> &mut ObjectInfo {
         debug_assert!(self.is_live(id), "use of dead or stale object {id}");
         &mut self.slots[id.index()]
     }
@@ -425,7 +422,7 @@ impl ObjectTable {
     ///
     /// Panics if `i` is out of range for the object.
     #[inline]
-    pub fn ref_at(&self, id: ObjectId, i: usize) -> Option<ObjectId> {
+    pub(crate) fn ref_at(&self, id: ObjectId, i: usize) -> Option<ObjectId> {
         let raw = self.refs.cells[self.cell(id, i)];
         (raw != NO_REF).then_some(ObjectId(raw))
     }
@@ -436,13 +433,13 @@ impl ObjectTable {
     ///
     /// Panics if `i` is out of range for the object.
     #[inline]
-    pub fn set_ref(&mut self, id: ObjectId, i: usize, target: Option<ObjectId>) {
+    pub(crate) fn set_ref(&mut self, id: ObjectId, i: usize, target: Option<ObjectId>) {
         let c = self.cell(id, i);
         self.refs.cells[c] = target.map_or(NO_REF, |t| t.0);
     }
 
     /// The non-empty reference fields of a live object, in slot order.
-    pub fn refs(&self, id: ObjectId) -> impl Iterator<Item = ObjectId> + '_ {
+    pub(crate) fn refs(&self, id: ObjectId) -> impl Iterator<Item = ObjectId> + '_ {
         let info = self.get(id);
         let start = info.refs_at as usize;
         self.refs.cells[start..start + info.ref_count as usize]
@@ -453,37 +450,27 @@ impl ObjectTable {
 
     /// Returns `true` if `id` currently names a live object (stale handles
     /// from a previous occupant of the slot report dead).
-    pub fn is_live(&self, id: ObjectId) -> bool {
+    pub(crate) fn is_live(&self, id: ObjectId) -> bool {
         self.slots
             .get(id.index())
             .is_some_and(|s| s.alive() && s.generation == id.generation())
     }
 
     /// Number of live objects.
-    pub fn live_count(&self) -> usize {
+    pub(crate) fn live_count(&self) -> usize {
         self.live_count
     }
 
-    /// Total bytes of live objects.
-    pub fn live_bytes(&self) -> ByteSize {
-        ByteSize::new(self.live_bytes)
-    }
-
     /// Number of slots, live or free: the bound for [`ObjectTable::live_at`].
-    pub fn slot_count(&self) -> usize {
+    pub(crate) fn slot_count(&self) -> usize {
         self.slots.len()
     }
 
     /// The id of the live object in slot `index`, if the slot is in use.
     #[inline]
-    pub fn live_at(&self, index: usize) -> Option<ObjectId> {
+    pub(crate) fn live_at(&self, index: usize) -> Option<ObjectId> {
         let s = &self.slots[index];
         s.alive().then(|| ObjectId::new(index as u32, s.generation))
-    }
-
-    /// Iterates over the ids of all live objects, in slot order.
-    pub fn iter_live(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        (0..self.slots.len()).filter_map(|i| self.live_at(i))
     }
 
     /// Cells in the reference arena, free or in use.
@@ -499,6 +486,11 @@ mod tests {
 
     fn obj(size: u32, refs: usize) -> ObjectInfo {
         ObjectInfo::fresh(Addr::new(0x1000), size, refs, SpaceKind::Nursery)
+    }
+
+    /// The ids of all live objects, in slot order.
+    fn live_ids(t: &ObjectTable) -> Vec<ObjectId> {
+        (0..t.slot_count()).filter_map(|i| t.live_at(i)).collect()
     }
 
     #[test]
@@ -536,14 +528,13 @@ mod tests {
     }
 
     #[test]
-    fn live_accounting_tracks_bytes() {
+    fn live_accounting_tracks_removals() {
         let mut t = ObjectTable::new();
         let a = t.insert(obj(100, 0));
         let _b = t.insert(obj(28, 0));
         assert_eq!(t.live_count(), 2);
-        assert_eq!(t.live_bytes().bytes(), 128);
         t.remove(a);
-        assert_eq!(t.live_bytes().bytes(), 28);
+        assert_eq!(t.live_count(), 1);
     }
 
     #[test]
@@ -556,13 +547,12 @@ mod tests {
     }
 
     #[test]
-    fn iter_live_skips_dead() {
+    fn live_at_skips_dead() {
         let mut t = ObjectTable::new();
         let a = t.insert(obj(16, 0));
         let b = t.insert(obj(16, 0));
         t.remove(a);
-        let live: Vec<_> = t.iter_live().collect();
-        assert_eq!(live, vec![b]);
+        assert_eq!(live_ids(&t), vec![b]);
     }
 
     #[test]
@@ -713,7 +703,7 @@ mod tests {
                 }
             }
             if step % 500 == 0 {
-                assert_eq!(t.iter_live().collect::<Vec<_>>(), m.iter_live());
+                assert_eq!(live_ids(&t), m.iter_live());
                 assert_eq!(t.live_count(), m.iter_live().len());
                 assert_eq!(t.slot_count(), m.slots.len());
             }

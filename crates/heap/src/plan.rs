@@ -42,18 +42,6 @@ pub enum CollectorKind {
 }
 
 impl CollectorKind {
-    /// All eight configurations, in the paper's presentation order.
-    pub const ALL: [CollectorKind; 8] = [
-        CollectorKind::PcmOnly,
-        CollectorKind::KgN,
-        CollectorKind::KgB,
-        CollectorKind::KgNLoo,
-        CollectorKind::KgBLoo,
-        CollectorKind::KgW,
-        CollectorKind::KgWMinusLoo,
-        CollectorKind::KgWMinusMdo,
-    ];
-
     /// The paper's name for this configuration.
     pub fn name(self) -> &'static str {
         match self {
@@ -153,7 +141,7 @@ pub struct GcConfig {
 
 impl GcConfig {
     /// The physical sockets backing the two chunk free lists.
-    pub fn side_sockets(&self) -> SideSockets {
+    pub(crate) fn side_sockets(&self) -> SideSockets {
         if self.pcm_only {
             SideSockets::pcm_only()
         } else {
@@ -172,18 +160,18 @@ impl GcConfig {
 
     /// Socket holding the boot image. "Except for a system with only PCM,
     /// we always place the boot image in DRAM" (§III.B).
-    pub fn boot_socket(&self) -> SocketId {
+    pub(crate) fn boot_socket(&self) -> SocketId {
         self.young_socket()
     }
 
     /// Whether this plan uses an observer space (the KG-W family).
-    pub fn has_observer(&self) -> bool {
+    pub(crate) fn has_observer(&self) -> bool {
         self.observer.is_some()
     }
 
     /// Renders this plan's row set of Table I: each space and the sockets
     /// it occupies, `(name, on_s0, on_s1)`.
-    pub fn space_map(&self) -> Vec<(&'static str, bool, bool)> {
+    pub(crate) fn space_map(&self) -> Vec<(&'static str, bool, bool)> {
         if self.pcm_only {
             return vec![
                 ("Nursery", false, true),
@@ -325,7 +313,17 @@ mod tests {
 
     #[test]
     fn all_eight_plans_have_distinct_names() {
-        let mut names: Vec<_> = CollectorKind::ALL.iter().map(|k| k.name()).collect();
+        let all = [
+            CollectorKind::PcmOnly,
+            CollectorKind::KgN,
+            CollectorKind::KgB,
+            CollectorKind::KgNLoo,
+            CollectorKind::KgBLoo,
+            CollectorKind::KgW,
+            CollectorKind::KgWMinusLoo,
+            CollectorKind::KgWMinusMdo,
+        ];
+        let mut names: Vec<_> = all.iter().map(|k| k.name()).collect();
         names.sort();
         names.dedup();
         assert_eq!(names.len(), 8);

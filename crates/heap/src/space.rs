@@ -13,13 +13,13 @@ use hemu_types::{Addr, ByteSize, Result, PAGE_SIZE};
 use std::collections::HashMap;
 
 /// Immix block size: 32 KiB.
-pub const BLOCK_SIZE: usize = 32 * 1024;
+pub(crate) const BLOCK_SIZE: usize = 32 * 1024;
 /// Immix line size: 256 B.
-pub const LINE_SIZE: usize = 256;
+pub(crate) const LINE_SIZE: usize = 256;
 /// Lines per block.
-pub const LINES_PER_BLOCK: usize = BLOCK_SIZE / LINE_SIZE;
+pub(crate) const LINES_PER_BLOCK: usize = BLOCK_SIZE / LINE_SIZE;
 /// Blocks per 4 MiB chunk.
-pub const BLOCKS_PER_CHUNK: usize = hemu_types::CHUNK_SIZE / BLOCK_SIZE;
+pub(crate) const BLOCKS_PER_CHUNK: usize = hemu_types::CHUNK_SIZE / BLOCK_SIZE;
 
 /// A contiguous bump-allocated space with a fixed reservation: the nursery
 /// and the observer space.
@@ -27,8 +27,7 @@ pub const BLOCKS_PER_CHUNK: usize = hemu_types::CHUNK_SIZE / BLOCK_SIZE;
 /// Allocation is a pointer bump; a minor collection evacuates survivors and
 /// resets the cursor to the start.
 #[derive(Debug, Clone)]
-pub struct BumpSpace {
-    name: &'static str,
+pub(crate) struct BumpSpace {
     start: Addr,
     capacity: ByteSize,
     cursor: Addr,
@@ -36,42 +35,26 @@ pub struct BumpSpace {
 
 impl BumpSpace {
     /// Creates a bump space over `[start, start + capacity)`.
-    pub fn new(name: &'static str, start: Addr, capacity: ByteSize) -> Self {
+    pub(crate) fn new(start: Addr, capacity: ByteSize) -> Self {
         BumpSpace {
-            name,
             start,
             capacity,
             cursor: start,
         }
     }
 
-    /// The space's name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// First address of the reservation.
-    pub fn start(&self) -> Addr {
-        self.start
-    }
-
-    /// Capacity of the reservation.
-    pub fn capacity(&self) -> ByteSize {
-        self.capacity
-    }
-
     /// Bytes currently allocated.
-    pub fn used(&self) -> ByteSize {
+    pub(crate) fn used(&self) -> ByteSize {
         ByteSize::new(self.cursor.raw() - self.start.raw())
     }
 
     /// Bytes still available.
-    pub fn available(&self) -> ByteSize {
+    pub(crate) fn available(&self) -> ByteSize {
         self.capacity.saturating_sub(self.used())
     }
 
     /// Bump-allocates `size` bytes, or `None` if the space is full.
-    pub fn alloc(&mut self, size: u32) -> Option<Addr> {
+    pub(crate) fn alloc(&mut self, size: u32) -> Option<Addr> {
         if self.used().bytes() + size as u64 > self.capacity.bytes() {
             None
         } else {
@@ -82,13 +65,8 @@ impl BumpSpace {
     }
 
     /// Resets the cursor after an evacuating collection.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.cursor = self.start;
-    }
-
-    /// Returns `true` if `addr` lies inside this space's reservation.
-    pub fn contains(&self, addr: Addr) -> bool {
-        addr >= self.start && addr.raw() < self.start.raw() + self.capacity.bytes()
     }
 }
 
@@ -134,7 +112,7 @@ impl Block {
 /// the lines of dead objects reusable (mark-region reclamation at line
 /// granularity, without moving mature objects).
 #[derive(Debug)]
-pub struct ImmixSpace {
+pub(crate) struct ImmixSpace {
     name: &'static str,
     side: Side,
     blocks: Vec<Block>,
@@ -147,7 +125,7 @@ pub struct ImmixSpace {
 
 impl ImmixSpace {
     /// Creates an empty mature space that will request chunks from `side`.
-    pub fn new(name: &'static str, side: Side) -> Self {
+    pub(crate) fn new(name: &'static str, side: Side) -> Self {
         ImmixSpace {
             name,
             side,
@@ -158,19 +136,9 @@ impl ImmixSpace {
         }
     }
 
-    /// The space's name (also its chunk-owner tag).
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// Bytes of lines currently occupied.
-    pub fn used(&self) -> ByteSize {
+    pub(crate) fn used(&self) -> ByteSize {
         ByteSize::new(self.used_lines * LINE_SIZE as u64)
-    }
-
-    /// Total bytes of acquired chunks.
-    pub fn reserved(&self) -> ByteSize {
-        ByteSize::new(self.blocks.len() as u64 * BLOCK_SIZE as u64)
     }
 
     /// Allocates `size` bytes (≤ one block), acquiring a new chunk from the
@@ -180,7 +148,7 @@ impl ImmixSpace {
     ///
     /// Propagates chunk-manager exhaustion, and rejects objects larger
     /// than a block (they belong in the large object space).
-    pub fn alloc(
+    pub(crate) fn alloc(
         &mut self,
         machine: &mut Machine,
         chunks: &mut ChunkManager,
@@ -227,7 +195,7 @@ impl ImmixSpace {
 
     /// Begins a sweep: clears every line map. Live objects must be re-marked
     /// with [`ImmixSpace::mark_object`] before allocation resumes.
-    pub fn begin_sweep(&mut self) {
+    pub(crate) fn begin_sweep(&mut self) {
         for b in &mut self.blocks {
             b.used = 0;
         }
@@ -242,7 +210,7 @@ impl ImmixSpace {
     ///
     /// Returns [`hemu_types::HemuError::InvalidConfig`] if `addr` does not
     /// lie in this space's blocks (a collector bookkeeping bug).
-    pub fn mark_object(&mut self, addr: Addr, size: u32) -> Result<()> {
+    pub(crate) fn mark_object(&mut self, addr: Addr, size: u32) -> Result<()> {
         let chunk_base = addr.raw() & !(hemu_types::CHUNK_SIZE as u64 - 1);
         let first_block = *self.chunk_index.get(&chunk_base).ok_or_else(|| {
             hemu_types::HemuError::InvalidConfig(format!(
@@ -262,40 +230,28 @@ impl ImmixSpace {
 
 /// A non-moving, page-granular large object space.
 #[derive(Debug)]
-pub struct LargeObjectSpace {
+pub(crate) struct LargeObjectSpace {
     name: &'static str,
     side: Side,
     /// Free page runs: (base, page count).
     free_runs: Vec<(Addr, u64)>,
     used_bytes: u64,
-    reserved_bytes: u64,
 }
 
 impl LargeObjectSpace {
     /// Creates an empty large object space on `side`.
-    pub fn new(name: &'static str, side: Side) -> Self {
+    pub(crate) fn new(name: &'static str, side: Side) -> Self {
         LargeObjectSpace {
             name,
             side,
             free_runs: Vec::new(),
             used_bytes: 0,
-            reserved_bytes: 0,
         }
     }
 
-    /// The space's name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// Bytes occupied by live large objects (page-rounded).
-    pub fn used(&self) -> ByteSize {
+    pub(crate) fn used(&self) -> ByteSize {
         ByteSize::new(self.used_bytes)
-    }
-
-    /// Total bytes of acquired chunks.
-    pub fn reserved(&self) -> ByteSize {
-        ByteSize::new(self.reserved_bytes)
     }
 
     /// Allocates `size` bytes, page aligned and page granular.
@@ -303,7 +259,7 @@ impl LargeObjectSpace {
     /// # Errors
     ///
     /// Propagates chunk-manager exhaustion.
-    pub fn alloc(
+    pub(crate) fn alloc(
         &mut self,
         machine: &mut Machine,
         chunks: &mut ChunkManager,
@@ -347,7 +303,6 @@ impl LargeObjectSpace {
             );
             prev = next;
         }
-        self.reserved_bytes += need_chunks * chunk_bytes;
         let total_pages = need_chunks * chunk_bytes / PAGE_SIZE as u64;
         if total_pages > pages {
             self.free_runs
@@ -358,7 +313,7 @@ impl LargeObjectSpace {
     }
 
     /// Frees the large object at `addr` of `size` bytes.
-    pub fn free(&mut self, addr: Addr, size: u32) {
+    pub(crate) fn free(&mut self, addr: Addr, size: u32) {
         let pages = ByteSize::new(size as u64).pages();
         self.used_bytes -= pages * PAGE_SIZE as u64;
         self.free_runs.push((addr, pages));
@@ -373,39 +328,22 @@ impl LargeObjectSpace {
 /// (MDO) is exactly the choice of `side` for the allocator that serves
 /// PCM-space objects.
 #[derive(Debug)]
-pub struct MetaAllocator {
+pub(crate) struct MetaAllocator {
     name: &'static str,
     side: Side,
     current: Option<Addr>,
     offset: u64,
-    reserved: u64,
 }
 
 impl MetaAllocator {
     /// Creates an empty metadata allocator on `side`.
-    pub fn new(name: &'static str, side: Side) -> Self {
+    pub(crate) fn new(name: &'static str, side: Side) -> Self {
         MetaAllocator {
             name,
             side,
             current: None,
             offset: 0,
-            reserved: 0,
         }
-    }
-
-    /// The allocator's name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Which side (socket) metadata lives on.
-    pub fn side(&self) -> Side {
-        self.side
-    }
-
-    /// Total reserved metadata bytes.
-    pub fn reserved(&self) -> ByteSize {
-        ByteSize::new(self.reserved)
     }
 
     /// Assigns the address of a fresh one-byte metadata slot.
@@ -413,7 +351,11 @@ impl MetaAllocator {
     /// # Errors
     ///
     /// Propagates chunk-manager exhaustion.
-    pub fn alloc_slot(&mut self, machine: &mut Machine, chunks: &mut ChunkManager) -> Result<Addr> {
+    pub(crate) fn alloc_slot(
+        &mut self,
+        machine: &mut Machine,
+        chunks: &mut ChunkManager,
+    ) -> Result<Addr> {
         let chunk_bytes = hemu_types::CHUNK_SIZE as u64;
         let base = match self.current {
             Some(base) if self.offset < chunk_bytes => base,
@@ -421,7 +363,6 @@ impl MetaAllocator {
                 let base = chunks.acquire(machine, self.side, self.name)?;
                 self.current = Some(base);
                 self.offset = 0;
-                self.reserved += chunk_bytes;
                 base
             }
         };
@@ -435,8 +376,10 @@ impl MetaAllocator {
 mod tests {
     use super::*;
     use crate::chunks::{ChunkPolicy, SideSockets};
+    use crate::layout::PCM_START;
     use hemu_machine::MachineProfile;
     use hemu_types::SocketId;
+    use hemu_types::CHUNK_SIZE;
 
     fn setup() -> (Machine, ChunkManager) {
         let mut m = Machine::new(MachineProfile::emulation());
@@ -449,7 +392,7 @@ mod tests {
 
     #[test]
     fn bump_space_allocates_contiguously_until_full() {
-        let mut s = BumpSpace::new("nursery", Addr::new(0x1000), ByteSize::new(256));
+        let mut s = BumpSpace::new(Addr::new(0x1000), ByteSize::new(256));
         let a = s.alloc(100).unwrap();
         let b = s.alloc(100).unwrap();
         assert_eq!(b.raw() - a.raw(), 100);
@@ -458,15 +401,6 @@ mod tests {
         s.reset();
         assert_eq!(s.used(), ByteSize::ZERO);
         assert_eq!(s.alloc(100).unwrap(), a);
-    }
-
-    #[test]
-    fn bump_space_contains_only_its_reservation() {
-        let s = BumpSpace::new("n", Addr::new(0x1000), ByteSize::new(256));
-        assert!(s.contains(Addr::new(0x1000)));
-        assert!(s.contains(Addr::new(0x10ff)));
-        assert!(!s.contains(Addr::new(0x1100)));
-        assert!(!s.contains(Addr::new(0xfff)));
     }
 
     /// First fit one bit per iteration: the reference `free_run` must match.
@@ -556,13 +490,14 @@ mod tests {
     fn immix_grows_by_chunks_when_full() {
         let (mut m, mut cm) = setup();
         let mut s = ImmixSpace::new("mature-pcm", Side::Pcm);
-        let before = cm.stats().fresh;
         // Fill slightly more than one chunk of lines.
         let per_obj = BLOCK_SIZE as u32; // whole block each
         for _ in 0..BLOCKS_PER_CHUNK + 1 {
             s.alloc(&mut m, &mut cm, per_obj).unwrap();
         }
-        assert_eq!(cm.stats().fresh, before + 2);
+        // Fresh chunks are carved in address order: the space took two.
+        let next = cm.acquire(&mut m, Side::Pcm, "probe").unwrap();
+        assert_eq!(next, PCM_START.offset(2 * CHUNK_SIZE as u64));
     }
 
     #[test]
@@ -597,7 +532,9 @@ mod tests {
         let mut s = LargeObjectSpace::new("los-pcm", Side::Pcm);
         let a = s.alloc(&mut m, &mut cm, 6 * 1024 * 1024).unwrap(); // 1.5 chunks
         assert!(a.is_aligned(PAGE_SIZE as u64));
-        assert_eq!(s.reserved().bytes(), 8 * 1024 * 1024);
+        // 1.5 chunks take two whole chunks.
+        let next = cm.acquire(&mut m, Side::Pcm, "probe").unwrap();
+        assert_eq!(next, a.offset(2 * CHUNK_SIZE as u64));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Whole-heap behavioural tests: allocation, collection, promotion,
 //! write-rationing semantics, and the PCM-write ordering the paper reports.
 
-use hemu_heap::object::SpaceKind;
+use hemu_heap::SpaceKind;
 use hemu_heap::{CollectorKind, ManagedHeap};
 use hemu_machine::{CtxId, Machine, MachineProfile, ProcId};
-use hemu_types::{ByteSize, SocketId};
+use hemu_types::{ByteSize, HemuError, SocketId};
 
 fn setup(kind: CollectorKind) -> (Machine, ManagedHeap) {
     let mut m = Machine::new(MachineProfile::emulation());
@@ -344,4 +344,21 @@ fn allocation_volume_is_tracked() {
     assert_eq!(heap.stats().allocated_objects, 100);
     // object_size(2, 100) = 16 + 16 + 100 → 136 rounded to 136.
     assert_eq!(heap.stats().allocated_bytes, 100 * 136);
+}
+
+/// The observer reservation ends where the nursery's starts, so a KG-W
+/// observer (twice the nursery) larger than it would overlap the nursery.
+#[test]
+fn young_spaces_larger_than_their_reservations_are_rejected() {
+    let mut m = Machine::new(MachineProfile::emulation());
+    let proc = m.add_process(SocketId::DRAM);
+    let kg_w = |nursery_mib| {
+        CollectorKind::KgW.config(ByteSize::from_mib(nursery_mib), ByteSize::from_gib(1))
+    };
+    let err = ManagedHeap::new(&mut m, proc, CtxId(0), kg_w(160)).unwrap_err();
+    assert!(
+        matches!(err, HemuError::InvalidConfig(ref msg) if msg.contains("observer")),
+        "{err}"
+    );
+    assert!(ManagedHeap::new(&mut m, proc, CtxId(0), kg_w(128)).is_ok());
 }

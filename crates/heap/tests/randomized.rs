@@ -6,7 +6,7 @@
 //! from a fixed seed and replays an arbitrary mutator history: allocate,
 //! link, drop roots, mutate, force full collections.
 
-use hemu_heap::heap::RootSlot;
+use hemu_heap::RootSlot;
 use hemu_heap::{CollectorKind, ManagedHeap, ObjectId};
 use hemu_machine::{CtxId, Machine, MachineProfile};
 use hemu_types::{ByteSize, DeterministicRng, SocketId};

@@ -26,8 +26,6 @@
 //! assert!(m.socket_writes(SocketId::PCM).bytes() >= 1 << 20);
 //! ```
 
-#![warn(missing_docs)]
-
 mod machine;
 mod profile;
 

@@ -26,10 +26,10 @@ pub struct CtxId(pub usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcId(pub usize);
 
-/// Default bounded capacity of the span ring installed by
+/// Bounded capacity of the span ring installed by
 /// [`Machine::enable_profiling`]: enough for every GC phase of a full run
 /// at a few hundred collections, small enough to stay cheap.
-pub const PROFILE_SPAN_CAPACITY: usize = 1 << 15;
+const PROFILE_SPAN_CAPACITY: usize = 1 << 15;
 
 hemu_obs::record! {
     /// Aggregate machine statistics for a measured interval.
@@ -108,7 +108,7 @@ impl Machine {
 
     /// Turns on the phase-and-provenance profiler: cache provenance tags,
     /// per-cause / per-space write counters ([`NumaMemory::provenance`]),
-    /// and a bounded span recorder ([`PROFILE_SPAN_CAPACITY`] spans).
+    /// and a bounded span recorder (2^15 spans).
     /// Idempotent; off by default, in which case none of the machinery
     /// costs more than one branch per write-back.
     pub fn enable_profiling(&mut self) {
@@ -123,7 +123,7 @@ impl Machine {
     /// Whether [`Machine::enable_profiling`] has been called. Runtime
     /// layers use this to skip tag computation entirely when off.
     #[inline]
-    pub fn profiling_enabled(&self) -> bool {
+    pub(crate) fn profiling_enabled(&self) -> bool {
         self.mem.provenance().is_some()
     }
 
@@ -169,11 +169,6 @@ impl Machine {
         self.tracer = tracer;
     }
 
-    /// The profile this machine was built from.
-    pub fn profile(&self) -> &MachineProfile {
-        &self.profile
-    }
-
     /// Creates a new process; unbound pages fault onto `default_socket`.
     ///
     /// The paper binds all threads to socket 0, except in the PCM-Only
@@ -183,11 +178,6 @@ impl Machine {
         self.spaces
             .push(AddressSpace::with_default_socket(default_socket));
         ProcId(self.spaces.len() - 1)
-    }
-
-    /// Number of processes.
-    pub fn processes(&self) -> usize {
-        self.spaces.len()
     }
 
     /// Number of hardware contexts.
@@ -608,11 +598,6 @@ impl Machine {
     /// Installs a deterministic fault injector executing `plan`.
     pub fn install_faults(&mut self, plan: FaultPlan) {
         self.mem.set_fault_injector(FaultInjector::new(plan));
-    }
-
-    /// The installed fault injector, if any (for inspection).
-    pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.mem.fault_injector()
     }
 
     /// Injection point the managed heap consults before each allocation.

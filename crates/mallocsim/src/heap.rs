@@ -134,17 +134,6 @@ impl NativeHeap {
         self.ctx
     }
 
-    /// The process whose address space this heap lives in.
-    pub fn proc(&self) -> ProcId {
-        self.proc
-    }
-
-    /// Bytes between heap start and the wilderness cursor (address-space
-    /// footprint).
-    pub fn footprint(&self) -> ByteSize {
-        ByteSize::new(self.wilderness.raw() - NATIVE_START.raw())
-    }
-
     fn bump(&mut self, bytes: u64, align: u64) -> Result<Addr> {
         let base = self.wilderness.align_up(align);
         if base.raw() + bytes > NATIVE_START.raw() + NATIVE_MAX {
@@ -240,14 +229,6 @@ impl NativeHeap {
             Block::Large(pages) => self.large_free.push((slot.addr, pages)),
         }
         self.free_ids.push(obj.0);
-    }
-
-    /// Whether `obj` is still allocated.
-    pub fn is_live(&self, obj: NativeObject) -> bool {
-        self.slots
-            .get(obj.0 as usize)
-            .map(|s| s.alive)
-            .unwrap_or(false)
     }
 
     fn payload(&self, obj: NativeObject, offset: u32, len: u32) -> Addr {
@@ -425,9 +406,12 @@ mod tests {
     fn footprint_grows_with_wilderness_only() {
         let (mut m, mut h) = setup();
         let a = h.alloc(&mut m, 100).unwrap();
-        let fp = h.footprint();
+        let wilderness = h.wilderness;
         h.free(a);
         let _b = h.alloc(&mut m, 100).unwrap();
-        assert_eq!(h.footprint(), fp, "recycling does not grow the footprint");
+        assert_eq!(
+            h.wilderness, wilderness,
+            "recycling does not grow the footprint"
+        );
     }
 }

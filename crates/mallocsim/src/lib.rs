@@ -17,8 +17,6 @@
 //! either memory manager; the native version simply requires explicit
 //! [`NativeHeap::free`].
 
-#![warn(missing_docs)]
-
 mod heap;
 
 pub use heap::{NativeHeap, NativeObject, NativeStats};

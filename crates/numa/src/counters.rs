@@ -30,7 +30,7 @@ pub struct MemoryCounters {
 
 impl MemoryCounters {
     /// Creates zeroed counters.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -40,11 +40,6 @@ impl MemoryCounters {
             AccessKind::Read => self.read_lines += 1,
             AccessKind::Write => self.write_lines += 1,
         }
-    }
-
-    /// Number of cache lines read from this controller.
-    pub fn read_lines(&self) -> u64 {
-        self.read_lines
     }
 
     /// Number of cache lines written to this controller.
@@ -66,18 +61,8 @@ impl MemoryCounters {
     }
 
     /// Resets both counters to zero (start of a measured iteration).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         *self = Self::default();
-    }
-
-    /// Returns a snapshot difference `self - earlier`, for interval sampling
-    /// by the write-rate monitor, or `None` if `earlier` has larger counts
-    /// than `self` (counters are monotonic between resets).
-    pub fn since(&self, earlier: &MemoryCounters) -> Option<MemoryCounters> {
-        Some(MemoryCounters {
-            read_lines: self.read_lines.checked_sub(earlier.read_lines)?,
-            write_lines: self.write_lines.checked_sub(earlier.write_lines)?,
-        })
     }
 }
 
@@ -115,7 +100,7 @@ mod tests {
         c.record(AccessKind::Read);
         c.record(AccessKind::Read);
         c.record(AccessKind::Write);
-        assert_eq!(c.read_lines(), 2);
+        assert_eq!(c.read_lines, 2);
         assert_eq!(c.write_lines(), 1);
     }
 
@@ -129,30 +114,10 @@ mod tests {
     }
 
     #[test]
-    fn since_returns_interval_delta() {
-        let mut c = MemoryCounters::new();
-        c.record(AccessKind::Write);
-        let snap = c;
-        c.record(AccessKind::Write);
-        c.record(AccessKind::Read);
-        let d = c.since(&snap).unwrap();
-        assert_eq!(d.write_lines(), 1);
-        assert_eq!(d.read_lines(), 1);
-    }
-
-    #[test]
     fn reset_zeroes() {
         let mut c = MemoryCounters::new();
         c.record(AccessKind::Write);
         c.reset();
         assert_eq!(c.write_lines(), 0);
-    }
-
-    #[test]
-    fn since_is_none_on_reversed_snapshots() {
-        let mut c = MemoryCounters::new();
-        c.record(AccessKind::Write);
-        let later = c;
-        assert_eq!(MemoryCounters::new().since(&later), None);
     }
 }

@@ -37,8 +37,6 @@
 //! assert_eq!(mem.counters(SocketId::PCM).write_lines(), 1);
 //! ```
 
-#![warn(missing_docs)]
-
 mod counters;
 mod frames;
 mod memory;

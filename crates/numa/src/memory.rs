@@ -68,11 +68,6 @@ impl SocketMemory {
         }
     }
 
-    /// The socket this memory belongs to.
-    pub fn id(&self) -> SocketId {
-        self.id
-    }
-
     /// Total number of frames this socket owns.
     pub fn frame_count(&self) -> u64 {
         self.frame_count
@@ -84,7 +79,7 @@ impl SocketMemory {
     }
 
     /// Traffic counters of this socket's memory controller.
-    pub fn counters(&self) -> &MemoryCounters {
+    pub(crate) fn counters(&self) -> &MemoryCounters {
         &self.counters
     }
 
@@ -93,7 +88,7 @@ impl SocketMemory {
     /// # Errors
     ///
     /// Returns [`HemuError::OutOfPhysicalMemory`] when the socket is full.
-    pub fn allocate_frame(&mut self) -> Result<PageNum> {
+    pub(crate) fn allocate_frame(&mut self) -> Result<PageNum> {
         // Retired frames can reach the free list (e.g. a page is unmapped
         // after its frame wore out); they must never be handed out again.
         while let Some(f) = self.free.pop() {
@@ -123,7 +118,7 @@ impl SocketMemory {
     ///
     /// Returns [`HemuError::InvalidConfig`] if the frame does not belong to
     /// this socket, was never handed out, or is already free.
-    pub fn free_frame(&mut self, frame: PageNum) -> Result<()> {
+    pub(crate) fn free_frame(&mut self, frame: PageNum) -> Result<()> {
         let why = if !self.owns_frame(frame) {
             "does not belong to"
         } else if frame.raw() >= self.next_fresh {
@@ -382,11 +377,6 @@ impl NumaMemory {
         self.injector = Some(injector);
     }
 
-    /// The installed fault injector, if any.
-    pub fn fault_injector(&self) -> Option<&FaultInjector> {
-        self.injector.as_ref()
-    }
-
     /// Injection point for managed-heap allocations (forwarded by the
     /// machine layer so the heap does not depend on `hemu-fault` directly).
     ///
@@ -438,15 +428,6 @@ impl NumaMemory {
     /// Panics if `socket` is out of range.
     pub fn socket(&self, socket: SocketId) -> &SocketMemory {
         &self.sockets[socket.index()]
-    }
-
-    /// Mutable access to one socket.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `socket` is out of range.
-    pub fn socket_mut(&mut self, socket: SocketId) -> &mut SocketMemory {
-        &mut self.sockets[socket.index()]
     }
 
     /// Shorthand for `self.socket(socket).counters()`.
@@ -648,7 +629,7 @@ mod tests {
     fn freeing_foreign_frame_is_an_error() {
         let mut m = small();
         let f = m.allocate_frame(SocketId::PCM).unwrap();
-        let err = m.socket_mut(SocketId::DRAM).free_frame(f).unwrap_err();
+        let err = m.sockets[SocketId::DRAM.index()].free_frame(f).unwrap_err();
         assert!(format!("{err}").contains("does not belong"));
     }
 
@@ -676,8 +657,11 @@ mod tests {
     fn retired_frames_are_never_reissued() {
         let mut m = small();
         let f = m.allocate_frame(SocketId::PCM).unwrap();
-        assert!(m.socket_mut(SocketId::PCM).frames.retire(f));
-        assert!(!m.socket_mut(SocketId::PCM).frames.retire(f), "idempotent");
+        assert!(m.sockets[SocketId::PCM.index()].frames.retire(f));
+        assert!(
+            !m.sockets[SocketId::PCM.index()].frames.retire(f),
+            "idempotent"
+        );
         m.free_frame(f).unwrap(); // silently dropped, not recycled
         for _ in 0..3 {
             let g = m.allocate_frame(SocketId::PCM).unwrap();
@@ -815,7 +799,7 @@ mod tests {
         assert_eq!(order, vec![6], "the vacated frame is not sampled");
         // The copy itself is controller traffic.
         assert_eq!(m.counters(SocketId::PCM).write_lines(), 64);
-        assert_eq!(m.counters(SocketId::DRAM).read_lines(), 1 + 64);
+        assert_eq!(m.counters(SocketId::DRAM).read().lines(), 1 + 64);
     }
 
     #[test]

@@ -90,21 +90,11 @@ impl AddressSpace {
         self.os_placement = Some((primary, spill));
     }
 
-    /// The OS placement override, if one is installed.
-    pub fn os_placement(&self) -> Option<(SocketId, Option<SocketId>)> {
-        self.os_placement
-    }
-
     /// Marks this process as belonging to `tenant`: subsequent demand
     /// faults record the allocated frame as tenant-owned. Set before the
     /// first touch, or earlier frames stay unattributed.
     pub fn set_tenant(&mut self, tenant: u16) {
         self.tenant = Some(tenant);
-    }
-
-    /// The tenant this process belongs to, if any.
-    pub fn tenant(&self) -> Option<u16> {
-        self.tenant
     }
 
     /// Sets the binding policy for the virtual range `[start, start + len)`.

@@ -1,7 +1,7 @@
 //! The socket interconnect (QPI) timing model.
 
 use hemu_obs::json::{JsonObject, ToJson};
-use hemu_types::{Cycles, CACHE_LINE};
+use hemu_types::Cycles;
 
 /// Timing model for the point-to-point link between the two sockets.
 ///
@@ -31,11 +31,6 @@ impl QpiLink {
     /// Cost of transferring `lines` cache lines across the link.
     pub fn transfer_cost(&self, lines: u64) -> Cycles {
         Cycles::new(self.latency.raw() + self.occupancy_per_line.raw() * lines)
-    }
-
-    /// Effective bandwidth in bytes per second at the given core frequency.
-    pub fn bandwidth_bytes_per_sec(&self, freq_hz: u64) -> f64 {
-        CACHE_LINE as f64 / (self.occupancy_per_line.raw() as f64 / freq_hz as f64)
     }
 }
 
@@ -69,7 +64,8 @@ mod tests {
     #[test]
     fn bandwidth_is_about_8_gbps() {
         let q = QpiLink::e5_2650l();
-        let bw = q.bandwidth_bytes_per_sec(1_800_000_000);
+        // One line per occupancy slot at a 1.8 GHz core clock.
+        let bw = hemu_types::CACHE_LINE as f64 * 1.8e9 / q.occupancy_per_line.raw() as f64;
         assert!((7.0e9..9.5e9).contains(&bw), "bw = {bw}");
     }
 

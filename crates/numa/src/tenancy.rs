@@ -25,14 +25,14 @@ pub struct TenancyTracker {
 impl TenancyTracker {
     /// Creates a tracker for `tenants` tenants (ids `0..tenants`, at most
     /// `u16::MAX` of them).
-    pub fn new(tenants: usize) -> Self {
+    pub(crate) fn new(tenants: usize) -> Self {
         TenancyTracker {
             lines: vec![[0; 2]; tenants.min(u16::MAX as usize) + 1],
         }
     }
 
     /// Number of tenants this tracker attributes to.
-    pub fn tenants(&self) -> usize {
+    pub(crate) fn tenants(&self) -> usize {
         self.lines.len() - 1
     }
 
@@ -74,7 +74,7 @@ impl TenancyTracker {
     /// Zeroes every write counter (frame ownership is kept) — the
     /// measured-iteration reset: the tenants keep their memory, the
     /// measurement interval restarts.
-    pub fn reset_counts(&mut self) {
+    pub(crate) fn reset_counts(&mut self) {
         self.lines.fill([0; 2]);
     }
 }

@@ -7,11 +7,11 @@
 //!
 //! 1. **No torn files.** A final artifact path either holds the complete
 //!    previous version or the complete new version, never a prefix. POSIX
-//!    `rename(2)` within one directory is atomic, so [`write_atomic`]
+//!    `rename(2)` within one directory is atomic, so [`write_atomic_str`]
 //!    writes to a `.tmp` sibling, fsyncs it, and renames it into place.
 //! 2. **Durability ordering.** The sweep journal (`journal.jsonl`, see
 //!    [`crate::journal`]) must reach stable storage before the run it
-//!    records is considered committed; [`write_atomic`] fsyncs both the
+//!    records is considered committed; [`write_atomic_str`] fsyncs both the
 //!    temp file and (best-effort) its directory so a rename survives a
 //!    power cut.
 //!
@@ -68,7 +68,7 @@ fn sync_parent_dir(path: &Path) {
 /// # Errors
 ///
 /// Propagates I/O errors from the temp-file write or the rename.
-pub fn write_atomic(path: &Path, contents: &[u8]) -> io::Result<()> {
+pub fn write_atomic_str(path: &Path, contents: &str) -> io::Result<()> {
     let mut name = path
         .file_name()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?
@@ -81,7 +81,7 @@ pub fn write_atomic(path: &Path, contents: &[u8]) -> io::Result<()> {
             .create(true)
             .truncate(true)
             .open(&tmp)?;
-        f.write_all(contents)?;
+        f.write_all(contents.as_bytes())?;
         f.sync_all()?;
     }
     match fs::rename(&tmp, path) {
@@ -95,15 +95,6 @@ pub fn write_atomic(path: &Path, contents: &[u8]) -> io::Result<()> {
             Err(e)
         }
     }
-}
-
-/// [`write_atomic`] for string content.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the temp-file write or the rename.
-pub fn write_atomic_str(path: &Path, contents: &str) -> io::Result<()> {
-    write_atomic(path, contents.as_bytes())
 }
 
 #[cfg(test)]

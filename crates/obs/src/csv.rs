@@ -56,7 +56,7 @@ impl Csv {
 }
 
 /// Appends one field, quoting it if it contains a comma, quote, or newline.
-pub fn push_csv_field(out: &mut String, field: &str) {
+pub(crate) fn push_csv_field(out: &mut String, field: &str) {
     if field.contains(['"', ',', '\n', '\r']) {
         out.push('"');
         for c in field.chars() {

@@ -35,12 +35,12 @@ impl Default for Histogram {
 }
 
 /// Index of the log₂ bucket `v` falls into.
-pub fn bucket_index(v: u64) -> usize {
+pub(crate) fn bucket_index(v: u64) -> usize {
     (64 - v.leading_zeros()) as usize
 }
 
 /// Inclusive lower bound of bucket `i` (0 for buckets 0 and 1).
-pub fn bucket_lo(i: usize) -> u64 {
+pub(crate) fn bucket_lo(i: usize) -> u64 {
     if i <= 1 {
         0
     } else {
@@ -49,7 +49,7 @@ pub fn bucket_lo(i: usize) -> u64 {
 }
 
 /// Inclusive upper bound of bucket `i`.
-pub fn bucket_hi(i: usize) -> u64 {
+pub(crate) fn bucket_hi(i: usize) -> u64 {
     if i == 0 {
         0
     } else if i >= 64 {
@@ -127,7 +127,7 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Arithmetic mean of the samples (0.0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -141,7 +141,7 @@ impl HistogramSnapshot {
     /// accurate to within one bucket's width elsewhere, erring toward the
     /// bucket's upper edge (the conservative direction for pause-time
     /// quantiles). Returns 0 when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }

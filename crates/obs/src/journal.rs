@@ -4,7 +4,7 @@
 //! `journal.jsonl` there: one header line identifying the sweep plan,
 //! then one record per committed run. Each record is appended and
 //! fsync'd *after* the run's artifacts are durably committed (atomic
-//! rename, see [`crate::artifact`]), so a journal record is a promise
+//! rename, see [`crate::write_atomic_str`]), so a journal record is a promise
 //! that the run's per-run JSON exists and matches the recorded content
 //! hash. On resume, the harness replays journaled `ok` runs into its
 //! memo table and re-executes everything else; because runs are
@@ -27,10 +27,10 @@ use crate::json::{FromJson, JsonObject, ToJson};
 use crate::value::JsonValue;
 
 /// Journal format identifier; bump on incompatible record changes.
-pub const JOURNAL_SCHEMA: &str = "hemu-sweep-journal/1";
+pub(crate) const JOURNAL_SCHEMA: &str = "hemu-sweep-journal/1";
 
 /// File name of the journal inside a JSON export directory.
-pub const JOURNAL_FILE: &str = "journal.jsonl";
+pub(crate) const JOURNAL_FILE: &str = "journal.jsonl";
 
 crate::record! {
     /// One committed run, as recorded in (or read back from) the journal.

@@ -69,7 +69,7 @@ pub fn push_json_str(out: &mut String, s: &str) {
 
 /// Appends `v` as a JSON number, or `null` when `v` is NaN or infinite
 /// (JSON has no representation for non-finite floats).
-pub fn push_json_f64(out: &mut String, v: f64) {
+pub(crate) fn push_json_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         // Rust's shortest-roundtrip Display for finite f64 is valid JSON
         // (digits, optional sign/point/exponent).
@@ -127,20 +127,20 @@ impl<'a> JsonObject<'a> {
 }
 
 /// Incremental writer for a JSON array: `[1,2,3]`.
-pub struct JsonArray<'a> {
+pub(crate) struct JsonArray<'a> {
     out: &'a mut String,
     first: bool,
 }
 
 impl<'a> JsonArray<'a> {
     /// Opens an array on `out`.
-    pub fn new(out: &'a mut String) -> Self {
+    pub(crate) fn new(out: &'a mut String) -> Self {
         out.push('[');
         JsonArray { out, first: true }
     }
 
     /// Writes one element.
-    pub fn element<T: ToJson + ?Sized>(&mut self, value: &T) -> &mut Self {
+    pub(crate) fn element<T: ToJson + ?Sized>(&mut self, value: &T) -> &mut Self {
         if !self.first {
             self.out.push(',');
         }
@@ -150,7 +150,7 @@ impl<'a> JsonArray<'a> {
     }
 
     /// Closes the array.
-    pub fn finish(self) {
+    pub(crate) fn finish(self) {
         self.out.push(']');
     }
 }
@@ -437,7 +437,7 @@ mod tests {
 
     #[test]
     fn jsonl_is_one_document_per_line() {
-        let rows = vec![1u64, 2, 3];
+        let rows = [1u64, 2, 3];
         assert_eq!(to_json_lines(rows.iter()), "1\n2\n3\n");
     }
 }

@@ -10,24 +10,24 @@
 //!
 //! Its pieces:
 //!
-//! * [`trace`] — a bounded ring buffer of timestamped [`TraceEvent`]s (GC
+//! * tracing — a bounded ring buffer of timestamped [`TraceEvent`]s (GC
 //!   pauses, chunk map/unmap/rebind, page migrations, QPI transfers,
 //!   monitor samples), recorded into an owned [`Tracer`].
-//! * [`span`] — hierarchical execution spans (GC phases, OS epochs,
+//! * spans — hierarchical execution spans (GC phases, OS epochs,
 //!   measured iterations) in virtual time, recorded into a bounded
 //!   [`SpanRecorder`] and exportable as a Chrome trace-event [`Timeline`].
 //!   The tracer and the recorder share one private bounded ring type.
-//! * [`histogram`] — a log₂-bucketed [`Histogram`] (GC pause lengths) and
+//! * histograms — a log₂-bucketed [`Histogram`] (GC pause lengths) and
 //!   the [`HistogramSnapshot`] a run report carries.
-//! * [`json`] / [`value`] / [`csv`] — hand-rolled JSON in both directions
-//!   (the [`ToJson`] writer and [`FromJson`] reader traits over the
-//!   [`JsonValue`] parse tree), JSONL, and a CSV emitter.
+//! * [`json`] — hand-rolled JSON in both directions (the [`ToJson`]
+//!   writer and [`FromJson`] reader traits over the [`JsonValue`] parse
+//!   tree), JSONL, and a [`Csv`] emitter.
 //! * [`record!`] — the record macro: one struct declaration yields the
 //!   struct, its JSON writer and reader, and for counter blocks the
 //!   `delta_since`/`add` arithmetic.
-//! * [`artifact`] / [`journal`] — atomic artifact writes and the
-//!   append-only sweep journal behind resume.
-//! * [`progress`] — a thread-safe, line-serialized progress [`Reporter`]
+//! * atomic artifact writes ([`write_atomic_str`]) and the append-only
+//!   sweep [`journal`] behind resume.
+//! * progress — a thread-safe, line-serialized progress [`Reporter`]
 //!   for concurrent sweeps (the only thread-shared piece; tracer and spans
 //!   stay per-run and unsynchronized).
 //!
@@ -38,22 +38,20 @@
 //! count a run report carries is a plain field of the report or of the
 //! stats struct it copies.
 
-#![warn(missing_docs)]
-
-pub mod artifact;
-pub mod csv;
-pub mod histogram;
+mod artifact;
+mod csv;
+mod histogram;
 pub mod journal;
 pub mod json;
-pub mod progress;
+mod progress;
 mod record;
 mod ring;
-pub mod span;
-pub mod timeline;
-pub mod trace;
-pub mod value;
+mod span;
+mod timeline;
+mod trace;
+mod value;
 
-pub use artifact::{fnv1a64, hash_hex, write_atomic, write_atomic_str};
+pub use artifact::{fnv1a64, hash_hex, write_atomic_str};
 pub use csv::Csv;
 pub use histogram::{BucketCount, Histogram, HistogramSnapshot};
 pub use journal::{read_journal, JournalContents, JournalReadError, JournalRecord, JournalWriter};

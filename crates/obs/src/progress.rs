@@ -13,7 +13,6 @@
 //! artifacts deterministically afterwards, so the hot recording paths
 //! never pay for synchronization.
 
-use std::collections::BTreeSet;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
@@ -33,76 +32,44 @@ enum Sink {
 /// # Examples
 ///
 /// ```
-/// use hemu_obs::progress::Reporter;
-/// let r = Reporter::stderr();
+/// use hemu_obs::Reporter;
+/// let r = Reporter::default(); // writes to stderr
 /// let clone = r.clone();
 /// clone.line("  running lusearch|KG-N|1|Emulation ...");
 /// ```
 #[derive(Clone)]
 pub struct Reporter {
     sink: Arc<Mutex<Sink>>,
-    /// Labels announced via [`Reporter::begin`] but not yet finalized via
-    /// [`Reporter::finish`]. A well-behaved runner leaves this empty: every
-    /// run — successful, failed, or retried — must finalize its line so a
-    /// FAIL never leaves a stale `running ...` as the label's last word.
-    open: Arc<Mutex<BTreeSet<String>>>,
 }
 
 impl Reporter {
-    /// A reporter that writes lines to process stderr.
-    pub fn stderr() -> Self {
-        Reporter {
-            sink: Arc::new(Mutex::new(Sink::Stderr)),
-            open: Arc::new(Mutex::new(BTreeSet::new())),
-        }
-    }
-
     /// A reporter that writes lines to an arbitrary sink (tests, files).
     pub fn to_writer(w: Box<dyn Write + Send>) -> Self {
         Reporter {
             sink: Arc::new(Mutex::new(Sink::Writer(w))),
-            open: Arc::new(Mutex::new(BTreeSet::new())),
         }
     }
 
-    /// Announces that work on `label` started (`  running <label> ...`) and
-    /// marks the label in-progress until [`Reporter::finish`] is called
-    /// with it.
+    /// Announces that work on `label` started (`  running <label> ...`).
+    /// Every run — successful, failed, or retried — ends with
+    /// [`Reporter::finish`], so a FAIL never leaves a stale `running ...`
+    /// as the label's last word.
     pub fn begin(&self, label: &str) {
-        if let Ok(mut open) = self.open.lock() {
-            open.insert(label.to_string());
-        }
         self.line(&format!("  running {label} ..."));
     }
 
     /// Announces that `label` was requeued after a supervised failure
-    /// (`  retried <label> ...`). Unlike [`Reporter::begin`] this never
-    /// inserts a duplicate in-progress mark — the label is already open
-    /// from its original `begin`, so progress output stays parseable as
-    /// one `running`/`retried*`/final-line sequence per label.
+    /// (`  retried <label> ...`), so progress output stays parseable as one
+    /// `running`/`retried*`/final-line sequence per label.
     pub fn retried(&self, label: &str) {
-        if let Ok(mut open) = self.open.lock() {
-            open.insert(label.to_string());
-        }
         self.line(&format!("  retried {label} ..."));
     }
 
-    /// Finalizes `label`'s display with `msg` (emitted two-space indented,
-    /// like [`Reporter::begin`]) and clears its in-progress mark. Safe to
-    /// call for a label that was never begun — the message still lands.
-    pub fn finish(&self, label: &str, msg: &str) {
-        if let Ok(mut open) = self.open.lock() {
-            open.remove(label);
-        }
+    /// Finalizes a label's display with `msg` (emitted two-space indented,
+    /// like [`Reporter::begin`]). Safe to call for a label that was never
+    /// begun — the message still lands.
+    pub fn finish(&self, msg: &str) {
         self.line(&format!("  {msg}"));
-    }
-
-    /// Labels begun but not yet finished. Empty for a well-behaved runner
-    /// at the end of a sweep.
-    pub fn open_labels(&self) -> Vec<String> {
-        self.open
-            .lock()
-            .map_or_else(|_| Vec::new(), |open| open.iter().cloned().collect())
     }
 
     /// Emits one line (a newline is appended). Lines from concurrent
@@ -127,9 +94,12 @@ impl Reporter {
     }
 }
 
+/// A reporter that writes lines to process stderr.
 impl Default for Reporter {
     fn default() -> Self {
-        Reporter::stderr()
+        Reporter {
+            sink: Arc::new(Mutex::new(Sink::Stderr)),
+        }
     }
 }
 
@@ -187,19 +157,13 @@ mod tests {
         let r = Reporter::to_writer(Box::new(SharedBuf(Arc::clone(&buf))));
         r.begin("a|KG-N|1|Emulation");
         r.begin("b|KG-W|1|Emulation");
-        assert_eq!(r.open_labels().len(), 2);
-        r.finish("a|KG-N|1|Emulation", "done a|KG-N|1|Emulation");
-        r.finish(
-            "b|KG-W|1|Emulation",
-            "FAILED b|KG-W|1|Emulation after 3 attempt(s): timeout",
-        );
-        assert!(r.open_labels().is_empty(), "every begin must be finalized");
+        r.finish("done a|KG-N|1|Emulation");
+        r.finish("FAILED b|KG-W|1|Emulation after 3 attempt(s): timeout");
         let text = String::from_utf8(buf.lock().expect("lock").clone()).expect("utf8");
         // The failed run's last word is its FAIL line, not `running ...`.
         let last_b = text
             .lines()
-            .filter(|l| l.contains("b|KG-W"))
-            .next_back()
+            .rfind(|l| l.contains("b|KG-W"))
             .expect("b lines");
         assert!(last_b.contains("FAILED"), "stale in-progress display");
     }
@@ -210,9 +174,7 @@ mod tests {
         let r = Reporter::to_writer(Box::new(SharedBuf(Arc::clone(&buf))));
         r.begin("a|KG-N|1|None");
         r.retried("a|KG-N|1|None");
-        assert_eq!(r.open_labels(), vec!["a|KG-N|1|None".to_string()]);
-        r.finish("a|KG-N|1|None", "done a|KG-N|1|None");
-        assert!(r.open_labels().is_empty());
+        r.finish("done a|KG-N|1|None");
         let text = String::from_utf8(buf.lock().expect("lock").clone()).expect("utf8");
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
@@ -227,8 +189,7 @@ mod tests {
     fn finish_without_begin_still_lands() {
         let buf = Arc::new(Mutex::new(Vec::new()));
         let r = Reporter::to_writer(Box::new(SharedBuf(Arc::clone(&buf))));
-        r.finish("never-begun", "done never-begun");
-        assert!(r.open_labels().is_empty());
+        r.finish("done never-begun");
         let text = String::from_utf8(buf.lock().expect("lock").clone()).expect("utf8");
         assert!(text.contains("done never-begun"));
     }

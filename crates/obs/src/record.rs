@@ -62,12 +62,12 @@ macro_rules! record {
         impl $name {
             /// The counts accumulated since `then`, an earlier snapshot of
             /// the same counters.
-            pub fn delta_since(&self, then: &Self) -> Self {
+            $vis fn delta_since(&self, then: &Self) -> Self {
                 $name { $( $field: self.$field - then.$field ),* }
             }
 
             /// The field-by-field sum of two sets of counts.
-            pub fn add(&self, other: &Self) -> Self {
+            $vis fn add(&self, other: &Self) -> Self {
                 $name { $( $field: self.$field + other.$field ),* }
             }
         }

@@ -43,7 +43,7 @@ pub struct SpanRecord {
 
 impl SpanRecord {
     /// Virtual cycles the span covered.
-    pub fn cycles(&self) -> u64 {
+    pub(crate) fn cycles(&self) -> u64 {
         self.end.raw().saturating_sub(self.begin.raw())
     }
 }

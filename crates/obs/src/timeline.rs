@@ -33,21 +33,6 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// An empty timeline.
-    pub fn new() -> Self {
-        Timeline::default()
-    }
-
-    /// Whether any run has been added.
-    pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
-    }
-
-    /// Number of runs added.
-    pub fn len(&self) -> usize {
-        self.runs.len()
-    }
-
     /// Appends one run's spans. `elapsed` is the run's total virtual time
     /// (its extent on the timeline); `freq_hz` converts its cycle stamps to
     /// microseconds. Call order determines track order and layout — callers
@@ -141,14 +126,14 @@ mod tests {
 
     #[test]
     fn empty_timeline_renders_a_valid_document() {
-        let doc = Timeline::new().render();
+        let doc = Timeline::default().render();
         assert!(doc.starts_with("{\"traceEvents\":["));
         assert!(doc.ends_with("\"displayTimeUnit\":\"ms\"}"));
     }
 
     #[test]
     fn runs_lay_out_end_to_end_in_add_order() {
-        let mut t = Timeline::new();
+        let mut t = Timeline::default();
         // 1 MHz: 1 cycle = 1 µs, so stamps read directly.
         t.add_run("a", 1e6, Cycles::new(100), vec![span("minor", 10, 30, 0)]);
         t.add_run("b", 1e6, Cycles::new(50), vec![span("full", 0, 20, 0)]);
@@ -179,7 +164,7 @@ mod tests {
 
     #[test]
     fn zero_frequency_is_tolerated() {
-        let mut t = Timeline::new();
+        let mut t = Timeline::default();
         t.add_run("x", 0.0, Cycles::new(10), Vec::new());
         assert!(t.render().contains("\"tid\":1"));
     }

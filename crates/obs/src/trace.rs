@@ -112,7 +112,7 @@ pub enum TraceEvent {
 
 impl TraceEvent {
     /// Stable snake_case tag used as the `"event"` member in exported JSON.
-    pub fn tag(&self) -> &'static str {
+    pub(crate) fn tag(&self) -> &'static str {
         match self {
             TraceEvent::GcStart { .. } => "gc_start",
             TraceEvent::GcEnd { .. } => "gc_end",

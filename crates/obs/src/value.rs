@@ -106,14 +106,6 @@ impl JsonValue {
         }
     }
 
-    /// Borrows the object map, if this is an object.
-    pub fn as_object(&self) -> Option<&BTreeMap<String, JsonValue>> {
-        match self {
-            JsonValue::Object(m) => Some(m),
-            _ => None,
-        }
-    }
-
     /// The boolean payload, if this is a bool.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
@@ -123,7 +115,7 @@ impl JsonValue {
     }
 
     /// Parses the number token as `u64` (rejects signs/fractions).
-    pub fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         match self {
             JsonValue::Number(n) => n.parse().ok(),
             _ => None,
@@ -139,7 +131,7 @@ impl JsonValue {
     }
 
     /// True for `null`.
-    pub fn is_null(&self) -> bool {
+    pub(crate) fn is_null(&self) -> bool {
         matches!(self, JsonValue::Null)
     }
 }
@@ -406,11 +398,7 @@ mod tests {
         let arr = v.get("a").and_then(JsonValue::as_array).expect("array");
         assert_eq!(arr.len(), 3);
         assert!(arr[2].get("b").expect("b").is_null());
-        assert!(v
-            .get("d")
-            .and_then(JsonValue::as_object)
-            .expect("d")
-            .is_empty());
+        assert!(matches!(v.get("d"), Some(JsonValue::Object(m)) if m.is_empty()));
     }
 
     #[test]

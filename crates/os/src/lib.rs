@@ -43,8 +43,6 @@
 //! # Ok::<(), hemu_types::HemuError>(())
 //! ```
 
-#![warn(missing_docs)]
-
 mod manager;
 
 pub use hemu_types::{OsPagingConfig, OsPolicy};

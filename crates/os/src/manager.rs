@@ -84,11 +84,6 @@ impl OsPageManager {
         }
     }
 
-    /// The config the manager was installed with.
-    pub fn config(&self) -> &OsPagingConfig {
-        &self.cfg
-    }
-
     /// Hands `proc`'s page placement to this manager: faults ignore
     /// `mbind` and first-touch onto the policy's primary socket, spilling
     /// to the other one under memory pressure.

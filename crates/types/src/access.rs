@@ -40,7 +40,6 @@ impl fmt::Display for AccessKind {
 /// use hemu_types::{Addr, AccessKind, MemoryAccess};
 /// let a = MemoryAccess::write(Addr::new(0x100), 256);
 /// assert_eq!(a.kind, AccessKind::Write);
-/// assert_eq!(a.lines().count(), 4);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemoryAccess {
@@ -70,24 +69,6 @@ impl MemoryAccess {
             kind: AccessKind::Write,
         }
     }
-
-    /// Iterates over the (virtual) cache-line base addresses this access
-    /// touches, in ascending order.
-    ///
-    /// A zero-sized access touches no lines.
-    pub fn lines(&self) -> LineIter {
-        let first = self.addr.line().raw();
-        let last = if self.size == 0 {
-            0
-        } else {
-            self.addr.offset(self.size as u64 - 1).line().raw()
-        };
-        LineIter {
-            next: first,
-            last,
-            done: self.size == 0,
-        }
-    }
 }
 
 impl fmt::Display for MemoryAccess {
@@ -96,60 +77,9 @@ impl fmt::Display for MemoryAccess {
     }
 }
 
-/// Iterator over virtual line base addresses of a [`MemoryAccess`];
-/// produced by [`MemoryAccess::lines`].
-#[derive(Debug, Clone)]
-pub struct LineIter {
-    next: u64,
-    last: u64,
-    done: bool,
-}
-
-impl Iterator for LineIter {
-    type Item = Addr;
-
-    fn next(&mut self) -> Option<Addr> {
-        if self.done {
-            return None;
-        }
-        let cur = self.next;
-        if cur >= self.last {
-            self.done = true;
-        }
-        self.next = cur + crate::size::CACHE_LINE as u64;
-        Some(Addr::new(cur))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn single_byte_touches_one_line() {
-        let a = MemoryAccess::read(Addr::new(0x7f), 1);
-        let lines: Vec<_> = a.lines().collect();
-        assert_eq!(lines, vec![Addr::new(0x40)]);
-    }
-
-    #[test]
-    fn straddling_access_touches_two_lines() {
-        let a = MemoryAccess::write(Addr::new(0x3e), 4);
-        let lines: Vec<_> = a.lines().collect();
-        assert_eq!(lines, vec![Addr::new(0x0), Addr::new(0x40)]);
-    }
-
-    #[test]
-    fn large_access_touches_every_line_once() {
-        let a = MemoryAccess::write(Addr::new(0), 64 * 10);
-        assert_eq!(a.lines().count(), 10);
-    }
-
-    #[test]
-    fn zero_size_touches_nothing() {
-        let a = MemoryAccess::read(Addr::new(0x40), 0);
-        assert_eq!(a.lines().count(), 0);
-    }
 
     #[test]
     fn kind_predicates() {

@@ -21,9 +21,6 @@ use std::fmt;
 pub struct Addr(u64);
 
 impl Addr {
-    /// The null virtual address.
-    pub const NULL: Addr = Addr(0);
-
     /// Creates a virtual address from a raw value.
     pub const fn new(raw: u64) -> Self {
         Addr(raw)
@@ -64,12 +61,6 @@ impl Addr {
     pub const fn align_up(self, align: u64) -> Addr {
         Addr((self.0 + align - 1) & !(align - 1))
     }
-
-    /// Byte distance from `earlier` to `self`, or `None` if `earlier` is
-    /// the greater address.
-    pub fn distance_from(self, earlier: Addr) -> Option<u64> {
-        self.0.checked_sub(earlier.0)
-    }
 }
 
 impl fmt::Display for Addr {
@@ -98,11 +89,6 @@ impl From<u64> for Addr {
 pub struct PhysAddr(u64);
 
 impl PhysAddr {
-    /// Creates a physical address from a raw value.
-    pub const fn new(raw: u64) -> Self {
-        PhysAddr(raw)
-    }
-
     /// Returns the raw numeric value.
     pub const fn raw(self) -> u64 {
         self.0
@@ -148,11 +134,6 @@ impl LineAddr {
         self.0
     }
 
-    /// Returns the first physical byte address of this line.
-    pub const fn base(self) -> PhysAddr {
-        PhysAddr(self.0 * CACHE_LINE as u64)
-    }
-
     /// Returns the physical frame containing this line.
     pub const fn frame(self) -> PageNum {
         PageNum(self.0 * CACHE_LINE as u64 / PAGE_SIZE as u64)
@@ -192,11 +173,6 @@ impl PageNum {
     pub const fn phys_base(self) -> PhysAddr {
         PhysAddr(self.0 * PAGE_SIZE as u64)
     }
-
-    /// Returns the page number advanced by `n` pages.
-    pub const fn offset(self, n: u64) -> PageNum {
-        PageNum(self.0 + n)
-    }
 }
 
 impl fmt::Display for PageNum {
@@ -227,11 +203,6 @@ impl SocketId {
     /// Returns the raw socket index.
     pub const fn index(self) -> usize {
         self.0 as usize
-    }
-
-    /// Returns `true` if this is the (emulated) PCM socket.
-    pub const fn is_pcm(self) -> bool {
-        self.0 == 1
     }
 }
 
@@ -277,28 +248,15 @@ mod tests {
 
     #[test]
     fn phys_line_and_frame() {
-        let p = PhysAddr::new(0x1fff);
+        let p = PhysAddr(0x1fff);
         assert_eq!(p.line().raw(), 0x1fff / 64);
         assert_eq!(p.frame().raw(), 1);
-        assert_eq!(p.line().base().raw() % 64, 0);
     }
 
     #[test]
     fn socket_roles() {
-        assert!(SocketId::PCM.is_pcm());
-        assert!(!SocketId::DRAM.is_pcm());
         assert_eq!(SocketId::DRAM.index(), 0);
         assert_eq!(format!("{}", SocketId::PCM), "S1(PCM)");
-    }
-
-    #[test]
-    fn distance_from_counts_bytes() {
-        assert_eq!(Addr::new(100).distance_from(Addr::new(40)), Some(60));
-    }
-
-    #[test]
-    fn distance_from_is_none_when_reversed() {
-        assert_eq!(Addr::new(40).distance_from(Addr::new(100)), None);
     }
 
     #[test]

@@ -67,7 +67,7 @@ impl fmt::Display for Cycles {
 /// let mut clk = VirtualClock::new(2_000_000_000);
 /// clk.advance(Cycles::new(4_000_000_000));
 /// assert_eq!(clk.now(), Cycles::new(4_000_000_000));
-/// assert!((clk.seconds() - 2.0).abs() < 1e-12);
+/// assert!((clk.now().as_seconds(2_000_000_000) - 2.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VirtualClock {
@@ -107,11 +107,6 @@ impl VirtualClock {
         }
     }
 
-    /// Current virtual time in seconds.
-    pub fn seconds(&self) -> f64 {
-        self.now.as_seconds(self.freq_hz)
-    }
-
     /// Resets the clock to zero (start of a measured iteration).
     pub fn reset(&mut self) {
         self.now = Cycles::ZERO;
@@ -128,13 +123,6 @@ mod tests {
         c.advance(Cycles::new(10));
         c.advance(Cycles::new(5));
         assert_eq!(c.now(), Cycles::new(15));
-    }
-
-    #[test]
-    fn seconds_uses_frequency() {
-        let mut c = VirtualClock::new(2_000);
-        c.advance(Cycles::new(1_000));
-        assert!((c.seconds() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! platform.
 //!
 //! This crate defines the small, widely shared types that every other crate
-//! in the workspace builds on: virtual and physical [`addr`]esses, byte
-//! [`size`] quantities, memory [`access`] records, the virtual [`clock`],
-//! the deterministic [`rng`], and the platform-wide [`HemuError`] type.
+//! in the workspace builds on: virtual and physical addresses ([`Addr`],
+//! [`PhysAddr`]), byte quantities ([`ByteSize`]), memory access records
+//! ([`MemoryAccess`]), the [`VirtualClock`], the [`DeterministicRng`], and
+//! the platform-wide [`HemuError`] type.
 //!
 //! # Examples
 //!
@@ -17,16 +18,14 @@
 //! assert_eq!(CACHE_LINE, 64);
 //! ```
 
-#![warn(missing_docs)]
-
-pub mod access;
-pub mod addr;
-pub mod clock;
-pub mod error;
-pub mod os;
-pub mod provenance;
-pub mod rng;
-pub mod size;
+mod access;
+mod addr;
+mod clock;
+mod error;
+mod os;
+mod provenance;
+mod rng;
+mod size;
 
 pub use access::{AccessKind, MemoryAccess};
 pub use addr::{Addr, LineAddr, PageNum, PhysAddr, SocketId};
@@ -35,4 +34,4 @@ pub use error::{HemuError, Result};
 pub use os::{OsPagingConfig, OsPolicy};
 pub use provenance::{SpaceTag, WriteCause, WriteTag};
 pub use rng::DeterministicRng;
-pub use size::{ByteSize, CACHE_LINE, CHUNK_SIZE, GIB, KIB, MIB, PAGE_SIZE, WORD};
+pub use size::{ByteSize, CACHE_LINE, CHUNK_SIZE, MIB, PAGE_SIZE, WORD};

@@ -125,14 +125,6 @@ impl DeterministicRng {
         }
     }
 
-    /// Derives an independent child stream, e.g. one per workload instance.
-    ///
-    /// Mixing the label into the seed keeps sibling streams uncorrelated.
-    pub fn fork(&mut self, label: u64) -> DeterministicRng {
-        let s = self.next_u64() ^ label.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        DeterministicRng::seeded(s)
-    }
-
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
         self.inner.next_u64()
@@ -259,14 +251,6 @@ mod tests {
         for _ in 0..32 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
-    }
-
-    #[test]
-    fn forked_streams_differ() {
-        let mut parent = DeterministicRng::seeded(7);
-        let mut c1 = parent.fork(1);
-        let mut c2 = parent.fork(2);
-        assert_ne!(c1.next_u64(), c2.next_u64());
     }
 
     #[test]

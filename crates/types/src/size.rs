@@ -5,11 +5,11 @@ use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub};
 
 /// One kibibyte.
-pub const KIB: usize = 1024;
+pub(crate) const KIB: usize = 1024;
 /// One mebibyte.
 pub const MIB: usize = 1024 * KIB;
 /// One gibibyte.
-pub const GIB: usize = 1024 * MIB;
+pub(crate) const GIB: usize = 1024 * MIB;
 /// Cache line size in bytes. All caches and memory controllers in the
 /// emulated machine move data in units of this size.
 pub const CACHE_LINE: usize = 64;
@@ -75,11 +75,6 @@ impl ByteSize {
     /// Returns the number of whole pages covered, rounding up.
     pub const fn pages(self) -> u64 {
         self.0.div_ceil(PAGE_SIZE as u64)
-    }
-
-    /// Returns the number of whole chunks covered, rounding up.
-    pub const fn chunks(self) -> u64 {
-        self.0.div_ceil(CHUNK_SIZE as u64)
     }
 
     /// Saturating subtraction.
@@ -155,10 +150,8 @@ mod tests {
     }
 
     #[test]
-    fn pages_and_chunks_round_up() {
+    fn pages_round_up() {
         assert_eq!(ByteSize::new(4097).pages(), 2);
-        assert_eq!(ByteSize::from_mib(4).chunks(), 1);
-        assert_eq!(ByteSize::new(4 * MIB as u64 + 1).chunks(), 2);
     }
 
     #[test]

@@ -19,14 +19,14 @@ use std::collections::VecDeque;
 /// Names of the 11 DaCapo benchmarks in the evaluation (§IV), including
 /// the updated `lu.Fix` (useless allocation removed) and `pmd.S`
 /// (scalability bottleneck removed) variants.
-pub const NAMES: [&str; 11] = [
+pub(crate) const NAMES: [&str; 11] = [
     "avrora", "bloat", "eclipse", "fop", "hsqldb", "luindex", "lusearch", "lu.Fix", "pmd", "pmd.S",
     "xalan",
 ];
 
 /// Behavioural parameters of one synthetic DaCapo benchmark.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DacapoParams {
+pub(crate) struct DacapoParams {
     /// Benchmark name.
     pub name: &'static str,
     /// Bytes allocated per iteration (default dataset).
@@ -57,7 +57,7 @@ pub struct DacapoParams {
 }
 
 /// Looks up the parameter set for a DaCapo benchmark name.
-pub fn params_for(name: &str) -> Option<DacapoParams> {
+pub(crate) fn params_for(name: &str) -> Option<DacapoParams> {
     let mib = ByteSize::from_mib;
     let p = |name,
              total_alloc,
@@ -276,9 +276,8 @@ const STEP_OBJECTS: u32 = 256;
 
 /// A running synthetic DaCapo benchmark.
 #[derive(Debug)]
-pub struct DacapoWorkload {
+pub(crate) struct DacapoWorkload {
     params: DacapoParams,
-    dataset: DatasetSize,
     rng: DeterministicRng,
     /// Live window of (object, root) pairs with their sizes.
     live: VecDeque<(Obj, Root, u32)>,
@@ -289,25 +288,19 @@ pub struct DacapoWorkload {
 
 impl DacapoWorkload {
     /// Creates the benchmark with a deterministic seed.
-    pub fn new(params: DacapoParams, dataset: DatasetSize, seed: u64) -> Self {
+    pub(crate) fn new(params: DacapoParams, dataset: DatasetSize, seed: u64) -> Self {
         let scale = match dataset {
             DatasetSize::Default => 1,
             DatasetSize::Large => params.large_scale,
         };
         DacapoWorkload {
             params,
-            dataset,
             rng: DeterministicRng::seeded(seed ^ fxhash(params.name)),
             live: VecDeque::new(),
             live_bytes: 0,
             allocated_this_iter: 0,
             target_alloc: params.total_alloc.bytes() * scale,
         }
-    }
-
-    /// The dataset this instance runs.
-    pub fn dataset(&self) -> DatasetSize {
-        self.dataset
     }
 
     fn touch_live(&mut self, machine: &mut Machine, mem: &mut Memory, write: bool) -> Result<()> {

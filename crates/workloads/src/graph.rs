@@ -28,7 +28,7 @@ const ARRAY_CHUNK: u32 = 32 * 1024;
 
 /// A synthetic power-law graph.
 #[derive(Debug, Clone)]
-pub struct GraphDataset {
+pub(crate) struct GraphDataset {
     /// Number of vertices.
     pub vertices: u32,
     /// Directed edges (source, destination).
@@ -41,7 +41,7 @@ pub struct GraphDataset {
 /// scattered with a multiplicative hash so the hot vertices are not
 /// address-adjacent — matching the locality profile of a real social
 /// graph.
-pub fn generate_graph(n: u32, m: u64, seed: u64) -> GraphDataset {
+pub(crate) fn generate_graph(n: u32, m: u64, seed: u64) -> GraphDataset {
     let mut rng = DeterministicRng::seeded(seed);
     let scatter = |v: u64, n: u64| -> u32 { ((v.wrapping_mul(0x9E37_79B9) + 7) % n) as u32 };
     let mut edges = Vec::with_capacity(m as usize);
@@ -58,7 +58,7 @@ pub fn generate_graph(n: u32, m: u64, seed: u64) -> GraphDataset {
 
 /// A synthetic ratings dataset (Netflix-Challenge shaped).
 #[derive(Debug, Clone)]
-pub struct RatingsDataset {
+pub(crate) struct RatingsDataset {
     /// Number of users.
     pub users: u32,
     /// Number of items.
@@ -68,7 +68,7 @@ pub struct RatingsDataset {
 }
 
 /// Generates `m` ratings over `users × items` with Zipf-popular items.
-pub fn generate_ratings(users: u32, items: u32, m: u64, seed: u64) -> RatingsDataset {
+pub(crate) fn generate_ratings(users: u32, items: u32, m: u64, seed: u64) -> RatingsDataset {
     let mut rng = DeterministicRng::seeded(seed ^ 0xA15);
     let mut ratings = Vec::with_capacity(m as usize);
     for _ in 0..m {
@@ -228,7 +228,7 @@ fn dataset_edges(dataset: DatasetSize) -> (u32, u64) {
 
 /// GraphChi PageRank (PR).
 #[derive(Debug)]
-pub struct PageRank {
+pub(crate) struct PageRank {
     graph: GraphDataset,
     phase: Phase,
     iterations: u32,
@@ -241,7 +241,7 @@ pub struct PageRank {
 
 impl PageRank {
     /// Creates a PageRank run over the chosen dataset.
-    pub fn new(dataset: DatasetSize, seed: u64) -> Self {
+    pub(crate) fn new(dataset: DatasetSize, seed: u64) -> Self {
         let (n, m) = dataset_edges(dataset);
         PageRank {
             graph: generate_graph(n, m, seed ^ 0x47),
@@ -392,7 +392,7 @@ impl Workload for PageRank {
 
 /// GraphChi Connected Components (CC): label propagation to a fixpoint.
 #[derive(Debug)]
-pub struct ConnectedComponents {
+pub(crate) struct ConnectedComponents {
     graph: GraphDataset,
     phase: Phase,
     iterations: u32,
@@ -406,7 +406,7 @@ pub struct ConnectedComponents {
 
 impl ConnectedComponents {
     /// Creates a CC run over the chosen dataset.
-    pub fn new(dataset: DatasetSize, seed: u64) -> Self {
+    pub(crate) fn new(dataset: DatasetSize, seed: u64) -> Self {
         let (n, m) = dataset_edges(dataset);
         let graph = generate_graph(n, m, seed ^ 0xCC);
         ConnectedComponents {
@@ -538,7 +538,7 @@ impl Workload for ConnectedComponents {
 
 /// GraphChi ALS matrix factorisation over a ratings matrix.
 #[derive(Debug)]
-pub struct Als {
+pub(crate) struct Als {
     ratings: RatingsDataset,
     phase: Phase,
     sweeps: u32,
@@ -552,7 +552,7 @@ pub struct Als {
 impl Als {
     /// Creates an ALS run: 64-byte latent-factor vectors per user and
     /// item, alternating user and item sweeps.
-    pub fn new(dataset: DatasetSize, seed: u64) -> Self {
+    pub(crate) fn new(dataset: DatasetSize, seed: u64) -> Self {
         // Netflix-Challenge shaped: ~half a million users, a small item
         // catalogue, 1 M (default) or 10 M (large) ratings.
         let (users, items, m) = match dataset {

@@ -22,18 +22,19 @@
 //! hierarchy, and supports the replay-compilation protocol (a warm-up
 //! iteration followed by a measured iteration).
 
-#![warn(missing_docs)]
-
-pub mod dacapo;
-pub mod graph;
-pub mod memapi;
-pub mod mix;
-pub mod pjbb;
-pub mod spec;
+mod dacapo;
+mod graph;
+mod memapi;
+mod mix;
+mod pjbb;
+mod spec;
 
 pub use memapi::{Memory, Obj};
 pub use mix::{Mix, Roster, TenantSpec};
-pub use spec::{DatasetSize, Language, Suite, WorkloadSpec};
+pub use spec::{
+    all_default, dacapo_all, dacapo_sim_subset, graphchi_all, pjbb, DatasetSize, Language, Suite,
+    WorkloadSpec,
+};
 
 use hemu_machine::Machine;
 use hemu_types::{ByteSize, Result};

@@ -8,12 +8,11 @@
 //! [`hemu_malloc::NativeHeap`] (no zeroing, explicit free, roots are
 //! no-ops because nothing is ever collected).
 
-use hemu_heap::heap::RootSlot;
+use hemu_heap::RootSlot;
 use hemu_heap::{GcStats, ManagedHeap, ObjectId};
 use hemu_machine::Machine;
 use hemu_malloc::{NativeHeap, NativeObject, NativeStats};
-use hemu_types::Result;
-use std::collections::HashMap;
+use hemu_types::{HemuError, Result};
 
 /// A handle to an application object, valid for the [`Memory`] that
 /// produced it.
@@ -22,7 +21,7 @@ pub struct Obj(u64);
 
 /// A root registration token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Root(usize);
+pub(crate) struct Root(usize);
 
 /// The workload-facing memory manager: managed (Java) or native (C++).
 #[derive(Debug)]
@@ -40,13 +39,20 @@ pub struct ManagedMemory {
 }
 
 /// State for the native variant. Reference slots are modelled as ordinary
-/// 8-byte payload words plus a Rust-side shadow so `read_ref` can return
-/// handles.
+/// 8-byte payload words at the start of the block, shadowed in `refs`:
+/// one entry per object id ([`NativeObject::raw`]), whose length is the
+/// object's ref count.
 #[derive(Debug)]
 pub struct NativeMemory {
     heap: NativeHeap,
-    refs: HashMap<NativeObject, Vec<Option<Obj>>>,
-    ref_counts: HashMap<NativeObject, usize>,
+    refs: Vec<Vec<Option<Obj>>>,
+}
+
+impl NativeMemory {
+    /// Number of reference slots in front of `o`'s payload.
+    fn ref_count(&self, o: NativeObject) -> usize {
+        self.refs.get(o.raw() as usize).map_or(0, Vec::len)
+    }
 }
 
 impl Memory {
@@ -59,15 +65,14 @@ impl Memory {
     pub fn native(heap: NativeHeap) -> Self {
         Memory::Native(Box::new(NativeMemory {
             heap,
-            refs: HashMap::new(),
-            ref_counts: HashMap::new(),
+            refs: Vec::new(),
         }))
     }
 
     /// `true` for the garbage-collected variant. Workloads use this to
     /// model language-level differences (e.g. Java boxes temporary values
     /// that C++ keeps in registers or stack locals).
-    pub fn is_managed(&self) -> bool {
+    pub(crate) fn is_managed(&self) -> bool {
         matches!(self, Memory::Managed(_))
     }
 
@@ -77,7 +82,7 @@ impl Memory {
     /// # Errors
     ///
     /// Propagates heap exhaustion from either manager.
-    pub fn alloc(
+    pub(crate) fn alloc(
         &mut self,
         machine: &mut Machine,
         ref_count: usize,
@@ -93,24 +98,25 @@ impl Memory {
                 let o = nm
                     .heap
                     .alloc(machine, (ref_count * 8 + data_bytes) as u32)?;
-                if ref_count > 0 {
-                    nm.refs.insert(o, vec![None; ref_count]);
+                let i = o.raw() as usize;
+                if i >= nm.refs.len() {
+                    nm.refs.resize_with(i + 1, Vec::new);
                 }
-                nm.ref_counts.insert(o, ref_count);
+                // The heap recycles freed ids: drop the previous owner's slots.
+                let slots = &mut nm.refs[i];
+                slots.clear();
+                slots.resize(ref_count, None);
                 Ok(Obj(o.raw() as u64))
             }
         }
     }
 
     /// Explicitly frees an object. A no-op under garbage collection.
-    pub fn free(&mut self, obj: Obj) {
+    pub(crate) fn free(&mut self, obj: Obj) {
         match self {
             Memory::Managed(_) => {}
             Memory::Native(nm) => {
-                let o = NativeObject::from_raw(obj.0 as u32);
-                nm.refs.remove(&o);
-                nm.ref_counts.remove(&o);
-                nm.heap.free(o);
+                nm.heap.free(NativeObject::from_raw(obj.0 as u32));
             }
         }
     }
@@ -120,7 +126,7 @@ impl Memory {
     /// # Errors
     ///
     /// Propagates machine memory exhaustion.
-    pub fn write_data(
+    pub(crate) fn write_data(
         &mut self,
         machine: &mut Machine,
         obj: Obj,
@@ -134,8 +140,8 @@ impl Memory {
             }
             Memory::Native(nm) => {
                 let o = NativeObject::from_raw(obj.0 as u32);
-                let skip = *nm.ref_counts.get(&o).unwrap_or(&0) as u32 * 8;
-                nm.heap.write(machine, o, skip + offset, len)
+                nm.heap
+                    .write(machine, o, nm.ref_count(o) as u32 * 8 + offset, len)
             }
         }
     }
@@ -145,7 +151,7 @@ impl Memory {
     /// # Errors
     ///
     /// Propagates machine memory exhaustion.
-    pub fn read_data(
+    pub(crate) fn read_data(
         &mut self,
         machine: &mut Machine,
         obj: Obj,
@@ -159,8 +165,8 @@ impl Memory {
             }
             Memory::Native(nm) => {
                 let o = NativeObject::from_raw(obj.0 as u32);
-                let skip = *nm.ref_counts.get(&o).unwrap_or(&0) as u32 * 8;
-                nm.heap.read(machine, o, skip + offset, len)
+                nm.heap
+                    .read(machine, o, nm.ref_count(o) as u32 * 8 + offset, len)
             }
         }
     }
@@ -170,8 +176,9 @@ impl Memory {
     ///
     /// # Errors
     ///
-    /// Propagates machine memory exhaustion.
-    pub fn write_ref(
+    /// Propagates machine memory exhaustion, and returns
+    /// [`HemuError::InvalidConfig`] for a native object with no slot `slot`.
+    pub(crate) fn write_ref(
         &mut self,
         machine: &mut Machine,
         obj: Obj,
@@ -187,58 +194,30 @@ impl Memory {
             ),
             Memory::Native(nm) => {
                 let o = NativeObject::from_raw(obj.0 as u32);
+                if slot >= nm.ref_count(o) {
+                    return Err(HemuError::InvalidConfig(format!(
+                        "native object {} has no ref slot {slot}",
+                        o.raw()
+                    )));
+                }
                 nm.heap.write(machine, o, slot as u32 * 8, 8)?;
-                nm.refs.get_mut(&o).expect("object has no ref slots")[slot] = target;
+                nm.refs[o.raw() as usize][slot] = target;
                 Ok(())
-            }
-        }
-    }
-
-    /// Loads the reference in slot `slot` of `obj`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates machine memory exhaustion.
-    pub fn read_ref(
-        &mut self,
-        machine: &mut Machine,
-        obj: Obj,
-        slot: usize,
-    ) -> Result<Option<Obj>> {
-        match self {
-            Memory::Managed(mm) => Ok(mm
-                .heap
-                .read_ref(machine, ObjectId::from_raw(obj.0), slot)?
-                .map(|t| Obj(t.raw()))),
-            Memory::Native(nm) => {
-                let o = NativeObject::from_raw(obj.0 as u32);
-                nm.heap.read(machine, o, slot as u32 * 8, 8)?;
-                Ok(nm.refs.get(&o).expect("object has no ref slots")[slot])
             }
         }
     }
 
     /// Registers `obj` as a GC root. No-op (but token-compatible) for the
     /// native heap.
-    pub fn add_root(&mut self, obj: Obj) -> Root {
+    pub(crate) fn add_root(&mut self, obj: Obj) -> Root {
         match self {
             Memory::Managed(mm) => Root(mm.heap.new_root(Some(ObjectId::from_raw(obj.0))).index()),
             Memory::Native(_) => Root(usize::MAX),
         }
     }
 
-    /// Re-points a root at a different object (or clears it).
-    pub fn set_root(&mut self, root: Root, obj: Option<Obj>) {
-        if let Memory::Managed(mm) = self {
-            mm.heap.set_root(
-                RootSlot::from_index(root.0),
-                obj.map(|o| ObjectId::from_raw(o.0)),
-            );
-        }
-    }
-
     /// Releases a root registration.
-    pub fn drop_root(&mut self, root: Root) {
+    pub(crate) fn drop_root(&mut self, root: Root) {
         if let Memory::Managed(mm) = self {
             mm.heap.drop_root(RootSlot::from_index(root.0));
         }
@@ -269,7 +248,7 @@ impl Memory {
     }
 
     /// The hardware context this memory's owner runs on.
-    pub fn ctx(&self) -> hemu_machine::CtxId {
+    pub(crate) fn ctx(&self) -> hemu_machine::CtxId {
         match self {
             Memory::Managed(mm) => mm.heap.ctx(),
             Memory::Native(nm) => nm.heap.ctx(),
@@ -277,7 +256,7 @@ impl Memory {
     }
 
     /// Advances this instance's virtual clock by pure compute work.
-    pub fn compute(&self, machine: &mut Machine, cycles: hemu_types::Cycles) {
+    pub(crate) fn compute(&self, machine: &mut Machine, cycles: hemu_types::Cycles) {
         machine.compute(self.ctx(), cycles);
     }
 }
@@ -304,6 +283,18 @@ mod tests {
         (m, Memory::native(heap))
     }
 
+    /// The reference stored in slot `slot` of `obj`.
+    fn read_ref(mem: &mut Memory, m: &mut Machine, obj: Obj, slot: usize) -> Option<Obj> {
+        match mem {
+            Memory::Managed(mm) => mm
+                .heap
+                .read_ref(m, ObjectId::from_raw(obj.0), slot)
+                .unwrap()
+                .map(|t| Obj(t.raw())),
+            Memory::Native(nm) => nm.refs[obj.0 as usize][slot],
+        }
+    }
+
     #[test]
     fn same_code_runs_on_both_managers() {
         for (mut m, mut mem) in [managed(), native()] {
@@ -313,10 +304,26 @@ mod tests {
             mem.write_ref(&mut m, a, 0, Some(b)).unwrap();
             mem.write_data(&mut m, a, 0, 64).unwrap();
             mem.read_data(&mut m, a, 8, 8).unwrap();
-            assert_eq!(mem.read_ref(&mut m, a, 0).unwrap(), Some(b));
+            assert_eq!(read_ref(&mut mem, &mut m, a, 0), Some(b));
             mem.free(b);
             mem.free(a);
         }
+    }
+
+    #[test]
+    fn recycled_native_handles_start_with_empty_ref_slots() {
+        let (mut m, mut mem) = native();
+        let a = mem.alloc(&mut m, 2, 16).unwrap();
+        let b = mem.alloc(&mut m, 0, 16).unwrap();
+        mem.write_ref(&mut m, a, 1, Some(b)).unwrap();
+        mem.free(a);
+        let c = mem.alloc(&mut m, 2, 16).unwrap();
+        assert_eq!(c, a, "the heap recycles the freed id");
+        assert_eq!(read_ref(&mut mem, &mut m, c, 1), None);
+        let err = mem.write_ref(&mut m, c, 2, Some(b)).unwrap_err();
+        assert!(matches!(err, HemuError::InvalidConfig(_)), "{err}");
+        let err = mem.write_ref(&mut m, b, 0, Some(c)).unwrap_err();
+        assert!(matches!(err, HemuError::InvalidConfig(_)), "{err}");
     }
 
     #[test]

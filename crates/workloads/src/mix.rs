@@ -20,7 +20,8 @@ impl Roster {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Mix::tenant_specs`].
+    /// Returns [`HemuError::InvalidConfig`] if a mix roster name does not
+    /// resolve to a workload.
     pub fn tenant_specs(&self, n: usize, seed: u64) -> Result<Vec<TenantSpec>> {
         match self {
             Roster::Copies(workload) => Ok((0..n)
@@ -55,7 +56,7 @@ pub enum Mix {
 
 impl Mix {
     /// Every mix, in stable order.
-    pub const ALL: [Mix; 4] = [Mix::Dacapo, Mix::Pjbb, Mix::Graphchi, Mix::Mixed];
+    pub(crate) const ALL: [Mix; 4] = [Mix::Dacapo, Mix::Pjbb, Mix::Graphchi, Mix::Mixed];
 
     /// The mix's flag-value / display name.
     pub fn name(&self) -> &'static str {
@@ -73,7 +74,7 @@ impl Mix {
     }
 
     /// The workload names tenants cycle through.
-    pub fn roster(&self) -> &'static [&'static str] {
+    pub(crate) fn roster(&self) -> &'static [&'static str] {
         match self {
             Mix::Dacapo => &["avrora", "fop", "luindex"],
             Mix::Pjbb => &["pjbb"],
@@ -89,7 +90,7 @@ impl Mix {
     /// Returns [`HemuError::InvalidConfig`] if a roster name does not
     /// resolve to a workload (a programming error surfaced as a config
     /// error rather than a panic).
-    pub fn tenant_specs(&self, tenants: usize, base_seed: u64) -> Result<Vec<TenantSpec>> {
+    pub(crate) fn tenant_specs(&self, tenants: usize, base_seed: u64) -> Result<Vec<TenantSpec>> {
         let roster = self.roster();
         (0..tenants)
             .map(|id| {

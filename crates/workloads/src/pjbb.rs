@@ -26,7 +26,7 @@ const STEP_TXNS: u32 = 96;
 
 /// A running Pjbb instance.
 #[derive(Debug)]
-pub struct PjbbWorkload {
+pub(crate) struct PjbbWorkload {
     rng: DeterministicRng,
     phase: Phase,
     /// Item tables: `WAREHOUSES × ITEM_CHUNKS` long-lived arrays.
@@ -46,7 +46,7 @@ enum Phase {
 
 impl PjbbWorkload {
     /// Creates a Pjbb instance.
-    pub fn new(dataset: DatasetSize, seed: u64) -> Self {
+    pub(crate) fn new(dataset: DatasetSize, seed: u64) -> Self {
         let scale = match dataset {
             DatasetSize::Default => 1,
             DatasetSize::Large => 3,

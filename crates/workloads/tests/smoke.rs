@@ -6,7 +6,7 @@ use hemu_heap::{CollectorKind, ManagedHeap};
 use hemu_machine::{CtxId, Machine, MachineProfile};
 use hemu_malloc::NativeHeap;
 use hemu_types::SocketId;
-use hemu_workloads::{spec, Language, Memory, StepResult, WorkloadSpec};
+use hemu_workloads::{all_default, Language, Memory, StepResult, WorkloadSpec};
 
 fn drive(spec: WorkloadSpec, steps: usize) -> (Machine, Memory, bool) {
     let mut machine = Machine::new(MachineProfile::emulation());
@@ -40,7 +40,7 @@ fn drive(spec: WorkloadSpec, steps: usize) -> (Machine, Memory, bool) {
 
 #[test]
 fn every_registered_workload_steps_cleanly() {
-    for s in spec::all_default() {
+    for s in all_default() {
         let (machine, mem, _) = drive(s, 200);
         assert!(
             mem.allocated_bytes() > 0 || machine.stats().line_accesses > 0,
@@ -102,7 +102,7 @@ fn os_placement_overrides_the_heap_socket() {
 
 #[test]
 fn names_round_trip_through_the_registry() {
-    for s in spec::all_default() {
+    for s in all_default() {
         let w = s.instantiate(3);
         assert_eq!(w.name(), s.name);
         assert_eq!(w.suite(), s.suite);

@@ -13,6 +13,14 @@ cargo test --workspace -q --offline
 echo "== fmt check =="
 cargo fmt --all --check
 
+echo "== clippy: every target, every warning is an error =="
+# With the workspace lint table this also fails on dead code and on a
+# `pub` item no path from its crate root exports (unreachable_pub).
+cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "== rustdoc: no broken or private intra-doc link =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== clippy: no unwrap() in library code =="
 cargo clippy --offline --lib \
   -p hemu-types -p hemu-obs -p hemu-fault -p hemu-numa -p hemu-cache \
@@ -144,14 +152,14 @@ if grep -q '"status":"failed"' "$smoke_dir/all-targets/runs.json"; then
 fi
 
 echo "== torn-write gate: export code writes final artifacts only atomically =="
-# Final artifacts must go through hemu_obs::write_atomic; a direct
+# Final artifacts must go through hemu_obs::write_atomic_str; a direct
 # fs::write/File::create in export code is a torn-write hazard. Test
 # modules (after #[cfg(test)], always last in these files) are exempt.
 for f in crates/bench/src/harness.rs \
          crates/bench/src/bin/repro.rs crates/bench/src/executor.rs \
          crates/obs/src/journal.rs crates/obs/src/artifact.rs; do
   if ! awk '/#\[cfg\(test\)\]/{exit} /fs::write\(|File::create\(/{bad=1; print FILENAME": "$0} END{exit bad}' "$f"; then
-    echo "direct file write in export code ($f); use hemu_obs::write_atomic" >&2
+    echo "direct file write in export code ($f); use hemu_obs::write_atomic_str" >&2
     exit 1
   fi
 done

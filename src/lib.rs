@@ -48,8 +48,6 @@
 //! cargo run -p hemu-bench --bin repro --release -- all
 //! ```
 
-#![warn(missing_docs)]
-
 pub use hemu_cache as cache;
 pub use hemu_core as core;
 pub use hemu_heap as heap;
