@@ -15,7 +15,6 @@ use crate::fmt::{ratio, table};
 use crate::harness::{workload, Harness, Manager, Profile};
 use hemu_core::lifetime::{LifetimeModel, ENDURANCE_PROTOTYPES};
 use hemu_core::RunReport;
-use hemu_heap::ChunkPolicy;
 use hemu_heap::{render_table1, CollectorKind};
 use hemu_machine::MachineProfile;
 use hemu_types::{ByteSize, OsPolicy, Result};
@@ -493,7 +492,7 @@ pub fn table3(h: &mut Harness) -> Result<String> {
 
 /// Ablations of the design choices DESIGN.md calls out: the LLC-size
 /// sensitivity behind §V's KG-N result, nursery-size sensitivity, and the
-/// two-free-list vs monolithic chunk design of §III.A.
+/// nursery/mature write split under multiprogramming (§VI.B).
 ///
 /// # Errors
 ///
@@ -584,26 +583,6 @@ pub fn ablations(h: &mut Harness) -> Result<String> {
     }
     out.push_str(&table(&rows));
 
-    // (3) Chunk free-list policy: remapping avoided by the two-list design.
-    out.push_str("\n(3) Chunk free-list policy (KG-W, lu.Fix):\n");
-    let mut rows = vec![vec![
-        "Policy".to_string(),
-        "PCM writes".to_string(),
-        "Virtual time".to_string(),
-    ]];
-    for (name, policy) in [
-        ("two lists", ChunkPolicy::TwoLists),
-        ("monolithic", ChunkPolicy::Monolithic),
-    ] {
-        let e = h.experiment(spec, CollectorKind::KgW, 1, emu);
-        let r = h.run_experiment(e.chunk_policy(policy)).ok();
-        rows.push(vec![
-            name.to_string(),
-            writes(&r),
-            r.map_or("FAIL".into(), |r| format!("{:.4}s", r.elapsed_seconds)),
-        ]);
-    }
-    out.push_str(&table(&rows));
     Ok(out)
 }
 

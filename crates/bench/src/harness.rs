@@ -271,6 +271,28 @@ fn slug(key: &str) -> String {
         .collect()
 }
 
+/// Appends one run's trace records to the JSONL file at `path`, under a
+/// `{"run":key}` header line.
+fn append_trace(path: &Path, key: &str, trace: &[hemu_obs::TraceRecord]) -> Result<()> {
+    let mut text = String::from("{\"run\":");
+    hemu_obs::json::push_json_str(&mut text, key);
+    text.push_str("}\n");
+    text.push_str(&to_json_lines(trace));
+    let existing = fs::read_to_string(path).map_err(|e| io_err("reading", path, &e))?;
+    write_atomic_str(path, &(existing + &text)).map_err(|e| io_err("writing", path, &e))
+}
+
+/// Writes the per-run JSON artifact into `dir` atomically and returns its
+/// content hash (hex), which the journal records so resume can verify the
+/// file on disk is the one that was committed.
+fn write_run_json(dir: &Path, key: &str, report: &RunReport) -> Result<String> {
+    let path = dir.join(format!("{}.json", slug(key)));
+    let mut text = report.to_json();
+    text.push('\n');
+    write_atomic_str(&path, &text).map_err(|e| io_err("writing", &path, &e))?;
+    Ok(hash_hex(fnv1a64(text.as_bytes())))
+}
+
 impl Harness {
     /// Creates a harness at the given scale.
     pub fn new(scale: Scale) -> Self {
@@ -608,13 +630,12 @@ impl Harness {
         match sr.outcome {
             Ok(arts) => {
                 let report = arts.report;
-                if self.trace_out.is_some() {
-                    self.append_trace(&key, &arts.trace)?;
+                if let Some(path) = &self.trace_out {
+                    append_trace(path, &key, &arts.trace)?;
                 }
-                let content_hash = if self.json_dir.is_some() {
-                    Some(self.write_run_json(&key, &report)?)
-                } else {
-                    None
+                let content_hash = match &self.json_dir {
+                    Some(dir) => Some(write_run_json(dir, &key, &report)?),
+                    None => None,
                 };
                 if self.profiling() {
                     // Demand order decides track layout and row order, so
@@ -665,7 +686,10 @@ impl Harness {
     /// committed this run.
     fn commit_restored(&mut self, key: String, rr: RestoredRun) -> Result<RunReport> {
         let report = rr.report;
-        let content_hash = Some(self.write_run_json(&key, &report)?);
+        let content_hash = match &self.json_dir {
+            Some(dir) => Some(write_run_json(dir, &key, &report)?),
+            None => None,
+        };
         self.cache.insert(key.clone(), report.clone());
         self.journal_append(&key, RunStatus::Ok, rr.attempts, None, content_hash)?;
         self.records.push(RunRecord {
@@ -692,14 +716,9 @@ impl Harness {
         error: Option<String>,
         hash: Option<String>,
     ) -> Result<()> {
-        let Some(dir) = self.json_dir.as_ref() else {
+        let Some(dir) = self.json_dir.clone() else {
             return Ok(());
         };
-        if self.journal.is_none() {
-            let w = JournalWriter::create(dir, &self.plan_hash())
-                .map_err(|e| io_err("creating journal in", dir, &e))?;
-            self.journal = Some(w);
-        }
         let seed = self
             .fault_plan
             .as_ref()
@@ -713,12 +732,17 @@ impl Harness {
             error,
             hash,
         };
-        let path = dir.clone();
-        self.journal
-            .as_mut()
-            .expect("journal created above")
+        let journal = match self.journal.as_mut() {
+            Some(w) => w,
+            None => {
+                let w = JournalWriter::create(&dir, &self.plan_hash())
+                    .map_err(|e| io_err("creating journal in", &dir, &e))?;
+                self.journal.insert(w)
+            }
+        };
+        journal
             .append(&record)
-            .map_err(|e| io_err("appending journal in", &path, &e))
+            .map_err(|e| io_err("appending journal in", &dir, &e))
     }
 
     /// Counts one commit against the chaos-kill budget and, when it fires,
@@ -730,31 +754,6 @@ impl Harness {
                 .line("  chaos: killing the process after this commit");
             std::process::exit(CHAOS_EXIT_CODE);
         }
-    }
-
-    fn append_trace(&self, key: &str, trace: &[hemu_obs::TraceRecord]) -> Result<()> {
-        let path = self
-            .trace_out
-            .as_ref()
-            .expect("trace_out checked by caller");
-        let mut text = String::from("{\"run\":");
-        hemu_obs::json::push_json_str(&mut text, key);
-        text.push_str("}\n");
-        text.push_str(&to_json_lines(trace));
-        let existing = fs::read_to_string(path).map_err(|e| io_err("reading", path, &e))?;
-        write_atomic_str(path, &(existing + &text)).map_err(|e| io_err("writing", path, &e))
-    }
-
-    /// Writes the per-run JSON artifact atomically and returns its content
-    /// hash (hex), which the journal records so resume can verify the file
-    /// on disk is the one that was committed.
-    fn write_run_json(&self, key: &str, report: &RunReport) -> Result<String> {
-        let dir = self.json_dir.as_ref().expect("json_dir checked by caller");
-        let path = dir.join(format!("{}.json", slug(key)));
-        let mut text = report.to_json();
-        text.push('\n');
-        write_atomic_str(&path, &text).map_err(|e| io_err("writing", &path, &e))?;
-        Ok(hash_hex(fnv1a64(text.as_bytes())))
     }
 
     /// Fingerprint of everything that decides what a sweep's runs compute:

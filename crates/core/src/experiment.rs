@@ -4,7 +4,6 @@
 use crate::monitor::WriteRateMonitor;
 use crate::report::{ConsolidationSummary, PageWear, ProvenanceSummary, RunReport, TenantShare};
 use hemu_fault::{EnduranceConfig, FaultPlan};
-use hemu_heap::ChunkPolicy;
 use hemu_heap::{CollectorKind, GcStats, ManagedHeap};
 use hemu_machine::{CtxId, Machine, MachineProfile, ProcId};
 use hemu_malloc::{NativeHeap, NativeStats};
@@ -58,7 +57,6 @@ pub struct Experiment {
     collector: CollectorKind,
     profile: MachineProfile,
     seed: u64,
-    chunk_policy: ChunkPolicy,
     warmup: bool,
     monitor_interval: f64,
     nursery_override: Option<ByteSize>,
@@ -94,7 +92,6 @@ impl Experiment {
             collector: CollectorKind::PcmOnly,
             profile: MachineProfile::emulation(),
             seed: 42,
-            chunk_policy: ChunkPolicy::TwoLists,
             warmup: true,
             monitor_interval: 0.01,
             nursery_override: None,
@@ -185,12 +182,6 @@ impl Experiment {
         self
     }
 
-    /// Sets the chunk free-list policy (ablation).
-    pub fn chunk_policy(mut self, policy: ChunkPolicy) -> Self {
-        self.chunk_policy = policy;
-        self
-    }
-
     /// Disables the warm-up iteration (quick tests only — measured results
     /// then include cold-start effects).
     pub fn without_warmup(mut self) -> Self {
@@ -236,7 +227,7 @@ impl Experiment {
     /// for copies, `mix@tenants|manager|sliceS|Profile` for mixes (the
     /// manager is the OS policy, if any, else the collector), then one
     /// `|name=value` segment per setting off its default: `llc`, `nursery`,
-    /// `chunks`, `monitor` and `profiling`, in that order. Sweep-wide
+    /// `monitor` and `profiling`, in that order. Sweep-wide
     /// settings (fault plan, endurance, tracing) stay out of the key.
     pub fn key(&self) -> String {
         let manager = self
@@ -261,9 +252,6 @@ impl Experiment {
         }
         if let Some(nursery) = self.nursery_override {
             key += &format!("|nursery={}", size(nursery));
-        }
-        if self.chunk_policy != default.chunk_policy {
-            key += &format!("|chunks={:?}", self.chunk_policy);
         }
         if self.monitor_interval != default.monitor_interval {
             key += &format!("|monitor={}s", self.monitor_interval);
@@ -366,13 +354,7 @@ impl Experiment {
                 os.attach_process(&mut machine, proc);
             }
             let mem = match heap_cfg {
-                Some(cfg) => Memory::managed(ManagedHeap::with_chunk_policy(
-                    &mut machine,
-                    proc,
-                    ctx,
-                    cfg,
-                    self.chunk_policy,
-                )?),
+                Some(cfg) => Memory::managed(ManagedHeap::new(&mut machine, proc, ctx, cfg)?),
                 None => Memory::native(NativeHeap::new(&mut machine, proc, ctx, SocketId::PCM)),
             };
             procs.push(proc);
@@ -770,16 +752,14 @@ mod tests {
             base.clone()
                 .profile(MachineProfile::emulation().with_llc(ByteSize::from_mib(4))),
             base.clone().nursery(ByteSize::from_mib(2)),
-            base.clone().chunk_policy(ChunkPolicy::Monolithic),
             base.clone().monitor_interval(0.005),
             base.clone().profiling(),
         ]
         .map(|e| e.key());
         assert_eq!(keys[1], "avrora|PCM-Only|1|Emulation|llc=4MiB");
         assert_eq!(keys[2], "avrora|PCM-Only|1|Emulation|nursery=2MiB");
-        assert_eq!(keys[3], "avrora|PCM-Only|1|Emulation|chunks=Monolithic");
-        assert_eq!(keys[4], "avrora|PCM-Only|1|Emulation|monitor=0.005s");
-        assert_eq!(keys[5], "avrora|PCM-Only|1|Emulation|profiling=on");
+        assert_eq!(keys[3], "avrora|PCM-Only|1|Emulation|monitor=0.005s");
+        assert_eq!(keys[4], "avrora|PCM-Only|1|Emulation|profiling=on");
         let distinct: std::collections::HashSet<_> = keys.iter().collect();
         assert_eq!(distinct.len(), keys.len(), "keys collide: {keys:?}");
         // An override equal to the default (20 MiB) is the default run.

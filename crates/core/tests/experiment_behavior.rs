@@ -2,7 +2,6 @@
 //! benchmark (avrora) to stay fast.
 
 use hemu_core::Experiment;
-use hemu_heap::ChunkPolicy;
 use hemu_heap::CollectorKind;
 use hemu_types::ByteSize;
 use hemu_workloads::WorkloadSpec;
@@ -70,29 +69,6 @@ fn bigger_nursery_via_override_changes_gc_counts() {
     assert!(
         b < s,
         "8 MiB nursery ({b} minor GCs) must collect less often than 1 MiB ({s})"
-    );
-}
-
-#[test]
-fn chunk_policies_produce_similar_writes() {
-    // The monolithic free list is a performance pessimisation, not a
-    // semantic change: PCM writes should be in the same ballpark.
-    let two = Experiment::new(avrora())
-        .collector(CollectorKind::KgW)
-        .run()
-        .unwrap();
-    let mono = Experiment::new(avrora())
-        .collector(CollectorKind::KgW)
-        .chunk_policy(ChunkPolicy::Monolithic)
-        .run()
-        .unwrap();
-    let (a, b) = (
-        two.pcm_writes.bytes() as f64,
-        mono.pcm_writes.bytes() as f64,
-    );
-    assert!(
-        (a - b).abs() <= a.max(b) * 0.5 + 1e6,
-        "two-lists {a} vs monolithic {b}"
     );
 }
 

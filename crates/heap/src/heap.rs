@@ -6,7 +6,7 @@
 //! barrier bookkeeping), so the cache hierarchy and the socket counters see
 //! a realistic access stream.
 
-use crate::chunks::{ChunkManager, ChunkPolicy, Side};
+use crate::chunks::{ChunkManager, Side};
 use crate::gc;
 use crate::layout;
 use crate::object::{object_size, ObjectId, ObjectInfo, ObjectTable, SpaceKind, LARGE_THRESHOLD};
@@ -98,18 +98,6 @@ impl ManagedHeap {
     /// configurations (zero-sized nursery or heap, or a nursery or observer
     /// larger than its virtual-memory reservation).
     pub fn new(machine: &mut Machine, proc: ProcId, ctx: CtxId, config: GcConfig) -> Result<Self> {
-        Self::with_chunk_policy(machine, proc, ctx, config, ChunkPolicy::TwoLists)
-    }
-
-    /// Like [`ManagedHeap::new`], but with an explicit chunk free-list
-    /// policy (the monolithic variant exists for the ablation study).
-    pub fn with_chunk_policy(
-        machine: &mut Machine,
-        proc: ProcId,
-        ctx: CtxId,
-        config: GcConfig,
-        policy: ChunkPolicy,
-    ) -> Result<Self> {
         if config.nursery.bytes() == 0 || config.heap_size.bytes() == 0 {
             return Err(hemu_types::HemuError::InvalidConfig(
                 "nursery and heap size must be positive".into(),
@@ -160,7 +148,7 @@ impl ManagedHeap {
             los_pcm: LargeObjectSpace::new("los-pcm", Side::Pcm),
             meta_dram: MetaAllocator::new("meta-dram", Side::Dram),
             meta_pcm: MetaAllocator::new("meta-pcm", Side::Pcm),
-            chunks: ChunkManager::new(policy, config.side_sockets(), proc),
+            chunks: ChunkManager::new(config.side_sockets(), proc),
             remset_old: Vec::new(),
             remset_obs: Vec::new(),
             remset_cursor: 0,

@@ -3,12 +3,12 @@
 //! This crate reproduces, against the simulated machine, the heap
 //! organization of §III of the paper:
 //!
-//! * virtual heap memory split into a **PCM-backed portion** and a
-//!   **DRAM-backed portion**, each managed by its own free list of 4 MiB
-//!   chunks (FreeList-Lo / FreeList-Hi, in the `chunks` module);
-//! * chunks stay mapped once touched and are recycled by owner list —
-//!   the design that avoids unmap/remap churn (ablation:
-//!   [`ChunkPolicy::Monolithic`]);
+//! * virtual heap memory split into a **PCM-backed region** and a
+//!   **DRAM-backed region** of 4 MiB chunks (the paper's FreeList-Lo /
+//!   FreeList-Hi, in the `chunks` module);
+//! * a chunk is carved and bound to its region's socket once and is never
+//!   returned or unmapped: each space reuses the chunks it owns, so no
+//!   chunk ever changes technology;
 //! * MMTk-style **spaces**: a bump-allocated copying nursery at the top of
 //!   virtual memory (enabling the fast boundary write barrier), an optional
 //!   observer space next to it, Immix-style mark-region mature spaces, large
@@ -33,7 +33,6 @@ mod plan;
 mod space;
 mod stats;
 
-pub use chunks::ChunkPolicy;
 pub use heap::{ManagedHeap, RootSlot};
 pub use object::{ObjectId, SpaceKind};
 pub use plan::{render_table1, CollectorKind, GcConfig};

@@ -285,11 +285,9 @@ impl LargeObjectSpace {
             self.used_bytes += pages * PAGE_SIZE as u64;
             return Ok(base);
         }
-        // Need more chunks: acquire enough contiguous-by-construction
-        // chunks to hold the object (chunks from one fresh acquisition are
-        // contiguous only if the region cursor is fresh; for simplicity
-        // every LOS object ≤ one chunk uses one chunk, larger objects
-        // acquire consecutive chunks and require them contiguous).
+        // Need more chunks. The chunk manager only carves, so consecutive
+        // acquisitions on one side are contiguous and an object larger than
+        // a chunk gets one run of them.
         let chunk_bytes = hemu_types::CHUNK_SIZE as u64;
         let need_chunks = (pages * PAGE_SIZE as u64).div_ceil(chunk_bytes);
         let first = chunks.acquire(machine, self.side, self.name)?;
@@ -375,7 +373,7 @@ impl MetaAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunks::{ChunkPolicy, SideSockets};
+    use crate::chunks::SideSockets;
     use crate::layout::PCM_START;
     use hemu_machine::MachineProfile;
     use hemu_types::SocketId;
@@ -384,10 +382,7 @@ mod tests {
     fn setup() -> (Machine, ChunkManager) {
         let mut m = Machine::new(MachineProfile::emulation());
         let p = m.add_process(SocketId::DRAM);
-        (
-            m,
-            ChunkManager::new(ChunkPolicy::TwoLists, SideSockets::hybrid(), p),
-        )
+        (m, ChunkManager::new(SideSockets::hybrid(), p))
     }
 
     #[test]

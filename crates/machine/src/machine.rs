@@ -195,17 +195,6 @@ impl Machine {
         self.spaces[proc.0].mbind(start, len, socket);
     }
 
-    /// Unmaps a virtual range (monolithic-free-list ablation only).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if a mapped frame violates physical-memory
-    /// invariants.
-    pub fn unmap(&mut self, proc: ProcId, start: Addr, len: ByteSize) -> Result<()> {
-        let Machine { spaces, mem, .. } = self;
-        spaces[proc.0].unmap(start, len, mem)
-    }
-
     /// Which socket a fault at `addr` in `proc` would allocate on.
     pub fn socket_of(&self, proc: ProcId, addr: Addr) -> SocketId {
         self.spaces[proc.0].socket_of(addr)
@@ -1075,26 +1064,6 @@ mod tests {
         m.access(CtxId(0), p, MemoryAccess::read(Addr::new(0x7040), 64))
             .unwrap();
         assert_eq!(m.stats().local_fills, before + 1);
-    }
-
-    /// The access right after an unmap faults the page in again.
-    #[test]
-    fn unmap_is_visible_to_the_next_access() {
-        let mut m = machine();
-        let p = m.add_process(SocketId::DRAM);
-        m.access(CtxId(0), p, MemoryAccess::write(Addr::new(0x7000), 64))
-            .unwrap();
-        let faults = m.address_space(p).fault_count();
-        m.unmap(p, Addr::new(0x7000), ByteSize::from_kib(4))
-            .unwrap();
-        assert!(m
-            .address_space(p)
-            .translate_existing(Addr::new(0x7000))
-            .is_none());
-        m.access(CtxId(0), p, MemoryAccess::read(Addr::new(0x7040), 64))
-            .unwrap();
-        assert_eq!(m.address_space(p).fault_count(), faults + 1);
-        assert_eq!(m.address_space(p).mapped_pages(), 1);
     }
 
     /// Tenancy at machine level: two tenant processes write PCM-bound

@@ -58,7 +58,6 @@ pub struct AddressSpace {
     /// under an OS-managed memory configuration).
     os_placement: Option<(SocketId, Option<SocketId>)>,
     faults: u64,
-    unmapped_pages: u64,
     remapped_pages: u64,
     /// The tenant this process belongs to in a consolidated run. Frames
     /// demand-faulted by this space are recorded as owned by that tenant
@@ -230,35 +229,6 @@ impl AddressSpace {
         Some(frame.phys_base().offset(addr.raw() % PAGE_SIZE as u64))
     }
 
-    /// Unmaps the virtual range, returning its frames to their sockets.
-    ///
-    /// Used only by the monolithic-free-list ablation: the paper's two-list
-    /// design deliberately *never* unmaps recycled chunks (§III.A).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HemuError::InvalidConfig`](hemu_types::HemuError) if a
-    /// mapped frame lies outside physical memory or is already free (an
-    /// internal invariant violation).
-    pub fn unmap(&mut self, start: Addr, len: ByteSize, mem: &mut NumaMemory) -> Result<()> {
-        if len.bytes() == 0 {
-            return Ok(());
-        }
-        let p0 = start.page().raw();
-        let p1 = start.offset(len.bytes() - 1).page().raw() + 1;
-        for vpage in p0..p1.min(self.leaves.len() as u64 * LEAF_PAGES) {
-            let Some(leaf) = self.leaves[(vpage / LEAF_PAGES) as usize].as_deref_mut() else {
-                continue;
-            };
-            let entry = std::mem::take(&mut leaf[(vpage % LEAF_PAGES) as usize]);
-            if entry != 0 {
-                self.unmapped_pages += 1;
-                mem.free_frame(PageNum::new(entry - 1))?;
-            }
-        }
-        Ok(())
-    }
-
     /// Rewrites the mapping of physical frame `old` to point at `new`,
     /// returning how many page-table entries changed: 0 or 1, since frames
     /// are never shared between virtual pages.
@@ -277,19 +247,9 @@ impl AddressSpace {
         1
     }
 
-    /// Number of pages currently mapped.
-    pub fn mapped_pages(&self) -> usize {
-        (self.faults - self.unmapped_pages) as usize
-    }
-
     /// Number of page faults taken (pages lazily mapped) so far.
     pub fn fault_count(&self) -> u64 {
         self.faults
-    }
-
-    /// Number of pages explicitly unmapped so far (ablation metric).
-    pub fn unmap_count(&self) -> u64 {
-        self.unmapped_pages
     }
 
     /// Number of pages transparently remapped after frame retirement.
@@ -373,20 +333,6 @@ mod tests {
         asp.mbind(Addr::new(0x9000), ByteSize::from_kib(4), SocketId::PCM);
         let after = asp.translate(Addr::new(0x9000), &mut m).unwrap();
         assert_eq!(before, after, "already-mapped page must keep its frame");
-    }
-
-    #[test]
-    fn unmap_frees_frames_for_reuse() {
-        let mut m = mem();
-        let mut asp = AddressSpace::new();
-        let pa = asp.translate(Addr::new(0x3000), &mut m).unwrap();
-        asp.unmap(Addr::new(0x3000), ByteSize::from_kib(4), &mut m)
-            .unwrap();
-        assert_eq!(asp.mapped_pages(), 0);
-        assert_eq!(asp.unmap_count(), 1);
-        // The frame is recycled by the next fault on the same socket.
-        let pa2 = asp.translate(Addr::new(0x7000), &mut m).unwrap();
-        assert_eq!(pa.frame(), pa2.frame());
     }
 
     #[test]
@@ -504,31 +450,10 @@ mod tests {
             0,
             "no frame taken"
         );
-        assert_eq!((asp.fault_count(), asp.mapped_pages()), (0, 0));
+        assert_eq!(asp.fault_count(), 0);
         assert!(asp.leaves.is_empty());
         let below = asp.translate(Addr::new(VA_LIMIT - 1), &mut m).unwrap();
         assert_eq!(asp.translate_existing(Addr::new(VA_LIMIT - 1)), Some(below));
-    }
-
-    #[test]
-    fn unmap_over_untouched_pages_allocates_no_leaf() {
-        let mut m = mem();
-        let mut asp = AddressSpace::new();
-        asp.translate(Addr::new(0x1000), &mut m).unwrap();
-        asp.unmap(Addr::new(4 << 20), ByteSize::from_gib(2), &mut m)
-            .unwrap();
-        asp.unmap(Addr::new(VA_LIMIT), ByteSize::from_mib(4), &mut m)
-            .unwrap();
-        assert_eq!(asp.leaves.len(), 1);
-        assert_eq!((asp.mapped_pages(), asp.unmap_count()), (1, 0));
-        // A range spanning a leaf boundary unmaps exactly its pages.
-        let edge = Addr::new(LEAF_PAGES * PAGE_SIZE as u64 - PAGE_SIZE as u64);
-        asp.translate(edge, &mut m).unwrap();
-        asp.translate(edge.offset(PAGE_SIZE as u64), &mut m)
-            .unwrap();
-        asp.unmap(edge, ByteSize::from_kib(8), &mut m).unwrap();
-        assert_eq!((asp.mapped_pages(), asp.unmap_count()), (1, 2));
-        assert!(asp.translate_existing(Addr::new(0x1000)).is_some());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! Its pieces:
 //!
 //! * tracing — a bounded ring buffer of timestamped [`TraceEvent`]s (GC
-//!   pauses, chunk map/unmap/rebind, page migrations, QPI transfers,
+//!   pauses, chunk maps, page migrations, QPI transfers,
 //!   monitor samples), recorded into an owned [`Tracer`].
 //! * spans — hierarchical execution spans (GC phases, OS epochs,
 //!   measured iterations) in virtual time, recorded into a bounded

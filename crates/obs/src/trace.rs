@@ -53,27 +53,12 @@ pub enum TraceEvent {
         /// Virtual cycles spent paused.
         pause_cycles: u64,
     },
-    /// A heap chunk was mapped (freshly carved or recycled) onto a socket.
+    /// A heap chunk was carved from its side's region and bound to a
+    /// socket.
     ChunkMap {
         /// Chunk base address.
         addr: Addr,
         /// Socket the chunk's pages live on.
-        socket: SocketId,
-        /// `true` when the chunk came off a free list rather than being
-        /// freshly carved from the reservation.
-        recycled: bool,
-    },
-    /// A heap chunk's pages were unmapped (monolithic-list cross-technology
-    /// recycling).
-    ChunkUnmap {
-        /// Chunk base address.
-        addr: Addr,
-    },
-    /// A heap chunk was re-bound to a different socket after an unmap.
-    ChunkRebind {
-        /// Chunk base address.
-        addr: Addr,
-        /// New owning socket.
         socket: SocketId,
     },
     /// The OS page manager (or wear-out retirement) moved a physical page
@@ -117,8 +102,6 @@ impl TraceEvent {
             TraceEvent::GcStart { .. } => "gc_start",
             TraceEvent::GcEnd { .. } => "gc_end",
             TraceEvent::ChunkMap { .. } => "chunk_map",
-            TraceEvent::ChunkUnmap { .. } => "chunk_unmap",
-            TraceEvent::ChunkRebind { .. } => "chunk_rebind",
             TraceEvent::PageMigrated { .. } => "page_migrated",
             TraceEvent::QpiTransfer { .. } => "qpi_transfer",
             TraceEvent::MonitorSample { .. } => "monitor_sample",
@@ -149,19 +132,7 @@ impl ToJson for TraceRecord {
                 obj.field("kind", kind.name())
                     .field("pause_cycles", pause_cycles);
             }
-            TraceEvent::ChunkMap {
-                addr,
-                socket,
-                recycled,
-            } => {
-                obj.field("addr", addr)
-                    .field("socket", socket)
-                    .field("recycled", recycled);
-            }
-            TraceEvent::ChunkUnmap { addr } => {
-                obj.field("addr", addr);
-            }
-            TraceEvent::ChunkRebind { addr, socket } => {
+            TraceEvent::ChunkMap { addr, socket } => {
                 obj.field("addr", addr).field("socket", socket);
             }
             TraceEvent::PageMigrated { frame, from, to } => {
@@ -279,12 +250,11 @@ mod tests {
             event: TraceEvent::ChunkMap {
                 addr: Addr::new(4096),
                 socket: SocketId::PCM,
-                recycled: true,
             },
         };
         assert_eq!(
             rec.to_json(),
-            r#"{"t_cycles":10,"event":"chunk_map","addr":4096,"socket":1,"recycled":true}"#
+            r#"{"t_cycles":10,"event":"chunk_map","addr":4096,"socket":1}"#
         );
     }
 

@@ -39,19 +39,19 @@ pub struct ManagedMemory {
 }
 
 /// State for the native variant. Reference slots are modelled as ordinary
-/// 8-byte payload words at the start of the block, shadowed in `refs`:
-/// one entry per object id ([`NativeObject::raw`]), whose length is the
-/// object's ref count.
+/// 8-byte payload words at the start of the block; no run reads a target
+/// back, so only each object's ref count is kept, indexed by its id
+/// ([`NativeObject::raw`]).
 #[derive(Debug)]
 pub struct NativeMemory {
     heap: NativeHeap,
-    refs: Vec<Vec<Option<Obj>>>,
+    ref_counts: Vec<u32>,
 }
 
 impl NativeMemory {
     /// Number of reference slots in front of `o`'s payload.
-    fn ref_count(&self, o: NativeObject) -> usize {
-        self.refs.get(o.raw() as usize).map_or(0, Vec::len)
+    fn ref_count(&self, o: NativeObject) -> u32 {
+        self.ref_counts.get(o.raw() as usize).copied().unwrap_or(0)
     }
 }
 
@@ -65,7 +65,7 @@ impl Memory {
     pub fn native(heap: NativeHeap) -> Self {
         Memory::Native(Box::new(NativeMemory {
             heap,
-            refs: Vec::new(),
+            ref_counts: Vec::new(),
         }))
     }
 
@@ -99,13 +99,11 @@ impl Memory {
                     .heap
                     .alloc(machine, (ref_count * 8 + data_bytes) as u32)?;
                 let i = o.raw() as usize;
-                if i >= nm.refs.len() {
-                    nm.refs.resize_with(i + 1, Vec::new);
+                if i >= nm.ref_counts.len() {
+                    nm.ref_counts.resize(i + 1, 0);
                 }
-                // The heap recycles freed ids: drop the previous owner's slots.
-                let slots = &mut nm.refs[i];
-                slots.clear();
-                slots.resize(ref_count, None);
+                // The heap recycles freed ids: overwrite the previous owner's count.
+                nm.ref_counts[i] = ref_count as u32;
                 Ok(Obj(o.raw() as u64))
             }
         }
@@ -140,8 +138,7 @@ impl Memory {
             }
             Memory::Native(nm) => {
                 let o = NativeObject::from_raw(obj.0 as u32);
-                nm.heap
-                    .write(machine, o, nm.ref_count(o) as u32 * 8 + offset, len)
+                nm.heap.write(machine, o, nm.ref_count(o) * 8 + offset, len)
             }
         }
     }
@@ -165,8 +162,7 @@ impl Memory {
             }
             Memory::Native(nm) => {
                 let o = NativeObject::from_raw(obj.0 as u32);
-                nm.heap
-                    .read(machine, o, nm.ref_count(o) as u32 * 8 + offset, len)
+                nm.heap.read(machine, o, nm.ref_count(o) * 8 + offset, len)
             }
         }
     }
@@ -194,15 +190,13 @@ impl Memory {
             ),
             Memory::Native(nm) => {
                 let o = NativeObject::from_raw(obj.0 as u32);
-                if slot >= nm.ref_count(o) {
+                if slot >= nm.ref_count(o) as usize {
                     return Err(HemuError::InvalidConfig(format!(
                         "native object {} has no ref slot {slot}",
                         o.raw()
                     )));
                 }
-                nm.heap.write(machine, o, slot as u32 * 8, 8)?;
-                nm.refs[o.raw() as usize][slot] = target;
-                Ok(())
+                nm.heap.write(machine, o, slot as u32 * 8, 8)
             }
         }
     }
@@ -283,18 +277,6 @@ mod tests {
         (m, Memory::native(heap))
     }
 
-    /// The reference stored in slot `slot` of `obj`.
-    fn read_ref(mem: &mut Memory, m: &mut Machine, obj: Obj, slot: usize) -> Option<Obj> {
-        match mem {
-            Memory::Managed(mm) => mm
-                .heap
-                .read_ref(m, ObjectId::from_raw(obj.0), slot)
-                .unwrap()
-                .map(|t| Obj(t.raw())),
-            Memory::Native(nm) => nm.refs[obj.0 as usize][slot],
-        }
-    }
-
     #[test]
     fn same_code_runs_on_both_managers() {
         for (mut m, mut mem) in [managed(), native()] {
@@ -304,23 +286,35 @@ mod tests {
             mem.write_ref(&mut m, a, 0, Some(b)).unwrap();
             mem.write_data(&mut m, a, 0, 64).unwrap();
             mem.read_data(&mut m, a, 8, 8).unwrap();
-            assert_eq!(read_ref(&mut mem, &mut m, a, 0), Some(b));
+            if !mem.is_managed() {
+                // One slot: the native bound check rejects slot 1.
+                let err = mem.write_ref(&mut m, a, 1, Some(b)).unwrap_err();
+                assert!(matches!(err, HemuError::InvalidConfig(_)), "{err}");
+            }
             mem.free(b);
             mem.free(a);
         }
     }
 
     #[test]
-    fn recycled_native_handles_start_with_empty_ref_slots() {
+    fn recycled_native_handles_take_the_new_ref_count() {
         let (mut m, mut mem) = native();
         let a = mem.alloc(&mut m, 2, 16).unwrap();
         let b = mem.alloc(&mut m, 0, 16).unwrap();
         mem.write_ref(&mut m, a, 1, Some(b)).unwrap();
         mem.free(a);
-        let c = mem.alloc(&mut m, 2, 16).unwrap();
+        // The recycled id gets the new owner's count: one slot, not two.
+        let c = mem.alloc(&mut m, 1, 16).unwrap();
         assert_eq!(c, a, "the heap recycles the freed id");
-        assert_eq!(read_ref(&mut mem, &mut m, c, 1), None);
-        let err = mem.write_ref(&mut m, c, 2, Some(b)).unwrap_err();
+        mem.write_ref(&mut m, c, 0, Some(b)).unwrap();
+        let err = mem.write_ref(&mut m, c, 1, Some(b)).unwrap_err();
+        assert!(matches!(err, HemuError::InvalidConfig(_)), "{err}");
+        // And a larger count on the next recycle opens the extra slots.
+        mem.free(c);
+        let d = mem.alloc(&mut m, 3, 16).unwrap();
+        assert_eq!(d, a);
+        mem.write_ref(&mut m, d, 2, None).unwrap();
+        let err = mem.write_ref(&mut m, d, 3, None).unwrap_err();
         assert!(matches!(err, HemuError::InvalidConfig(_)), "{err}");
         let err = mem.write_ref(&mut m, b, 0, Some(c)).unwrap_err();
         assert!(matches!(err, HemuError::InvalidConfig(_)), "{err}");

@@ -61,7 +61,11 @@ pub enum Language {
 }
 
 /// A fully specified benchmark: name, suite, language and dataset.
+///
+/// Specs come only from the registry ([`all_default`] and its parts, or
+/// [`WorkloadSpec::by_name`]), so every spec names a registered benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[non_exhaustive]
 pub struct WorkloadSpec {
     /// Benchmark name (paper spelling).
     pub name: &'static str,
@@ -103,16 +107,20 @@ impl WorkloadSpec {
 
     /// Instantiates the workload with a deterministic seed.
     pub fn instantiate(&self, seed: u64) -> Box<dyn Workload> {
-        match (self.suite, self.name) {
-            (Suite::GraphChi, "pr") => Box::new(PageRank::new(self.dataset, seed)),
-            (Suite::GraphChi, "cc") => Box::new(ConnectedComponents::new(self.dataset, seed)),
-            (Suite::GraphChi, "als") => Box::new(Als::new(self.dataset, seed)),
-            (Suite::Pjbb, _) => Box::new(PjbbWorkload::new(self.dataset, seed)),
-            (Suite::DaCapo, name) => Box::new(DacapoWorkload::new(
-                dacapo::params_for(name).expect("unknown DaCapo benchmark"),
-                self.dataset,
-                seed,
-            )),
+        let dacapo = match self.suite {
+            Suite::DaCapo => dacapo::params_for(self.name),
+            _ => None,
+        };
+        match (self.suite, self.name, dacapo) {
+            (Suite::GraphChi, "pr", _) => Box::new(PageRank::new(self.dataset, seed)),
+            (Suite::GraphChi, "cc", _) => Box::new(ConnectedComponents::new(self.dataset, seed)),
+            (Suite::GraphChi, "als", _) => Box::new(Als::new(self.dataset, seed)),
+            (Suite::Pjbb, ..) => Box::new(PjbbWorkload::new(self.dataset, seed)),
+            (Suite::DaCapo, _, Some(params)) => {
+                Box::new(DacapoWorkload::new(params, self.dataset, seed))
+            }
+            // Specs come only from the registry, which names no other
+            // benchmark.
             _ => unreachable!("inconsistent spec {self:?}"),
         }
     }
@@ -156,7 +164,7 @@ pub fn dacapo_sim_subset() -> Vec<WorkloadSpec> {
         "lusearch", "lu.Fix", "avrora", "xalan", "pmd", "pmd.S", "bloat",
     ]
     .iter()
-    .map(|n| WorkloadSpec::by_name(n).expect("simulator-subset benchmark missing from registry"))
+    .map(|n| spec(n, Suite::DaCapo))
     .collect()
 }
 
@@ -199,6 +207,12 @@ mod tests {
             names,
             vec!["lusearch", "lu.Fix", "avrora", "xalan", "pmd", "pmd.S", "bloat"]
         );
+        for s in dacapo_sim_subset() {
+            assert!(
+                dacapo_all().contains(&s),
+                "{s} is not a registered DaCapo benchmark"
+            );
+        }
     }
 
     #[test]

@@ -21,16 +21,10 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== rustdoc: no broken or private intra-doc link =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-echo "== clippy: no unwrap() in library code =="
-cargo clippy --offline --lib \
-  -p hemu-types -p hemu-obs -p hemu-fault -p hemu-numa -p hemu-cache \
-  -p hemu-machine -p hemu-heap -p hemu-malloc -p hemu-workloads -p hemu-os \
-  -p hemu-core -p hemu-bench \
-  -- -D clippy::unwrap_used
-
-echo "== clippy: no unwrap() or expect() in the heap, the machine, the caches, numa, types, fault, obs, the OS or mallocsim =="
+echo "== clippy: no unwrap() or expect() in any library crate =="
 cargo clippy --offline --lib -p hemu-heap -p hemu-cache -p hemu-machine \
   -p hemu-numa -p hemu-types -p hemu-fault -p hemu-obs -p hemu-os -p hemu-malloc \
+  -p hemu-workloads -p hemu-core -p hemu-bench -p hemu \
   -- -D clippy::unwrap_used -D clippy::expect_used
 
 echo "== fault smoke: sweep survives transient faults (expect exit 0) =="
