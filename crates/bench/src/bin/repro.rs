@@ -64,11 +64,50 @@
 //! the machine's available parallelism; `--jobs 1` is the sequential
 //! path). Every exported artifact is byte-identical at any `--jobs` value.
 //! Host-speed measurement lives in the separate `benchmark/` package.
+//!
+//! `--help` (or `-h`) prints the flag summary and exits 0 without running a
+//! target; any other unknown `--flag` prints a usage line naming it and
+//! exits 2.
 
 use hemu_bench::{experiments, Harness, RunPolicy, Scale};
 use hemu_fault::{EnduranceConfig, FaultPlan};
 use hemu_types::{ByteSize, OsPagingConfig, OsPolicy};
 use std::time::{Duration, Instant};
+
+/// The flag summary `--help` prints; the module docs above describe each
+/// group in full.
+const USAGE: &str = "\
+usage: repro [TARGET...] [FLAGS]
+
+Regenerates the paper's tables and figures. With no target, runs `all`
+(the full reproduction; slow).
+
+targets:
+  table1 table2 fig3 fig4 fig5 fig6 fig7 fig8 table3 os consolidate
+  ablations write_breakdown all smoke series:<benchmark>
+
+flags:
+  --quick | --scale quick|full   workload scale (default: full)
+  --jobs N                       experiment worker pool width
+  --json-out DIR                 per-run JSON, runs.json, samples.csv
+  --trace-out FILE               measured-iteration event trace (JSON Lines)
+  --profile                      phase-and-provenance profiler
+  --timeline-out FILE            Perfetto timeline (implies --profile)
+  --heatmap-out FILE             per-page PCM wear CSV (implies --profile)
+  --faults SPEC                  deterministic fault plan (smoke, none, k=v,...)
+  --endurance SPEC               PCM wear/endurance model
+  --run-deadline SECONDS         bound on each experiment attempt
+  --resume DIR                   finish a killed --json-out sweep
+  --chaos-kill-after N           hard-exit after the Nth run commit
+  --tenants N                    consolidate: maximum tenant density
+  --mix dacapo|pjbb|graphchi|mixed   consolidate: workload roster
+  --slice N                      consolidate: scheduler slice in steps
+  --os-policy LIST               os: dram-first,pcm-first,hot-cold
+  --epoch LINES                  os: hot/cold migrator epoch length
+  --migration-budget PAGES       os: migrations per epoch
+  --os-dram MIB                  os: DRAM socket clamp (0 = unlimited)
+  -h, --help                     print this text
+";
 
 /// Extracts a `--flag VALUE` pair from `args`, removing both elements.
 fn take_value_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
@@ -95,6 +134,10 @@ fn take_bool_flag(args: &mut Vec<String>, flag: &str) -> bool {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{USAGE}");
+        return;
+    }
     let json_out = take_value_flag(&mut args, "--json-out");
     let trace_out = take_value_flag(&mut args, "--trace-out");
     let timeline_out = take_value_flag(&mut args, "--timeline-out");
@@ -114,6 +157,10 @@ fn main() {
     let tenants_flag = take_value_flag(&mut args, "--tenants");
     let mix_flag = take_value_flag(&mut args, "--mix");
     let slice_flag = take_value_flag(&mut args, "--slice");
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--") && *a != "--quick") {
+        eprintln!("unknown flag `{flag}`; usage: repro [TARGET...] [FLAGS] (see repro --help)");
+        std::process::exit(2);
+    }
     let jobs = match jobs_flag.as_deref() {
         None => std::thread::available_parallelism().map_or(1, |n| n.get()),
         Some(s) => match s.parse::<usize>() {
@@ -356,7 +403,7 @@ fn main() {
                 experiments::series(h, &s["series:".len()..], hemu_heap::CollectorKind::PcmOnly)
             }),
             other => {
-                eprintln!("unknown target `{other}`; see --help in the README");
+                eprintln!("unknown target `{other}`; repro --help lists the targets");
                 std::process::exit(2);
             }
         };

@@ -135,6 +135,13 @@ const RANK_BITS: u32 = 6;
 /// Mask of one recency-rank field.
 const RANK_MASK: u128 = 0x3F;
 
+/// SSE2 vectors (four `u32` tags each) one probe of an `assoc`-way set
+/// compares: 1 to 6 for the 1..=21 ways `CacheConfig` accepts.
+#[cfg(any(target_arch = "x86_64", test))]
+const fn probe_vectors(assoc: usize) -> usize {
+    assoc.div_ceil(4)
+}
+
 /// A set-associative, write-back, write-allocate cache with LRU replacement.
 ///
 /// Tag arrays only — the simulator never stores data, it tracks which
@@ -382,44 +389,60 @@ impl Cache {
     }
 
     /// Branchless probe of the block at `base`: compares every way's
-    /// packed tag and returns the match bits (stale tags in invalid ways
-    /// must be masked out by the caller).
+    /// packed tag and returns the match bits. The caller masks the result
+    /// with the valid bits, which drops stale tags in invalid ways and, on
+    /// x86_64, the lanes past `assoc`.
     ///
     /// On x86_64 the packed-`u32` tag array is compared four ways per
-    /// SSE2 vector op; a trailing odd tag word is compared scalar so the
-    /// vector loads never cross the end of the block.
-    #[inline]
+    /// SSE2 vector, `⌈assoc/4⌉` vectors per probe; one `match` picks the
+    /// compile-time width, so every probe is a fixed, unrolled sequence.
+    #[inline(always)]
     fn probe_mask(&self, base: usize, tag: u32) -> u32 {
-        let words = self.assoc.div_ceil(2);
-        let mut m = 0u32;
         #[cfg(target_arch = "x86_64")]
         {
-            use core::arch::x86_64::{
-                _mm_castsi128_ps, _mm_cmpeq_epi32, _mm_loadu_si128, _mm_movemask_ps, _mm_set1_epi32,
-            };
-            // Safety: SSE2 is part of the x86_64 baseline; the loads read
-            // `words / 2 * 16` bytes starting at `base + tags_off`, all
-            // inside this set's block (the tag area is `words * 8` bytes).
-            unsafe {
-                let p = self.words().as_ptr().add(base + self.tags_off);
-                let needle = _mm_set1_epi32(tag as i32);
-                for v in 0..words / 2 {
-                    let eq = _mm_cmpeq_epi32(_mm_loadu_si128(p.add(v * 2).cast()), needle);
-                    m |= (_mm_movemask_ps(_mm_castsi128_ps(eq)) as u32) << (4 * v);
-                }
-                if words & 1 == 1 {
-                    let pair = *p.add(words - 1);
-                    m |= u32::from(pair as u32 == tag) << (2 * (words - 1));
-                    m |= u32::from((pair >> 32) as u32 == tag) << (2 * words - 1);
-                }
+            match probe_vectors(self.assoc) {
+                1 => self.probe_sse2::<1>(base, tag),
+                2 => self.probe_sse2::<2>(base, tag),
+                3 => self.probe_sse2::<3>(base, tag),
+                4 => self.probe_sse2::<4>(base, tag),
+                5 => self.probe_sse2::<5>(base, tag),
+                6 => self.probe_sse2::<6>(base, tag),
+                v => unreachable!("{v} probe vectors: CacheConfig caps assoc at 21"),
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
+            let words = self.assoc.div_ceil(2);
+            let mut m = 0u32;
             let pairs = &self.words()[base + self.tags_off..][..words];
             for (i, &pair) in pairs.iter().enumerate() {
                 m |= u32::from(pair as u32 == tag) << (2 * i);
                 m |= u32::from((pair >> 32) as u32 == tag) << (2 * i + 1);
+            }
+            m
+        }
+    }
+
+    /// The tag compare of `probe_mask` at `V` SSE2 vectors: lane `4v + i`
+    /// of the result is way `4v + i`.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    fn probe_sse2<const V: usize>(&self, base: usize, tag: u32) -> u32 {
+        use core::arch::x86_64::{
+            _mm_castsi128_ps, _mm_cmpeq_epi32, _mm_loadu_si128, _mm_movemask_ps, _mm_set1_epi32,
+        };
+        debug_assert!(self.tags_off + 2 * V <= self.stride);
+        let mut m = 0u32;
+        // Safety: SSE2 is part of the x86_64 baseline; the loads read the
+        // `2 * V` words from `base + tags_off`, which end inside this set's
+        // block (`tags_off + 2 * V <= stride` for every associativity
+        // `CacheConfig` accepts; a unit test checks each).
+        unsafe {
+            let p = self.words().as_ptr().add(base + self.tags_off);
+            let needle = _mm_set1_epi32(tag as i32);
+            for v in 0..V {
+                let eq = _mm_cmpeq_epi32(_mm_loadu_si128(p.add(v * 2).cast()), needle);
+                m |= (_mm_movemask_ps(_mm_castsi128_ps(eq)) as u32) << (4 * v);
             }
         }
         m
@@ -453,31 +476,6 @@ impl Cache {
         (m != 0).then(|| m.trailing_zeros() as usize)
     }
 
-    /// Prefetches the set block `line` maps to into the host's cache
-    /// (no-op off x86_64). Purely a performance hint: the batch resolver
-    /// calls this a few queue entries ahead so the probe's dependent loads
-    /// don't stall on host memory; it never changes simulated state.
-    #[inline]
-    pub(crate) fn prefetch_set(&self, line: LineAddr) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let slab = self.set_of(line) * self.stride / 8;
-            // Safety: `slab` is in bounds by construction and prefetch has
-            // no memory effects; each slab is one 64-byte host line.
-            unsafe {
-                for i in 0..self.stride / 8 {
-                    _mm_prefetch(
-                        (self.arena.as_ptr().add(slab + i)).cast::<i8>(),
-                        _MM_HINT_T0,
-                    );
-                }
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = line;
-    }
-
     /// Accesses `line`; on a write the resident line is marked dirty.
     ///
     /// Untagged convenience for `Cache::access_tagged` (tag 0).
@@ -493,6 +491,10 @@ impl Cache {
     /// writes) and the displaced valid line, if any, is returned — with
     /// the tag of its last write — so the caller can propagate the
     /// write-back.
+    ///
+    /// Always inlined, so both the L2 and the LLC access compile into the
+    /// hierarchy walk instead of being called out of line.
+    #[inline(always)]
     pub(crate) fn access_tagged(
         &mut self,
         line: LineAddr,
@@ -897,6 +899,24 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_sets_rejected() {
         let _ = CacheConfig::new("bad", ByteSize::new(192), 1);
+    }
+
+    #[test]
+    fn probe_loads_stay_inside_the_set_block() {
+        for assoc in 1..=21 {
+            // One set: the smallest geometry `CacheConfig` accepts.
+            let size = ByteSize::new((assoc * CACHE_LINE) as u64);
+            let c = Cache::new(CacheConfig::new("P", size, assoc));
+            let v = probe_vectors(assoc);
+            assert!((1..=6).contains(&v), "{assoc} ways: {v} vectors");
+            assert!(4 * v >= assoc, "{assoc} ways: {v} vectors miss a way");
+            assert!(
+                c.tags_off + 2 * v <= c.stride,
+                "{assoc} ways: the last vector ends at word {} of a {}-word block",
+                c.tags_off + 2 * v,
+                c.stride
+            );
+        }
     }
 
     #[test]

@@ -163,14 +163,6 @@ impl Hierarchy {
         }
     }
 
-    /// Prefetches the L2 and LLC set metadata `line` maps to into the
-    /// host's cache (performance hint only; see [`Cache::prefetch_set`]).
-    #[inline]
-    pub(crate) fn prefetch(&self, ctx: usize, line: LineAddr) {
-        self.l2s[ctx].prefetch_set(line);
-        self.llc.prefetch_set(line);
-    }
-
     /// Issues one line access from hardware context `ctx`, appending any
     /// memory write-backs — each with the provenance tag of the store that
     /// dirtied it — to `writebacks` (cleared first) instead of allocating
@@ -217,7 +209,7 @@ impl Hierarchy {
         // LLC probe. The L2 will hold the written line dirty, so the LLC
         // access itself is a read-for-fill; dirtiness reaches the LLC later
         // via the L2 write-back path above.
-        let llcr = self.llc.access(line, AccessKind::Read);
+        let llcr = self.llc.access_tagged(line, AccessKind::Read, 0);
         self.l2s[ctx].pres_replace(line, l2_way, llcr.way);
         let ctx_bit = 1u8 << (ctx & 7);
         if llcr.hit {

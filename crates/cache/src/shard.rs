@@ -51,11 +51,6 @@ pub const DEFAULT_SHARD_BITS: u32 = 6;
 /// threads are requested; spawning a scope costs more than it saves.
 const PARALLEL_MIN_LINES: usize = 8192;
 
-/// How many queue entries ahead the resolver prefetches cache metadata.
-/// Far enough to cover a host memory round-trip at a few dozen cycles per
-/// resolved line, near enough that prefetched lines survive until use.
-const PREFETCH_AHEAD: usize = 12;
-
 /// One queued line access, packed struct-of-arrays style: the original
 /// (unshifted) line plus a meta word holding context, kind, and tag.
 #[derive(Debug, Clone, Copy)]
@@ -101,15 +96,7 @@ impl Shard {
         fills.clear();
         counts.clear();
         counts.resize(hier.contexts() * 3, 0);
-        for (i, q) in queue.iter().enumerate() {
-            // The queue is known upfront, so hide the host-memory latency
-            // of the tag/LRU probes by prefetching a fixed distance ahead.
-            if let Some(next) = queue.get(i + PREFETCH_AHEAD) {
-                hier.prefetch(
-                    (next.meta >> 16) as usize,
-                    LineAddr::new(next.line >> ns_bits),
-                );
-            }
+        for q in queue.iter() {
             let ctx = (q.meta >> 16) as usize;
             let wtag = (q.meta >> 8) as u8;
             let kind = if q.meta & 1 == 1 {

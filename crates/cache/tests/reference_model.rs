@@ -148,6 +148,16 @@ fn packed_matches_naive_direct_mapped() {
     compare(99, 16, 1, 64, 20_000);
 }
 
+#[test]
+fn packed_matches_naive_at_every_associativity() {
+    // Every width the probe is specialized for, including the L2's 8 ways
+    // and the LLC's 16 and 20: a working set of three times the capacity
+    // mixes hits, fills into invalid ways and LRU evictions.
+    for assoc in 1..=21 {
+        compare(0xA55 + assoc as u64, 8, assoc, 3 * 8 * assoc as u64, 6_000);
+    }
+}
+
 /// Small enough that streams thrash both levels, large enough that
 /// back-invalidation and dirty-merge paths fire, and with 64 L2 sets so
 /// every shard count up to 2^6 is exact. L2: 64 sets x 2 ways; LLC: 128
@@ -377,8 +387,7 @@ fn batch_boundaries_are_invisible() {
     let whole = run_aggregate(&stream, 3, &[stream.len()], 2);
     let singles = run_aggregate(&stream, 3, &[1], 2);
     assert_eq!(whole, singles, "diverged at batch size 1");
-    // Irregular seeded boundaries, including primes around the shard
-    // queue/prefetch depths.
+    // Irregular seeded boundaries, including primes.
     let ragged = run_aggregate(&stream, 3, &[1, 13, 4096, 257, 2, 8191, 31], 2);
     assert_eq!(whole, ragged, "diverged at ragged boundaries");
 }
@@ -673,4 +682,37 @@ fn hierarchy_matches_naive_inclusive_model_with_aliased_contexts() {
     assert!(cov.dirty_merges > 0, "{cov:?}");
     assert!(cov.multi_dirty_back_invalidations > 0, "{cov:?}");
     assert!(cov.aliased_back_invalidations > 0, "{cov:?}");
+}
+
+/// The production associativities with the set counts scaled down: twelve
+/// 8-way L2s of 16 sets under an LLC of 32 sets at `llc_assoc` ways. The
+/// L2s together hold more lines than the LLC, so back-invalidation fires
+/// often, and [`shared_stream`] puts lines in several L2s at once.
+const fn production(llc_assoc: usize) -> HierarchyConfig {
+    HierarchyConfig {
+        contexts: 12,
+        l2_size: ByteSize::new(16 * 8 * 64),
+        l2_assoc: 8,
+        llc_size: ByteSize::new(32 * llc_assoc as u64 * 64),
+        llc_assoc,
+    }
+}
+
+fn compare_production(llc_assoc: usize, seed: u64) {
+    let cov = compare_with_naive(production(llc_assoc), &shared_stream(seed, 60_000));
+    assert!(cov.dirty_merges > 0, "{cov:?}");
+    assert!(cov.multi_dirty_back_invalidations > 0, "{cov:?}");
+    assert!(cov.aliased_back_invalidations > 0, "{cov:?}");
+}
+
+#[test]
+fn hierarchy_matches_naive_model_at_the_paper_associativities() {
+    // The paper's platform: 8-way L2s under a 20-way LLC.
+    compare_production(20, 0x820);
+}
+
+#[test]
+fn hierarchy_matches_naive_model_with_a_16_way_llc() {
+    // The 16-way LLC that `MachineProfile::with_llc` picks at 4 and 8 MiB.
+    compare_production(16, 0x816);
 }

@@ -27,9 +27,23 @@ cargo clippy --offline --lib -p hemu-heap -p hemu-cache -p hemu-machine \
   -p hemu-workloads -p hemu-core -p hemu-bench -p hemu \
   -- -D clippy::unwrap_used -D clippy::expect_used
 
-echo "== fault smoke: sweep survives transient faults (expect exit 0) =="
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
+
+echo "== repro CLI: --help exits 0, an unknown flag exits 2, neither writes =="
+timeout 10 ./target/release/repro --help --json-out "$smoke_dir/help" >/dev/null
+rc=0
+timeout 10 ./target/release/repro --no-such-flag --json-out "$smoke_dir/bad" || rc=$?
+if [ "$rc" -ne 2 ]; then
+  echo "repro --no-such-flag exited $rc, expected 2" >&2
+  exit 1
+fi
+if [ -e "$smoke_dir/help" ] || [ -e "$smoke_dir/bad" ]; then
+  echo "repro --help or an unknown flag wrote an artifact" >&2
+  exit 1
+fi
+
+echo "== fault smoke: sweep survives transient faults (expect exit 0) =="
 ./target/release/repro fig3 --scale quick --faults smoke --endurance smoke \
   --run-deadline 300 --json-out "$smoke_dir/ok"
 grep -q '"status":"ok"' "$smoke_dir/ok/runs.json"
