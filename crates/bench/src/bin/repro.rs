@@ -15,8 +15,8 @@
 //! `--quick` (or `--scale quick`) restricts DaCapo to the seven-benchmark
 //! §V subset.
 //! `--json-out <dir>` writes one `<run>.json` per executed experiment plus
-//! the combined `runs.json` and `samples.csv`; `--trace-out <file>` appends
-//! every executed run's measured-iteration event trace as JSON Lines.
+//! the combined `runs.json` and `samples.csv`; `--trace-out <file>` writes
+//! every committed run's measured-iteration event trace as JSON Lines.
 //!
 //! Crash safety (see `docs/fault-injection.md`): `--json-out` sweeps keep
 //! a write-ahead `journal.jsonl` in the output directory, fsynced as each
@@ -69,7 +69,7 @@
 //! target; any other unknown `--flag` prints a usage line naming it and
 //! exits 2.
 
-use hemu_bench::{experiments, Harness, RunPolicy, Scale};
+use hemu_bench::{experiments, Harness, Scale};
 use hemu_fault::{EnduranceConfig, FaultPlan};
 use hemu_types::{ByteSize, OsPagingConfig, OsPolicy};
 use std::time::{Duration, Instant};
@@ -161,6 +161,21 @@ fn main() {
         eprintln!("unknown flag `{flag}`; usage: repro [TARGET...] [FLAGS] (see repro --help)");
         std::process::exit(2);
     }
+    // `try_from_secs_f64` refuses what no `Duration` holds (NaN, infinity,
+    // negative or overflowing seconds) instead of panicking.
+    let run_deadline = run_deadline.map(|secs| {
+        match secs
+            .parse::<f64>()
+            .ok()
+            .and_then(|s| Duration::try_from_secs_f64(s).ok())
+        {
+            Some(d) if !d.is_zero() => d,
+            _ => {
+                eprintln!("--run-deadline: expected a positive number of seconds");
+                std::process::exit(2);
+            }
+        }
+    });
     let jobs = match jobs_flag.as_deref() {
         None => std::thread::available_parallelism().map_or(1, |n| n.get()),
         Some(s) => match s.parse::<usize>() {
@@ -340,22 +355,13 @@ fn main() {
             }
         }
     }
-    if let Some(secs) = &run_deadline {
-        match secs.parse::<f64>() {
-            Ok(s) if s > 0.0 && s.is_finite() => h.set_run_policy(RunPolicy {
-                deadline: Some(Duration::from_secs_f64(s)),
-                ..RunPolicy::default()
-            }),
-            _ => {
-                eprintln!("--run-deadline: expected a positive number of seconds");
-                std::process::exit(2);
-            }
-        }
+    if let Some(deadline) = run_deadline {
+        h.set_run_deadline(deadline);
     }
     h.set_jobs(jobs);
     h.set_os_tuning(os_tuning);
     // Resume must come after every plan-affecting flag above: the journal
-    // header's plan hash covers scale, faults, endurance, policy and OS
+    // header's plan hash covers scale, faults, endurance, deadline and OS
     // tuning, and a mismatch refuses the stale journal.
     if let Some(dir) = &resume {
         if let Err(e) = h.resume_from(dir) {

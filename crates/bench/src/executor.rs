@@ -1,5 +1,6 @@
-//! The parallel sweep executor: a fixed-size worker pool that drains a
-//! deterministic job queue of experiment runs.
+//! The parallel sweep executor: the calling thread and up to `--jobs − 1`
+//! scoped helpers drain a deterministic job queue of experiment runs, and
+//! [`run_job`] is the one failure boundary of each job.
 //!
 //! # Determinism contract
 //!
@@ -8,18 +9,17 @@
 //!
 //! 1. A **planning pass** replays a figure function with the harness in
 //!    planning mode. Every run the figure demands that is not already
-//!    cached, failed, or staged is enqueued as a [`JobSpec`] and answered
+//!    memoized or staged is enqueued as a [`JobSpec`] and answered
 //!    with [`HemuError::Deferred`]; the figure's output is discarded.
-//! 2. An **execution wave** drains the queue on a pool of `--jobs`
-//!    workers. Each worker owns its jobs end to end — the sweep-wide
-//!    settings laid over the job's experiment, retries, backoff sleeps —
-//!    and parks only itself while backing off. Results land in per-job
-//!    staging slots.
+//! 2. An **execution wave** drains the queue: every worker pulls jobs off
+//!    one atomic cursor and runs each end to end in [`run_job`] — the
+//!    sweep-wide settings laid over the job's experiment, panic isolation,
+//!    the deadline and the retries. Results are staged by queue position.
 //! 3. Planning and execution repeat until a pass demands nothing new
 //!    (figures branch on earlier results, so dependent runs surface only
 //!    after their inputs exist).
 //! 4. The **real pass** renders the figure again; staged results are
-//!    *committed* (recorded, exported, cached) strictly in demand order —
+//!    *committed* (recorded, exported, memoized) strictly in demand order —
 //!    the exact order the sequential path executes in. Speculatively
 //!    executed runs that the real pass never demands are never committed
 //!    and are invisible in every artifact.
@@ -28,21 +28,25 @@
 //! first demand, byte-identical to the historical sequential path — which
 //! in turn is byte-identical to any `--jobs N` by the argument above.
 
-use crate::harness::RunPolicy;
 use hemu_core::{Experiment, RunArtifacts};
 use hemu_fault::{EnduranceConfig, FaultPlan};
 use hemu_obs::{Reporter, Tracer};
 use hemu_types::HemuError;
-use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::Mutex;
 use std::thread;
+use std::time::Duration;
 
 /// Records retained per traced run; QPI batching keeps even long runs well
 /// under this.
 pub(crate) const TRACE_CAPACITY: usize = 1 << 16;
+
+/// Attempts per job. Only a transient injected fault consumes another, and
+/// each retry reseeds the fault plan ([`FaultPlan::for_attempt`]). A run is
+/// a pure function of its configuration, so a retry starts at once: no
+/// pause could change its outcome.
+const MAX_ATTEMPTS: u32 = 3;
 
 /// One experiment run awaiting execution, fully described by value so a
 /// worker thread needs nothing from the harness.
@@ -85,8 +89,9 @@ pub(crate) struct ExecCtx {
     pub fault_plan: Option<FaultPlan>,
     /// Endurance model applied to every experiment.
     pub endurance: Option<EnduranceConfig>,
-    /// Deadline/retry policy.
-    pub policy: RunPolicy,
+    /// Wall-clock bound on each attempt (`--run-deadline`); `None` runs
+    /// every attempt inline with no watchdog.
+    pub deadline: Option<Duration>,
     /// Whether to capture an event trace of the measured iteration.
     pub want_trace: bool,
     /// Whether to run every job under the phase-and-provenance profiler
@@ -126,357 +131,157 @@ fn configure(ctx: &ExecCtx, job: &JobSpec, attempt: u32) -> Experiment {
     e
 }
 
-/// Runs one attempt with panic isolation and, when the policy sets a
-/// deadline, a watchdog: the run executes on a helper thread and an
-/// expired deadline abandons it (the thread is detached; the Machine it
-/// owns is dropped when the attempt eventually unwinds or finishes).
+/// Runs one attempt with panic isolation and, when a deadline is set, a
+/// watchdog: the run executes on a helper thread and an expired deadline
+/// abandons it (the thread is detached; the Machine it owns is dropped when
+/// the attempt eventually unwinds or finishes). A helper thread the host
+/// cannot spawn fails the attempt with [`HemuError::Io`].
 fn run_guarded(
-    policy: &RunPolicy,
+    deadline: Option<Duration>,
     want_trace: bool,
     experiment: Experiment,
 ) -> Result<RunArtifacts, HemuError> {
     let body = move || {
-        let tracer = if want_trace {
-            Tracer::bounded(TRACE_CAPACITY)
-        } else {
-            Tracer::disabled()
-        };
-        experiment.run_traced(tracer)
+        panic::catch_unwind(AssertUnwindSafe(|| {
+            let tracer = if want_trace {
+                Tracer::bounded(TRACE_CAPACITY)
+            } else {
+                Tracer::disabled()
+            };
+            experiment.run_traced(tracer)
+        }))
+        .unwrap_or_else(|p| Err(panic_error(p.as_ref())))
     };
-    match policy.deadline {
-        None => panic::catch_unwind(AssertUnwindSafe(body))
-            .unwrap_or_else(|p| Err(panic_error(p.as_ref()))),
-        Some(deadline) => {
-            let (tx, rx) = mpsc::channel();
-            thread::spawn(move || {
-                let result = panic::catch_unwind(AssertUnwindSafe(body))
-                    .unwrap_or_else(|p| Err(panic_error(p.as_ref())));
-                // The receiver may have given up already; that's fine.
-                let _ = tx.send(result);
-            });
-            match rx.recv_timeout(deadline) {
-                Ok(result) => result,
-                Err(_) => Err(HemuError::Timeout {
-                    deadline_ms: deadline.as_millis() as u64,
-                }),
-            }
-        }
+    let Some(deadline) = deadline else {
+        return body();
+    };
+    let (tx, rx) = mpsc::channel();
+    thread::Builder::new()
+        .spawn(move || {
+            // The receiver may have given up already; that's fine.
+            let _ = tx.send(body());
+        })
+        .map_err(|e| HemuError::Io(format!("spawning the --run-deadline run thread: {e}")))?;
+    match rx.recv_timeout(deadline) {
+        Ok(result) => result,
+        Err(_) => Err(HemuError::Timeout {
+            deadline_ms: deadline.as_millis() as u64,
+        }),
     }
 }
 
-/// Executes one job under the resilience policy: panics are caught, a
-/// deadline (if set) bounds each attempt, and transient injected faults
-/// are retried with capped linear backoff. Backoff sleeps park only the
-/// calling worker; other workers keep draining the queue.
-///
-/// `announce = true` opens the job's display with a `running` line;
-/// `false` marks a supervised requeue with a `retried` line instead, so a
-/// job that crashed its worker never emits a duplicate `begin` and
-/// progress output stays parseable as one `running`/`retried*`/final-line
-/// sequence per key.
-pub(crate) fn run_job(job: &JobSpec, ctx: &ExecCtx, announce: bool) -> StagedRun {
+/// Whether a retry may clear `e`: only a transient injected fault can.
+fn is_transient(e: &HemuError) -> bool {
+    matches!(
+        e,
+        HemuError::FaultInjected {
+            transient: true,
+            ..
+        }
+    )
+}
+
+/// Executes one job: panics are caught, the deadline (if set) bounds each
+/// attempt, and a transient injected fault is retried, up to
+/// [`MAX_ATTEMPTS`] attempts. Nothing in here panics, so this is the one
+/// failure boundary of a job: every outcome comes back as a [`StagedRun`].
+pub(crate) fn run_job(job: &JobSpec, ctx: &ExecCtx) -> StagedRun {
     // begin/finish bracket the run so a failed or retried run always
     // finalizes its display line — `running ...` is never a key's last word.
-    if announce {
-        ctx.reporter.begin(&job.key);
-    } else {
-        ctx.reporter.retried(&job.key);
-    }
+    ctx.reporter.begin(&job.key);
     let mut attempt = 1u32;
     loop {
-        match run_guarded(&ctx.policy, ctx.want_trace, configure(ctx, job, attempt)) {
-            Ok(ok) => {
-                ctx.reporter.finish(&format!("done {}", job.key));
-                return StagedRun {
-                    attempts: attempt,
-                    outcome: Ok(ok),
-                };
+        let outcome = run_guarded(ctx.deadline, ctx.want_trace, configure(ctx, job, attempt));
+        match &outcome {
+            Ok(_) => ctx.reporter.finish(&format!("done {}", job.key)),
+            Err(e) if attempt < MAX_ATTEMPTS && is_transient(e) => {
+                ctx.reporter
+                    .line(&format!("  retrying {} (attempt {attempt}): {e}", job.key));
+                attempt += 1;
+                continue;
             }
-            Err(e) => {
-                let transient = matches!(
-                    e,
-                    HemuError::FaultInjected {
-                        transient: true,
-                        ..
-                    }
-                );
-                if transient && attempt < ctx.policy.max_attempts {
-                    ctx.reporter
-                        .line(&format!("  retrying {} (attempt {attempt}): {e}", job.key));
-                    thread::sleep(ctx.policy.backoff_for(attempt));
-                    attempt += 1;
-                    continue;
-                }
-                ctx.reporter.finish(&format!(
-                    "FAILED {} after {attempt} attempt(s): {e}",
-                    job.key
-                ));
-                return StagedRun {
-                    attempts: attempt,
-                    outcome: Err(e),
-                };
-            }
+            Err(e) => ctx.reporter.finish(&format!(
+                "FAILED {} after {attempt} attempt(s): {e}",
+                job.key
+            )),
         }
+        return StagedRun {
+            attempts: attempt,
+            outcome,
+        };
     }
 }
 
-/// Executes `jobs` on a pool of at most `workers` threads and returns the
-/// staged results in job order. Workers pull jobs from a shared atomic
-/// cursor, so the assignment of jobs to threads is racy — but results are
-/// keyed by queue position, and commitment order is decided later by the
-/// demand sequence, so scheduling noise cannot reach any artifact.
+/// Executes `jobs` on the calling thread plus up to `workers − 1` scoped
+/// helpers and returns the staged results in job order. Workers pull jobs
+/// from one atomic cursor, so the assignment of jobs to threads is racy —
+/// but results are keyed by queue position, and commitment order is decided
+/// later by the demand sequence, so scheduling noise cannot reach any
+/// artifact. A helper the host cannot spawn just leaves fewer workers; a
+/// panic that escapes [`run_job`] (a harness bug) is propagated.
 pub(crate) fn execute_wave(jobs: &[JobSpec], workers: usize, ctx: &ExecCtx) -> Vec<StagedRun> {
-    execute_wave_with(jobs, workers, ctx, run_job)
-}
-
-/// [`execute_wave`] generic over the per-job runner, so the supervision
-/// machinery (requeue, bounded retries, `retried` progress lines) can be
-/// unit-tested with a runner that misbehaves on demand.
-///
-/// # Worker supervision
-///
-/// `run_job` already catches experiment panics, so a panic that
-/// *escapes* the runner means the worker machinery itself crashed mid-job.
-/// Rather than abort the sweep (or silently lose the job), the pool
-/// supervises itself:
-///
-/// - the panic is caught at the worker loop, so the worker thread survives
-///   and keeps draining the queue — the pool never shrinks;
-/// - the crashed job is requeued and re-announced with a `retried`
-///   progress line (never a duplicate `begin`);
-/// - requeues are bounded by the [`RunPolicy`] retry budget; a job that
-///   keeps killing workers is staged as [`HemuError::Panicked`] and the
-///   sweep carries on.
-///
-/// Requeued jobs re-execute from scratch; determinism makes the retry
-/// invisible in every artifact.
-pub(crate) fn execute_wave_with<R>(
-    jobs: &[JobSpec],
-    workers: usize,
-    ctx: &ExecCtx,
-    runner: R,
-) -> Vec<StagedRun>
-where
-    R: Fn(&JobSpec, &ExecCtx, bool) -> StagedRun + Sync,
-{
-    let workers = workers.clamp(1, jobs.len().max(1));
-    let slots: Vec<Mutex<Option<StagedRun>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-    let crashes: Vec<AtomicU32> = jobs.iter().map(|_| AtomicU32::new(0)).collect();
-    let requeue: Mutex<VecDeque<usize>> = Mutex::new(VecDeque::new());
     let cursor = AtomicUsize::new(0);
-    let worker_loop = || loop {
-        // Requeued (supervised-crash) jobs take priority over fresh ones so
-        // a crash surfaces its retry budget quickly instead of starving
-        // behind the tail of the queue.
-        let requeued = requeue.lock().map_or(None, |mut q| q.pop_front());
-        let i = match requeued {
-            Some(i) => i,
-            None => {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                i
-            }
-        };
-        let job = &jobs[i];
-        let first = crashes[i].load(Ordering::Relaxed) == 0;
-        match panic::catch_unwind(AssertUnwindSafe(|| runner(job, ctx, first))) {
-            Ok(staged) => {
-                if let Ok(mut s) = slots[i].lock() {
-                    *s = Some(staged);
-                }
-            }
-            Err(payload) => {
-                let err = panic_error(payload.as_ref());
-                let crash_count = crashes[i].fetch_add(1, Ordering::Relaxed) + 1;
-                if crash_count < ctx.policy.max_attempts {
-                    ctx.reporter.line(&format!(
-                        "  supervisor: worker crashed on {} ({err}); requeueing (crash {crash_count})",
-                        job.key
-                    ));
-                    if let Ok(mut q) = requeue.lock() {
-                        q.push_back(i);
-                    }
-                } else {
-                    ctx.reporter.finish(&format!(
-                        "FAILED {} after {crash_count} worker crash(es): {err}",
-                        job.key
-                    ));
-                    if let Ok(mut s) = slots[i].lock() {
-                        *s = Some(StagedRun {
-                            attempts: crash_count,
-                            outcome: Err(err),
-                        });
-                    }
-                }
-            }
+    let drain = || {
+        let mut done = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(job) = jobs.get(i) else {
+                return done;
+            };
+            done.push((i, run_job(job, ctx)));
         }
     };
-    if workers == 1 {
-        worker_loop();
-    } else {
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(worker_loop);
-            }
-        });
-    }
-    // Replenishment fallback: if every worker somehow died with jobs still
-    // queued or requeued (catch_unwind above makes this unreachable in
-    // practice), finish the stragglers inline rather than losing them.
-    for (i, slot) in slots.iter().enumerate() {
-        let empty = slot.lock().is_ok_and(|s| s.is_none());
-        if empty {
-            let staged = panic::catch_unwind(AssertUnwindSafe(|| {
-                runner(&jobs[i], ctx, crashes[i].load(Ordering::Relaxed) == 0)
-            }))
-            .unwrap_or_else(|payload| StagedRun {
-                attempts: 1,
-                outcome: Err(panic_error(payload.as_ref())),
-            });
-            if let Ok(mut s) = slot.lock() {
-                *s = Some(staged);
-            }
+    let mut staged: Vec<(usize, StagedRun)> = thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers.min(jobs.len()))
+            .map_while(|_| thread::Builder::new().spawn_scoped(scope, drain).ok())
+            .collect();
+        let mut staged = drain();
+        for helper in helpers {
+            staged.extend(helper.join().unwrap_or_else(|p| panic::resume_unwind(p)));
         }
-    }
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .unwrap_or_else(|| StagedRun {
-                    attempts: 1,
-                    outcome: Err(HemuError::Panicked("worker dropped a staged run".into())),
-                })
-        })
-        .collect()
+        staged
+    });
+    staged.sort_unstable_by_key(|&(i, _)| i);
+    staged.into_iter().map(|(_, run)| run).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
-    use std::sync::Arc;
 
-    /// A writer appending into a shared buffer, for asserting on progress
-    /// output.
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-    impl Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            if let Ok(mut b) = self.0.lock() {
-                b.extend_from_slice(buf);
-            }
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    fn test_ctx(buf: &Arc<Mutex<Vec<u8>>>) -> ExecCtx {
-        ExecCtx {
+    /// Real jobs that fail at once in `validate`, one per out-of-range
+    /// instance count, come back in job order at any worker count.
+    #[test]
+    fn staged_results_come_back_in_job_order() {
+        let spec = hemu_workloads::WorkloadSpec::by_name("avrora").expect("known workload");
+        let counts = [0usize, 256, 300, 1000, 4096];
+        let jobs: Vec<JobSpec> = counts
+            .iter()
+            .map(|&n| JobSpec::new(Experiment::new(spec).instances(n)))
+            .collect();
+        let ctx = ExecCtx {
             fault_plan: None,
             endurance: None,
-            policy: RunPolicy::default(),
+            deadline: None,
             want_trace: false,
             want_profile: false,
-            reporter: Reporter::to_writer(Box::new(SharedBuf(Arc::clone(buf)))),
-        }
-    }
-
-    fn test_jobs(keys: &[&str]) -> Vec<JobSpec> {
-        let spec = hemu_workloads::WorkloadSpec::by_name("avrora").expect("known workload");
-        keys.iter()
-            .map(|k| JobSpec {
-                key: (*k).to_string(),
-                experiment: Experiment::new(spec),
-            })
-            .collect()
-    }
-
-    /// A stub staged result that identifies which job produced it without
-    /// having to construct real run artifacts.
-    fn stub_result(job: &JobSpec) -> StagedRun {
-        StagedRun {
-            attempts: 1,
-            outcome: Err(HemuError::InvalidConfig(format!("stub:{}", job.key))),
-        }
-    }
-
-    fn drained(buf: &Arc<Mutex<Vec<u8>>>) -> String {
-        String::from_utf8(buf.lock().expect("buffer lock").clone()).expect("utf8 progress")
-    }
-
-    #[test]
-    fn a_worker_crash_requeues_the_job_without_a_duplicate_begin() {
-        let buf = Arc::new(Mutex::new(Vec::new()));
-        let ctx = test_ctx(&buf);
-        let jobs = test_jobs(&["crashy", "steady"]);
-        // Record every (key, announce) call; panic exactly once, on the
-        // first delivery of `crashy`.
-        let calls: Mutex<Vec<(String, bool)>> = Mutex::new(Vec::new());
-        let results = execute_wave_with(&jobs, 2, &ctx, |job, _ctx, announce| {
-            let first_crashy = {
-                let mut c = calls.lock().expect("calls lock");
-                c.push((job.key.clone(), announce));
-                job.key == "crashy" && c.iter().filter(|(k, _)| k == "crashy").count() == 1
-            };
-            if first_crashy {
-                panic!("simulated worker crash");
-            }
-            stub_result(job)
-        });
-        // Both slots hold the stub result, in job order, despite the crash.
-        assert_eq!(results.len(), 2);
-        for (job, staged) in jobs.iter().zip(&results) {
-            match &staged.outcome {
-                Err(HemuError::InvalidConfig(msg)) => assert_eq!(msg, &format!("stub:{}", job.key)),
-                other => panic!("job {} staged {other:?}", job.key),
+            reporter: Reporter::to_writer(Box::new(std::io::sink())),
+        };
+        for workers in [1, 3] {
+            let staged = execute_wave(&jobs, workers, &ctx);
+            assert_eq!(staged.len(), counts.len(), "{workers} workers");
+            for (n, run) in counts.iter().zip(&staged) {
+                assert_eq!(run.attempts, 1, "{workers} workers, n={n}");
+                match &run.outcome {
+                    Err(HemuError::InvalidConfig(msg)) => {
+                        assert!(
+                            msg.ends_with(&format!("got {n}")),
+                            "{workers} workers: {msg}"
+                        )
+                    }
+                    other => panic!("{workers} workers, n={n}: staged {other:?}"),
+                }
             }
         }
-        // The requeued delivery was announced as a retry, not a fresh begin.
-        let calls = calls.into_inner().expect("calls lock");
-        let crashy: Vec<bool> = calls
-            .iter()
-            .filter(|(k, _)| k == "crashy")
-            .map(|(_, announce)| *announce)
-            .collect();
-        assert_eq!(crashy, [true, false], "requeue must re-announce as retried");
-        let text = drained(&buf);
-        assert!(
-            text.contains("supervisor: worker crashed on crashy"),
-            "supervisor line missing from:\n{text}"
-        );
-    }
-
-    #[test]
-    fn repeated_crashes_exhaust_the_retry_budget() {
-        let buf = Arc::new(Mutex::new(Vec::new()));
-        let ctx = test_ctx(&buf);
-        let jobs = test_jobs(&["doomed"]);
-        let results = execute_wave_with(&jobs, 1, &ctx, |_job, _ctx, _announce| {
-            panic!("crashes every time");
-        });
-        assert_eq!(results.len(), 1);
-        match &results[0].outcome {
-            Err(HemuError::Panicked(msg)) => {
-                assert!(
-                    msg.contains("crashes every time"),
-                    "unexpected panic message: {msg}"
-                )
-            }
-            other => panic!("expected a panic error, got {other:?}"),
-        }
-        assert_eq!(
-            results[0].attempts, ctx.policy.max_attempts,
-            "the whole retry budget must be consumed before giving up"
-        );
-        let text = drained(&buf);
-        assert!(
-            text.contains("FAILED doomed") && text.contains("worker crash"),
-            "final FAILED line missing from:\n{text}"
-        );
     }
 }

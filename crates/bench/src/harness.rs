@@ -83,44 +83,6 @@ impl From<OsPolicy> for Manager {
     }
 }
 
-/// Per-run resilience policy: how long an experiment may take and how
-/// transient injected faults are retried.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunPolicy {
-    /// Wall-clock deadline per attempt. `None` runs inline with no
-    /// watchdog; `Some` runs each attempt on a helper thread and abandons
-    /// it on expiry.
-    pub deadline: Option<Duration>,
-    /// Attempts per run; only transient faults consume extra attempts.
-    pub max_attempts: u32,
-    /// Base backoff between retries (attempt `n` sleeps `n × backoff`,
-    /// capped at [`RunPolicy::max_backoff`]).
-    pub backoff: Duration,
-    /// Upper bound on any single backoff sleep, so a generous `backoff`
-    /// combined with a deep retry budget cannot stall a worker for long
-    /// stretches.
-    pub max_backoff: Duration,
-}
-
-impl RunPolicy {
-    /// The capped linear backoff before retrying after `attempt` failed
-    /// attempts: `min(attempt × backoff, max_backoff)`.
-    pub fn backoff_for(&self, attempt: u32) -> Duration {
-        self.backoff.saturating_mul(attempt).min(self.max_backoff)
-    }
-}
-
-impl Default for RunPolicy {
-    fn default() -> Self {
-        RunPolicy {
-            deadline: None,
-            max_attempts: 3,
-            backoff: Duration::from_millis(25),
-            max_backoff: Duration::from_secs(1),
-        }
-    }
-}
-
 /// Terminal outcome of one experiment run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunStatus {
@@ -165,19 +127,21 @@ pub struct RunRecord {
 #[derive(Default)]
 pub struct Harness {
     scale: Scale,
-    cache: HashMap<String, RunReport>,
-    /// Failed configurations and their terminal error, so repeated figure
-    /// references do not re-run a known-bad experiment.
-    failed: HashMap<String, HemuError>,
+    /// Every committed run's outcome by key: its report, or the terminal
+    /// error, so repeated figure references never re-run a configuration.
+    memo: HashMap<String, Result<RunReport>>,
     /// Experiments executed (cache misses) — visible in the harness output
     /// so a reader can see how much work a figure took.
     pub runs_executed: usize,
     /// When set, every executed run writes `<dir>/<key>.json` and
     /// [`Harness::finalize_exports`] writes the combined artifacts.
     json_dir: Option<PathBuf>,
-    /// When set, every executed run captures a bounded event trace and
-    /// appends it (JSONL) to this file.
+    /// When set, every executed run captures a bounded event trace, and
+    /// [`Harness::finalize_exports`] writes the committed runs' traces
+    /// (JSONL) to this file.
     trace_out: Option<PathBuf>,
+    /// Trace text of committed traced runs, appended in demand order.
+    trace_text: String,
     /// When true, every executed run enables the phase-and-provenance
     /// profiler (write attribution in reports, spans, wear heatmaps).
     profile_runs: bool,
@@ -200,7 +164,8 @@ pub struct Harness {
     /// Migrator tuning (epoch length, budget, DRAM clamp) given to every
     /// OS-managed run; the policy field is overwritten per run.
     os_tuning: OsPagingConfig,
-    policy: RunPolicy,
+    /// Wall-clock bound on each run attempt; `None` sets none.
+    deadline: Option<Duration>,
     /// Worker-pool width for planned sweeps; 0 or 1 means fully inline
     /// sequential execution (the historical path).
     jobs: usize,
@@ -271,15 +236,13 @@ fn slug(key: &str) -> String {
         .collect()
 }
 
-/// Appends one run's trace records to the JSONL file at `path`, under a
+/// Appends one run's trace records as JSON Lines to `text`, under a
 /// `{"run":key}` header line.
-fn append_trace(path: &Path, key: &str, trace: &[hemu_obs::TraceRecord]) -> Result<()> {
-    let mut text = String::from("{\"run\":");
-    hemu_obs::json::push_json_str(&mut text, key);
+fn push_trace(text: &mut String, key: &str, trace: &[hemu_obs::TraceRecord]) {
+    text.push_str("{\"run\":");
+    hemu_obs::json::push_json_str(text, key);
     text.push_str("}\n");
     text.push_str(&to_json_lines(trace));
-    let existing = fs::read_to_string(path).map_err(|e| io_err("reading", path, &e))?;
-    write_atomic_str(path, &(existing + &text)).map_err(|e| io_err("writing", path, &e))
 }
 
 /// Writes the per-run JSON artifact into `dir` atomically and returns its
@@ -313,9 +276,10 @@ impl Harness {
         self.endurance = Some(cfg);
     }
 
-    /// Sets the per-run deadline/retry policy.
-    pub fn set_run_policy(&mut self, policy: RunPolicy) {
-        self.policy = policy;
+    /// Bounds each run attempt by a wall-clock `deadline`: an attempt
+    /// that overruns it is abandoned and the run recorded as timed out.
+    pub fn set_run_deadline(&mut self, deadline: Duration) {
+        self.deadline = Some(deadline);
     }
 
     /// Sets the migrator tuning (epoch length, migration budget, DRAM
@@ -344,7 +308,7 @@ impl Harness {
 
     /// Configurations that terminally failed so far.
     pub fn failed_count(&self) -> usize {
-        self.failed.len()
+        self.memo.values().filter(|r| r.is_err()).count()
     }
 
     /// Executed runs (successful and failed) in execution order.
@@ -367,7 +331,8 @@ impl Harness {
     }
 
     /// Enables event tracing: every executed run captures a bounded trace
-    /// of its measured iteration and appends it as JSON Lines to `path`
+    /// of its measured iteration, and [`Harness::finalize_exports`] writes
+    /// the committed runs' traces in demand order as JSON Lines to `path`
     /// (each run preceded by a `{"run": "<key>"}` marker record).
     ///
     /// # Errors
@@ -476,11 +441,12 @@ impl Harness {
         }
     }
 
-    /// Runs (or fetches) one experiment under the resilience policy:
-    /// panics are caught, a deadline (if set) bounds each attempt, and
-    /// transient injected faults are retried with linear backoff. A
-    /// terminal failure is memoized and recorded — subsequent figures that
-    /// reference the same configuration fail fast instead of re-running it.
+    /// Runs (or fetches) one experiment: panics are caught, the
+    /// [`Harness::set_run_deadline`] deadline (if set) bounds each attempt,
+    /// and a transient injected fault is retried at once, up to three
+    /// attempts in all. A terminal failure is memoized and recorded —
+    /// subsequent figures that reference the same configuration fail fast
+    /// instead of re-running it.
     ///
     /// # Errors
     ///
@@ -529,11 +495,8 @@ impl Harness {
     pub fn run_experiment(&mut self, experiment: Experiment) -> Result<RunReport> {
         let job = JobSpec::new(experiment);
         let key = job.key.clone();
-        if let Some(r) = self.cache.get(&key) {
-            return Ok(r.clone());
-        }
-        if let Some(e) = self.failed.get(&key) {
-            return Err(e.clone());
+        if let Some(memoized) = self.memo.get(&key) {
+            return memoized.clone();
         }
         if self.planning {
             // Peek a restored or staged result so the planning pass follows
@@ -561,7 +524,7 @@ impl Harness {
         }
         // Inline execution: the sequential path (and the fallback should a
         // planned sweep demand a run no planning pass discovered).
-        let sr = executor::run_job(&job, &self.exec_ctx(), true);
+        let sr = executor::run_job(&job, &self.exec_ctx());
         self.commit(key, sr)
     }
 
@@ -616,7 +579,7 @@ impl Harness {
         ExecCtx {
             fault_plan: self.fault_plan.clone(),
             endurance: self.endurance,
-            policy: self.policy,
+            deadline: self.deadline,
             want_trace: self.trace_out.is_some(),
             want_profile: self.profiling(),
             reporter: self.reporter.clone(),
@@ -630,8 +593,8 @@ impl Harness {
         match sr.outcome {
             Ok(arts) => {
                 let report = arts.report;
-                if let Some(path) = &self.trace_out {
-                    append_trace(path, &key, &arts.trace)?;
+                if self.trace_out.is_some() {
+                    push_trace(&mut self.trace_text, &key, &arts.trace);
                 }
                 let content_hash = match &self.json_dir {
                     Some(dir) => Some(write_run_json(dir, &key, &report)?),
@@ -645,7 +608,7 @@ impl Harness {
                         .add_run(&key, arts.freq_hz, arts.elapsed, arts.spans);
                     self.heatmap_rows.push((key.clone(), arts.heatmap));
                 }
-                self.cache.insert(key.clone(), report.clone());
+                self.memo.insert(key.clone(), Ok(report.clone()));
                 self.journal_append(&key, RunStatus::Ok, sr.attempts, None, content_hash)?;
                 self.records.push(RunRecord {
                     key,
@@ -670,7 +633,7 @@ impl Harness {
                     attempts: sr.attempts,
                     error: Some(e.to_string()),
                 });
-                self.failed.insert(key, e.clone());
+                self.memo.insert(key, Err(e.clone()));
                 self.runs_executed += 1;
                 self.chaos_checkpoint();
                 Err(e)
@@ -690,7 +653,7 @@ impl Harness {
             Some(dir) => Some(write_run_json(dir, &key, &report)?),
             None => None,
         };
-        self.cache.insert(key.clone(), report.clone());
+        self.memo.insert(key.clone(), Ok(report.clone()));
         self.journal_append(&key, RunStatus::Ok, rr.attempts, None, content_hash)?;
         self.records.push(RunRecord {
             key,
@@ -764,12 +727,12 @@ impl Harness {
     /// one setting resumes cleanly at another.
     fn plan_hash(&self) -> String {
         let fingerprint = format!(
-            "hemu-bench={}|scale={:?}|faults={:?}|endurance={:?}|policy={:?}|os={:?}",
+            "hemu-bench={}|scale={:?}|faults={:?}|endurance={:?}|deadline={:?}|os={:?}",
             env!("CARGO_PKG_VERSION"),
             self.scale,
             self.fault_plan,
             self.endurance,
-            self.policy,
+            self.deadline,
             self.os_tuning,
         );
         hash_hex(fnv1a64(fingerprint.as_bytes()))
@@ -790,7 +753,7 @@ impl Harness {
     /// an uninterrupted run's at any `--jobs`.
     ///
     /// Call after all other configuration (scale, faults, endurance,
-    /// policy, OS tuning): the journal header is validated against a
+    /// deadline, OS tuning): the journal header is validated against a
     /// fingerprint of that configuration, and a journal written by a
     /// different plan or binary version is refused. Also sets `dir` as the
     /// JSON export directory and recreates the journal, so the resumed
@@ -830,26 +793,26 @@ impl Harness {
         // makes that a pure wall-clock cost.
         let replayable = self.trace_out.is_none() && !self.profiling();
         let mut replayed = 0usize;
-        let mut requeued = 0usize;
+        let mut rerun = 0usize;
         if replayable {
             for rec in &contents.records {
                 let (Some(expected_hash), "ok") = (&rec.hash, rec.status.as_str()) else {
-                    requeued += 1;
+                    rerun += 1;
                     continue;
                 };
                 let path = dir.join(format!("{}.json", slug(&rec.key)));
                 let Ok(text) = fs::read_to_string(&path) else {
-                    requeued += 1;
+                    rerun += 1;
                     continue;
                 };
                 if &hash_hex(fnv1a64(text.as_bytes())) != expected_hash {
-                    requeued += 1;
+                    rerun += 1;
                     continue;
                 }
                 // The round-trip gate inside `restore_run_report` refuses
                 // anything this binary would not re-export byte-identically.
                 let Some(report) = restore_run_report(&text) else {
-                    requeued += 1;
+                    rerun += 1;
                     continue;
                 };
                 self.restored.insert(
@@ -862,10 +825,10 @@ impl Harness {
                 replayed += 1;
             }
         } else {
-            requeued = contents.records.len();
+            rerun = contents.records.len();
         }
         self.reporter.line(&format!(
-            "  resume: replaying {replayed} journaled run(s), re-executing {requeued}"
+            "  resume: replaying {replayed} journaled run(s), re-executing {rerun}"
         ));
         self.set_json_dir(&dir)?;
         let w = JournalWriter::create(&dir, &plan_hash)
@@ -880,13 +843,17 @@ impl Harness {
     /// failed runs) and `samples.csv` (all monitor samples of successful
     /// runs, one row per interval per run) under the
     /// [`Harness::set_json_dir`] directory, plus — independently of it —
-    /// the profiler's timeline JSON ([`Harness::set_timeline_out`]) and
-    /// wear-heatmap CSV ([`Harness::set_heatmap_out`]).
+    /// the event trace ([`Harness::set_trace_out`]), the profiler's
+    /// timeline JSON ([`Harness::set_timeline_out`]) and wear-heatmap CSV
+    /// ([`Harness::set_heatmap_out`]).
     ///
     /// # Errors
     ///
     /// Returns [`HemuError::Io`] on write failure.
     pub fn finalize_exports(&self) -> Result<()> {
+        if let Some(path) = self.trace_out.as_ref() {
+            write_atomic_str(path, &self.trace_text).map_err(|e| io_err("writing", path, &e))?;
+        }
         if let Some(path) = self.timeline_out.as_ref() {
             let mut doc = self.timeline.render();
             doc.push('\n');
@@ -920,7 +887,7 @@ impl Harness {
                 .field("status", rec.status.as_str())
                 .field("attempts", &rec.attempts)
                 .field("error", &rec.error)
-                .field("report", &self.cache.get(&rec.key));
+                .field("report", &self.report(&rec.key));
             obj.finish();
         }
         combined.push_str("]\n");
@@ -929,7 +896,7 @@ impl Harness {
 
         let mut csv = Csv::new(&["key", "t_seconds", "pcm_write_mbs", "dram_write_mbs"]);
         for rec in &self.records {
-            let Some(report) = self.cache.get(&rec.key) else {
+            let Some(report) = self.report(&rec.key) else {
                 continue;
             };
             for s in &report.samples {
@@ -943,6 +910,11 @@ impl Harness {
         }
         let path = dir.join("samples.csv");
         write_atomic_str(&path, &csv.finish()).map_err(|e| io_err("writing", &path, &e))
+    }
+
+    /// The memoized report of a successful run.
+    fn report(&self, key: &str) -> Option<&RunReport> {
+        self.memo.get(key).and_then(|r| r.as_ref().ok())
     }
 
     /// Like `Harness::run`, but a terminal failure (already recorded and

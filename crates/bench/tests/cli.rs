@@ -1,7 +1,9 @@
 //! The `repro` command line refuses what it does not understand: `--help`
-//! prints the usage text and runs nothing, and an unknown `--flag` exits 2
+//! prints the usage text and runs nothing, an unknown `--flag` exits 2
 //! instead of being dropped (which, with no target left, used to start the
-//! full paper reproduction). Neither case writes a `--json-out` directory.
+//! full paper reproduction), and a `--run-deadline` no `Duration` holds
+//! exits 2 instead of panicking. No such case writes a `--json-out`
+//! directory.
 
 use std::fs;
 use std::path::PathBuf;
@@ -48,5 +50,21 @@ fn unknown_flags_exit_2_and_run_nothing() {
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
         assert!(stdout.is_empty(), "{args:?} ran a target: {stdout}");
         assert!(stderr.contains("unknown flag `--"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn unrepresentable_run_deadline_exits_2_and_runs_nothing() {
+    for secs in ["1e30", "inf", "0", "-1"] {
+        let (code, stdout, stderr) = repro(
+            &format!("deadline{secs}"),
+            &["table1", "--run-deadline", secs],
+        );
+        assert_eq!(code, Some(2), "{secs}: {stderr}");
+        assert!(stdout.is_empty(), "{secs} ran a target: {stdout}");
+        assert!(
+            stderr.contains("--run-deadline: expected"),
+            "{secs}: {stderr}"
+        );
     }
 }

@@ -6,7 +6,7 @@
 //! earlier results (the planning-wave case). One oracle test checks that
 //! tracing a sweep changes none of its other artifacts.
 
-use hemu_bench::{Harness, Profile, RunPolicy, Scale};
+use hemu_bench::{Harness, Profile, Scale};
 use hemu_fault::FaultPlan;
 use hemu_heap::CollectorKind;
 use hemu_machine::MachineProfile;
@@ -16,7 +16,6 @@ use hemu_workloads::WorkloadSpec;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
@@ -169,10 +168,6 @@ fn artifacts(dir: &Path, k: Knobs, sweep: fn(&mut Harness) -> Result<String>) ->
     if k.traced {
         h.set_trace_out(dir.join("trace.jsonl")).expect("trace out");
     }
-    h.set_run_policy(RunPolicy {
-        backoff: Duration::from_millis(1),
-        ..RunPolicy::default()
-    });
     if let Some(plan) = k.faults {
         h.set_fault_plan(plan);
     }
@@ -401,22 +396,4 @@ fn oversized_pool_is_byte_identical() {
     let seq = artifacts(&tmp_dir("det-seq2"), knobs(1), sweep);
     let wide = artifacts(&tmp_dir("det-wide"), knobs(32), sweep);
     assert_identical(&seq, &wide);
-}
-
-/// The capped linear backoff: grows linearly, then saturates at
-/// `max_backoff` instead of stalling a worker for the full product.
-#[test]
-fn backoff_is_linear_then_capped() {
-    let policy = RunPolicy {
-        backoff: Duration::from_millis(40),
-        max_backoff: Duration::from_millis(100),
-        ..RunPolicy::default()
-    };
-    assert_eq!(policy.backoff_for(1), Duration::from_millis(40));
-    assert_eq!(policy.backoff_for(2), Duration::from_millis(80));
-    assert_eq!(policy.backoff_for(3), Duration::from_millis(100), "capped");
-    assert_eq!(policy.backoff_for(1000), Duration::from_millis(100));
-    // The default policy's cap bounds every sleep at one second.
-    let d = RunPolicy::default();
-    assert!(d.backoff_for(u32::MAX) <= Duration::from_secs(1));
 }

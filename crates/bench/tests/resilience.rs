@@ -1,8 +1,8 @@
 //! Resilience contracts of the sweep harness: a faulted run is recorded
 //! and skipped, the rest of the sweep completes, the export artifacts
-//! carry per-run status, and deadlines/retries behave as configured.
+//! carry per-run status, and deadlines and retries behave as configured.
 
-use hemu_bench::{Harness, RunPolicy, RunStatus, Scale};
+use hemu_bench::{Harness, RunStatus, Scale};
 use hemu_fault::FaultPlan;
 use hemu_heap::CollectorKind;
 use hemu_workloads::WorkloadSpec;
@@ -66,15 +66,11 @@ fn forced_oom_does_not_abort_the_sweep() {
 }
 
 /// A transient fault with probability 1 exhausts the retry budget: the
-/// run is attempted exactly `max_attempts` times and recorded as failed
-/// with the transient cause.
+/// run is attempted exactly three times and recorded as failed with the
+/// transient cause.
 #[test]
 fn transient_faults_consume_the_retry_budget() {
     let mut h = Harness::new(Scale::Quick);
-    h.set_run_policy(RunPolicy {
-        backoff: Duration::from_millis(1),
-        ..RunPolicy::default()
-    });
     h.set_fault_plan(FaultPlan {
         frame_alloc_p: 1.0,
         ..FaultPlan::none()
@@ -83,7 +79,7 @@ fn transient_faults_consume_the_retry_budget() {
     assert!(h.run1_opt(spec, CollectorKind::PcmOnly).is_none());
     let rec = &h.records()[0];
     assert_eq!(rec.status, RunStatus::Failed);
-    assert_eq!(rec.attempts, RunPolicy::default().max_attempts);
+    assert_eq!(rec.attempts, 3);
     assert!(rec.error.as_deref().unwrap().contains("frame-alloc"));
     assert!(rec.error.as_deref().unwrap().contains("transient"));
 }
@@ -93,10 +89,7 @@ fn transient_faults_consume_the_retry_budget() {
 #[test]
 fn expired_deadline_is_recorded_as_timeout() {
     let mut h = Harness::new(Scale::Quick);
-    h.set_run_policy(RunPolicy {
-        deadline: Some(Duration::from_millis(1)),
-        ..RunPolicy::default()
-    });
+    h.set_run_deadline(Duration::from_millis(1));
     let spec = WorkloadSpec::by_name("avrora").unwrap();
     assert!(h.run1_opt(spec, CollectorKind::PcmOnly).is_none());
     let rec = &h.records()[0];
@@ -114,10 +107,6 @@ fn faulted_sweeps_always_emit_complete_records() {
         let dir = tmp_dir(&format!("sweep-{seed}"));
         let mut h = Harness::new(Scale::Quick);
         h.set_json_dir(&dir).unwrap();
-        h.set_run_policy(RunPolicy {
-            backoff: Duration::from_millis(1),
-            ..RunPolicy::default()
-        });
         h.set_fault_plan(FaultPlan {
             seed,
             frame_alloc_p: 0.5,
@@ -148,31 +137,4 @@ fn faulted_sweeps_always_emit_complete_records() {
         );
         assert!(runs.starts_with('[') && runs.trim_end().ends_with(']'));
     }
-}
-
-/// The retry backoff is linear in the attempt number but saturates at
-/// `max_backoff` — including for attempt numbers far beyond any plausible
-/// retry budget, where the multiplication itself would overflow.
-#[test]
-fn backoff_saturates_at_max_backoff() {
-    let policy = RunPolicy::default();
-    assert_eq!(policy.backoff_for(1), policy.backoff);
-    assert_eq!(policy.backoff_for(2), policy.backoff * 2);
-    // 25ms * 40 = 1s: the cap is reached exactly at attempt 40 ...
-    assert_eq!(policy.backoff_for(40), policy.max_backoff);
-    // ... and nothing past it exceeds the cap, even where the
-    // multiplication saturates.
-    for attempt in [41, 1_000, u32::MAX - 1, u32::MAX] {
-        assert_eq!(
-            policy.backoff_for(attempt),
-            policy.max_backoff,
-            "attempt {attempt} exceeded max_backoff"
-        );
-    }
-    // A zero max_backoff disables sleeping entirely.
-    let eager = RunPolicy {
-        max_backoff: Duration::ZERO,
-        ..RunPolicy::default()
-    };
-    assert_eq!(eager.backoff_for(3), Duration::ZERO);
 }

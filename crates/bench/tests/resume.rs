@@ -6,7 +6,7 @@
 //! in-process (simulated crash damage) and end-to-end through the `repro`
 //! binary's `--chaos-kill-after`/`--resume` flags.
 
-use hemu_bench::{Harness, Profile, RunPolicy, Scale};
+use hemu_bench::{Harness, Profile, Scale};
 use hemu_fault::FaultPlan;
 use hemu_heap::CollectorKind;
 use hemu_machine::MachineProfile;
@@ -18,7 +18,6 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::time::Duration;
 
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
@@ -82,10 +81,6 @@ fn quiet_harness(jobs: usize) -> Harness {
     let mut h = Harness::new(Scale::Quick);
     h.set_jobs(jobs);
     h.set_reporter(Reporter::to_writer(Box::new(std::io::sink())));
-    h.set_run_policy(RunPolicy {
-        backoff: Duration::from_millis(1),
-        ..RunPolicy::default()
-    });
     h
 }
 

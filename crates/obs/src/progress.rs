@@ -58,13 +58,6 @@ impl Reporter {
         self.line(&format!("  running {label} ..."));
     }
 
-    /// Announces that `label` was requeued after a supervised failure
-    /// (`  retried <label> ...`), so progress output stays parseable as one
-    /// `running`/`retried*`/final-line sequence per label.
-    pub fn retried(&self, label: &str) {
-        self.line(&format!("  retried {label} ..."));
-    }
-
     /// Finalizes a label's display with `msg` (emitted two-space indented,
     /// like [`Reporter::begin`]). Safe to call for a label that was never
     /// begun — the message still lands.
@@ -166,23 +159,6 @@ mod tests {
             .rfind(|l| l.contains("b|KG-W"))
             .expect("b lines");
         assert!(last_b.contains("FAILED"), "stale in-progress display");
-    }
-
-    #[test]
-    fn retried_emits_one_line_without_duplicate_begin() {
-        let buf = Arc::new(Mutex::new(Vec::new()));
-        let r = Reporter::to_writer(Box::new(SharedBuf(Arc::clone(&buf))));
-        r.begin("a|KG-N|1|None");
-        r.retried("a|KG-N|1|None");
-        r.finish("done a|KG-N|1|None");
-        let text = String::from_utf8(buf.lock().expect("lock").clone()).expect("utf8");
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("  running "));
-        assert!(lines[1].starts_with("  retried "));
-        assert!(lines[2].starts_with("  done "));
-        // Exactly one `running` line even though the job ran twice.
-        assert_eq!(text.matches("running").count(), 1);
     }
 
     #[test]

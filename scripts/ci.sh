@@ -30,7 +30,7 @@ cargo clippy --offline --lib -p hemu-heap -p hemu-cache -p hemu-machine \
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 
-echo "== repro CLI: --help exits 0, an unknown flag exits 2, neither writes =="
+echo "== repro CLI: --help exits 0; an unknown flag or an overflowing --run-deadline exits 2; none writes =="
 timeout 10 ./target/release/repro --help --json-out "$smoke_dir/help" >/dev/null
 rc=0
 timeout 10 ./target/release/repro --no-such-flag --json-out "$smoke_dir/bad" || rc=$?
@@ -38,8 +38,15 @@ if [ "$rc" -ne 2 ]; then
   echo "repro --no-such-flag exited $rc, expected 2" >&2
   exit 1
 fi
-if [ -e "$smoke_dir/help" ] || [ -e "$smoke_dir/bad" ]; then
-  echo "repro --help or an unknown flag wrote an artifact" >&2
+rc=0
+timeout 10 ./target/release/repro table1 --run-deadline 1e30 \
+  --json-out "$smoke_dir/deadline" || rc=$?
+if [ "$rc" -ne 2 ]; then
+  echo "repro --run-deadline 1e30 exited $rc, expected 2" >&2
+  exit 1
+fi
+if [ -e "$smoke_dir/help" ] || [ -e "$smoke_dir/bad" ] || [ -e "$smoke_dir/deadline" ]; then
+  echo "repro --help, an unknown flag or a bad --run-deadline wrote an artifact" >&2
   exit 1
 fi
 
